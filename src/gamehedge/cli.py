@@ -19,12 +19,13 @@ from __future__ import annotations
 
 import argparse
 import copy
-import csv
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from itertools import chain
 from pathlib import Path
+
+import numpy as np
 
 from .config import (
     ModelBundle,
@@ -35,7 +36,7 @@ from .config import (
 )
 from .dynkin import DEFAULT_PAIR_LIMIT, game_value_brute, saddle_check
 from .errors import ConfigError, EngineError, TooLarge, TooManyPaths
-from .lattice import read_node_process, write_node_process
+from .lattice import read_node_process, write_csv, write_node_process
 from .pricing import acceptable_price, game_payoff, side_obstacles
 from .replication import forward_wealth, solution_path, verify_replication
 from .stopping import path_moves
@@ -82,11 +83,9 @@ def _write_json(path: Path, obj) -> None:
 
 
 def _write_region_csv(path: Path, region) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "up_count"])
-        for k, j in sorted(region):
-            writer.writerow([k, j])
+    nodes = np.fromiter(chain.from_iterable(sorted(region)), dtype=np.int64,
+                        count=2 * len(region)).reshape(-1, 2)
+    write_csv(path, ("step", "up_count"), (nodes[:, 0], nodes[:, 1]))
 
 
 def _quote_obj(quote) -> dict:
@@ -101,10 +100,8 @@ def _quote_obj(quote) -> dict:
 def _write_side_solution(out: Path, quote) -> None:
     out.mkdir(parents=True, exist_ok=True)
     sol = quote.solution
-    write_node_process(sol.Y, out / "Y.csv")
-    write_node_process(sol.Z, out / "Z.csv")
-    write_node_process(sol.dL, out / "dL.csv")
-    write_node_process(sol.dU, out / "dU.csv")
+    for name in ("Y", "Z", "dL", "dU"):
+        write_node_process(getattr(sol, name), out / f"{name}.csv")
     _write_json(
         out / "solution.json",
         {"y0": sol.Y.at(0, 0), "residual_max": sol.residual_max,
@@ -115,10 +112,8 @@ def _write_side_solution(out: Path, quote) -> None:
 
 def _write_side_regions(out: Path, quote) -> None:
     out.mkdir(parents=True, exist_ok=True)
-    _write_region_csv(out / "region_sigma.csv", quote.region_sigma)
-    _write_region_csv(out / "region_tau.csv", quote.region_tau)
-    _write_region_csv(out / "region_bar_sigma.csv", quote.region_bar_sigma)
-    _write_region_csv(out / "region_bar_tau.csv", quote.region_bar_tau)
+    for name in ("region_sigma", "region_tau", "region_bar_sigma", "region_bar_tau"):
+        _write_region_csv(out / f"{name}.csv", getattr(quote, name))
 
 
 def _quotes(bundle: ModelBundle):
@@ -242,21 +237,18 @@ def cmd_replicate(bundle: ModelBundle, out: Path, hedge_csv: str | None) -> int:
 
 def _write_paths_csv(path: Path, bundle: ModelBundle, quote) -> None:
     n = bundle.lat.n_steps
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["path_id", "step", "V", "Y", "L_cum", "U_cum"])
-        for pid in range(1 << n):
-            moves = path_moves(pid, n)
-            wealth = forward_wealth(
-                quote.y0, quote.solution.Z, bundle.gen,
-                quote.inputs.cashflow_increments, bundle.lat, moves,
-            )
-            solved = solution_path(quote, moves)
-            for k in range(n + 1):
-                writer.writerow(
-                    [pid, k, _fmt(wealth.values[k]), _fmt(solved.values[k]),
-                     _fmt(solved.L_cum[k]), _fmt(solved.U_cum[k])]
-                )
+    moves = path_moves(np.arange(1 << n), n)
+    wealth = forward_wealth(
+        quote.y0, quote.solution.Z, bundle.gen,
+        quote.inputs.cashflow_increments, bundle.lat, moves,
+    )
+    solved = solution_path(quote, moves)
+    write_csv(
+        path, ("path_id", "step", "V", "Y", "L_cum", "U_cum"),
+        (np.repeat(np.arange(1 << n), n + 1), np.tile(np.arange(n + 1), 1 << n),
+         wealth.values.ravel(), solved.values.ravel(), solved.L_cum.ravel(),
+         solved.U_cum.ravel()),
+    )
 
 
 def _parse_sweep_values(text: str):
@@ -277,10 +269,9 @@ def _parse_sweep_values(text: str):
     return out
 
 
-def cmd_sweep(raw_cfg: dict, axis: str, values, workers: int, out: Path) -> int:
-    set_axis_value(copy.deepcopy(raw_cfg), axis, values[0])  # validate axis early
-
-    def task(value):
+def cmd_sweep(raw_cfg: dict, axis: str, values, out: Path) -> int:
+    prices = []
+    for value in values:
         cfg = copy.deepcopy(raw_cfg)
         set_axis_value(cfg, axis, value)
         bundle = build_bundle(cfg)
@@ -289,24 +280,12 @@ def cmd_sweep(raw_cfg: dict, axis: str, values, workers: int, out: Path) -> int:
                               bundle.lat, region_tol=tol).price
         pc = acceptable_price(bundle.contract, bundle.views["counterparty"], bundle.gen,
                               bundle.lat, region_tol=tol).price
-        return ph, pc
-
-    results: list = [None] * len(values)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(task, v) for v in values]
-            for i, fut in enumerate(futures):
-                results[i] = fut.result()
-    else:
-        for i, v in enumerate(values):
-            results[i] = task(v)
+        prices.append((ph, pc))
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "sweep.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["value", "price_hedger", "price_counterparty", "spread"])
-        for value, (ph, pc) in zip(values, results):
-            val_text = str(value) if isinstance(value, int) else _fmt(value)
-            writer.writerow([val_text, _fmt(ph), _fmt(pc), _fmt(ph - pc)])
+    ph, pc = np.array(prices).T
+    labels = np.array([str(v) if isinstance(v, int) else _fmt(v) for v in values])
+    write_csv(out / "sweep.csv", ("value", "price_hedger", "price_counterparty", "spread"),
+              (labels, ph, pc, ph - pc))
     print(f"wrote {out / 'sweep.csv'} ({len(values)} rows)")
     return 0
 
@@ -321,7 +300,8 @@ def _parse_args(argv):
     def common(p, with_side=True):
         p.add_argument("--config", required=True, help="path to the JSON run config")
         p.add_argument("--out", help="output directory (default: config output.dir or ./out)")
-        p.add_argument("--workers", type=int, default=1, help="parallel workers (sweep)")
+        p.add_argument("--workers", type=int, default=1,
+                       help="accepted and ignored; sweeps run serially (deprecated)")
         p.add_argument("--tol-override", action="append", default=[], metavar="KEY=VALUE",
                        help="override a tolerance, repeatable")
         if with_side:
@@ -374,7 +354,7 @@ def main(argv=None) -> int:
         if args.command == "replicate":
             return cmd_replicate(bundle, out, args.hedge_csv)
         if args.command == "sweep":
-            return cmd_sweep(cfg, args.axis, sweep_values, max(1, args.workers), out)
+            return cmd_sweep(cfg, args.axis, sweep_values, out)
         raise AssertionError(f"unhandled command {args.command}")
     except ConfigError as exc:
         print(f"config error: ConfigError: {exc}", file=sys.stderr)

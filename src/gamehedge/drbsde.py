@@ -140,8 +140,7 @@ def _implicit_row(gen: Generator, t: float, rhs, z, s, dt: float):
 
 def require_contraction(gen: Generator, lat: Lattice) -> None:
     """Reject step sizes for which the implicit step contracts too slowly or loses monotonicity."""
-    s_max = float(np.max(lat.spot.row(lat.n_steps)))
-    if not contraction_ok(gen, lat.dt, s_max):
+    if not contraction_ok(gen, lat.dt):
         raise ContractionViolated(
             f"dt={lat.dt:g} with Lipschitz bounds (y={gen.lipschitz_y:g}, "
             f"z={gen.lipschitz_z:g}) is not a contraction; refine the grid"

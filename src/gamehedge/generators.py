@@ -147,17 +147,15 @@ def _any_array(*vals) -> bool:
     return any(isinstance(v, np.ndarray) for v in vals)
 
 
-def contraction_ok(gen: Generator, dt: float, s_max: float) -> bool:
+def contraction_ok(gen: Generator, dt: float) -> bool:
     """True iff the implicit one-step map is a contraction at step size dt.
 
     The z bound is slope-invariant (the spot scale cancels against the
-    hedge-slope denominator), so s_max does not enter numerically; it is kept
-    for signature stability.  For the builtin generators the test reduces to
-    dt * max(r_lend, r_borrow) < 1.
+    hedge-slope denominator), so no spot level enters.  For the builtin
+    generators the test reduces to dt * max(r_lend, r_borrow) < 1.
     """
     if dt <= 0.0 or not math.isfinite(dt):
         raise OutOfRange(f"dt must be positive and finite, got {dt}")
-    del s_max
     return dt * gen.lipschitz_y < 1.0 and dt * gen.lipschitz_z < 1.0
 
 

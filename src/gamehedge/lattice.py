@@ -31,6 +31,7 @@ __all__ = [
     "node_expectation",
     "write_node_process",
     "read_node_process",
+    "write_csv",
 ]
 
 
@@ -216,17 +217,41 @@ def node_expectation(lat: Lattice, proc: NodeProcess, k: int, j: int) -> float:
 
 
 _CSV_HEADER = ["step", "up_count", "value"]
+_CSV_EOL = "\r\n"
+_CSV_FORMATS = {"i": "%d", "u": "%d", "f": "%.17g"}  # by numpy dtype kind; others "%s"
+_CSV_BLOCK_ROWS = 1 << 12  # rows formatted per write, so memory stays bounded
+
+
+def write_csv(path, header, columns) -> None:
+    """Write one artifact CSV: comma-separated, CRLF line ends, no quoting.
+
+    ``columns`` are equal-length numpy arrays, formatted by dtype: integers as
+    %d, floats as %.17g (which round-trips every double) and anything else as
+    %s.  Rows are formatted in bulk, one block of rows per write.
+    """
+    row = ",".join(_CSV_FORMATS.get(c.dtype.kind, "%s") for c in columns) + _CSV_EOL
+    width = len(columns)
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + _CSV_EOL)
+        for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
+            block = [c[start:start + _CSV_BLOCK_ROWS].tolist() for c in columns]
+            flat = [None] * (len(block[0]) * width)
+            for i, values in enumerate(block):
+                flat[i::width] = values
+            fh.write(row * len(block[0]) % tuple(flat))
 
 
 def write_node_process(proc: NodeProcess, path) -> None:
-    """Write rows (step, up_count, value) sorted by (step, up_count), 17 significant digits."""
+    """Write rows (step, up_count, value) sorted by (step, up_count), 17 significant digits.
+
+    ``write_csv``'s bytes, one lattice row per write with the labels in the template.
+    """
+    cells = [f"{j},{_CSV_FORMATS['f']}" for j in range(proc.n_steps + 1)]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_CSV_HEADER)
+        fh.write(",".join(_CSV_HEADER) + _CSV_EOL)
         for k in range(proc.n_steps + 1):
-            row = proc.row(k)
-            for j in range(k + 1):
-                writer.writerow([k, j, "%.17g" % row[j]])
+            template = f"{k}," + f"{_CSV_EOL}{k},".join(cells[:k + 1]) + _CSV_EOL
+            fh.write(template % tuple(proc.row(k).tolist()))
 
 
 def read_node_process(path) -> NodeProcess:

@@ -37,7 +37,7 @@ from .errors import NonFiniteState, OutOfRange, TooManyPaths
 from .generators import Generator, eval_g
 from .lattice import Lattice, NodeProcess, benchmark_profile
 from .pricing import ContractSpec, PartyView, QuoteResult, game_payoff
-from .stopping import StoppingRule, path_up_counts
+from .stopping import StoppingRule, path_moves, path_up_counts
 
 __all__ = [
     "MAX_PATH_STEPS",
@@ -64,25 +64,31 @@ _MAX_WITNESSES = 8
 
 @dataclass(frozen=True, eq=False)
 class WealthPath:
-    """One path's wealth trajectory with cumulative reflection pushed before each step."""
+    """Wealth trajectories with cumulative reflection pushed before each step.
 
-    path: tuple[int, ...]
+    ``path`` holds 0/1 moves, (N,) for one path or (P, N) for P; others are (N + 1,) or (P, N + 1).
+    """
+
+    path: np.ndarray
     values: np.ndarray
     L_cum: np.ndarray
     U_cum: np.ndarray
 
     def __post_init__(self) -> None:
-        n = len(self.path)
+        moves = np.array(self.path, dtype=np.int64)
+        moves.flags.writeable = False
+        object.__setattr__(self, "path", moves)
+        shape = moves.shape[:-1] + (moves.shape[-1] + 1,)
         for name, arr in (("values", self.values), ("L_cum", self.L_cum), ("U_cum", self.U_cum)):
             a = np.asarray(arr, dtype=np.float64)
-            if a.shape != (n + 1,):
-                raise OutOfRange(f"{name} must have {n + 1} entries")
+            if a.shape != shape:
+                raise OutOfRange(f"{name} must have shape {shape}")
             a.flags.writeable = False
             object.__setattr__(self, name, a)
         if not np.isfinite(self.values).all():
             raise NonFiniteState("wealth trajectory contains non-finite values")
         for name, arr in (("L_cum", self.L_cum), ("U_cum", self.U_cum)):
-            if arr[0] != 0.0 or np.any(np.diff(arr) < 0.0):
+            if np.any(arr[..., 0] != 0.0) or np.any(np.diff(arr, axis=-1) < 0.0):
                 raise OutOfRange(f"{name} must be nondecreasing from 0")
 
 
@@ -111,16 +117,12 @@ def _require_paths(n_steps: int) -> int:
     return 1 << n_steps
 
 
-def _chunks(n_paths: int) -> Iterator[np.ndarray]:
-    for start in range(0, n_paths, _CHUNK):
-        yield np.arange(start, min(start + _CHUNK, n_paths), dtype=np.int64)
-
-
-def _paths_js(pids: np.ndarray, n_steps: int) -> np.ndarray:
-    moves = (pids[:, None] >> np.arange(n_steps)[None, :]) & 1
-    js = np.zeros((pids.shape[0], n_steps + 1), dtype=np.int64)
-    np.cumsum(moves, axis=1, out=js[:, 1:])
-    return js
+def _path_chunks(n_steps: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Path ids with their up-counts and flat node indices, _CHUNK paths at a time."""
+    for start in range(0, 1 << n_steps, _CHUNK):
+        pids = np.arange(start, min(start + _CHUNK, 1 << n_steps), dtype=np.int64)
+        js = path_up_counts(path_moves(pids, n_steps))
+        yield pids, js, _flat_idx(js)
 
 
 def _flat(proc: NodeProcess) -> np.ndarray:
@@ -128,7 +130,7 @@ def _flat(proc: NodeProcess) -> np.ndarray:
 
 
 def _flat_idx(js: np.ndarray) -> np.ndarray:
-    ks = np.arange(js.shape[1], dtype=np.int64)
+    ks = np.arange(js.shape[-1], dtype=np.int64)
     return (ks * (ks + 1)) // 2 + js
 
 
@@ -165,21 +167,22 @@ def forward_wealth(
     lat: Lattice,
     path,
 ) -> WealthPath:
-    """Roll initial wealth forward along one path with the given hedge and flows."""
-    moves = tuple(int(m) for m in path)
-    js = path_up_counts(moves)
-    if js.shape[0] != lat.n_steps + 1:
-        raise OutOfRange(f"path must have {lat.n_steps} moves, got {len(moves)}")
-    values = _forward_matrix(float(y0), hedge, gen, cashflow_increments, lat, js[None, :])[0]
-    zeros = np.zeros(lat.n_steps + 1)
-    return WealthPath(path=moves, values=values, L_cum=zeros, U_cum=zeros.copy())
+    """Roll initial wealth forward along one path, or every row of a move matrix,
+    with the given hedge and flows (one batched pass)."""
+    js = path_up_counts(path)
+    if js.shape[-1] != lat.n_steps + 1:
+        raise OutOfRange(f"path must have {lat.n_steps} moves, got {js.shape[-1] - 1}")
+    values = _forward_matrix(float(y0), hedge, gen, cashflow_increments, lat,
+                             js.reshape(-1, js.shape[-1])).reshape(js.shape)
+    zeros = np.zeros(js.shape)
+    return WealthPath(path=path, values=values, L_cum=zeros, U_cum=zeros)
 
 
 def _before_cumsum(flat: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """Cumulative node values along each path counting strictly earlier steps."""
     along = flat[idx]
     out = np.zeros_like(along)
-    np.cumsum(along[:, :-1], axis=1, out=out[:, 1:])
+    np.cumsum(along[..., :-1], axis=-1, out=out[..., 1:])
     return out
 
 
@@ -193,16 +196,15 @@ def _cum_at_stop(flat, idx, rows, stops, include_stop_node: bool):
 
 
 def solution_path(quote: QuoteResult, path) -> WealthPath:
-    """The solved value along one path, with its cumulative reflection pushes."""
-    moves = tuple(int(m) for m in path)
-    js = path_up_counts(moves)[None, :]
-    idx = _flat_idx(js)
+    """The solved value along one path, or every row of a move matrix, with its
+    cumulative reflection pushes."""
+    idx = _flat_idx(path_up_counts(path))
     sol = quote.solution
     return WealthPath(
-        path=moves,
-        values=_flat(sol.Y)[idx][0],
-        L_cum=_before_cumsum(_flat(sol.dL), idx)[0],
-        U_cum=_before_cumsum(_flat(sol.dU), idx)[0],
+        path=path,
+        values=_flat(sol.Y)[idx],
+        L_cum=_before_cumsum(_flat(sol.dL), idx),
+        U_cum=_before_cumsum(_flat(sol.dU), idx),
     )
 
 
@@ -249,7 +251,7 @@ def classify_quadruplet(
 ) -> ConditionReport:
     """Classify a candidate quadruplet by exhausting every path of the lattice."""
     n = lat.n_steps
-    n_paths = _require_paths(n)
+    _require_paths(n)
     settlements = _settlement_flats(contract, view, lat)
     vb = benchmark_profile(view.acct, view.endowment, lat.grid)
     y0 = view.endowment + price if view.side == "hedger" else view.endowment - price
@@ -261,9 +263,7 @@ def classify_quadruplet(
     any_gt = False
     any_lt = False
     witnesses: dict[str, list[int]] = {"strict_gain": [], "shortfall": [], "off_equal": []}
-    for pids in _chunks(n_paths):
-        js = _paths_js(pids, n)
-        idx = _flat_idx(js)
+    for pids, js, idx in _path_chunks(n):
         v_full = _forward_matrix(y0, hedge, gen, cash, lat, js)
         diff, tol, _ = _stop_comparison(
             v_full, _rule_hits(sigma, js), _rule_hits(tau, js), idx, settlements, vb, eq_tol
@@ -351,9 +351,7 @@ def verify_replication(
     cash = quote.inputs.cashflow_increments
     max_gap = 0.0
     first_fail: int | None = None
-    for pids in _chunks(n_paths):
-        js = _paths_js(pids, n)
-        idx = _flat_idx(js)
+    for pids, js, idx in _path_chunks(n):
         v_full = _forward_matrix(y0, quote.solution.Z, gen, cash, lat, js)
         k_stop = np.minimum(_rule_hits(sigma, js), _rule_hits(tau, js))
         live = np.arange(n + 1)[None, :] <= k_stop[:, None]
@@ -435,7 +433,7 @@ def verify_rational_cancellation(
     increment (sensitivity analysis, not the convention the theory needs).
     """
     n = lat.n_steps
-    n_paths = _require_paths(n)
+    _require_paths(n)
     payoff, cash = _own_payoff_and_cash(quote, contract, view, lat)
     snell = snell_sup_for_minimizer(lat, gen, cash, payoff, sigma_rule)
     y0 = quote.solution.Y.at(0, 0)
@@ -449,9 +447,7 @@ def verify_rational_cancellation(
     stops_on_upper = True
     push_before = 0.0
     push_join = 0.0
-    for pids in _chunks(n_paths):
-        js = _paths_js(pids, n)
-        idx = _flat_idx(js)
+    for pids, js, idx in _path_chunks(n):
         hits = _rule_hits(sigma_rule, js)
         rows = np.arange(js.shape[0])
         at_hit = idx[rows, hits]
@@ -536,7 +532,7 @@ def verify_break_even(
     increment (sensitivity analysis only).
     """
     n = lat.n_steps
-    n_paths = _require_paths(n)
+    _require_paths(n)
     own_eq, _, _, _ = _own_regions(quote)
     own_rule = rule_from_region(n, own_eq)
     sigma, tau = (own_rule, tau_rule) if quote.side == "hedger" else (tau_rule, own_rule)
@@ -552,9 +548,7 @@ def verify_break_even(
     du_flat = _flat(quote.solution.dU)
     wealth_matches = True
     solution_matches = True
-    for pids in _chunks(n_paths):
-        js = _paths_js(pids, n)
-        idx = _flat_idx(js)
+    for pids, js, idx in _path_chunks(n):
         rows = np.arange(js.shape[0])
         hits_own = _rule_hits(own_rule, js)
         hits_other = _rule_hits(tau_rule, js)
@@ -651,7 +645,7 @@ def stopping_time_battery(
     other_bar_rule = rule_from_region(n, other_bar)
 
     pids = np.arange(n_paths, dtype=np.int64)
-    js = _paths_js(pids, n)
+    js = path_up_counts(path_moves(pids, n))
     idx = _flat_idx(js)
     rows = np.arange(n_paths)
     v_full = _forward_matrix(y0, quote.solution.Z, gen, cash, lat, js)

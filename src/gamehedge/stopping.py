@@ -87,19 +87,23 @@ class StoppingRule:
         return cls.from_nodes(n_steps, ())
 
 
-def path_moves(path_id: int, n_steps: int) -> np.ndarray:
-    """Decode a path id into its 0/1 up-move sequence (bit i = move at step i)."""
-    if not 0 <= path_id < (1 << n_steps):
+def path_moves(path_id, n_steps: int) -> np.ndarray:
+    """Decode path ids into 0/1 up-move sequences (bit i = move at step i).
+
+    A single id gives shape (N,); an array of ids gives one row per id.
+    """
+    ids = np.asarray(path_id)
+    if np.any(ids < 0) or np.any(ids >= (1 << n_steps)):
         raise OutOfRange(f"path id {path_id} outside 0..{(1 << n_steps) - 1}")
-    bits = (path_id >> np.arange(n_steps)) & 1
-    return bits.astype(np.int64)
+    bits = (ids[..., None] >> np.arange(n_steps)) & 1
+    return bits.astype(np.int64, copy=False)
 
 
 def path_up_counts(moves) -> np.ndarray:
-    """Cumulative up-count at each step for a 0/1 move sequence (length N -> N+1)."""
+    """Cumulative up-count at each step for 0/1 move sequences (length N -> N+1, per row)."""
     mv = np.asarray(moves, dtype=np.int64)
-    if mv.ndim != 1 or not np.isin(mv, (0, 1)).all():
-        raise OutOfRange("moves must be a flat 0/1 sequence")
-    out = np.zeros(mv.shape[0] + 1, dtype=np.int64)
-    np.cumsum(mv, out=out[1:])
+    if mv.ndim not in (1, 2) or (mv.size and (mv.min() < 0 or mv.max() > 1)):
+        raise OutOfRange("moves must be a 0/1 sequence or a matrix of them")
+    out = np.zeros(mv.shape[:-1] + (mv.shape[-1] + 1,), dtype=np.int64)
+    np.cumsum(mv, axis=-1, out=out[..., 1:])
     return out

@@ -5,8 +5,15 @@ import json
 import numpy as np
 import pytest
 
-from gamehedge import NodeProcess, write_node_process
+from gamehedge import (
+    NodeProcess,
+    acceptable_price,
+    forward_wealth,
+    path_moves,
+    write_node_process,
+)
 from gamehedge.cli import main
+from gamehedge.config import build_bundle, load_config
 
 BASE = {
     "lattice": {"s0": 100.0, "u": 1.2, "d": 0.8, "N": 1, "T": 1.0},
@@ -191,6 +198,19 @@ def test_replicate_corrupted_hedge_exits_5(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "replication failed" in err
     assert "path" in err
+    # paths.csv rolls wealth forward with the overriding hedge, not the solved one
+    bundle = build_bundle(load_config(cfg))
+    quote = acceptable_price(bundle.contract, bundle.views["hedger"], bundle.gen, bundle.lat)
+    rows = [line.split(",") for line in (tmp_path / "o" / "paths.csv").read_text().splitlines()]
+    solved_differs = False
+    for pid in range(4):
+        moves = path_moves(pid, 2)
+        v_csv = [float(r[2]) for r in rows[1:] if int(r[0]) == pid]
+        args = (bundle.gen, quote.inputs.cashflow_increments, bundle.lat, moves)
+        assert v_csv == list(forward_wealth(quote.y0, bad, *args).values)
+        solved = forward_wealth(quote.y0, quote.solution.Z, *args).values
+        solved_differs |= v_csv != list(solved)
+    assert solved_differs
 
 
 def test_replicate_hedge_shape_mismatch_exits_2(tmp_path):

@@ -96,6 +96,6 @@ def test_custom_generator_bad_bounds():
 
 
 def test_contraction_gate():
-    assert contraction_ok(ZeroGenerator(), 10.0, 500.0)
-    assert contraction_ok(DifferentialRates(0.02, 0.10), 1.0, 100.0)  # 0.1 < 1
-    assert not contraction_ok(DifferentialRates(0.0, 12.0), 0.1, 100.0)  # 1.2 >= 1
+    assert contraction_ok(ZeroGenerator(), 10.0)
+    assert contraction_ok(DifferentialRates(0.02, 0.10), 1.0)  # 0.1 < 1
+    assert not contraction_ok(DifferentialRates(0.0, 12.0), 0.1)  # 1.2 >= 1

@@ -1,0 +1,161 @@
+"""Golden artifact digests: every file a fixed set of CLI runs writes, pinned by sha256.
+
+The digests were recorded with the row-at-a-time ``csv.writer`` writers
+that preceded the bulk-formatted ones, so a passing run shows the artifact
+bytes (CSV dialect, ``%.17g`` floats, row order, JSON layout) are unchanged.
+"""
+
+import hashlib
+import json
+
+import numpy as np
+import pytest
+
+from gamehedge import NodeProcess, write_node_process
+from gamehedge.cli import main
+
+PUT_SIGMA = {
+    "lattice": {"s0": 100.0, "sigma": 0.2, "N": 9, "T": 1.0},
+    "generator": {"type": "differential", "r_lend": 0.02, "r_borrow": 0.1},
+    "benchmark": {"r_lend": 0.02, "r_borrow": 0.1},
+    "contract": {"type": "israeli_put", "strike": 100.0, "penalty": 5.0},
+    "party": {"side": "both", "endowment": 0.0},
+}
+
+BOND = {
+    "lattice": {"s0": 100.0, "u": 1.1, "d": 0.9, "N": 6, "T": 1.0},
+    "generator": {"type": "differential", "r_lend": 0.02, "r_borrow": 0.05},
+    "benchmark": {"r_lend": 0.02, "r_borrow": 0.05},
+    "contract": {"type": "game_bond", "face": 100.0, "coupon": 1.5,
+                 "call_penalty": 2.0, "put_discount": 3.0},
+    "party": {"side": "both", "endowment": 1.0, "other_endowment": -2.5},
+}
+
+# the replicate fixture of test_cli.py, checked against a corrupted hedge
+PUT_N2 = {
+    "lattice": {"s0": 100.0, "u": 1.2, "d": 0.8, "N": 2, "T": 1.0},
+    "benchmark": {"r_lend": 0.0, "r_borrow": 0.0},
+    "generator": {"type": "zero"},
+    "contract": {"type": "israeli_put", "strike": 100.0, "penalty": 30.0},
+    "party": {"side": "hedger", "endowment": 0.0},
+}
+
+# lending at zero lets the sweep include the int value 0
+PUT_SIGMA_NO_LEND = {**PUT_SIGMA, "generator": {**PUT_SIGMA["generator"], "r_lend": 0.0}}
+
+# name -> (config, argv after --config/--out, expected exit code)
+RUNS = {
+    "price_put": (PUT_SIGMA, ["price"], 0),
+    "regions_put": (PUT_SIGMA, ["regions"], 0),
+    "replicate_bond": (BOND, ["replicate"], 0),
+    "replicate_bad_hedge": (PUT_N2, ["replicate", "--hedge-csv", "{tmp}/badz.csv"], 5),
+    "sweep_r_borrow": (PUT_SIGMA_NO_LEND, ["sweep", "--axis", "generator.r_borrow",
+                                           "--values", "0.1,0,0.05,0.125"], 0),
+}
+
+GOLDEN = {
+    "price_put": {
+        "counterparty/Y.csv":
+            "acb6bd3a3d233d42c1049cdd773aa18bdb1afaea006df16fbae3499b591c57b9",
+        "counterparty/Z.csv":
+            "ba353c3cd7e8438fda1458e142a5e24cce2e8fb3b14b1f61c9991f5e8f617e88",
+        "counterparty/dL.csv":
+            "b3ba67bd5b09bd5f394e82663745e3e4a8ab7f2aa7f4e9d8dfd0195f001b1a96",
+        "counterparty/dU.csv":
+            "7f0e109f5d2b19ac2121ce82d4bfd0b617ccc85e6999a410d16f18af0f26b8ca",
+        "counterparty/region_bar_sigma.csv":
+            "bafce9b4a6b36bb12005c1f59687b084edf32ac6fd9cc674c1ccdbd3786e9bd1",
+        "counterparty/region_bar_tau.csv":
+            "a0765cd7934120fa0bd48798d7b5ff1f4f963a59d7f12788a57a4fa80bb4cc81",
+        "counterparty/region_sigma.csv":
+            "bafce9b4a6b36bb12005c1f59687b084edf32ac6fd9cc674c1ccdbd3786e9bd1",
+        "counterparty/region_tau.csv":
+            "d1a9be8375d1ff47dcf62d171d228c4e1f617251d311ece8482cb69500e56395",
+        "counterparty/solution.json":
+            "fd2173d7d12d970d9160dc2308f7d31c3c9e1a46ebf41e4244ef3170be1adff7",
+        "hedger/Y.csv":
+            "2e8759b038f2054bee6fea4defe2fe57973d6770ef1babd9d492d73dc9daf285",
+        "hedger/Z.csv":
+            "138cb216fb562c4717d25cc38c9443c222884d3a19d21d4cf884ea7eb48f9e32",
+        "hedger/dL.csv":
+            "ed847467ad3b6f9a40d3cb41454378e2868d96545cca3f8811d105272ee28e20",
+        "hedger/dU.csv":
+            "2337a9da93573c49af6e1f731ab3691743c9b6e7759a8fa17c15bfe9966cf989",
+        "hedger/region_bar_sigma.csv":
+            "9ca891682e0df6d6d3e9b2263b307caf5590d517c3b1081c1804cae9e8d00709",
+        "hedger/region_bar_tau.csv":
+            "7c15eda26d110695df73efdbcb5ed471ded1b25a071f8417550f4be12d11882b",
+        "hedger/region_sigma.csv":
+            "9ca891682e0df6d6d3e9b2263b307caf5590d517c3b1081c1804cae9e8d00709",
+        "hedger/region_tau.csv":
+            "17e86fe13b10e0ce619662acd3db1a298948d2dc133f060325f673d1855ef86c",
+        "hedger/solution.json":
+            "2402763c17bfba925d932381eb429a302daae2f6edeb4f458ab0070ea81174ec",
+        "quote.json":
+            "baba3cfd24392c01e89c144d9ef922eba05e5b82a23f55359c28fe9a9825612f",
+    },
+    "regions_put": {
+        "counterparty/region_bar_sigma.csv":
+            "bafce9b4a6b36bb12005c1f59687b084edf32ac6fd9cc674c1ccdbd3786e9bd1",
+        "counterparty/region_bar_tau.csv":
+            "a0765cd7934120fa0bd48798d7b5ff1f4f963a59d7f12788a57a4fa80bb4cc81",
+        "counterparty/region_sigma.csv":
+            "bafce9b4a6b36bb12005c1f59687b084edf32ac6fd9cc674c1ccdbd3786e9bd1",
+        "counterparty/region_tau.csv":
+            "d1a9be8375d1ff47dcf62d171d228c4e1f617251d311ece8482cb69500e56395",
+        "hedger/region_bar_sigma.csv":
+            "9ca891682e0df6d6d3e9b2263b307caf5590d517c3b1081c1804cae9e8d00709",
+        "hedger/region_bar_tau.csv":
+            "7c15eda26d110695df73efdbcb5ed471ded1b25a071f8417550f4be12d11882b",
+        "hedger/region_sigma.csv":
+            "9ca891682e0df6d6d3e9b2263b307caf5590d517c3b1081c1804cae9e8d00709",
+        "hedger/region_tau.csv":
+            "17e86fe13b10e0ce619662acd3db1a298948d2dc133f060325f673d1855ef86c",
+    },
+    "replicate_bad_hedge": {
+        "paths.csv":
+            "feeaba4fc273b4ae2f07d272bdffac4da29d91c500feea86bb6abd0934b1aea4",
+        "replicate.json":
+            "345c4b50eb8fe1cadf27d091e283736158179dcee1ff167a0895b24a4bf3bc62",
+    },
+    "replicate_bond": {
+        "counterparty/paths.csv":
+            "d7bbffe422d17c5a06c194f0b657615c84e10dcfde729c6c3d642d5cc39b29c5",
+        "counterparty/replicate.json":
+            "ec7acfc39ca445f0caad0307bebb23d0c470c33530a63206ba04712e79b41926",
+        "hedger/paths.csv":
+            "e41ccfa97c5a93bbdb60241fafef82789c765691ed255d6c2247f675a2bfafea",
+        "hedger/replicate.json":
+            "ec7acfc39ca445f0caad0307bebb23d0c470c33530a63206ba04712e79b41926",
+    },
+    "sweep_r_borrow": {
+        "sweep.csv":
+            "2535a01acebfa6d79e778ef8cdd989995c876a31aad79e414d9b191121a44726",
+    },
+}
+
+
+def run_digests(name, tmp_path):
+    """Run one golden case; return its exit code and {relative path: sha256}."""
+    cfg, argv, _ = RUNS[name]
+    write_node_process(
+        NodeProcess.from_rows([np.array([9.0]), np.zeros(2), np.zeros(3)]),
+        tmp_path / "badz.csv",
+    )
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    code = main(argv[:1] + ["--config", str(cfg_path), "--out", str(out)] + argv[1:])
+    digests = {
+        p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(out.rglob("*")) if p.is_file()
+    }
+    return code, digests
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_artifacts_match_golden_digests(name, tmp_path):
+    code, digests = run_digests(name, tmp_path)
+    assert code == RUNS[name][2]
+    assert digests == GOLDEN[name]

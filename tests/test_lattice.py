@@ -18,6 +18,7 @@ from gamehedge import (
     read_node_process,
     write_node_process,
 )
+from gamehedge import lattice
 from gamehedge.errors import ConfigError
 
 
@@ -148,6 +149,20 @@ def test_csv_round_trip_bit_exact(tmp_path, rng):
         a, b = proc.row(k), back.row(k)
         assert np.array_equal(a, b)
         assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def test_csv_writers_agree_and_blocks_join_seamlessly(tmp_path, rng, monkeypatch):
+    proc = NodeProcess.from_rows([rng.standard_normal(k + 1) for k in range(7)])
+    write_node_process(proc, tmp_path / "node.csv")
+    steps = np.repeat(np.arange(7), np.arange(1, 8))
+    up_counts = np.concatenate([np.arange(k + 1) for k in range(7)])
+    columns = (steps, up_counts, np.concatenate(proc.rows))
+    lattice.write_csv(tmp_path / "whole.csv", ("step", "up_count", "value"), columns)
+    monkeypatch.setattr(lattice, "_CSV_BLOCK_ROWS", 5)  # 28 rows: five full blocks and a partial
+    lattice.write_csv(tmp_path / "blocks.csv", ("step", "up_count", "value"), columns)
+    node = (tmp_path / "node.csv").read_bytes()
+    assert node.count(b"\r\n") == 29
+    assert (tmp_path / "whole.csv").read_bytes() == node == (tmp_path / "blocks.csv").read_bytes()
 
 
 def test_csv_reader_rejects_bad_files(tmp_path):

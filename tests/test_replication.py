@@ -1,5 +1,7 @@
 """Forward wealth, benchmark classification, and the stopping-rule verifiers."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from gamehedge import (
     builtin_israeli_put,
     classify_quadruplet,
     forward_wealth,
+    path_moves,
     rule_from_region,
     solution_path,
     stopping_time_battery,
@@ -24,6 +27,8 @@ from gamehedge import (
     verify_rational_cancellation,
     verify_replication,
 )
+from gamehedge.errors import OutOfRange
+
 from conftest import random_instance
 
 
@@ -71,6 +76,39 @@ def test_solution_path_carries_pushes(instance_a):
     assert path.values.tolist() == [5.0, 20.0]
     assert path.U_cum.tolist() == [0.0, 5.0]  # root push counts after leaving 0
     assert path.L_cum.tolist() == [0.0, 0.0]
+
+
+def test_batched_paths_match_single_path_calls(rng):
+    # a move matrix gives the one-path results stacked, bit for bit
+    for _ in range(4):
+        lat, gen, contract, views = random_instance(rng, 5)
+        n = lat.n_steps
+        moves = path_moves(np.arange(1 << n), n)
+        for side in ("hedger", "counterparty"):
+            quote = acceptable_price(contract, views[side], gen, lat)
+            args = (quote.y0, quote.solution.Z, gen, quote.inputs.cashflow_increments, lat)
+            wealth = forward_wealth(*args, moves)
+            solved = solution_path(quote, moves)
+            assert wealth.values.shape == solved.L_cum.shape == (1 << n, n + 1)
+            for pid in range(1 << n):
+                one = forward_wealth(*args, moves[pid])
+                one_solved = solution_path(quote, moves[pid])
+                assert one.path.tolist() == path_moves(pid, n).tolist() == moves[pid].tolist()
+                for batch, ref in ((wealth.values, one.values),
+                                   (solved.values, one_solved.values),
+                                   (solved.L_cum, one_solved.L_cum),
+                                   (solved.U_cum, one_solved.U_cum)):
+                    assert batch[pid].tobytes() == ref.tobytes()
+
+
+def test_batched_solution_path_rejects_negative_push(instance_a):
+    lat, contract, view, gen, quote = instance_a
+    bad_dl = NodeProcess.from_rows([np.array([-1.0]), np.zeros(2)])
+    bad = replace(quote, solution=replace(quote.solution, dL=bad_dl))
+    with pytest.raises(OutOfRange):
+        solution_path(bad, path_moves(np.arange(2), 1))
+    with pytest.raises(OutOfRange):
+        path_moves(np.array([0, 2]), 1)
 
 
 def test_classifier_instance_a(instance_a):
@@ -251,7 +289,6 @@ def test_path_guard():
 
 def test_wealth_path_validation():
     from gamehedge import WealthPath
-    from gamehedge.errors import OutOfRange
 
     with pytest.raises(OutOfRange):
         WealthPath(
