@@ -6,11 +6,24 @@ Rules are enumerated as bitmasks over interior nodes sorted by
     upper_value = min over minimizer rules of max over maximizer rules
     lower_value = max over maximizer rules of min over minimizer rules
 
-by two independent routes: joint enumeration of rule pairs (vectorized over
-a pairs matrix, used whenever the pair count fits the cap) and a per-rule
-dynamic program where the opponent plays optimally node by node.  Both
-routes share the solvers' implicit one-step arithmetic, so agreement with
-the reflected backward solve is a genuine cross-check, not a tautology.
+by two independent routes: joint enumeration of rule pairs (a pairs matrix,
+used whenever the pair count fits the cap) and a per-rule dynamic program
+where the opponent plays optimally node by node.  Both routes share the
+solvers' implicit one-step arithmetic, so agreement with the reflected
+backward solve is a genuine cross-check, not a tautology.
+
+The pairs matrix is cone-factored.  A node's stopped value depends only on
+the rule bits in its forward cone, so each node keeps a table with one
+entry per combination of its cone bits (4**|cone| entries for all rules;
+at N=4 the cones hold 1, 3, 6 or 10 bits).  The implicit step runs once per
+combination of the two children's cone bits, and the node's own bits only
+pick a stop payoff or that continuation.  The cost is the sum over nodes of
+4**(|cone| - 1) continuation entries (4**9 at the root for N=4) plus one
+n_rules**2 root table, which is the only full-size array; pair_limit bounds
+it, so the cap still counts rule pairs.  Every entry goes through the same
+elementwise arithmetic as a joint (sigma, tau) broadcast, and the
+fixed-point exit test sees the same set of values, so the matrix is
+identical bit for bit to the full broadcast.
 
 Naming follows the hedger orientation (sigma = minimizer, tau = maximizer);
 for counterparty games the same engine applies with the counterparty's
@@ -178,6 +191,26 @@ def inf_values_by_maximizer_rule(
     return _per_rule_dp(lat, gen, cashflow_increments, payoff, minimizer=False)
 
 
+@dataclass(frozen=True, eq=False)
+class _ConeTable:
+    """A node's stopped values indexed by the rule bits in its forward cone.
+
+    ``values[rows[a], cols[b]]`` is the node value under the pair
+    (sigma_ids[a], tau_ids[b]); ``mask`` holds the cone's bits.
+    """
+
+    values: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    mask: int
+
+
+def _cone_classes(ids: np.ndarray, mask: int) -> tuple[np.ndarray, np.ndarray]:
+    """First position of each distinct ``ids & mask``, and each id's class index."""
+    _, first, inverse = np.unique(ids & mask, return_index=True, return_inverse=True)
+    return first, inverse
+
+
 def _pair_matrix(
     lat: Lattice,
     gen: Generator,
@@ -186,34 +219,49 @@ def _pair_matrix(
     sigma_ids: np.ndarray,
     tau_ids: np.ndarray,
 ) -> np.ndarray:
-    """Root values for every (minimizer rule, maximizer rule) pair, vectorized jointly."""
+    """Root values for every (minimizer rule, maximizer rule) pair, from cone-indexed node tables."""
     n, dt, q = lat.n_steps, lat.dt, lat.q
-    nodes = interior_nodes(n)
-    bit_of = {node: i for i, node in enumerate(nodes)}
-    shape = (sigma_ids.shape[0], tau_ids.shape[0])
+    bit_of = {node: i for i, node in enumerate(interior_nodes(n))}
+    no_rows = np.zeros(sigma_ids.shape[0], dtype=np.intp)
+    no_cols = np.zeros(tau_ids.shape[0], dtype=np.intp)
 
     tie_t = payoff.on_tie.row(n)
-    vals = [np.full(shape, tie_t[j]) for j in range(n + 1)]
+    tables = [_ConeTable(np.full((1, 1), tie_t[j]), no_rows, no_cols, 0) for j in range(n + 1)]
     for k in range(n - 1, -1, -1):
         s_next = lat.spot.row(k + 1)
         s_row = lat.spot.row(k)
-        new_vals = []
+        new_tables = []
         for j in range(k + 1):
-            z = (vals[j + 1] - vals[j]) / (s_next[j + 1] - s_next[j])
-            e = q * vals[j + 1] + (1.0 - q) * vals[j]
+            # continuation: one entry per combination of the children's cone bits
+            dn, up = tables[j], tables[j + 1]
+            below = dn.mask | up.mask
+            cs_first, cs_of = _cone_classes(sigma_ids, below)
+            ct_first, ct_of = _cone_classes(tau_ids, below)
+            v_dn = dn.values[np.ix_(dn.rows[cs_first], dn.cols[ct_first])]
+            v_up = up.values[np.ix_(up.rows[cs_first], up.cols[ct_first])]
+            z = (v_up - v_dn) / (s_next[j + 1] - s_next[j])
+            e = q * v_up + (1.0 - q) * v_dn
             rhs = e - cashflow_increments.at(k, j)
             cont, _, _ = _implicit_row(gen, k * dt, rhs, z, s_row[j], dt)
-            sig = _node_bits(sigma_ids, bit_of[(k, j)])[:, None]
-            tau = _node_bits(tau_ids, bit_of[(k, j)])[None, :]
+
+            # the node's own bits pick a stop payoff or that continuation
+            bit = bit_of[(k, j)]
+            mask = below | (1 << bit)
+            ns_first, rows = _cone_classes(sigma_ids, mask)
+            nt_first, cols = _cone_classes(tau_ids, mask)
+            sig = _node_bits(sigma_ids[ns_first], bit)[:, None]
+            tau = _node_bits(tau_ids[nt_first], bit)[None, :]
             node_val = np.where(
                 sig & tau,
                 payoff.on_tie.at(k, j),
                 np.where(sig, payoff.on_upper.at(k, j),
-                         np.where(tau, payoff.on_lower.at(k, j), cont)),
+                         np.where(tau, payoff.on_lower.at(k, j),
+                                  cont[np.ix_(cs_of[ns_first], ct_of[nt_first])])),
             )
-            new_vals.append(node_val)
-        vals = new_vals
-    return vals[0]
+            new_tables.append(_ConeTable(node_val, rows, cols, mask))
+        tables = new_tables
+    root = tables[0]
+    return root.values[np.ix_(root.rows, root.cols)]
 
 
 def stopped_values_for_maximizer_rules(
@@ -276,10 +324,15 @@ def snell_inf_for_maximizer(
 def _canonical_optimizer(values: np.ndarray, target: float, n_steps: int) -> StoppingRule:
     """Among rules attaining target exactly, pick fewest marks then lexicographic node list."""
     cands = np.nonzero(values == target)[0]
-    pops = np.bitwise_count(cands.astype(np.uint64))
+    pops = _bit_counts(cands)
     cands = cands[pops == pops.min()]
     best = min(cands, key=lambda rid: _bit_tuple(int(rid)))
     return rule_from_id(n_steps, int(best))
+
+
+def _bit_counts(ids: np.ndarray) -> np.ndarray:
+    """Marks per rule id, summed over the at most MAX_INTERIOR_NODES rule bits."""
+    return sum(((ids >> i) & 1 for i in range(MAX_INTERIOR_NODES)), np.zeros_like(ids))
 
 
 def _bit_tuple(rid: int) -> tuple[int, ...]:

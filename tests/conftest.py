@@ -5,6 +5,7 @@ so true value gaps are macroscopic next to the 1e-9 region tolerances and
 none of the property tests can flake on arithmetic coincidences.
 """
 
+import math
 import sys
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 from gamehedge import (
     BenchmarkAccount,
     ContractSpec,
+    CustomGenerator,
     DifferentialRates,
     Lattice,
     LinearRate,
@@ -22,6 +24,8 @@ from gamehedge import (
     ZeroGenerator,
     build_lattice,
     builtin_israeli_put,
+    game_payoff,
+    side_obstacles,
 )
 
 RATE_GRID = (0.0, 0.02, 0.05, 0.1)
@@ -128,6 +132,35 @@ def random_instance(rng, n_max: int, n_min: int = 1):
         "counterparty": PartyView(side="counterparty", endowment=x2, acct=acct),
     }
     return lat, gen, contract, views
+
+
+# A smooth nonlinear generator: its fixed-point solve starts at rhs and needs
+# several sweeps, unlike the builtins whose start point is exact.
+SMOOTH_CUSTOM = CustomGenerator(
+    fn=lambda t, y, z, s: -0.04 * y + 0.01 * math.tanh(y - z * s) + 0.02 * math.sin(z * s),
+    lipschitz_y=0.05,
+    lipschitz_z=0.05,
+)
+
+GAME_GENERATORS = {
+    "zero": ZeroGenerator(),
+    "linear": LinearRate(0.05),
+    "differential": DifferentialRates(0.02, 0.1),
+    "custom": SMOOTH_CUSTOM,
+}
+
+
+def game_instance(rng, n: int, gen, side: str = "hedger"):
+    """A random n-step stopping game for a given generator: lattice, cash increments, payoff."""
+    while True:
+        lat = random_lattice(rng, n, n)
+        if lat.dt * gen.lipschitz_z / (lat.u - lat.d) <= 0.9 * min(lat.q, 1.0 - lat.q):
+            break
+    contract = random_contract(rng, lat)
+    endowment = float(rng.choice([-2.5, 0.0, 2.5]))
+    view = PartyView(side=side, endowment=endowment, acct=BenchmarkAccount(0.02, 0.05))
+    inputs = side_obstacles(contract, view, gen, lat)
+    return lat, inputs.cashflow_increments, game_payoff(contract, view, lat)
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -25,7 +25,9 @@ from gamehedge import (
     side_obstacles,
     snell_sup_for_minimizer,
 )
-from conftest import random_instance
+from gamehedge.drbsde import _implicit_row
+from gamehedge.dynkin import _bit_counts, _pair_matrix
+from conftest import GAME_GENERATORS, game_instance, random_instance
 
 
 def test_rule_counts():
@@ -179,3 +181,65 @@ def test_stopped_value_matches_evaluate(one_step_lattice, one_step_put, hedger_v
     # maximizer rule ids: bit for node (0,0); id 0 waits, id 1 stops at root
     assert vals[0] == pytest.approx(evaluate_stopped(one_step_lattice, gen, cash, payoff, root, never))
     assert vals[1] == pytest.approx(evaluate_stopped(one_step_lattice, gen, cash, payoff, root, root))
+
+
+def reference_pair_matrix(lat, gen, cashflow_increments, payoff, sigma_ids, tau_ids):
+    """The full-broadcast pair loop: every node carries every (sigma, tau) pair."""
+    n, dt, q = lat.n_steps, lat.dt, lat.q
+    bit_of = {node: i for i, node in enumerate(interior_nodes(n))}
+    shape = (sigma_ids.shape[0], tau_ids.shape[0])
+
+    tie_t = payoff.on_tie.row(n)
+    vals = [np.full(shape, tie_t[j]) for j in range(n + 1)]
+    for k in range(n - 1, -1, -1):
+        s_next = lat.spot.row(k + 1)
+        s_row = lat.spot.row(k)
+        new_vals = []
+        for j in range(k + 1):
+            z = (vals[j + 1] - vals[j]) / (s_next[j + 1] - s_next[j])
+            e = q * vals[j + 1] + (1.0 - q) * vals[j]
+            rhs = e - cashflow_increments.at(k, j)
+            cont, _, _ = _implicit_row(gen, k * dt, rhs, z, s_row[j], dt)
+            sig = (((sigma_ids >> bit_of[(k, j)]) & 1) == 1)[:, None]
+            tau = (((tau_ids >> bit_of[(k, j)]) & 1) == 1)[None, :]
+            node_val = np.where(
+                sig & tau,
+                payoff.on_tie.at(k, j),
+                np.where(sig, payoff.on_upper.at(k, j),
+                         np.where(tau, payoff.on_lower.at(k, j), cont)),
+            )
+            new_vals.append(node_val)
+        vals = new_vals
+    return vals[0]
+
+
+def assert_same_pairs(lat, gen, cash, payoff, sigma_ids, tau_ids):
+    got = _pair_matrix(lat, gen, cash, payoff, sigma_ids, tau_ids)
+    want = reference_pair_matrix(lat, gen, cash, payoff, sigma_ids, tau_ids)
+    assert got.shape == (sigma_ids.shape[0], tau_ids.shape[0])
+    assert got.tobytes() == want.tobytes()
+
+
+# the custom generator evaluates per element, too slow for the reference at N=4
+PAIR_CASES = [(name, n) for name in ("zero", "linear", "differential") for n in (1, 2, 3, 4)]
+PAIR_CASES += [("custom", n) for n in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("name,n", PAIR_CASES)
+def test_pair_matrix_matches_full_broadcast(name, n):
+    rng = np.random.default_rng(PAIR_CASES.index((name, n)))
+    gen = GAME_GENERATORS[name]
+    for side in ("hedger", "counterparty"):
+        lat, cash, payoff = game_instance(rng, n, gen, side)
+        ids = np.arange(rule_count(n), dtype=np.int64)
+        assert_same_pairs(lat, gen, cash, payoff, ids, ids)
+        one = rng.integers(0, ids.size, size=1)
+        repeats = rng.integers(0, ids.size, size=ids.size // 2 + 1)
+        shuffled = rng.permutation(np.concatenate([ids, repeats]))
+        assert_same_pairs(lat, gen, cash, payoff, one, shuffled)
+        assert_same_pairs(lat, gen, cash, payoff, shuffled[: ids.size // 3 + 1], one)
+
+
+def test_bit_counts_match_python_popcount():
+    ids = np.arange(1 << 15, dtype=np.int64)
+    assert _bit_counts(ids).tolist() == [bin(x).count("1") for x in range(1 << 15)]
