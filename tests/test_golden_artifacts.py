@@ -3,6 +3,9 @@
 The digests were recorded with the row-at-a-time ``csv.writer`` writers
 that preceded the bulk-formatted ones, so a passing run shows the artifact
 bytes (CSV dialect, ``%.17g`` floats, row order, JSON layout) are unchanged.
+The two ``oracle`` cases were recorded before the oracle's recursions and
+rule bits moved onto the shared backward step and flat node layout; with
+``--pair-limit 1`` the oracle uses the per-rule dynamic program alone.
 """
 
 import hashlib
@@ -43,10 +46,17 @@ PUT_N2 = {
 # lending at zero lets the sweep include the int value 0
 PUT_SIGMA_NO_LEND = {**PUT_SIGMA, "generator": {**PUT_SIGMA["generator"], "r_lend": 0.0}}
 
+# the largest lattice the oracle's pair route covers (1024 rules per player);
+# out of the money at the root, so neither side's value is a bare penalty
+PUT_N4 = {**PUT_SIGMA, "lattice": {**PUT_SIGMA["lattice"], "N": 4},
+          "contract": {**PUT_SIGMA["contract"], "strike": 110.0}}
+
 # name -> (config, argv after --config/--out, expected exit code)
 RUNS = {
     "price_put": (PUT_SIGMA, ["price"], 0),
     "regions_put": (PUT_SIGMA, ["regions"], 0),
+    "oracle_put": (PUT_N4, ["oracle"], 0),
+    "oracle_put_rule_dp": (PUT_N4, ["oracle", "--pair-limit", "1"], 0),
     "replicate_bond": (BOND, ["replicate"], 0),
     "replicate_bad_hedge": (PUT_N2, ["replicate", "--hedge-csv", "{tmp}/badz.csv"], 5),
     "sweep_r_borrow": (PUT_SIGMA_NO_LEND, ["sweep", "--axis", "generator.r_borrow",
@@ -111,6 +121,14 @@ GOLDEN = {
             "9ca891682e0df6d6d3e9b2263b307caf5590d517c3b1081c1804cae9e8d00709",
         "hedger/region_tau.csv":
             "17e86fe13b10e0ce619662acd3db1a298948d2dc133f060325f673d1855ef86c",
+    },
+    "oracle_put": {
+        "oracle.json":
+            "4ec6f2228cf06acedc2828557b2a4a42ca6c4be3c07935d5502279b7bc8fdfe8",
+    },
+    "oracle_put_rule_dp": {
+        "oracle.json":
+            "4ec6f2228cf06acedc2828557b2a4a42ca6c4be3c07935d5502279b7bc8fdfe8",
     },
     "replicate_bad_hedge": {
         "paths.csv":
