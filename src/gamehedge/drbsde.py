@@ -1,17 +1,26 @@
 """Backward solvers on the lattice: plain and doubly reflected value recursions.
 
-One backward step from row k+1 to row k does, per node:
+``backward_step`` is the one-step scheme every recursion in the package
+uses (the solvers here, ``evaluate_stopped`` and the game oracle).  From
+row k+1 to row k it does, per node:
 
 1. hedge slope  z = (y_up - y_dn) / (s_up - s_dn)
 2. expectation  e = q*y_up + (1-q)*y_dn
 3. implicit solve of  v = e - cashflow_k + g(t_k, v, z, s_k)*dt
-4. (reflected only) project v into [lower_k, upper_k], recording the
-   one-sided pushes dL = (lower - v)^+ and dU = ((v v lower) - upper)^+.
+
+and the reflected solve then projects v into [lower_k, upper_k], recording
+the one-sided pushes dL = (lower - v)^+ and dU = ((v v lower) - upper)^+.
+A step covers a whole row or one node; either may carry trailing batch
+axes (one value per stopping rule, say).
 
 The implicit solve is a pure fixed-point iteration; for builtin generators
 the start point already solves the piecewise-linear equation exactly, so one
-confirming sweep suffices.  The recorded pushes satisfy dL * dU = 0 node by
-node because the obstacles never touch.
+confirming sweep suffices.  Its exit test looks at every value of the step
+at once, so results of a slowly converging custom generator depend on what
+one step covers: row solvers step whole rows, the oracle one node at a time.
+The recorded pushes satisfy dL * dU = 0 node by node because the obstacles
+never touch.  Solutions are written straight into flat node arrays (node
+(k, j) at ``tri(k, j)``).
 
 ``evaluate_stopped`` prices the same stream under externally imposed
 stopping rules instead of reflection: first marked node wins, simultaneous
@@ -36,7 +45,7 @@ from .errors import (
     TerminalOutOfBand,
 )
 from .generators import Generator, contraction_ok, eval_g, implicit_start
-from .lattice import Lattice, NodeProcess
+from .lattice import Lattice, NodeProcess, first_node, tri
 from .stopping import StoppingRule
 
 __all__ = [
@@ -45,6 +54,7 @@ __all__ = [
     "DrbsdeInputs",
     "DrbsdeSolution",
     "GamePayoff",
+    "backward_step",
     "solve_bsde",
     "solve_drbsde",
     "evaluate_stopped",
@@ -74,22 +84,17 @@ class DrbsdeInputs:
         ):
             if proc.n_steps != n:
                 raise OutOfRange(f"{name} has {proc.n_steps} steps, lattice has {n}")
-        term = np.array(self.terminal, dtype=np.float64)
-        if term.shape != (n + 1,):
-            raise OutOfRange(f"terminal must have {n + 1} entries, got shape {term.shape}")
-        if not np.isfinite(term).all():
-            raise NonFiniteInput("terminal data contains non-finite values")
+        term = np.array(_check_terminal(self.lat, self.terminal))
         term.flags.writeable = False
         object.__setattr__(self, "terminal", term)
-        for k in range(n + 1):
-            lo, hi = self.lower.row(k), self.upper.row(k)
-            bad = np.nonzero(~(lo < hi))[0]
-            if bad.size:
-                j = int(bad[0])
-                raise ObstacleOrderViolated(
-                    f"lower must stay strictly below upper; at node ({k}, {j}): "
-                    f"lower={lo[j]!r}, upper={hi[j]!r}"
-                )
+        lo, hi = self.lower.flat, self.upper.flat
+        bad = first_node(~(lo < hi))
+        if bad:
+            i, k, j = bad
+            raise ObstacleOrderViolated(
+                f"lower must stay strictly below upper; at node ({k}, {j}): "
+                f"lower={lo[i]!r}, upper={hi[i]!r}"
+            )
         lo_t, hi_t = self.lower.row(n), self.upper.row(n)
         bad = np.nonzero((term < lo_t) | (term > hi_t))[0]
         if bad.size:
@@ -157,11 +162,27 @@ def require_contraction(gen: Generator, lat: Lattice) -> None:
         )
 
 
-def _slope_and_expectation(lat: Lattice, y_next: np.ndarray, k: int):
-    s_next = lat.spot.row(k + 1)
-    z = (y_next[1:] - y_next[:-1]) / (s_next[1:] - s_next[:-1])
-    e = lat.q * y_next[1:] + (1.0 - lat.q) * y_next[:-1]
-    return z, e
+def backward_step(lat: Lattice, gen: Generator, k: int, y_next, cash, j: int | None = None):
+    """One backward step into row k: hedge slope, expectation and implicit solve.
+
+    With ``j`` None, ``y_next`` is row k+1 along axis 0 and ``cash`` row k's
+    increments; with ``j`` given, ``y_next`` holds node (k, j)'s children
+    (down, up) and ``cash`` that node's increment.  Any trailing axes of
+    ``y_next`` are batch axes.  Returns (continuation, slope, residual,
+    iterations), shaped (k+1, *batch) for a row and (*batch) for a node.
+    """
+    s_next, s = lat.spot.row(k + 1), lat.spot.row(k)
+    if j is None:  # node data runs along axis 0, ahead of the batch axes
+        tail = (1,) * (np.ndim(y_next) - 1)
+        up, dn = y_next[1:], y_next[:-1]
+        ds, s, cash = (np.reshape(a, (-1, *tail)) for a in (s_next[1:] - s_next[:-1], s, cash))
+    else:
+        up, dn = y_next[1], y_next[0]
+        ds, s = s_next[j + 1] - s_next[j], s[j]
+    z = (up - dn) / ds
+    e = lat.q * up + (1.0 - lat.q) * dn
+    v, residual, iterations = _implicit_row(gen, k * lat.dt, e - cash, z, s, lat.dt)
+    return v, z, residual, iterations
 
 
 def _check_terminal(lat: Lattice, terminal) -> np.ndarray:
@@ -181,51 +202,36 @@ def solve_bsde(
     if cashflow_increments.n_steps != lat.n_steps:
         raise OutOfRange("cashflow_increments shape does not match the lattice")
     require_contraction(gen, lat)
-    n, dt = lat.n_steps, lat.dt
-    y_rows: list[np.ndarray] = [np.empty(0)] * (n + 1)
-    z_rows: list[np.ndarray] = [np.empty(0)] * (n + 1)
-    y_rows[n] = term.copy()
-    z_rows[n] = np.zeros(n + 1)
+    n = lat.n_steps
+    y, z = np.zeros(tri(n + 1)), np.zeros(tri(n + 1))
+    y[tri(n):] = term
     for k in range(n - 1, -1, -1):
-        z, e = _slope_and_expectation(lat, y_rows[k + 1], k)
-        rhs = e - cashflow_increments.row(k)
-        v, _, _ = _implicit_row(gen, k * dt, rhs, z, lat.spot.row(k), dt)
-        y_rows[k] = np.asarray(v, dtype=np.float64)
-        z_rows[k] = np.asarray(z, dtype=np.float64)
-    return NodeProcess.from_rows(y_rows), NodeProcess.from_rows(z_rows)
+        row = slice(tri(k), tri(k + 1))
+        y[row], z[row], _, _ = backward_step(lat, gen, k, y[row.stop:tri(k + 2)],
+                                             cashflow_increments.row(k))
+    return NodeProcess(y), NodeProcess(z)
 
 
 def solve_drbsde(inputs: DrbsdeInputs) -> DrbsdeSolution:
     """Doubly reflected backward solve with per-node Skorokhod bookkeeping."""
     lat, gen = inputs.lat, inputs.gen
     require_contraction(gen, lat)
-    n, dt = lat.n_steps, lat.dt
-    y_rows: list[np.ndarray] = [np.empty(0)] * (n + 1)
-    z_rows = [np.zeros(k + 1) for k in range(n + 1)]
-    dl_rows = [np.zeros(k + 1) for k in range(n + 1)]
-    du_rows = [np.zeros(k + 1) for k in range(n + 1)]
-    y_rows[n] = inputs.terminal.copy()
+    n = lat.n_steps
+    y, z, dl, du = (np.zeros(tri(n + 1)) for _ in range(4))
+    y[tri(n):] = inputs.terminal
     residual_max = 0.0
     iterations_max = 0
     for k in range(n - 1, -1, -1):
-        z, e = _slope_and_expectation(lat, y_rows[k + 1], k)
-        rhs = e - inputs.cashflow_increments.row(k)
-        v, res, its = _implicit_row(gen, k * dt, rhs, z, lat.spot.row(k), dt)
+        row = slice(tri(k), tri(k + 1))
+        v, z[row], res, its = backward_step(lat, gen, k, y[row.stop:tri(k + 2)],
+                                            inputs.cashflow_increments.row(k))
         residual_max = max(residual_max, res)
         iterations_max = max(iterations_max, its)
         lo, hi = inputs.lower.row(k), inputs.upper.row(k)
-        y_rows[k] = np.minimum(hi, np.maximum(lo, v))
-        dl_rows[k] = np.maximum(lo - v, 0.0)
-        du_rows[k] = np.maximum(np.maximum(v, lo) - hi, 0.0)
-        z_rows[k] = np.asarray(z, dtype=np.float64)
-    return DrbsdeSolution(
-        Y=NodeProcess.from_rows(y_rows),
-        Z=NodeProcess.from_rows(z_rows),
-        dL=NodeProcess.from_rows(dl_rows),
-        dU=NodeProcess.from_rows(du_rows),
-        residual_max=residual_max,
-        iterations_max=iterations_max,
-    )
+        y[row] = np.minimum(hi, np.maximum(lo, v))
+        dl[row] = np.maximum(lo - v, 0.0)
+        du[row] = np.maximum(np.maximum(v, lo) - hi, 0.0)
+    return DrbsdeSolution(*(NodeProcess(a) for a in (y, z, dl, du)), residual_max, iterations_max)
 
 
 @dataclass(frozen=True, eq=False)
@@ -240,12 +246,12 @@ class GamePayoff:
         n = self.on_lower.n_steps
         if self.on_upper.n_steps != n or self.on_tie.n_steps != n:
             raise OutOfRange("payoff rows disagree on the number of steps")
-        for k in range(n + 1):
-            lo, hi, tie = self.on_lower.row(k), self.on_upper.row(k), self.on_tie.row(k)
-            if not ((lo <= tie) & (tie <= hi)).all():
-                raise ObstacleOrderViolated(
-                    f"need on_lower <= on_tie <= on_upper at every node, violated at step {k}"
-                )
+        lo, hi, tie = self.on_lower.flat, self.on_upper.flat, self.on_tie.flat
+        bad = first_node(~((lo <= tie) & (tie <= hi)))
+        if bad:
+            raise ObstacleOrderViolated(
+                f"need on_lower <= on_tie <= on_upper at every node, violated at step {bad[1]}"
+            )
 
     @property
     def n_steps(self) -> int:
@@ -266,17 +272,15 @@ def evaluate_stopped(
     tau the maximizer's (lower row); simultaneous stops pay the tie row.
     Unstopped nodes continue by the same implicit step as the solvers.
     """
-    n, dt = lat.n_steps, lat.dt
+    n = lat.n_steps
     for name, obj in (("payoff", payoff), ("cashflow_increments", cashflow_increments),
                       ("sigma", sigma), ("tau", tau)):
         if obj.n_steps != n:
             raise InvalidStoppingRule(f"{name} has {obj.n_steps} steps, lattice has {n}")
     require_contraction(gen, lat)
-    vals = payoff.on_tie.row(n).copy()
+    vals = payoff.on_tie.row(n)
     for k in range(n - 1, -1, -1):
-        z, e = _slope_and_expectation(lat, vals, k)
-        rhs = e - cashflow_increments.row(k)
-        cont, _, _ = _implicit_row(gen, k * dt, rhs, z, lat.spot.row(k), dt)
+        cont = backward_step(lat, gen, k, vals, cashflow_increments.row(k))[0]
         sig, tau_m = sigma.row(k), tau.row(k)
         vals = np.where(
             sig & tau_m,

@@ -1,16 +1,19 @@
 """Brute-force stopped-game oracle over enumerated stopping rules.
 
 Rules are enumerated as bitmasks over interior nodes sorted by
-(step, up_count); the terminal row is always marked.  The oracle computes
+(step, up_count); the terminal row is always marked.  The interior nodes
+in that order are the first m = N(N+1)/2 entries of the flat node layout,
+so rule bit i is flat node i (``tri(k, j)``).  The oracle computes
 
     upper_value = min over minimizer rules of max over maximizer rules
     lower_value = max over maximizer rules of min over minimizer rules
 
 by two independent routes: joint enumeration of rule pairs (a pairs matrix,
 used whenever the pair count fits the cap) and a per-rule dynamic program
-where the opponent plays optimally node by node.  Both routes share the
-solvers' implicit one-step arithmetic, so agreement with the reflected
-backward solve is a genuine cross-check, not a tautology.
+where the opponent plays optimally node by node.  Both routes step with
+the solvers' ``backward_step``, one node at a time over a batch of rules,
+so agreement with the reflected backward solve is a genuine cross-check,
+not a tautology.
 
 The pairs matrix is cone-factored.  A node's stopped value depends only on
 the rule bits in its forward cone, so each node keeps a table with one
@@ -37,10 +40,10 @@ from typing import Iterator
 
 import numpy as np
 
-from .drbsde import GamePayoff, _implicit_row
+from .drbsde import GamePayoff, backward_step
 from .errors import TooLarge
 from .generators import Generator
-from .lattice import Lattice, NodeProcess
+from .lattice import Lattice, NodeProcess, tri
 from .stopping import StoppingRule
 
 __all__ = [
@@ -59,7 +62,6 @@ __all__ = [
     "inf_values_by_maximizer_rule",
     "stopped_values_for_maximizer_rules",
     "snell_sup_for_minimizer",
-    "snell_inf_for_maximizer",
 ]
 
 MAX_INTERIOR_NODES = 15
@@ -73,11 +75,11 @@ def interior_nodes(n_steps: int) -> list[tuple[int, int]]:
 
 def rule_count(n_steps: int) -> int:
     """Number of stopping rules per player."""
-    return 1 << (n_steps * (n_steps + 1) // 2)
+    return 1 << tri(n_steps)
 
 
 def _require_enumerable(n_steps: int) -> int:
-    m = n_steps * (n_steps + 1) // 2
+    m = tri(n_steps)
     if m > MAX_INTERIOR_NODES:
         raise TooLarge(
             f"{1 << m} stopping rules per player ({m} interior nodes) exceed the "
@@ -87,18 +89,14 @@ def _require_enumerable(n_steps: int) -> int:
 
 
 def rule_from_id(n_steps: int, rid: int) -> StoppingRule:
-    """Decode a rule bitmask; bit i marks the i-th interior node."""
-    nodes = interior_nodes(n_steps)
-    marked = [nodes[i] for i in range(len(nodes)) if (rid >> i) & 1]
-    return StoppingRule.from_nodes(n_steps, marked)
+    """Decode a rule bitmask; bit i marks flat node i, the i-th interior node."""
+    flat = np.ones(tri(n_steps + 1), dtype=bool)
+    flat[:tri(n_steps)] = [(rid >> i) & 1 for i in range(tri(n_steps))]
+    return StoppingRule(flat)
 
 
 def rule_to_id(rule: StoppingRule) -> int:
-    rid = 0
-    for i, (k, j) in enumerate(interior_nodes(rule.n_steps)):
-        if rule.marks(k, j):
-            rid |= 1 << i
-    return rid
+    return sum(1 << int(i) for i in np.flatnonzero(rule.flat[:tri(rule.n_steps)]))
 
 
 def enumerate_rules(lat: Lattice) -> Iterator[StoppingRule]:
@@ -145,34 +143,19 @@ def _per_rule_dp(
     minimizer=True enumerates the minimizer's rules (returns per-rule sup),
     minimizer=False the maximizer's (per-rule inf).
     """
-    n, dt, q = lat.n_steps, lat.dt, lat.q
-    m = _require_enumerable(n)
-    ids = np.arange(1 << m, dtype=np.int64)
-    nodes = interior_nodes(n)
-    bit_of = {node: i for i, node in enumerate(nodes)}
-
-    tie_t = payoff.on_tie.row(n)
-    vals = [np.full(ids.shape, tie_t[j]) for j in range(n + 1)]
+    n = lat.n_steps
+    ids = np.arange(1 << _require_enumerable(n), dtype=np.int64)
+    vals = np.repeat(payoff.on_tie.row(n)[:, None], ids.size, axis=1)
     for k in range(n - 1, -1, -1):
-        s_next = lat.spot.row(k + 1)
-        s_row = lat.spot.row(k)
-        new_vals = []
+        new_vals = np.empty((k + 1, ids.size))
         for j in range(k + 1):
-            z = (vals[j + 1] - vals[j]) / (s_next[j + 1] - s_next[j])
-            e = q * vals[j + 1] + (1.0 - q) * vals[j]
-            rhs = e - cashflow_increments.at(k, j)
-            cont, _, _ = _implicit_row(gen, k * dt, rhs, z, s_row[j], dt)
-            lo = payoff.on_lower.at(k, j)
-            hi = payoff.on_upper.at(k, j)
-            tie = payoff.on_tie.at(k, j)
-            bit = _node_bits(ids, bit_of[(k, j)])
-            if minimizer:
-                stopped = max(tie, hi)  # opponent may force the tie, never gains
-                free = np.maximum(lo, cont)
+            cont = backward_step(lat, gen, k, vals[j:j + 2], cashflow_increments.at(k, j), j)[0]
+            lo, hi, tie = (p.at(k, j) for p in (payoff.on_lower, payoff.on_upper, payoff.on_tie))
+            if minimizer:  # the opponent may force the tie, never gains by it
+                stopped, free = max(tie, hi), np.maximum(lo, cont)
             else:
-                stopped = min(tie, lo)
-                free = np.minimum(hi, cont)
-            new_vals.append(np.where(bit, stopped, free))
+                stopped, free = min(tie, lo), np.minimum(hi, cont)
+            new_vals[j] = np.where(_node_bits(ids, tri(k, j)), stopped, free)
         vals = new_vals
     return vals[0]
 
@@ -220,16 +203,13 @@ def _pair_matrix(
     tau_ids: np.ndarray,
 ) -> np.ndarray:
     """Root values for every (minimizer rule, maximizer rule) pair, from cone-indexed node tables."""
-    n, dt, q = lat.n_steps, lat.dt, lat.q
-    bit_of = {node: i for i, node in enumerate(interior_nodes(n))}
+    n = lat.n_steps
     no_rows = np.zeros(sigma_ids.shape[0], dtype=np.intp)
     no_cols = np.zeros(tau_ids.shape[0], dtype=np.intp)
 
     tie_t = payoff.on_tie.row(n)
     tables = [_ConeTable(np.full((1, 1), tie_t[j]), no_rows, no_cols, 0) for j in range(n + 1)]
     for k in range(n - 1, -1, -1):
-        s_next = lat.spot.row(k + 1)
-        s_row = lat.spot.row(k)
         new_tables = []
         for j in range(k + 1):
             # continuation: one entry per combination of the children's cone bits
@@ -239,13 +219,10 @@ def _pair_matrix(
             ct_first, ct_of = _cone_classes(tau_ids, below)
             v_dn = dn.values[np.ix_(dn.rows[cs_first], dn.cols[ct_first])]
             v_up = up.values[np.ix_(up.rows[cs_first], up.cols[ct_first])]
-            z = (v_up - v_dn) / (s_next[j + 1] - s_next[j])
-            e = q * v_up + (1.0 - q) * v_dn
-            rhs = e - cashflow_increments.at(k, j)
-            cont, _, _ = _implicit_row(gen, k * dt, rhs, z, s_row[j], dt)
+            cont = backward_step(lat, gen, k, (v_dn, v_up), cashflow_increments.at(k, j), j)[0]
 
             # the node's own bits pick a stop payoff or that continuation
-            bit = bit_of[(k, j)]
+            bit = tri(k, j)
             mask = below | (1 << bit)
             ns_first, rows = _cone_classes(sigma_ids, mask)
             nt_first, cols = _cone_classes(tau_ids, mask)
@@ -278,47 +255,18 @@ def stopped_values_for_maximizer_rules(
     return _pair_matrix(lat, gen, cashflow_increments, payoff, sigma_ids, tau_ids)[0]
 
 
-def _optimal_stop_dp(
-    lat: Lattice,
-    gen: Generator,
-    cashflow_increments: NodeProcess,
-    payoff: GamePayoff,
-    rule: StoppingRule,
-    rule_is_minimizer: bool,
-) -> float:
-    """Best-response value against a fixed rule by scalar dynamic programming."""
-    n, dt, q = lat.n_steps, lat.dt, lat.q
-    vals = payoff.on_tie.row(n).copy()
-    for k in range(n - 1, -1, -1):
-        s_next = lat.spot.row(k + 1)
-        z = (vals[1:] - vals[:-1]) / (s_next[1:] - s_next[:-1])
-        e = q * vals[1:] + (1.0 - q) * vals[:-1]
-        rhs = e - cashflow_increments.row(k)
-        cont, _, _ = _implicit_row(gen, k * dt, rhs, z, lat.spot.row(k), dt)
-        marked = rule.row(k)
-        lo, hi = payoff.on_lower.row(k), payoff.on_upper.row(k)
-        tie = payoff.on_tie.row(k)
-        if rule_is_minimizer:
-            vals = np.where(marked, np.maximum(tie, hi), np.maximum(lo, cont))
-        else:
-            vals = np.where(marked, np.minimum(tie, lo), np.minimum(hi, cont))
-    return float(vals[0])
-
-
 def snell_sup_for_minimizer(
     lat: Lattice, gen: Generator, cashflow_increments: NodeProcess,
     payoff: GamePayoff, sigma: StoppingRule,
 ) -> float:
     """sup over all maximizer stopping behaviour against the fixed minimizer rule."""
-    return _optimal_stop_dp(lat, gen, cashflow_increments, payoff, sigma, rule_is_minimizer=True)
-
-
-def snell_inf_for_maximizer(
-    lat: Lattice, gen: Generator, cashflow_increments: NodeProcess,
-    payoff: GamePayoff, tau: StoppingRule,
-) -> float:
-    """inf over all minimizer stopping behaviour against the fixed maximizer rule."""
-    return _optimal_stop_dp(lat, gen, cashflow_increments, payoff, tau, rule_is_minimizer=False)
+    n = lat.n_steps
+    vals = payoff.on_tie.row(n)
+    for k in range(n - 1, -1, -1):
+        cont = backward_step(lat, gen, k, vals, cashflow_increments.row(k))[0]
+        lo, hi, tie = payoff.on_lower.row(k), payoff.on_upper.row(k), payoff.on_tie.row(k)
+        vals = np.where(sigma.row(k), np.maximum(tie, hi), np.maximum(lo, cont))
+    return float(vals[0])
 
 
 def _canonical_optimizer(values: np.ndarray, target: float, n_steps: int) -> StoppingRule:

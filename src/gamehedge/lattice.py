@@ -6,8 +6,10 @@ The lattice is a recombining binomial tree.  A node is addressed by
 probability ``q = (1 - d) / (u - d)`` is the unique weight that makes the
 spot a martingale, so it is derived, never supplied.
 
-``NodeProcess`` stores one float per node as a tuple of read-only rows and
-is the common currency for payoffs, obstacles, solutions and increments.
+``NodeProcess`` stores one float per node in one read-only flat array, the
+rows laid end to end so node ``(k, j)`` sits at ``tri(k, j) = k(k+1)/2 + j``
+and ``row(k)`` is a view.  It is the common currency for payoffs,
+obstacles, solutions and increments; stopping rules use the same layout.
 """
 
 from __future__ import annotations
@@ -32,6 +34,9 @@ __all__ = [
     "write_node_process",
     "read_node_process",
     "write_csv",
+    "tri",
+    "node_coords",
+    "FlatNodes",
 ]
 
 
@@ -61,54 +66,86 @@ class TimeGrid:
         return k * self.dt
 
 
-def _freeze_row(row: np.ndarray) -> np.ndarray:
-    out = np.asarray(row, dtype=np.float64)
-    out = np.array(out, dtype=np.float64)  # own the buffer
-    out.flags.writeable = False
-    return out
+def tri(k, j=0):
+    """Flat index of node (k, j): rows are laid end to end, row k starting at k(k+1)/2."""
+    return k * (k + 1) // 2 + j
+
+
+def node_coords(n_steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Step k and up-count j of every flat node index of an n_steps lattice."""
+    ks = np.repeat(np.arange(n_steps + 1), np.arange(1, n_steps + 2))
+    return ks, np.arange(ks.size) - tri(ks)
+
+
+def _row_of(i: int) -> int:
+    """Step k whose row holds flat index i, the inverse of ``tri``."""
+    return (math.isqrt(8 * i + 1) - 1) // 2
+
+
+def first_node(mask: np.ndarray) -> tuple[int, int, int] | None:
+    """Flat index, step and up-count of the first True entry of a flat node mask."""
+    hits = np.flatnonzero(mask)
+    if not hits.size:
+        return None
+    i = int(hits[0])
+    k = _row_of(i)
+    return i, k, i - tri(k)
 
 
 @dataclass(frozen=True, eq=False)
-class NodeProcess:
-    """One float per lattice node; row k holds k+1 values indexed by up-count."""
+class FlatNodes:
+    """One value per lattice node in one read-only flat array, node (k, j) at ``tri(k, j)``.
 
-    rows: tuple[np.ndarray, ...]
+    Subclasses call ``_freeze`` once, which owns a copy and sets ``n_steps``.
+    """
 
-    def __post_init__(self) -> None:
-        if not self.rows:
-            raise OutOfRange("NodeProcess needs at least the step-0 row")
-        frozen = []
-        for k, row in enumerate(self.rows):
-            arr = _freeze_row(row)
-            if arr.ndim != 1 or arr.shape[0] != k + 1:
-                raise OutOfRange(f"row {k} must have {k + 1} entries, got shape {arr.shape}")
-            if not np.isfinite(arr).all():
-                raise NonFiniteInput(f"row {k} contains non-finite values")
-            frozen.append(arr)
-        object.__setattr__(self, "rows", tuple(frozen))
+    flat: np.ndarray
+    n_steps: int = field(init=False)
 
-    @property
-    def n_steps(self) -> int:
-        return len(self.rows) - 1
+    def _freeze(self, dtype, error) -> np.ndarray:
+        arr = np.array(self.flat, dtype=dtype)
+        if arr.ndim != 1 or arr.size == 0 or tri(_row_of(arr.size)) != arr.size:
+            raise error(f"need one value per node of a triangular lattice, got shape {arr.shape}")
+        arr.flags.writeable = False
+        object.__setattr__(self, "flat", arr)
+        object.__setattr__(self, "n_steps", _row_of(arr.size) - 1)
+        return arr
 
     def row(self, k: int) -> np.ndarray:
         if not 0 <= k <= self.n_steps:
             raise OutOfRange(f"step {k} outside 0..{self.n_steps}")
-        return self.rows[k]
+        return self.flat[tri(k):tri(k + 1)]
 
-    def at(self, k: int, j: int) -> float:
+    def at(self, k: int, j: int):
+        """The value at node (k, j) as a Python scalar."""
         row = self.row(k)
         if not 0 <= j <= k:
             raise OutOfRange(f"up-count {j} outside 0..{k}")
-        return float(row[j])
+        return row[j].item()
+
+
+@dataclass(frozen=True, eq=False)
+class NodeProcess(FlatNodes):
+    """One float per lattice node; row k holds k+1 values indexed by up-count."""
+
+    def __post_init__(self) -> None:
+        bad = first_node(~np.isfinite(self._freeze(np.float64, OutOfRange)))
+        if bad:
+            raise NonFiniteInput(f"row {bad[1]} contains non-finite values")
 
     @classmethod
     def from_rows(cls, rows) -> "NodeProcess":
-        return cls(tuple(np.asarray(r, dtype=np.float64) for r in rows))
+        rows = [np.asarray(r, dtype=np.float64) for r in rows]
+        if not rows:
+            raise OutOfRange("NodeProcess needs at least the step-0 row")
+        for k, row in enumerate(rows):
+            if row.shape != (k + 1,):
+                raise OutOfRange(f"row {k} must have {k + 1} entries, got shape {row.shape}")
+        return cls(np.concatenate(rows))
 
     @classmethod
     def constant(cls, n_steps: int, value: float) -> "NodeProcess":
-        return cls.from_rows([np.full(k + 1, float(value)) for k in range(n_steps + 1)])
+        return cls(np.full(tri(n_steps + 1), float(value)))
 
     @classmethod
     def zeros(cls, n_steps: int) -> "NodeProcess":
@@ -117,9 +154,8 @@ class NodeProcess:
     @classmethod
     def from_function(cls, n_steps: int, fn) -> "NodeProcess":
         """Build from fn(k, j) evaluated at every node."""
-        return cls.from_rows(
-            [np.array([fn(k, j) for j in range(k + 1)], dtype=np.float64) for k in range(n_steps + 1)]
-        )
+        return cls(np.array([fn(k, j) for k in range(n_steps + 1) for j in range(k + 1)],
+                            dtype=np.float64))
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,12 +181,8 @@ class Lattice:
                 f"need 0 < d < 1 < u for an interior martingale weight, got u={self.u}, d={self.d}"
             )
         object.__setattr__(self, "q", (1.0 - self.d) / (self.u - self.d))
-        n = self.grid.n_steps
-        rows = []
-        for k in range(n + 1):
-            j = np.arange(k + 1)
-            rows.append(self.s0 * self.u**j * self.d ** (k - j))
-        object.__setattr__(self, "spot", NodeProcess.from_rows(rows))
+        ks, js = node_coords(self.grid.n_steps)
+        object.__setattr__(self, "spot", NodeProcess(self.s0 * self.u**js * self.d ** (ks - js)))
 
     @property
     def n_steps(self) -> int:
@@ -285,5 +317,4 @@ def read_node_process(path) -> NodeProcess:
         missing = sorted(expected - set(seen))[:3]
         extra = sorted(set(seen) - expected)[:3]
         raise ConfigError(f"{path}: node coverage mismatch (missing {missing}, unexpected {extra})")
-    rows = [np.array([seen[(k, j)] for j in range(k + 1)]) for k in range(n + 1)]
-    return NodeProcess.from_rows(rows)
+    return NodeProcess(np.array([seen[node] for node in sorted(seen)]))  # (k, j) order is flat

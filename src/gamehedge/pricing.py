@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -42,7 +43,15 @@ from .errors import (
     NonFiniteInput,
 )
 from .generators import Generator
-from .lattice import BenchmarkAccount, Lattice, NodeProcess, benchmark_profile
+from .lattice import (
+    BenchmarkAccount,
+    Lattice,
+    NodeProcess,
+    benchmark_profile,
+    first_node,
+    node_coords,
+    tri,
+)
 
 __all__ = [
     "ContractSpec",
@@ -78,24 +87,22 @@ class ContractSpec:
         for name, proc in (("Xc", self.Xc), ("Xbar", self.Xbar), ("dA", self.dA)):
             if proc.n_steps != n:
                 raise ContractInvariantViolated(f"{name} has {proc.n_steps} steps, Xh has {n}")
-        for k in range(n + 1):
-            xh, xc = self.Xh.row(k), self.Xc.row(k)
-            bad = np.nonzero(~(xh < xc))[0]
-            if bad.size:
-                j = int(bad[0])
-                raise ContractInvariantViolated(
-                    f"cancellation payoff must stay strictly below exercise payoff; "
-                    f"at node ({k}, {j}): Xh={xh[j]!r}, Xc={xc[j]!r}"
-                )
-        for k in range(n):  # interior tie band; terminal row checked at solve time
-            xh, xc, xm = self.Xh.row(k), self.Xc.row(k), self.Xbar.row(k)
-            bad = np.nonzero((xm < xh) | (xm > xc))[0]
-            if bad.size:
-                j = int(bad[0])
-                raise ContractInvariantViolated(
-                    f"tie payoff must lie between Xh and Xc; at node ({k}, {j}): "
-                    f"Xh={xh[j]!r}, Xbar={xm[j]!r}, Xc={xc[j]!r}"
-                )
+        xh, xc, xm = self.Xh.flat, self.Xc.flat, self.Xbar.flat
+        bad = first_node(~(xh < xc))
+        if bad:
+            i, k, j = bad
+            raise ContractInvariantViolated(
+                f"cancellation payoff must stay strictly below exercise payoff; "
+                f"at node ({k}, {j}): Xh={xh[i]!r}, Xc={xc[i]!r}"
+            )
+        inner = slice(0, tri(n))  # interior tie band; terminal row checked at solve time
+        bad = first_node((xm[inner] < xh[inner]) | (xm[inner] > xc[inner]))
+        if bad:
+            i, k, j = bad
+            raise ContractInvariantViolated(
+                f"tie payoff must lie between Xh and Xc; at node ({k}, {j}): "
+                f"Xh={xh[i]!r}, Xbar={xm[i]!r}, Xc={xc[i]!r}"
+            )
         if np.any(self.dA.row(n) != 0.0):
             raise ContractInvariantViolated("dA terminal row must be zero (flows accrue per step)")
 
@@ -119,57 +126,52 @@ class PartyView:
             raise NonFiniteInput("endowment must be finite")
 
 
-def _check_shapes(contract: ContractSpec, lat: Lattice) -> None:
+def _shifted_payoffs(
+    contract: ContractSpec, view: PartyView, lat: Lattice
+) -> tuple[NodeProcess, NodeProcess, NodeProcess]:
+    """The side's benchmark-shifted (on_lower, on_upper, on_tie) processes.
+
+    hedger: Vb - Xc, Vb - Xh, Vb - Xbar; counterparty: Xh + Vb, Xc + Vb, Xbar + Vb.
+    """
     if contract.n_steps != lat.n_steps:
-        raise InvalidParameters(
-            f"contract has {contract.n_steps} steps, lattice has {lat.n_steps}"
-        )
+        raise InvalidParameters(f"contract has {contract.n_steps} steps, lattice has {lat.n_steps}")
+    vb = benchmark_profile(view.acct, view.endowment, lat.grid)[node_coords(lat.n_steps)[0]]
+    xh, xc, xm = contract.Xh.flat, contract.Xc.flat, contract.Xbar.flat
+    if view.side == "hedger":
+        return NodeProcess(vb - xc), NodeProcess(vb - xh), NodeProcess(vb - xm)
+    return NodeProcess(xh + vb), NodeProcess(xc + vb), NodeProcess(xm + vb)
+
+
+def _obstacles(contract: ContractSpec, view: PartyView, gen: Generator, lat: Lattice,
+               side: str) -> DrbsdeInputs:
+    if view.side != side:
+        raise InvalidParameters(f"{side}_obstacles needs a {side} view, got {view.side!r}")
+    lower, upper, tie = _shifted_payoffs(contract, view, lat)
+    cash = contract.dA if side == "hedger" else NodeProcess(-contract.dA.flat)
+    return DrbsdeInputs(
+        lower=lower, upper=upper, terminal=tie.row(lat.n_steps),
+        cashflow_increments=cash, gen=gen, lat=lat,
+    )
 
 
 def hedger_obstacles(
     contract: ContractSpec, view: PartyView, gen: Generator, lat: Lattice
 ) -> DrbsdeInputs:
     """Reflected-solve data for the hedger's minimal benchmark-safe wealth."""
-    if view.side != "hedger":
-        raise InvalidParameters(f"hedger_obstacles needs a hedger view, got {view.side!r}")
-    _check_shapes(contract, lat)
-    vb = benchmark_profile(view.acct, view.endowment, lat.grid)
-    n = lat.n_steps
-    lower = NodeProcess.from_rows([vb[k] - contract.Xc.row(k) for k in range(n + 1)])
-    upper = NodeProcess.from_rows([vb[k] - contract.Xh.row(k) for k in range(n + 1)])
-    terminal = vb[n] - contract.Xbar.row(n)
-    return DrbsdeInputs(
-        lower=lower, upper=upper, terminal=terminal,
-        cashflow_increments=contract.dA, gen=gen, lat=lat,
-    )
+    return _obstacles(contract, view, gen, lat, "hedger")
 
 
 def counterparty_obstacles(
     contract: ContractSpec, view: PartyView, gen: Generator, lat: Lattice
 ) -> DrbsdeInputs:
     """Reflected-solve data for the counterparty's minimal benchmark-safe wealth."""
-    if view.side != "counterparty":
-        raise InvalidParameters(
-            f"counterparty_obstacles needs a counterparty view, got {view.side!r}"
-        )
-    _check_shapes(contract, lat)
-    vb = benchmark_profile(view.acct, view.endowment, lat.grid)
-    n = lat.n_steps
-    lower = NodeProcess.from_rows([contract.Xh.row(k) + vb[k] for k in range(n + 1)])
-    upper = NodeProcess.from_rows([contract.Xc.row(k) + vb[k] for k in range(n + 1)])
-    terminal = contract.Xbar.row(n) + vb[n]
-    cash = NodeProcess.from_rows([-contract.dA.row(k) for k in range(n + 1)])
-    return DrbsdeInputs(
-        lower=lower, upper=upper, terminal=terminal,
-        cashflow_increments=cash, gen=gen, lat=lat,
-    )
+    return _obstacles(contract, view, gen, lat, "counterparty")
 
 
 def side_obstacles(
     contract: ContractSpec, view: PartyView, gen: Generator, lat: Lattice
 ) -> DrbsdeInputs:
-    builder = hedger_obstacles if view.side == "hedger" else counterparty_obstacles
-    return builder(contract, view, gen, lat)
+    return _obstacles(contract, view, gen, lat, view.side)
 
 
 def game_payoff(contract: ContractSpec, view: PartyView, lat: Lattice) -> GamePayoff:
@@ -179,16 +181,7 @@ def game_payoff(contract: ContractSpec, view: PartyView, lat: Lattice) -> GamePa
     the band), so the game value agrees with the reflected solve that only
     sees the tie at the terminal step; that agreement is itself a test.
     """
-    _check_shapes(contract, lat)
-    vb = benchmark_profile(view.acct, view.endowment, lat.grid)
-    n = lat.n_steps
-    if view.side == "hedger":
-        rows = lambda proc: NodeProcess.from_rows([vb[k] - proc.row(k) for k in range(n + 1)])
-        return GamePayoff(on_lower=rows(contract.Xc), on_upper=rows(contract.Xh),
-                          on_tie=rows(contract.Xbar))
-    rows = lambda proc: NodeProcess.from_rows([proc.row(k) + vb[k] for k in range(n + 1)])
-    return GamePayoff(on_lower=rows(contract.Xh), on_upper=rows(contract.Xc),
-                      on_tie=rows(contract.Xbar))
+    return GamePayoff(*_shifted_payoffs(contract, view, lat))
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,22 +210,13 @@ class QuoteResult:
         return self.solution.Y.at(0, 0)
 
 
-def _equality_region(
-    Y: NodeProcess, obstacle: NodeProcess, tol: float
-) -> tuple[tuple[int, int], ...]:
-    out = []
-    for k in range(Y.n_steps + 1):
-        y, ob = Y.row(k), obstacle.row(k)
-        hit = np.abs(y - ob) <= tol * (1.0 + np.abs(y))
-        out.extend((k, j) for j in np.nonzero(hit)[0])
-    return tuple(out)
-
-
-def _positive_region(proc: NodeProcess) -> tuple[tuple[int, int], ...]:
-    out = []
-    for k in range(proc.n_steps + 1):
-        out.extend((k, j) for j in np.nonzero(proc.row(k) > 0.0)[0])
-    return tuple(out)
+def _region(mask: np.ndarray, n_steps: int) -> tuple[tuple[int, int], ...]:
+    """Nodes of a flat node mask as a sorted tuple of (k, j), built row by row so each
+    row's tuples share one step object (half the time of one flat zip at N=2000)."""
+    nodes: list[tuple[int, int]] = []
+    for k in range(n_steps + 1):
+        nodes.extend(zip(repeat(k), np.flatnonzero(mask[tri(k):tri(k + 1)]).tolist()))
+    return tuple(nodes)
 
 
 def acceptable_price(
@@ -246,10 +230,12 @@ def acceptable_price(
     inputs = side_obstacles(contract, view, gen, lat)
     sol = solve_drbsde(inputs)
     y0 = sol.Y.at(0, 0)
-    eq_upper = _equality_region(sol.Y, inputs.upper, region_tol)
-    eq_lower = _equality_region(sol.Y, inputs.lower, region_tol)
-    pos_du = _positive_region(sol.dU)
-    pos_dl = _positive_region(sol.dL)
+    y, n = sol.Y.flat, lat.n_steps
+    band = region_tol * (1.0 + np.abs(y))
+    eq_upper = _region(np.abs(y - inputs.upper.flat) <= band, n)
+    eq_lower = _region(np.abs(y - inputs.lower.flat) <= band, n)
+    pos_du = _region(sol.dU.flat > 0.0, n)
+    pos_dl = _region(sol.dL.flat > 0.0, n)
     if view.side == "hedger":
         price = y0 - view.endowment
         region_sigma, region_tau = eq_upper, eq_lower
@@ -279,11 +265,9 @@ def builtin_israeli_put(lat: Lattice, strike: float, penalty: float) -> Contract
         raise InvalidParameters(f"strike must be positive and finite, got {strike!r}")
     if not math.isfinite(penalty) or penalty <= 0.0:
         raise InvalidPenalty(f"penalty must be strictly positive, got {penalty!r}")
-    n = lat.n_steps
-    xc_rows = [-np.maximum(strike - lat.spot.row(k), 0.0) for k in range(n + 1)]
-    xc = NodeProcess.from_rows(xc_rows)
-    xh = NodeProcess.from_rows([row - penalty for row in xc_rows])
-    return ContractSpec(Xh=xh, Xc=xc, Xbar=xc, dA=NodeProcess.zeros(n))
+    xc = NodeProcess(-np.maximum(strike - lat.spot.flat, 0.0))
+    return ContractSpec(Xh=NodeProcess(xc.flat - penalty), Xc=xc, Xbar=xc,
+                        dA=NodeProcess.zeros(lat.n_steps))
 
 
 def builtin_game_bond(
@@ -304,5 +288,6 @@ def builtin_game_bond(
     xh = NodeProcess.constant(n, -(face + call_penalty))
     xc = NodeProcess.constant(n, -(face - put_discount))
     xbar = NodeProcess.constant(n, -face)
-    da_rows = [np.full(k + 1, -coupon) for k in range(n)] + [np.zeros(n + 1)]
-    return ContractSpec(Xh=xh, Xc=xc, Xbar=xbar, dA=NodeProcess.from_rows(da_rows))
+    da = np.full(tri(n + 1), -coupon)
+    da[tri(n):] = 0.0
+    return ContractSpec(Xh=xh, Xc=xc, Xbar=xbar, dA=NodeProcess(da))

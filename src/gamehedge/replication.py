@@ -24,10 +24,9 @@ from typing import Iterator
 
 import numpy as np
 
-from .drbsde import GamePayoff, evaluate_stopped
+from .drbsde import evaluate_stopped
 from .dynkin import (
     _require_enumerable,
-    rule_from_id,
     rule_to_id,
     snell_sup_for_minimizer,
     stopped_values_for_maximizer_rules,
@@ -35,7 +34,7 @@ from .dynkin import (
 )
 from .errors import NonFiniteState, OutOfRange, TooManyPaths
 from .generators import Generator, eval_g
-from .lattice import Lattice, NodeProcess, benchmark_profile
+from .lattice import Lattice, NodeProcess, benchmark_profile, tri
 from .pricing import ContractSpec, PartyView, QuoteResult, game_payoff
 from .stopping import StoppingRule, path_moves, path_up_counts
 
@@ -122,21 +121,17 @@ def _path_chunks(n_steps: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndar
     for start in range(0, 1 << n_steps, _CHUNK):
         pids = np.arange(start, min(start + _CHUNK, 1 << n_steps), dtype=np.int64)
         js = path_up_counts(path_moves(pids, n_steps))
-        yield pids, js, _flat_idx(js)
+        yield pids, js, _node_idx(js)
 
 
-def _flat(proc: NodeProcess) -> np.ndarray:
-    return np.concatenate(proc.rows)
+def _node_idx(js: np.ndarray) -> np.ndarray:
+    """Flat node index at every step of paths given by their up-counts."""
+    return tri(np.arange(js.shape[-1]), js)
 
 
-def _flat_idx(js: np.ndarray) -> np.ndarray:
-    ks = np.arange(js.shape[-1], dtype=np.int64)
-    return (ks * (ks + 1)) // 2 + js
-
-
-def _rule_hits(rule: StoppingRule, js: np.ndarray) -> np.ndarray:
-    marked = np.column_stack([rule.row(k)[js[:, k]] for k in range(js.shape[1])])
-    return np.argmax(marked, axis=1)
+def _rule_hits(rule: StoppingRule, idx: np.ndarray) -> np.ndarray:
+    """First marked step of every path, given the paths' flat node indices."""
+    return np.argmax(rule.flat[idx], axis=1)
 
 
 def _forward_matrix(
@@ -186,9 +181,10 @@ def _before_cumsum(flat: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return out
 
 
-def _cum_at_stop(flat, idx, rows, stops, include_stop_node: bool):
+def _cum_at_stop(flat, idx, stops, include_stop_node: bool):
     """Cumulative push at the stop.  Stopping preempts the stop node's own
     projection push by default; including it is a sensitivity knob."""
+    rows = np.arange(idx.shape[0])
     total = _before_cumsum(flat, idx)[rows, stops]
     if include_stop_node:
         total = total + flat[idx[rows, stops]]
@@ -198,21 +194,14 @@ def _cum_at_stop(flat, idx, rows, stops, include_stop_node: bool):
 def solution_path(quote: QuoteResult, path) -> WealthPath:
     """The solved value along one path, or every row of a move matrix, with its
     cumulative reflection pushes."""
-    idx = _flat_idx(path_up_counts(path))
+    idx = _node_idx(path_up_counts(path))
     sol = quote.solution
     return WealthPath(
         path=path,
-        values=_flat(sol.Y)[idx],
-        L_cum=_before_cumsum(_flat(sol.dL), idx),
-        U_cum=_before_cumsum(_flat(sol.dU), idx),
+        values=sol.Y.flat[idx],
+        L_cum=_before_cumsum(sol.dL.flat, idx),
+        U_cum=_before_cumsum(sol.dU.flat, idx),
     )
-
-
-def _settlement_flats(contract: ContractSpec, view: PartyView, lat: Lattice):
-    """Hedger-signed settlement rows flattened, plus the sign applied to wealth."""
-    xh, xc, xm = _flat(contract.Xh), _flat(contract.Xc), _flat(contract.Xbar)
-    sign = 1.0 if view.side == "hedger" else -1.0
-    return xh, xc, xm, sign
 
 
 def _stop_comparison(
@@ -220,12 +209,17 @@ def _stop_comparison(
     hits_sigma: np.ndarray,
     hits_tau: np.ndarray,
     idx: np.ndarray,
-    settlements,
+    contract: ContractSpec,
+    view: PartyView,
     vb: np.ndarray,
     eq_tol: float,
 ):
-    """Per-path comparison of stopped wealth plus settlement against the benchmark."""
-    xh, xc, xm, sign = settlements
+    """Per-path comparison of stopped wealth plus settlement against the benchmark.
+
+    Settlements are hedger-signed, so the counterparty's wealth adds them negated.
+    """
+    xh, xc, xm = contract.Xh.flat, contract.Xc.flat, contract.Xbar.flat
+    sign = 1.0 if view.side == "hedger" else -1.0
     k_stop = np.minimum(hits_sigma, hits_tau)
     rows = np.arange(v_full.shape[0])
     node = idx[rows, k_stop]
@@ -252,12 +246,9 @@ def classify_quadruplet(
     """Classify a candidate quadruplet by exhausting every path of the lattice."""
     n = lat.n_steps
     _require_paths(n)
-    settlements = _settlement_flats(contract, view, lat)
     vb = benchmark_profile(view.acct, view.endowment, lat.grid)
     y0 = view.endowment + price if view.side == "hedger" else view.endowment - price
-    cash = contract.dA if view.side == "hedger" else NodeProcess.from_rows(
-        [-contract.dA.row(k) for k in range(n + 1)]
-    )
+    cash = contract.dA if view.side == "hedger" else NodeProcess(-contract.dA.flat)
     all_ge = True
     all_eq = True
     any_gt = False
@@ -266,7 +257,7 @@ def classify_quadruplet(
     for pids, js, idx in _path_chunks(n):
         v_full = _forward_matrix(y0, hedge, gen, cash, lat, js)
         diff, tol, _ = _stop_comparison(
-            v_full, _rule_hits(sigma, js), _rule_hits(tau, js), idx, settlements, vb, eq_tol
+            v_full, _rule_hits(sigma, idx), _rule_hits(tau, idx), idx, contract, view, vb, eq_tol
         )
         ge = diff >= -tol
         eq = np.abs(diff) <= tol
@@ -347,13 +338,13 @@ def verify_replication(
     other_rule = rule_from_region(n, other_eq)
     sigma, tau = (own_rule, other_rule) if quote.side == "hedger" else (other_rule, own_rule)
     y0 = quote.solution.Y.at(0, 0)
-    y_flat = _flat(quote.solution.Y)
+    y_flat = quote.solution.Y.flat
     cash = quote.inputs.cashflow_increments
     max_gap = 0.0
     first_fail: int | None = None
     for pids, js, idx in _path_chunks(n):
         v_full = _forward_matrix(y0, quote.solution.Z, gen, cash, lat, js)
-        k_stop = np.minimum(_rule_hits(sigma, js), _rule_hits(tau, js))
+        k_stop = np.minimum(_rule_hits(sigma, idx), _rule_hits(tau, idx))
         live = np.arange(n + 1)[None, :] <= k_stop[:, None]
         gaps = np.where(live, np.abs(v_full - y_flat[idx]), 0.0)
         path_gap = gaps.max(axis=1)
@@ -364,14 +355,9 @@ def verify_replication(
     probe = probe_scale * (1.0 + abs(quote.price))
     if quote.side == "counterparty":
         probe = -probe  # the counterparty pays the price, so less is more
-    exact = classify_quadruplet(
-        quote.price, quote.solution.Z, sigma, tau, contract, view, gen, lat, eq_tol
-    )
-    up = classify_quadruplet(
-        quote.price + probe, quote.solution.Z, sigma, tau, contract, view, gen, lat, eq_tol
-    )
-    down = classify_quadruplet(
-        quote.price - probe, quote.solution.Z, sigma, tau, contract, view, gen, lat, eq_tol
+    exact, up, down = (
+        classify_quadruplet(price, quote.solution.Z, sigma, tau, contract, view, gen, lat, eq_tol)
+        for price in (quote.price, quote.price + probe, quote.price - probe)
     )
     return ReplicationReport(
         replicates=max_gap <= gap_tol,
@@ -403,12 +389,20 @@ class RationalStopReport:
         return ok and (not self.push_at_join_max > 0.0 or not self.rational)
 
 
-def _own_payoff_and_cash(
-    quote: QuoteResult, contract: ContractSpec, view: PartyView, lat: Lattice
-) -> tuple[GamePayoff, NodeProcess]:
-    """Game payoff oriented so the quote side sits in the minimizer seat."""
-    payoff = game_payoff(contract, view, lat)
-    return payoff, quote.inputs.cashflow_increments
+def _own_stop_evidence(quote, hits, hits_other, idx, eq_tol, include_stop_node_push):
+    """Per rule (rows of ``hits``, one column per path): whether every interior stop presses
+    the upper obstacle, and the largest upper push before the stop and before the join."""
+    at_hit = idx[np.arange(idx.shape[0]), hits]
+    y_hit, upper_hit = quote.solution.Y.flat[at_hit], quote.inputs.upper.flat[at_hit]
+    on_upper = np.abs(y_hit - upper_hit) <= eq_tol * (1.0 + np.abs(y_hit))
+    du_flat = quote.solution.dU.flat
+    stops_at_t = hits >= idx.shape[1] - 1  # stopping at T needs no obstacle contact
+    joins = np.minimum(hits, hits_other)
+    return (
+        (stops_at_t | on_upper).all(axis=-1),
+        _cum_at_stop(du_flat, idx, hits, include_stop_node_push).max(axis=-1),
+        _cum_at_stop(du_flat, idx, joins, include_stop_node_push).max(axis=-1),
+    )
 
 
 def verify_rational_cancellation(
@@ -434,33 +428,24 @@ def verify_rational_cancellation(
     """
     n = lat.n_steps
     _require_paths(n)
-    payoff, cash = _own_payoff_and_cash(quote, contract, view, lat)
+    payoff, cash = game_payoff(contract, view, lat), quote.inputs.cashflow_increments
     snell = snell_sup_for_minimizer(lat, gen, cash, payoff, sigma_rule)
     y0 = quote.solution.Y.at(0, 0)
     rational = snell <= y0 + eq_tol * (1.0 + abs(y0))
 
     own_eq, _, other_eq, _ = _own_regions(quote)
     other_rule = rule_from_region(n, other_eq)
-    y_flat = _flat(quote.solution.Y)
-    upper_flat = _flat(quote.inputs.upper)
-    du_flat = _flat(quote.solution.dU)
     stops_on_upper = True
     push_before = 0.0
     push_join = 0.0
-    for pids, js, idx in _path_chunks(n):
-        hits = _rule_hits(sigma_rule, js)
-        rows = np.arange(js.shape[0])
-        at_hit = idx[rows, hits]
-        interior = hits < n  # stopping at T needs no obstacle contact
-        on_upper = np.abs(y_flat[at_hit] - upper_flat[at_hit]) <= eq_tol * (
-            1.0 + np.abs(y_flat[at_hit])
+    for _, _, idx in _path_chunks(n):
+        on_upper, before, join = _own_stop_evidence(
+            quote, _rule_hits(sigma_rule, idx), _rule_hits(other_rule, idx), idx, eq_tol,
+            include_stop_node_push,
         )
-        stops_on_upper &= bool(np.logical_or(~interior, on_upper).all())
-        at_stop = _cum_at_stop(du_flat, idx, rows, hits, include_stop_node_push)
-        push_before = max(push_before, float(at_stop.max()))
-        joins = np.minimum(hits, _rule_hits(other_rule, js))
-        at_join = _cum_at_stop(du_flat, idx, rows, joins, include_stop_node_push)
-        push_join = max(push_join, float(at_join.max()))
+        stops_on_upper &= bool(on_upper)
+        push_before = max(push_before, float(before))
+        push_join = max(push_join, float(join))
     return RationalStopReport(
         rational=rational,
         snell_value=snell,
@@ -497,17 +482,26 @@ class BreakEvenReport:
         return len(set(self.flags)) == 1
 
 
-def _game_value_at_stops(
-    payoff_flats, hits_own: np.ndarray, hits_other: np.ndarray, idx: np.ndarray
-):
-    """Stopped game value per path; own rule pays the upper row, other the lower."""
-    lo, hi, tie = payoff_flats
+def _game_readings(quote, payoff, hits_own, hits_other, idx, v_full, eq_tol,
+                   include_stop_node_push):
+    """Per rule (rows of ``hits_other``): forward wealth equals the stopped game value on
+    every path, and so does the solved value with no lower push before the join and no
+    upper push before the own stop.  The own rule's stop pays the upper row, the other's
+    the lower and a joint stop the tie row."""
     k_stop = np.minimum(hits_own, hits_other)
     rows = np.arange(idx.shape[0])
     node = idx[rows, k_stop]
-    val = np.where(hits_own < hits_other, hi[node],
-                   np.where(hits_other < hits_own, lo[node], tie[node]))
-    return val, k_stop
+    game_val = np.where(hits_own < hits_other, payoff.on_upper.flat[node],
+                        np.where(hits_other < hits_own, payoff.on_lower.flat[node],
+                                 payoff.on_tie.flat[node]))
+    tol = eq_tol * (1.0 + np.abs(game_val))
+    y_stop = quote.solution.Y.flat[node]
+    l_before = _cum_at_stop(quote.solution.dL.flat, idx, k_stop, include_stop_node_push)
+    u_before = _cum_at_stop(quote.solution.dU.flat, idx, hits_own, include_stop_node_push)
+    return (
+        (np.abs(v_full[rows, k_stop] - game_val) <= tol).all(axis=-1),
+        ((np.abs(y_stop - game_val) <= tol) & (l_before == 0.0) & (u_before == 0.0)).all(axis=-1),
+    )
 
 
 def verify_break_even(
@@ -540,28 +534,18 @@ def verify_break_even(
         quote.price, quote.solution.Z, sigma, tau, contract, view, gen, lat, eq_tol
     )
 
-    payoff, cash = _own_payoff_and_cash(quote, contract, view, lat)
-    payoff_flats = (_flat(payoff.on_lower), _flat(payoff.on_upper), _flat(payoff.on_tie))
+    payoff, cash = game_payoff(contract, view, lat), quote.inputs.cashflow_increments
     y0 = quote.solution.Y.at(0, 0)
-    y_flat = _flat(quote.solution.Y)
-    dl_flat = _flat(quote.solution.dL)
-    du_flat = _flat(quote.solution.dU)
     wealth_matches = True
     solution_matches = True
-    for pids, js, idx in _path_chunks(n):
-        rows = np.arange(js.shape[0])
-        hits_own = _rule_hits(own_rule, js)
-        hits_other = _rule_hits(tau_rule, js)
-        game_val, k_stop = _game_value_at_stops(payoff_flats, hits_own, hits_other, idx)
-        tol = eq_tol * (1.0 + np.abs(game_val))
+    for _, js, idx in _path_chunks(n):
         v_full = _forward_matrix(y0, quote.solution.Z, gen, cash, lat, js)
-        wealth_matches &= bool((np.abs(v_full[rows, k_stop] - game_val) <= tol).all())
-        y_stop = y_flat[idx[rows, k_stop]]
-        l_before = _cum_at_stop(dl_flat, idx, rows, k_stop, include_stop_node_push)
-        u_before = _cum_at_stop(du_flat, idx, rows, hits_own, include_stop_node_push)
-        solution_matches &= bool(
-            ((np.abs(y_stop - game_val) <= tol) & (l_before == 0.0) & (u_before == 0.0)).all()
+        wealth, solution = _game_readings(
+            quote, payoff, _rule_hits(own_rule, idx), _rule_hits(tau_rule, idx), idx,
+            v_full, eq_tol, include_stop_node_push,
         )
+        wealth_matches &= bool(wealth)
+        solution_matches &= bool(solution)
     stopped_val = evaluate_stopped(lat, gen, cash, payoff, own_rule, tau_rule)
     snell = snell_sup_for_minimizer(lat, gen, cash, payoff, own_rule)
     attains = abs(stopped_val - snell) <= eq_tol * (1.0 + abs(snell))
@@ -633,8 +617,7 @@ def stopping_time_battery(
     if n_paths > 1 << 12:
         raise TooManyPaths(f"battery caps at {1 << 12} paths, lattice has {n_paths}")
 
-    payoff, cash = _own_payoff_and_cash(quote, contract, view, lat)
-    payoff_flats = (_flat(payoff.on_lower), _flat(payoff.on_upper), _flat(payoff.on_tie))
+    payoff, cash = game_payoff(contract, view, lat), quote.inputs.cashflow_increments
     y0 = quote.solution.Y.at(0, 0)
     val_tol = eq_tol * (1.0 + abs(y0))
 
@@ -644,115 +627,73 @@ def stopping_time_battery(
     other_rule = rule_from_region(n, other_eq)
     other_bar_rule = rule_from_region(n, other_bar)
 
-    pids = np.arange(n_paths, dtype=np.int64)
-    js = path_up_counts(path_moves(pids, n))
-    idx = _flat_idx(js)
-    rows = np.arange(n_paths)
+    js = path_up_counts(path_moves(np.arange(n_paths, dtype=np.int64), n))
+    idx = _node_idx(js)
     v_full = _forward_matrix(y0, quote.solution.Z, gen, cash, lat, js)
-    y_flat = _flat(quote.solution.Y)
-    upper_flat = _flat(quote.inputs.upper)
-    u_before = _before_cumsum(_flat(quote.solution.dU), idx)
-    l_before = _before_cumsum(_flat(quote.solution.dL), idx)
-    settlements = _settlement_flats(contract, view, lat)
     vb = benchmark_profile(view.acct, view.endowment, lat.grid)
 
-    hits_own_canon = _rule_hits(own_rule, js)
-    hits_own_bar = _rule_hits(own_bar_rule, js)
-    hits_other_canon = _rule_hits(other_rule, js)
-    hits_other_bar = _rule_hits(other_bar_rule, js)
+    hits_own_canon = _rule_hits(own_rule, idx)
+    hits_own_bar = _rule_hits(own_bar_rule, idx)
+    hits_other_canon = _rule_hits(other_rule, idx)
+    hits_other_bar = _rule_hits(other_bar_rule, idx)
 
-    all_hits = np.empty((n_rules, n_paths), dtype=np.int64)
-    for rid in range(n_rules):
-        all_hits[rid] = _rule_hits(rule_from_id(n, rid), js)
+    # first hits of every rule id at once: bit i marks flat node i, the terminal row always
+    ids = np.arange(n_rules)[:, None, None]
+    all_hits = np.argmax((idx >= m) | (((ids >> idx) & 1) == 1), axis=2)
 
-    # own-side sweep: rationality is one vectorized best-response pass
+    # own-side sweep: rationality is one vectorized best-response pass, the
+    # pathwise evidence one array with a row per rule id and a column per path
     sup_vals = sup_values_by_minimizer_rule(lat, gen, cash, payoff)
     rational = sup_vals <= y0 + val_tol
     canonical_rational = bool(
         rational[rule_to_id(own_rule)] and rational[rule_to_id(own_bar_rule)]
     )
+    on_upper, push_before, push_join = _own_stop_evidence(
+        quote, all_hits, hits_other_canon, idx, eq_tol, False
+    )
+    sufficient = on_upper & (push_before == 0.0)
 
-    sufficiency_bad: list[int] = []
-    necessity_bad: list[int] = []
-    earliest_bad: list[int] = []
-    latest_bad: list[int] = []
-    early_event = hits_own_canon <= hits_other_bar
-    late_event = hits_own_bar < hits_other_bar
-    for rid in range(n_rules):
-        hits = all_hits[rid]
-        at_hit = idx[rows, hits]
-        interior = hits < n
-        on_upper = np.abs(y_flat[at_hit] - upper_flat[at_hit]) <= eq_tol * (
-            1.0 + np.abs(y_flat[at_hit])
-        )
-        sufficient = bool(
-            np.logical_or(~interior, on_upper).all() and u_before[rows, hits].max() == 0.0
-        )
-        if sufficient and not rational[rid]:
-            sufficiency_bad.append(rid)
-        joins = np.minimum(hits, hits_other_canon)
-        if rational[rid] and u_before[rows, joins].max() > 0.0:
-            necessity_bad.append(rid)
-        if rational[rid]:
-            if early_event.any() and (hits[early_event] <= hits_own_canon[early_event]).all():
-                if not (hits[early_event] == hits_own_canon[early_event]).all():
-                    earliest_bad.append(rid)
-            if late_event.any() and (hits[late_event] >= hits_own_bar[late_event]).all():
-                if not (hits[late_event] == hits_own_bar[late_event]).all():
-                    latest_bad.append(rid)
+    def pinned_elsewhere(event, hits_canon, compare):
+        """Rational rules that compare true to the canonical hits on the event, yet differ."""
+        hits, canon = all_hits[:, event], hits_canon[event]
+        if not event.any():
+            return np.zeros(n_rules, dtype=bool)
+        return rational & compare(hits, canon).all(axis=1) & ~(hits == canon).all(axis=1)
+
+    earliest_bad = pinned_elsewhere(hits_own_canon <= hits_other_bar, hits_own_canon, np.less_equal)
+    latest_bad = pinned_elsewhere(hits_own_bar < hits_other_bar, hits_own_bar, np.greater_equal)
 
     # counterpart sweep: five break-even readings per rule
     pair_vals = stopped_values_for_maximizer_rules(lat, gen, cash, payoff, own_rule)
     snell = snell_sup_for_minimizer(lat, gen, cash, payoff, own_rule)
     attains = np.abs(pair_vals - snell) <= eq_tol * (1.0 + abs(snell))
-    breakeven_bad: list[int] = []
-    breakeven_ids: list[int] = []
     premise = bool((hits_own_canon >= hits_other_canon).all())
-    counterpart_early_bad: list[int] = []
-    for rid in range(n_rules):
-        hits = all_hits[rid]
-        game_val, k_stop = _game_value_at_stops(payoff_flats, hits_own_canon, hits, idx)
-        tol = eq_tol * (1.0 + np.abs(game_val))
-        settle_diff, settle_tol, _ = _stop_comparison(
-            v_full, *_orient_hits(quote.side, hits_own_canon, hits), idx, settlements, vb, eq_tol
-        )
-        be_flag = bool((np.abs(settle_diff) <= settle_tol).all())
-        na_flag = be_flag or bool((settle_diff < -settle_tol).any())
-        wealth_flag = bool((np.abs(v_full[rows, k_stop] - game_val) <= tol).all())
-        y_stop = y_flat[idx[rows, k_stop]]
-        sol_flag = bool(
-            (
-                (np.abs(y_stop - game_val) <= tol)
-                & (l_before[rows, k_stop] == 0.0)
-                & (u_before[rows, hits_own_canon] == 0.0)
-            ).all()
-        )
-        flags = (be_flag, na_flag, wealth_flag, sol_flag, bool(attains[rid]))
-        if len(set(flags)) != 1:
-            breakeven_bad.append(rid)
-        if be_flag:
-            breakeven_ids.append(rid)
-            if premise and not (np.minimum(hits, hits_own_canon) >= hits_other_canon).all():
-                counterpart_early_bad.append(rid)
+    sigma_tau = (hits_own_canon, all_hits) if quote.side == "hedger" else (all_hits, hits_own_canon)
+    settle_diff, settle_tol, _ = _stop_comparison(
+        v_full, *sigma_tau, idx, contract, view, vb, eq_tol
+    )
+    be = (np.abs(settle_diff) <= settle_tol).all(axis=1)
+    na = be | (settle_diff < -settle_tol).any(axis=1)
+    wealth, solution = _game_readings(
+        quote, payoff, hits_own_canon, all_hits, idx, v_full, eq_tol, False
+    )
+    flags = np.stack([be, na, wealth, solution, attains])
+    counterpart_early = premise & be & ~(
+        np.minimum(all_hits, hits_own_canon) >= hits_other_canon
+    ).all(axis=1)
 
+    ids_where = lambda mask: tuple(np.flatnonzero(mask).tolist())  # noqa: E731
     return BatteryReport(
         n_rules=n_rules,
         n_paths=n_paths,
         rational_count=int(rational.sum()),
         canonical_rational=canonical_rational,
-        sufficiency_counterexamples=tuple(sufficiency_bad),
-        necessity_counterexamples=tuple(necessity_bad),
-        earliest_counterexamples=tuple(earliest_bad),
-        latest_counterexamples=tuple(latest_bad),
-        breakeven_count=len(breakeven_ids),
-        breakeven_disagreements=tuple(breakeven_bad),
+        sufficiency_counterexamples=ids_where(sufficient & ~rational),
+        necessity_counterexamples=ids_where(rational & (push_join > 0.0)),
+        earliest_counterexamples=ids_where(earliest_bad),
+        latest_counterexamples=ids_where(latest_bad),
+        breakeven_count=int(be.sum()),
+        breakeven_disagreements=ids_where(flags.any(axis=0) != flags.all(axis=0)),
         counterpart_earliest_premise=premise,
-        counterpart_earliest_counterexamples=tuple(counterpart_early_bad),
+        counterpart_earliest_counterexamples=ids_where(counterpart_early),
     )
-
-
-def _orient_hits(side: str, hits_own: np.ndarray, hits_other: np.ndarray):
-    """Map own/other hits back to (sigma, tau) order for settlement selection."""
-    if side == "hedger":
-        return hits_own, hits_other
-    return hits_other, hits_own

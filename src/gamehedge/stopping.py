@@ -2,7 +2,9 @@
 
 A rule marks a subset of nodes; the induced stopping time on a path is the
 first step whose node is marked.  The terminal row must always be marked so
-the time is finite (never stopping earlier means stopping at T).
+the time is finite (never stopping earlier means stopping at T).  Marks
+use the node layout of ``NodeProcess``: one flat array, node (k, j) at
+``tri(k, j)``.
 """
 
 from __future__ import annotations
@@ -12,74 +14,47 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidStoppingRule, OutOfRange
+from .lattice import FlatNodes, node_coords, tri
 
 __all__ = ["StoppingRule", "path_moves", "path_up_counts"]
 
 
 @dataclass(frozen=True, eq=False)
-class StoppingRule:
-    """Node marking; row k has k+1 booleans, terminal row all True."""
-
-    rows: tuple[np.ndarray, ...]
+class StoppingRule(FlatNodes):
+    """Node marking in the flat node layout; terminal row all True."""
 
     def __post_init__(self) -> None:
-        if not self.rows:
-            raise InvalidStoppingRule("rule needs at least the step-0 row")
-        frozen = []
-        for k, row in enumerate(self.rows):
-            arr = np.array(row, dtype=bool)
-            if arr.ndim != 1 or arr.shape[0] != k + 1:
-                raise InvalidStoppingRule(f"row {k} must have {k + 1} entries, got shape {arr.shape}")
-            arr.flags.writeable = False
-            frozen.append(arr)
-        if not frozen[-1].all():
+        if not self._freeze(bool, InvalidStoppingRule)[tri(self.n_steps):].all():
             raise InvalidStoppingRule("terminal row must be fully marked")
-        object.__setattr__(self, "rows", tuple(frozen))
 
-    @property
-    def n_steps(self) -> int:
-        return len(self.rows) - 1
-
-    def row(self, k: int) -> np.ndarray:
-        if not 0 <= k <= self.n_steps:
-            raise OutOfRange(f"step {k} outside 0..{self.n_steps}")
-        return self.rows[k]
-
-    def marks(self, k: int, j: int) -> bool:
-        row = self.row(k)
-        if not 0 <= j <= k:
-            raise OutOfRange(f"up-count {j} outside 0..{k}")
-        return bool(row[j])
+    marks = FlatNodes.at  # True where the rule stops
 
     def marked_nodes(self) -> tuple[tuple[int, int], ...]:
         """All marked (step, up_count) pairs sorted, terminal row included."""
-        out = []
-        for k, row in enumerate(self.rows):
-            out.extend((k, j) for j in range(k + 1) if row[j])
-        return tuple(out)
+        ks, js = (c[self.flat].tolist() for c in node_coords(self.n_steps))
+        return tuple(zip(ks, js))
 
     def first_hit(self, up_counts) -> int:
         """First marked step along a path given its up-count at every step."""
-        js = np.asarray(up_counts, dtype=np.int64)
-        if js.shape != (self.n_steps + 1,):
+        js, ks = np.asarray(up_counts, dtype=np.int64), np.arange(self.n_steps + 1)
+        if js.shape != ks.shape or np.any((js < 0) | (js > ks)):
             raise InvalidStoppingRule(
-                f"path must give an up-count for each of {self.n_steps + 1} steps"
+                f"path must give an up-count in 0..k for each of {self.n_steps + 1} steps"
             )
-        for k in range(self.n_steps + 1):
-            if self.rows[k][js[k]]:
-                return k
-        raise AssertionError("unreachable: terminal row is always marked")
+        return int(np.argmax(self.flat[tri(ks, js)]))
 
     @classmethod
     def from_nodes(cls, n_steps: int, nodes) -> "StoppingRule":
         """Rule marking the given interior (step, up_count) pairs plus the terminal row."""
-        rows = [np.zeros(k + 1, dtype=bool) for k in range(n_steps + 1)]
-        rows[n_steps][:] = True
-        for k, j in nodes:
-            if not (0 <= k <= n_steps and 0 <= j <= k):
-                raise InvalidStoppingRule(f"node ({k}, {j}) outside the lattice")
-            rows[k][j] = True
-        return cls(tuple(rows))
+        ks, js = np.array(list(nodes), dtype=np.int64).reshape(-1, 2).T
+        outside = np.flatnonzero(~((0 <= ks) & (ks <= n_steps) & (0 <= js) & (js <= ks)))
+        if outside.size:
+            i = outside[0]
+            raise InvalidStoppingRule(f"node ({ks[i]}, {js[i]}) outside the lattice")
+        flat = np.zeros(tri(n_steps + 1), dtype=bool)
+        flat[tri(n_steps):] = True
+        flat[tri(ks, js)] = True
+        return cls(flat)
 
     @classmethod
     def never_early(cls, n_steps: int) -> "StoppingRule":

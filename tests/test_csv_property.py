@@ -47,5 +47,5 @@ def test_node_csv_matches_reference_and_round_trips(tmp_path, proc):
     assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
     back = read_node_process(tmp_path / "fast.csv")
     assert back.n_steps == proc.n_steps
-    bits = [np.concatenate(p.rows).view(np.int64) for p in (proc, back)]
+    bits = [p.flat.view(np.int64) for p in (proc, back)]
     assert np.array_equal(*bits)

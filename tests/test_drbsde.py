@@ -23,7 +23,7 @@ from gamehedge import (
     solve_drbsde,
 )
 from gamehedge.errors import InvalidStoppingRule
-from conftest import random_instance
+from conftest import grid_values, random_instance
 
 # terminal row in up-count order: 20 at the down node (S=80), 0 at the up node
 TERM_A = np.array([20.0, 0.0])
@@ -189,13 +189,30 @@ def side_obstacles_for(lat, gen, contract, views):
 
 def solve_from_row(inputs, next_row, k):
     """One projected backward step from a supplied successor row."""
-    from gamehedge.drbsde import _implicit_row, _slope_and_expectation
+    from gamehedge.drbsde import backward_step
 
-    lat = inputs.lat
-    z, e = _slope_and_expectation(lat, next_row, k)
-    rhs = e - inputs.cashflow_increments.row(k)
-    v, _, _ = _implicit_row(inputs.gen, k * lat.dt, rhs, z, lat.spot.row(k), lat.dt)
+    v = backward_step(inputs.lat, inputs.gen, k, next_row, inputs.cashflow_increments.row(k))[0]
     return np.minimum(inputs.upper.row(k), np.maximum(inputs.lower.row(k), v))
+
+
+def test_backward_step_batches_rows_and_nodes(rng):
+    # builtin generators start the implicit solve at its exact solution, so a
+    # step's values do not depend on which entries it solves together
+    from gamehedge.drbsde import backward_step
+
+    for _ in range(10):
+        lat, gen, contract, _ = random_instance(rng, 6)
+        k = int(rng.integers(0, lat.n_steps))
+        cash = contract.dA.row(k)
+        batch = grid_values(rng, (k + 2, 3))
+        cont, z, _, _ = backward_step(lat, gen, k, batch, cash)
+        assert cont.shape == z.shape == (k + 1, 3)
+        for b in range(3):
+            cont_b, z_b, _, _ = backward_step(lat, gen, k, batch[:, b], cash)
+            assert cont[:, b].tobytes() == cont_b.tobytes() and z[:, b].tobytes() == z_b.tobytes()
+            for j in range(k + 1):
+                cont_j, z_j, _, _ = backward_step(lat, gen, k, batch[j:j + 2, b], cash[j], j)
+                assert (cont_j, z_j) == (cont_b[j], z_b[j])
 
 
 def test_comparison_bump_increases_root(rng):
@@ -270,7 +287,15 @@ def test_evaluate_stopped_rejects_bad_rule(one_step_lattice, one_step_put, hedge
         )
 
 
+def test_first_hit_rejects_off_lattice_up_counts():
+    rule = StoppingRule.never_early(2)
+    assert rule.first_hit([0, 1, 1]) == 2
+    for bad in ([0, 2, 2], [0, -1, 0], [0, 1]):  # j > k, j < 0, too short
+        with pytest.raises(InvalidStoppingRule):
+            rule.first_hit(bad)
+
+
 def test_unmarked_terminal_rejected():
-    rows = [np.array([False]), np.array([True, False])]
+    flat = np.array([False, True, False])  # rows [False], [True, False]
     with pytest.raises(InvalidStoppingRule):
-        StoppingRule(rows=tuple(rows))
+        StoppingRule(flat)

@@ -156,7 +156,7 @@ def test_csv_writers_agree_and_blocks_join_seamlessly(tmp_path, rng, monkeypatch
     write_node_process(proc, tmp_path / "node.csv")
     steps = np.repeat(np.arange(7), np.arange(1, 8))
     up_counts = np.concatenate([np.arange(k + 1) for k in range(7)])
-    columns = (steps, up_counts, np.concatenate(proc.rows))
+    columns = (steps, up_counts, proc.flat)
     lattice.write_csv(tmp_path / "whole.csv", ("step", "up_count", "value"), columns)
     monkeypatch.setattr(lattice, "_CSV_BLOCK_ROWS", 5)  # 28 rows: five full blocks and a partial
     lattice.write_csv(tmp_path / "blocks.csv", ("step", "up_count", "value"), columns)

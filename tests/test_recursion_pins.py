@@ -5,7 +5,8 @@ count depends on the set of values the exit test sees at once, so these
 digests also pin which entries each implicit solve handles together.  The
 CLI cannot select a custom generator, so the golden artifacts do not cover
 this.  The digests were recorded before the recursions shared one
-backward step.
+backward step, over three contract draws chosen so that solving each
+entry on its own changes the bits of every recursion on at least one side.
 """
 
 import hashlib
@@ -20,6 +21,7 @@ from gamehedge import (
     build_lattice,
     evaluate_stopped,
     game_payoff,
+    rule_count,
     rule_from_id,
     side_obstacles,
     snell_sup_for_minimizer,
@@ -35,16 +37,19 @@ from conftest import SMOOTH_CUSTOM, random_contract
 
 N = 3
 RULE_PAIRS = ((0, 0), (5, 18), (63, 1), (20, 41), (37, 37))
+# contract draws on which a per-entry exit test changes the bits of every
+# recursion on at least one side, so the pins see a changed exit-test set
+CONTRACT_SEEDS = (2, 5, 22)
 
 
 def node_bytes(proc):
     return np.concatenate([proc.row(k) for k in range(proc.n_steps + 1)]).tobytes()
 
 
-def recursion_bytes(side):
-    """Raw output bytes of every recursion on one fixed N=3 game, by recursion name."""
+def recursion_bytes(side, seed):
+    """Raw output bytes of every recursion on one N=3 game, by recursion name."""
     lat = build_lattice(100.0, 1.2, 0.8, TimeGrid(horizon=1.0, n_steps=N))
-    contract = random_contract(np.random.default_rng(20261018), lat)
+    contract = random_contract(np.random.default_rng(seed), lat)
     view = PartyView(side=side, endowment=1.0, acct=BenchmarkAccount(0.02, 0.05))
     gen = SMOOTH_CUSTOM
     inputs = side_obstacles(contract, view, gen, lat)
@@ -53,7 +58,7 @@ def recursion_bytes(side):
     y, z = solve_bsde(lat, gen, inputs.terminal, cash)
     sol = solve_drbsde(inputs)
     rules = lambda rid: rule_from_id(N, rid)  # noqa: E731
-    ids = np.arange(1 << (N * (N + 1) // 2), dtype=np.int64)
+    ids = np.arange(rule_count(N), dtype=np.int64)
     return {
         "solve_bsde": node_bytes(y) + node_bytes(z),
         "solve_drbsde": b"".join(node_bytes(p) for p in (sol.Y, sol.Z, sol.dL, sol.dU))
@@ -70,35 +75,37 @@ def recursion_bytes(side):
     }
 
 
+def recursion_digests(side):
+    """sha256 per recursion over its bytes on every contract draw."""
+    runs = [recursion_bytes(side, seed) for seed in CONTRACT_SEEDS]
+    return {name: hashlib.sha256(b"".join(run[name] for run in runs)).hexdigest()
+            for name in runs[0]}
+
+
 PINS = {
     "hedger": {
-        "solve_bsde": "c1769e66ac10e5d6eb0ebe1488322010cac2f716e204b88a3bda98ef7bd4c36b",
-        "solve_drbsde": "9a63ce60d688bdadb2bda970dfbd1a20145ecd9ffecde2c921b767650e70fe62",
-        "evaluate_stopped": "7cad05811152c61701d6088ec972e3827522bd5f5bd78afabc6b5f32c23fc063",
-        "sup_by_minimizer_rule":
-            "69803dfb038a73e8150fde4d9f87e958b5815479464936e15db3e70aaea481c2",
-        "inf_by_maximizer_rule":
-            "8975fb148707c2c76264cdc5d9ca18f9343ff89f5c5204c7c0ec11ebd78b8ff6",
+        "solve_bsde": "6a387267d68fce021680841af354470245faab3291c5d14e56887113362e885f",
+        "solve_drbsde": "ab11b686e2545dc2d2c7230675e4fd4b4ad6c7bdcb09f5f3e25ed2cfb05eeacc",
+        "evaluate_stopped": "293fbfa368a857e0758be7e66a992daf760c15242d2f66de09ed58aadf014a77",
+        "sup_by_minimizer_rule": "9cfe1cc391a71f06a09ce65f891ae635269d3778a0b938973824c8ffb7640ede",
+        "inf_by_maximizer_rule": "b265c73ef1eedb3d2713e698e1da74933a91b3bb1d1fae7bc7c5e71f472c96d9",
         "snell_sup_for_minimizer":
-            "c517a25951833ff67fb8fe387c9468759844d57d839927d61f3b9537f2873d31",
-        "pair_matrix": "150ede6dfc62f7ff446731692f8342bbd91bf670b27ff063c771c0c8a69ef3a2",
+            "cb7eef8c8ed181c84adfe2f3ef78a0bd16e3c1c537569eaa9324eb152284c4bd",
+        "pair_matrix": "2786f12d352930e8fe0c5d4bced7d4e1b7823fb57cf3556cc8c439ffaf6a5a9b",
     },
     "counterparty": {
-        "solve_bsde": "52d63d9cadfd60b7ab06739f378612a3c5634d139b8e51bd2257f26626ac6c0e",
-        "solve_drbsde": "394feacb31f6ef75f1a6857c495c91f0d3270682e0d1cf445ee2eaa64462eafb",
-        "evaluate_stopped": "0aad8b17bebfcdbf63e4771629ff9a6e102ebe3b5f30f597abd861fc009a82c6",
-        "sup_by_minimizer_rule":
-            "3615e471612773873dcf060c77cf8bb5505ffb60d2e52e65a11c314a63efc0a5",
-        "inf_by_maximizer_rule":
-            "41d1a1eb6c43a6cbc9799637d20185e19ab9ede68969854cbb1c0518fd5cd511",
+        "solve_bsde": "a20ae0485be1140faa878e4bc42a8ab49cbfd69950ecbccf2d87788bc1c15fed",
+        "solve_drbsde": "8b8cc17ca3e5be52b5064f35703fdcffe03dd7dee5091cb754c7321e10c8c9e4",
+        "evaluate_stopped": "63c56529da70c5c5b3e65cf66a8e0d1cf365077545f32af13f30fb909ef53822",
+        "sup_by_minimizer_rule": "19a15b90e70e8e0e5416295f2d657f6b860cbb17009e3e73737f26aed906d900",
+        "inf_by_maximizer_rule": "f72d5ecf1e38d325e085c2a717b40d7617c9f4de80335c8d405e5dd526e445da",
         "snell_sup_for_minimizer":
-            "dd9f6b01604b2587b659962202138ccb76927161a8eefb1e37b7eca25e794070",
-        "pair_matrix": "a2d19e6e91cc02ba33e29845fa6aa6bb89350ec45a3d03acadc54a97db41920b",
+            "42e902c94691ce1cc73c07d6b533ac74e4efa42c13ddc1d37700029904cc2b9b",
+        "pair_matrix": "4d3cebf140799ad8266065efd2017b5e7208706e812633bc181ff21d015aa9ac",
     },
 }
 
 
 @pytest.mark.parametrize("side", ["hedger", "counterparty"])
 def test_recursions_match_pinned_bits(side):
-    got = {name: hashlib.sha256(raw).hexdigest() for name, raw in recursion_bytes(side).items()}
-    assert got == PINS[side]
+    assert recursion_digests(side) == PINS[side]

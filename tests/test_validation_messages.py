@@ -104,6 +104,6 @@ def test_node_process_wrong_length_names_first_row():
 
 
 def test_stopping_rule_unmarked_terminal():
-    text = message(InvalidStoppingRule, lambda: StoppingRule(
-        rows=(np.array([True]), np.array([True, True]), np.array([True, False, True]))))
+    marks = np.array([True, True, True, True, False, True])  # node (2, 1) unmarked
+    text = message(InvalidStoppingRule, lambda: StoppingRule(marks))
     assert text == "terminal row must be fully marked"
