@@ -22,7 +22,6 @@ import copy
 import sys
 import time
 from dataclasses import replace
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +35,7 @@ from .config import (
 )
 from .dynkin import DEFAULT_PAIR_LIMIT, game_value_brute, saddle_check
 from .errors import ConfigError, EngineError, TooLarge, TooManyPaths
-from .lattice import read_node_process, write_csv, write_node_process
+from .lattice import node_coords, read_node_process, write_csv, write_node_process
 from .pricing import acceptable_price, game_payoff, side_obstacles
 from .replication import forward_wealth, solution_path, verify_replication
 from .stopping import path_moves
@@ -82,12 +81,6 @@ def _write_json(path: Path, obj) -> None:
     path.write_text(_json_text(obj) + "\n")
 
 
-def _write_region_csv(path: Path, region) -> None:
-    nodes = np.fromiter(chain.from_iterable(sorted(region)), dtype=np.int64,
-                        count=2 * len(region)).reshape(-1, 2)
-    write_csv(path, ("step", "up_count"), (nodes[:, 0], nodes[:, 1]))
-
-
 def _quote_obj(quote) -> dict:
     return {
         "side": quote.side,
@@ -112,8 +105,10 @@ def _write_side_solution(out: Path, quote) -> None:
 
 def _write_side_regions(out: Path, quote) -> None:
     out.mkdir(parents=True, exist_ok=True)
+    ks, js = node_coords(quote.solution.Y.n_steps)
     for name in ("region_sigma", "region_tau", "region_bar_sigma", "region_bar_tau"):
-        _write_region_csv(out / f"{name}.csv", getattr(quote, name))
+        region = getattr(quote, name)
+        write_csv(out / f"{name}.csv", ("step", "up_count"), (ks[region], js[region]))
 
 
 def _quotes(bundle: ModelBundle):
@@ -192,13 +187,11 @@ def cmd_replicate(bundle: ModelBundle, out: Path, hedge_csv: str | None) -> int:
     quotes = _quotes(bundle)
     out.mkdir(parents=True, exist_ok=True)
     failure: str | None = None
+    hedge = None if hedge_csv is None else read_node_process(hedge_csv)
+    if hedge is not None and hedge.n_steps != bundle.lat.n_steps:
+        raise ConfigError(f"hedge CSV has {hedge.n_steps} steps, lattice has {bundle.lat.n_steps}")
     for side, quote in quotes.items():
-        if hedge_csv is not None:
-            hedge = read_node_process(hedge_csv)
-            if hedge.n_steps != bundle.lat.n_steps:
-                raise ConfigError(
-                    f"hedge CSV has {hedge.n_steps} steps, lattice has {bundle.lat.n_steps}"
-                )
+        if hedge is not None:
             quote = replace(quote, solution=replace(quote.solution, Z=hedge))
         rep = verify_replication(
             quote, bundle.contract, bundle.views[side], bundle.gen, bundle.lat,

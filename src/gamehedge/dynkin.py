@@ -36,12 +36,11 @@ exercise in the minimizer seat.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
 from .drbsde import GamePayoff, backward_step
-from .errors import TooLarge
+from .errors import InvalidStoppingRule, TooLarge
 from .generators import Generator
 from .lattice import Lattice, NodeProcess, tri
 from .stopping import StoppingRule
@@ -51,9 +50,7 @@ __all__ = [
     "DEFAULT_PAIR_LIMIT",
     "GameValueReport",
     "SaddleDiagnosis",
-    "interior_nodes",
     "rule_count",
-    "enumerate_rules",
     "rule_from_id",
     "rule_to_id",
     "game_value_brute",
@@ -66,11 +63,6 @@ __all__ = [
 
 MAX_INTERIOR_NODES = 15
 DEFAULT_PAIR_LIMIT = 10_000_000
-
-
-def interior_nodes(n_steps: int) -> list[tuple[int, int]]:
-    """Interior (step, up_count) pairs in enumeration order."""
-    return [(k, j) for k in range(n_steps) for j in range(k + 1)]
 
 
 def rule_count(n_steps: int) -> int:
@@ -90,20 +82,16 @@ def _require_enumerable(n_steps: int) -> int:
 
 def rule_from_id(n_steps: int, rid: int) -> StoppingRule:
     """Decode a rule bitmask; bit i marks flat node i, the i-th interior node."""
+    m = tri(n_steps)
+    if not 0 <= rid < 1 << m:
+        raise InvalidStoppingRule(f"rule id {rid} outside 0..{(1 << m) - 1}")
     flat = np.ones(tri(n_steps + 1), dtype=bool)
-    flat[:tri(n_steps)] = [(rid >> i) & 1 for i in range(tri(n_steps))]
+    flat[:m] = (rid >> np.arange(m, dtype=object)) & 1  # Python ints: ids past 2**63 too
     return StoppingRule(flat)
 
 
 def rule_to_id(rule: StoppingRule) -> int:
     return sum(1 << int(i) for i in np.flatnonzero(rule.flat[:tri(rule.n_steps)]))
-
-
-def enumerate_rules(lat: Lattice) -> Iterator[StoppingRule]:
-    """All stopping rules in bitmask order; raises TooLarge beyond the cap."""
-    m = _require_enumerable(lat.n_steps)
-    for rid in range(1 << m):
-        yield rule_from_id(lat.n_steps, rid)
 
 
 @dataclass(frozen=True, eq=False)

@@ -30,7 +30,6 @@ __all__ = [
     "build_lattice",
     "benchmark_wealth",
     "benchmark_profile",
-    "node_expectation",
     "write_node_process",
     "read_node_process",
     "write_csv",
@@ -58,12 +57,6 @@ class TimeGrid:
     @property
     def dt(self) -> float:
         return self.horizon / self.n_steps
-
-    def t(self, k: int) -> float:
-        """Time at step k, computed as k * dt so t(N) is consistent with dt."""
-        if not 0 <= k <= self.n_steps:
-            raise OutOfRange(f"step {k} outside 0..{self.n_steps}")
-        return k * self.dt
 
 
 def tri(k, j=0):
@@ -151,12 +144,6 @@ class NodeProcess(FlatNodes):
     def zeros(cls, n_steps: int) -> "NodeProcess":
         return cls.constant(n_steps, 0.0)
 
-    @classmethod
-    def from_function(cls, n_steps: int, fn) -> "NodeProcess":
-        """Build from fn(k, j) evaluated at every node."""
-        return cls(np.array([fn(k, j) for k in range(n_steps + 1) for j in range(k + 1)],
-                            dtype=np.float64))
-
 
 @dataclass(frozen=True, eq=False)
 class Lattice:
@@ -191,9 +178,6 @@ class Lattice:
     @property
     def dt(self) -> float:
         return self.grid.dt
-
-    def spot_at(self, k: int, j: int) -> float:
-        return self.spot.at(k, j)
 
 
 def build_lattice(s0: float, u: float, d: float, grid: TimeGrid) -> Lattice:
@@ -236,16 +220,6 @@ def benchmark_wealth(acct: BenchmarkAccount, x: float, k: int, dt: float) -> flo
 def benchmark_profile(acct: BenchmarkAccount, x: float, grid: TimeGrid) -> np.ndarray:
     """benchmark_wealth at every step 0..N as a vector."""
     return np.array([benchmark_wealth(acct, x, k, grid.dt) for k in range(grid.n_steps + 1)])
-
-
-def node_expectation(lat: Lattice, proc: NodeProcess, k: int, j: int) -> float:
-    """One-step expectation q*up + (1-q)*down seen from node (k, j)."""
-    if k >= lat.n_steps:
-        raise OutOfRange(f"no step after {k} on a {lat.n_steps}-step lattice")
-    nxt = proc.row(k + 1)
-    if not 0 <= j <= k:
-        raise OutOfRange(f"up-count {j} outside 0..{k}")
-    return float(lat.q * nxt[j + 1] + (1.0 - lat.q) * nxt[j])
 
 
 _CSV_HEADER = ["step", "up_count", "value"]

@@ -25,13 +25,14 @@ against the obstacles (region_sigma, region_tau) and as strict-positivity
 sets of the reflection pushes (region_bar_sigma, region_bar_tau); for a
 counterparty quote the sigma regions track the hedger's cancellation at the
 lower obstacle and the tau regions the counterparty's exercise at the upper.
+Each region is the sorted array of its flat node indices, node (k, j) at
+``tri(k, j)``; ``node_coords`` maps them back to steps and up-counts.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -57,8 +58,7 @@ __all__ = [
     "ContractSpec",
     "PartyView",
     "QuoteResult",
-    "hedger_obstacles",
-    "counterparty_obstacles",
+    "side_obstacles",
     "game_payoff",
     "acceptable_price",
     "builtin_israeli_put",
@@ -142,36 +142,16 @@ def _shifted_payoffs(
     return NodeProcess(xh + vb), NodeProcess(xc + vb), NodeProcess(xm + vb)
 
 
-def _obstacles(contract: ContractSpec, view: PartyView, gen: Generator, lat: Lattice,
-               side: str) -> DrbsdeInputs:
-    if view.side != side:
-        raise InvalidParameters(f"{side}_obstacles needs a {side} view, got {view.side!r}")
+def side_obstacles(
+    contract: ContractSpec, view: PartyView, gen: Generator, lat: Lattice
+) -> DrbsdeInputs:
+    """Reflected-solve data for the view side's minimal benchmark-safe wealth."""
     lower, upper, tie = _shifted_payoffs(contract, view, lat)
-    cash = contract.dA if side == "hedger" else NodeProcess(-contract.dA.flat)
+    cash = contract.dA if view.side == "hedger" else NodeProcess(-contract.dA.flat)
     return DrbsdeInputs(
         lower=lower, upper=upper, terminal=tie.row(lat.n_steps),
         cashflow_increments=cash, gen=gen, lat=lat,
     )
-
-
-def hedger_obstacles(
-    contract: ContractSpec, view: PartyView, gen: Generator, lat: Lattice
-) -> DrbsdeInputs:
-    """Reflected-solve data for the hedger's minimal benchmark-safe wealth."""
-    return _obstacles(contract, view, gen, lat, "hedger")
-
-
-def counterparty_obstacles(
-    contract: ContractSpec, view: PartyView, gen: Generator, lat: Lattice
-) -> DrbsdeInputs:
-    """Reflected-solve data for the counterparty's minimal benchmark-safe wealth."""
-    return _obstacles(contract, view, gen, lat, "counterparty")
-
-
-def side_obstacles(
-    contract: ContractSpec, view: PartyView, gen: Generator, lat: Lattice
-) -> DrbsdeInputs:
-    return _obstacles(contract, view, gen, lat, view.side)
 
 
 def game_payoff(contract: ContractSpec, view: PartyView, lat: Lattice) -> GamePayoff:
@@ -188,11 +168,12 @@ def game_payoff(contract: ContractSpec, view: PartyView, lat: Lattice) -> GamePa
 class QuoteResult:
     """Price with the solved field and the stopping regions backing it.
 
-    Regions are node sets: region_sigma / region_tau are obstacle-equality
-    sets for the quote side's cancel / exercise times, region_bar_sigma /
-    region_bar_tau the strict-push sets behind the corresponding barred
-    times.  ``inputs`` is retained so verifiers replay exactly what was
-    solved.
+    Regions are node sets, each a read-only, strictly increasing int64 array
+    of flat node indices (node (k, j) at ``tri(k, j)``): region_sigma /
+    region_tau are obstacle-equality sets for the quote side's cancel /
+    exercise times, region_bar_sigma / region_bar_tau the strict-push sets
+    behind the corresponding barred times.  ``inputs`` is retained so
+    verifiers replay exactly what was solved.
     """
 
     side: str
@@ -200,23 +181,21 @@ class QuoteResult:
     price: float
     solution: DrbsdeSolution
     inputs: DrbsdeInputs
-    region_sigma: tuple[tuple[int, int], ...]
-    region_tau: tuple[tuple[int, int], ...]
-    region_bar_sigma: tuple[tuple[int, int], ...]
-    region_bar_tau: tuple[tuple[int, int], ...]
+    region_sigma: np.ndarray
+    region_tau: np.ndarray
+    region_bar_sigma: np.ndarray
+    region_bar_tau: np.ndarray
 
     @property
     def y0(self) -> float:
         return self.solution.Y.at(0, 0)
 
 
-def _region(mask: np.ndarray, n_steps: int) -> tuple[tuple[int, int], ...]:
-    """Nodes of a flat node mask as a sorted tuple of (k, j), built row by row so each
-    row's tuples share one step object (half the time of one flat zip at N=2000)."""
-    nodes: list[tuple[int, int]] = []
-    for k in range(n_steps + 1):
-        nodes.extend(zip(repeat(k), np.flatnonzero(mask[tri(k):tri(k + 1)]).tolist()))
-    return tuple(nodes)
+def _nodes(mask: np.ndarray) -> np.ndarray:
+    """Flat indices of a flat node mask, read-only."""
+    nodes = np.flatnonzero(mask)
+    nodes.flags.writeable = False
+    return nodes
 
 
 def acceptable_price(
@@ -230,12 +209,12 @@ def acceptable_price(
     inputs = side_obstacles(contract, view, gen, lat)
     sol = solve_drbsde(inputs)
     y0 = sol.Y.at(0, 0)
-    y, n = sol.Y.flat, lat.n_steps
+    y = sol.Y.flat
     band = region_tol * (1.0 + np.abs(y))
-    eq_upper = _region(np.abs(y - inputs.upper.flat) <= band, n)
-    eq_lower = _region(np.abs(y - inputs.lower.flat) <= band, n)
-    pos_du = _region(sol.dU.flat > 0.0, n)
-    pos_dl = _region(sol.dL.flat > 0.0, n)
+    eq_upper = _nodes(np.abs(y - inputs.upper.flat) <= band)
+    eq_lower = _nodes(np.abs(y - inputs.lower.flat) <= band)
+    pos_du = _nodes(sol.dU.flat > 0.0)
+    pos_dl = _nodes(sol.dL.flat > 0.0)
     if view.side == "hedger":
         price = y0 - view.endowment
         region_sigma, region_tau = eq_upper, eq_lower

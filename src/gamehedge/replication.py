@@ -53,7 +53,6 @@ __all__ = [
     "verify_rational_cancellation",
     "verify_break_even",
     "stopping_time_battery",
-    "rule_from_region",
 ]
 
 MAX_PATH_STEPS = 24
@@ -281,11 +280,6 @@ def classify_quadruplet(
     )
 
 
-def rule_from_region(n_steps: int, region) -> StoppingRule:
-    """First-hit rule of a node region; stopping at T when the region is missed."""
-    return StoppingRule.from_nodes(n_steps, region)
-
-
 def _own_regions(quote: QuoteResult):
     """(own equality, own push, other equality, other push) in solution coordinates."""
     if quote.side == "hedger":
@@ -334,8 +328,8 @@ def verify_replication(
     n = lat.n_steps
     n_paths = _require_paths(n)
     own_eq, _, other_eq, _ = _own_regions(quote)
-    own_rule = rule_from_region(n, own_eq)
-    other_rule = rule_from_region(n, other_eq)
+    own_rule = StoppingRule.from_nodes(n, own_eq)
+    other_rule = StoppingRule.from_nodes(n, other_eq)
     sigma, tau = (own_rule, other_rule) if quote.side == "hedger" else (other_rule, own_rule)
     y0 = quote.solution.Y.at(0, 0)
     y_flat = quote.solution.Y.flat
@@ -434,7 +428,7 @@ def verify_rational_cancellation(
     rational = snell <= y0 + eq_tol * (1.0 + abs(y0))
 
     own_eq, _, other_eq, _ = _own_regions(quote)
-    other_rule = rule_from_region(n, other_eq)
+    other_rule = StoppingRule.from_nodes(n, other_eq)
     stops_on_upper = True
     push_before = 0.0
     push_join = 0.0
@@ -528,7 +522,7 @@ def verify_break_even(
     n = lat.n_steps
     _require_paths(n)
     own_eq, _, _, _ = _own_regions(quote)
-    own_rule = rule_from_region(n, own_eq)
+    own_rule = StoppingRule.from_nodes(n, own_eq)
     sigma, tau = (own_rule, tau_rule) if quote.side == "hedger" else (tau_rule, own_rule)
     exact = classify_quadruplet(
         quote.price, quote.solution.Z, sigma, tau, contract, view, gen, lat, eq_tol
@@ -622,10 +616,10 @@ def stopping_time_battery(
     val_tol = eq_tol * (1.0 + abs(y0))
 
     own_eq, own_bar, other_eq, other_bar = _own_regions(quote)
-    own_rule = rule_from_region(n, own_eq)
-    own_bar_rule = rule_from_region(n, own_bar)
-    other_rule = rule_from_region(n, other_eq)
-    other_bar_rule = rule_from_region(n, other_bar)
+    own_rule = StoppingRule.from_nodes(n, own_eq)
+    own_bar_rule = StoppingRule.from_nodes(n, own_bar)
+    other_rule = StoppingRule.from_nodes(n, other_eq)
+    other_bar_rule = StoppingRule.from_nodes(n, other_bar)
 
     js = path_up_counts(path_moves(np.arange(n_paths, dtype=np.int64), n))
     idx = _node_idx(js)

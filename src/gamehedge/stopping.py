@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidStoppingRule, OutOfRange
-from .lattice import FlatNodes, node_coords, tri
+from .lattice import FlatNodes, tri
 
 __all__ = ["StoppingRule", "path_moves", "path_up_counts"]
 
@@ -27,13 +27,6 @@ class StoppingRule(FlatNodes):
         if not self._freeze(bool, InvalidStoppingRule)[tri(self.n_steps):].all():
             raise InvalidStoppingRule("terminal row must be fully marked")
 
-    marks = FlatNodes.at  # True where the rule stops
-
-    def marked_nodes(self) -> tuple[tuple[int, int], ...]:
-        """All marked (step, up_count) pairs sorted, terminal row included."""
-        ks, js = (c[self.flat].tolist() for c in node_coords(self.n_steps))
-        return tuple(zip(ks, js))
-
     def first_hit(self, up_counts) -> int:
         """First marked step along a path given its up-count at every step."""
         js, ks = np.asarray(up_counts, dtype=np.int64), np.arange(self.n_steps + 1)
@@ -45,15 +38,19 @@ class StoppingRule(FlatNodes):
 
     @classmethod
     def from_nodes(cls, n_steps: int, nodes) -> "StoppingRule":
-        """Rule marking the given interior (step, up_count) pairs plus the terminal row."""
-        ks, js = np.array(list(nodes), dtype=np.int64).reshape(-1, 2).T
-        outside = np.flatnonzero(~((0 <= ks) & (ks <= n_steps) & (0 <= js) & (js <= ks)))
+        """Rule marking flat node indices (node (k, j) at ``tri(k, j)``) and the terminal row."""
+        idx, size = np.asarray(nodes), tri(n_steps + 1)
+        if idx.ndim != 1 or (idx.size and idx.dtype.kind not in "iu"):
+            raise InvalidStoppingRule(
+                f"nodes must be a 1-D sequence of flat node indices, got shape {idx.shape} "
+                f"of {idx.dtype}"
+            )
+        outside = idx[(idx < 0) | (idx >= size)]
         if outside.size:
-            i = outside[0]
-            raise InvalidStoppingRule(f"node ({ks[i]}, {js[i]}) outside the lattice")
-        flat = np.zeros(tri(n_steps + 1), dtype=bool)
+            raise InvalidStoppingRule(f"node index {outside[0]} outside 0..{size - 1}")
+        flat = np.zeros(size, dtype=bool)
         flat[tri(n_steps):] = True
-        flat[tri(ks, js)] = True
+        flat[idx.astype(np.intp)] = True
         return cls(flat)
 
     @classmethod

@@ -19,6 +19,7 @@ from gamehedge import (
     LinearRate,
     NodeProcess,
     PartyView,
+    StoppingRule,
     TimeGrid,
     ZeroGenerator,
     acceptable_price,
@@ -29,7 +30,6 @@ from gamehedge import (
     game_payoff,
     game_value_brute,
     path_up_counts,
-    rule_from_region,
     solve_drbsde,
     stopping_time_battery,
     verify_replication,
@@ -137,8 +137,8 @@ def shortfall_on_every_path(quote, contract, view, gen, lat) -> bool:
     probe = 1e-6 * (1.0 + abs(quote.price))
     low_price = quote.price - probe if view.side == "hedger" else quote.price + probe
     start = view.endowment + low_price if view.side == "hedger" else view.endowment - low_price
-    sigma = rule_from_region(n, quote.region_sigma)
-    tau = rule_from_region(n, quote.region_tau)
+    sigma = StoppingRule.from_nodes(n, quote.region_sigma)
+    tau = StoppingRule.from_nodes(n, quote.region_tau)
     vb = benchmark_profile(view.acct, view.endowment, lat.grid)
     sign = 1.0 if view.side == "hedger" else -1.0
     for moves in itertools.product((0, 1), repeat=n):

@@ -14,6 +14,7 @@ import numpy as np
 
 from gamehedge import (
     NodeProcess,
+    StoppingRule,
     acceptable_price,
     benchmark_profile,
     forward_wealth,
@@ -22,7 +23,6 @@ from gamehedge import (
     path_up_counts,
     rule_count,
     rule_from_id,
-    rule_from_region,
     snell_sup_for_minimizer,
     solution_path,
     stopping_time_battery,
@@ -61,7 +61,8 @@ def reference_counterexamples(quote, contract, view, gen, lat, eq_tol=1e-9):
 
     own_eq, own_bar, other_eq, other_bar = _own_regions(quote)
     h_own, h_own_bar, h_other, h_other_bar = (
-        hits_of(rule_from_region(n, region)) for region in (own_eq, own_bar, other_eq, other_bar)
+        hits_of(StoppingRule.from_nodes(n, region))
+        for region in (own_eq, own_bar, other_eq, other_bar)
     )
     rule_hits = [hits_of(rule_from_id(n, rid)) for rid in range(rule_count(n))]
     rational = sup_values_by_minimizer_rule(lat, gen, cash, payoff) <= y0 + eq_tol * (1.0 + abs(y0))
@@ -84,7 +85,7 @@ def reference_counterexamples(quote, contract, view, gen, lat, eq_tol=1e-9):
                 if not (hits[event] == canon[event]).all():
                     found[kind].append(rid)
 
-    own_rule = rule_from_region(n, own_eq)
+    own_rule = StoppingRule.from_nodes(n, own_eq)
     pair_vals = stopped_values_for_maximizer_rules(lat, gen, cash, payoff, own_rule)
     snell = snell_sup_for_minimizer(lat, gen, cash, payoff, own_rule)
     premise = bool((h_own >= h_other).all())
@@ -122,7 +123,7 @@ def reference_counterexamples(quote, contract, view, gen, lat, eq_tol=1e-9):
 
 
 def random_region(rng, n):
-    return tuple((k, j) for k in range(n) for j in range(k + 1) if rng.random() < 0.4)
+    return np.flatnonzero(rng.random(tri(n)) < 0.4)
 
 
 def corrupted(quote, rng):
@@ -142,7 +143,7 @@ def corrupted(quote, rng):
         "push_at_root": replace(quote, solution=replace(quote.solution, dU=NodeProcess(du))),
         "hedge_off": replace(quote, solution=replace(quote.solution, Z=NodeProcess(z))),
         "upper_on_value": replace(quote, inputs=replace(quote.inputs, upper=NodeProcess(tight))),
-        "own_push_at_root": replace(quote, **{own_bar: ((0, 0),)}),
+        "own_push_at_root": replace(quote, **{own_bar: (tri(0, 0),)}),
         "no_own_region": replace(quote, **{own_eq: ()}),
         "no_regions": replace(quote, region_sigma=(), region_tau=()),
         "random_regions": replace(quote, **{

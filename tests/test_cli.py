@@ -221,6 +221,25 @@ def test_replicate_hedge_shape_mismatch_exits_2(tmp_path):
     assert code == 2
 
 
+def test_replicate_reads_hedge_csv_once_for_both_sides(tmp_path, monkeypatch):
+    import gamehedge.cli as cli
+
+    cfg = replicate_fixture(tmp_path)
+    write_node_process(NodeProcess.zeros(2), tmp_path / "z.csv")
+    calls = []
+
+    def counting_read(path):
+        calls.append(path)
+        return cli_read(path)
+
+    cli_read = cli.read_node_process
+    monkeypatch.setattr(cli, "read_node_process", counting_read)
+    main(["replicate", "--config", str(cfg), "--out", str(tmp_path / "o"), "--side", "both",
+          "--hedge-csv", str(tmp_path / "z.csv")])
+    assert calls == [str(tmp_path / "z.csv")]
+    assert (tmp_path / "o" / "counterparty" / "replicate.json").exists()
+
+
 def test_regions_instance_a(tmp_path):
     cfg = write_config(tmp_path)
     out = tmp_path / "out"

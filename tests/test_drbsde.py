@@ -18,11 +18,12 @@ from gamehedge import (
     ZeroGenerator,
     build_lattice,
     evaluate_stopped,
-    hedger_obstacles,
+    side_obstacles,
     solve_bsde,
     solve_drbsde,
 )
 from gamehedge.errors import InvalidStoppingRule
+from gamehedge.lattice import tri
 from conftest import grid_values, random_instance
 
 # terminal row in up-count order: 20 at the down node (S=80), 0 at the up node
@@ -30,7 +31,7 @@ TERM_A = np.array([20.0, 0.0])
 
 
 def put_inputs(lat, contract, view, gen):
-    return hedger_obstacles(contract, view, gen, lat)
+    return side_obstacles(contract, view, gen, lat)
 
 
 def test_bsde_one_step_values(one_step_lattice):
@@ -247,11 +248,11 @@ def test_forward_backward_consistency_unreflected(rng):
             js = path_up_counts(path_moves(pid, n))
             for k in range(n):
                 jk, jn = int(js[k]), int(js[k + 1])
-                yk, zk, sk = y.at(k, jk), z.at(k, jk), lat.spot_at(k, jk)
+                yk, zk, sk = y.at(k, jk), z.at(k, jk), lat.spot.at(k, jk)
                 step = (
                     yk
                     - eval_g(gen, k * dt, yk, zk, sk) * dt
-                    + zk * (lat.spot_at(k + 1, jn) - sk)
+                    + zk * (lat.spot.at(k + 1, jn) - sk)
                     + cash.at(k, jk)
                 )
                 assert step == pytest.approx(y.at(k + 1, jn), abs=1e-10)
@@ -266,7 +267,7 @@ def one_step_payoff(one_step_lattice, one_step_put, hedger_view):
 def test_evaluate_stopped_instance_values(one_step_lattice, one_step_put, hedger_view):
     payoff = one_step_payoff(one_step_lattice, one_step_put, hedger_view)
     cash = NodeProcess.zeros(1)
-    root = StoppingRule.from_nodes(1, [(0, 0)])
+    root = StoppingRule.from_nodes(1, [tri(0, 0)])
     never = StoppingRule.never_early(1)
     gen = ZeroGenerator()
     # minimizer stops first at the root: upper payoff 5
@@ -293,6 +294,28 @@ def test_first_hit_rejects_off_lattice_up_counts():
     for bad in ([0, 2, 2], [0, -1, 0], [0, 1]):  # j > k, j < 0, too short
         with pytest.raises(InvalidStoppingRule):
             rule.first_hit(bad)
+
+
+def test_from_nodes_takes_flat_indices():
+    n = 3
+    for nodes in ([], (), np.array([], dtype=np.int64), [tri(1, 1), tri(2, 0)],
+                  np.array([tri(0, 0), tri(3, 3)], dtype=np.uint8)):
+        rule = StoppingRule.from_nodes(n, nodes)
+        want = np.zeros(tri(n + 1), dtype=bool)
+        want[tri(n):] = True
+        want[np.asarray(nodes, dtype=np.int64)] = True
+        assert rule.flat.tolist() == want.tolist()
+    assert StoppingRule.from_nodes(n, []).flat.tolist() == StoppingRule.never_early(n).flat.tolist()
+    for bad in ([-1], [tri(n + 1)], [0, 2, 99]):  # outside 0..tri(n + 1) - 1
+        with pytest.raises(InvalidStoppingRule, match="outside"):
+            StoppingRule.from_nodes(n, bad)
+    # a (step, up_count) pair list is 2-D, never read as two flat indices
+    for bad in ([(0, 0)], [(1, 0), (2, 1)], np.zeros((0, 2), dtype=np.int64), [[1]]):
+        with pytest.raises(InvalidStoppingRule, match="1-D"):
+            StoppingRule.from_nodes(n, bad)
+    for bad in ([0.0, 1.0], np.array([True, False])):  # not integer indices
+        with pytest.raises(InvalidStoppingRule, match="1-D"):
+            StoppingRule.from_nodes(n, bad)
 
 
 def test_unmarked_terminal_rejected():

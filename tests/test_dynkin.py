@@ -5,6 +5,7 @@ import pytest
 
 from gamehedge import (
     GamePayoff,
+    InvalidStoppingRule,
     NodeProcess,
     StoppingRule,
     TimeGrid,
@@ -13,11 +14,9 @@ from gamehedge import (
     acceptable_price,
     build_lattice,
     builtin_israeli_put,
-    enumerate_rules,
     evaluate_stopped,
     game_payoff,
     game_value_brute,
-    interior_nodes,
     rule_count,
     rule_from_id,
     rule_to_id,
@@ -27,6 +26,7 @@ from gamehedge import (
 )
 from gamehedge.drbsde import _implicit_row
 from gamehedge.dynkin import _bit_counts, _pair_matrix
+from gamehedge.lattice import node_coords, tri
 from conftest import GAME_GENERATORS, game_instance, random_instance
 
 
@@ -37,26 +37,40 @@ def test_rule_counts():
 
 
 def test_interior_nodes_order():
-    assert interior_nodes(2) == [(0, 0), (1, 0), (1, 1)]
+    # rule bit i marks the i-th interior node in (step, up_count) order: flat node i
+    ks, js = node_coords(2)
+    assert list(zip(ks[:tri(2)].tolist(), js[:tri(2)].tolist())) == [(0, 0), (1, 0), (1, 1)]
 
 
 def test_enumeration_guard():
     lat = build_lattice(100.0, 1.2, 0.8, TimeGrid(horizon=1.0, n_steps=6))
+    payoff = GamePayoff(on_lower=NodeProcess.constant(6, -1.0),
+                        on_upper=NodeProcess.constant(6, 1.0), on_tie=NodeProcess.zeros(6))
     with pytest.raises(TooLarge):
-        list(enumerate_rules(lat))
+        game_value_brute(lat, ZeroGenerator(), NodeProcess.zeros(6), payoff)
 
 
 def test_rule_id_round_trip():
-    for rid in range(rule_count(3)):
-        rule = rule_from_id(3, rid)
-        assert rule_to_id(rule) == rid
+    for n in (1, 2, 3):
+        for rid in range(rule_count(n)):
+            rule = rule_from_id(n, rid)
+            assert rule_to_id(rule) == rid
+            assert rule.flat[:tri(n)].tolist() == [bool((rid >> i) & 1) for i in range(tri(n))]
+            assert rule.row(n).all()
 
 
 def test_enumerate_rules_yields_all(one_step_lattice):
-    rules = list(enumerate_rules(one_step_lattice))
+    n = one_step_lattice.n_steps
+    rules = [rule_from_id(n, rid) for rid in range(rule_count(n))]
     assert len(rules) == 2
-    assert {r.marks(0, 0) for r in rules} == {True, False}
-    assert all(r.marks(1, 0) and r.marks(1, 1) for r in rules)
+    assert {bool(r.at(0, 0)) for r in rules} == {True, False}
+    assert all(r.at(1, 0) and r.at(1, 1) for r in rules)
+
+
+def test_rule_from_id_rejects_ids_outside_range():
+    for n, rid in ((1, -1), (1, 2), (1, 5), (1, 2**40), (2, 8), (3, -64), (3, 64)):
+        with pytest.raises(InvalidStoppingRule, match="rule id"):
+            rule_from_id(n, rid)
 
 
 def instance_a_game(lat, contract, view):
@@ -72,8 +86,8 @@ def test_instance_a_oracle(one_step_lattice, one_step_put, hedger_view):
     assert report.upper_value == pytest.approx(5.0, abs=1e-12)
     assert report.lower_value == pytest.approx(5.0, abs=1e-12)
     assert report.rule_count == 2
-    assert report.argmin_sigma.marks(0, 0)
-    assert not report.argmax_tau.marks(0, 0)
+    assert report.argmin_sigma.at(0, 0)
+    assert not report.argmax_tau.at(0, 0)
 
 
 def test_instance_a_saddle(one_step_lattice, one_step_put, hedger_view):
@@ -100,8 +114,8 @@ def test_slack_payoff_reduces_to_expectation(one_step_lattice):
     assert report.upper_value == pytest.approx(10.0, abs=1e-12)
     assert report.lower_value == pytest.approx(10.0, abs=1e-12)
     # canonical optimizers mark nothing early (fewest marks tie-break)
-    assert report.argmin_sigma.marked_nodes() == ((1, 0), (1, 1))
-    assert report.argmax_tau.marked_nodes() == ((1, 0), (1, 1))
+    assert np.flatnonzero(report.argmin_sigma.flat).tolist() == [tri(1, 0), tri(1, 1)]
+    assert np.flatnonzero(report.argmax_tau.flat).tolist() == [tri(1, 0), tri(1, 1)]
 
 
 def american_put_value(lat, strike):
@@ -125,9 +139,7 @@ def test_large_penalty_equals_american_put():
     assert report.upper_value == pytest.approx(american_put_value(lat, 100.0), abs=1e-12)
     # cancellation is dead weight at this penalty: the canonical minimizer
     # rule marks no interior node
-    assert report.argmin_sigma.marked_nodes() == tuple(
-        (4, j) for j in range(5)
-    )
+    assert np.flatnonzero(report.argmin_sigma.flat).tolist() == [tri(4, j) for j in range(5)]
 
 
 def test_oracle_equals_drbsde_on_random_instances(rng):
@@ -144,14 +156,12 @@ def test_oracle_equals_drbsde_on_random_instances(rng):
 
 
 def test_first_contact_rule_attains_value(rng):
-    from gamehedge.replication import rule_from_region
-
     for _ in range(10):
         lat, gen, contract, views = random_instance(rng, 4)
         quote = acceptable_price(contract, views["hedger"], gen, lat)
         payoff = game_payoff(contract, views["hedger"], lat)
         cash = quote.inputs.cashflow_increments
-        sigma = rule_from_region(lat.n_steps, quote.region_sigma)
+        sigma = StoppingRule.from_nodes(lat.n_steps, quote.region_sigma)
         sup_against = snell_sup_for_minimizer(lat, gen, cash, payoff, sigma)
         assert sup_against == pytest.approx(quote.y0, abs=1e-10)
 
@@ -172,7 +182,7 @@ def test_obstacle_monotonicity(one_step_lattice, one_step_put, hedger_view):
 
 def test_stopped_value_matches_evaluate(one_step_lattice, one_step_put, hedger_view):
     gen, inputs, payoff = instance_a_game(one_step_lattice, one_step_put, hedger_view)
-    root = StoppingRule.from_nodes(1, [(0, 0)])
+    root = StoppingRule.from_nodes(1, [tri(0, 0)])
     never = StoppingRule.never_early(1)
     cash = inputs.cashflow_increments
     from gamehedge.dynkin import stopped_values_for_maximizer_rules
@@ -186,7 +196,8 @@ def test_stopped_value_matches_evaluate(one_step_lattice, one_step_put, hedger_v
 def reference_pair_matrix(lat, gen, cashflow_increments, payoff, sigma_ids, tau_ids):
     """The full-broadcast pair loop: every node carries every (sigma, tau) pair."""
     n, dt, q = lat.n_steps, lat.dt, lat.q
-    bit_of = {node: i for i, node in enumerate(interior_nodes(n))}
+    interior = [(k, j) for k in range(n) for j in range(k + 1)]
+    bit_of = {node: i for i, node in enumerate(interior)}
     shape = (sigma_ids.shape[0], tau_ids.shape[0])
 
     tie_t = payoff.on_tie.row(n)

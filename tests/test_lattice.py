@@ -14,7 +14,6 @@ from gamehedge import (
     benchmark_profile,
     benchmark_wealth,
     build_lattice,
-    node_expectation,
     read_node_process,
     write_node_process,
 )
@@ -25,7 +24,7 @@ from gamehedge.errors import ConfigError
 def test_time_grid_dt_exact():
     grid = TimeGrid(horizon=1.0, n_steps=4)
     assert grid.dt == 0.25
-    assert grid.t(4) == 1.0
+    assert grid.n_steps * grid.dt == 1.0
 
 
 def test_time_grid_rejects_bad_steps():
@@ -43,9 +42,9 @@ def test_martingale_weight(one_step_lattice):
 
 
 def test_spot_values(one_step_lattice):
-    assert one_step_lattice.spot_at(0, 0) == 100.0
-    assert one_step_lattice.spot_at(1, 1) == pytest.approx(120.0)
-    assert one_step_lattice.spot_at(1, 0) == pytest.approx(80.0)
+    assert one_step_lattice.spot.at(0, 0) == 100.0
+    assert one_step_lattice.spot.at(1, 1) == pytest.approx(120.0)
+    assert one_step_lattice.spot.at(1, 0) == pytest.approx(80.0)
 
 
 def test_degenerate_lattice_rejected():
@@ -79,7 +78,8 @@ def test_node_process_constructors():
     assert c.at(2, 1) == 7.0
     z = NodeProcess.zeros(3)
     assert z.row(3).tolist() == [0.0] * 4
-    f = NodeProcess.from_function(1, lambda k, j: 10 * k + j)
+    ks, js = lattice.node_coords(1)
+    f = NodeProcess(10 * ks + js)
     assert f.at(1, 1) == 11.0
 
 
@@ -118,24 +118,15 @@ def test_benchmark_scaling(rng):
         assert a == pytest.approx(b, rel=1e-14)
 
 
-def test_node_expectation_values(one_step_lattice):
-    term = NodeProcess.from_rows([np.array([0.0]), np.array([0.0, 20.0])])
-    assert node_expectation(one_step_lattice, term, 0, 0) == pytest.approx(10.0)
-    const = NodeProcess.constant(1, 3.5)
-    assert node_expectation(one_step_lattice, const, 0, 0) == 3.5
-    with pytest.raises(OutOfRange):
-        node_expectation(one_step_lattice, term, 1, 0)
-
-
 def test_spot_is_martingale(rng):
     from conftest import random_lattice
 
     for _ in range(10):
         lat = random_lattice(rng, 6)
         for k in range(lat.n_steps):
-            for j in range(k + 1):
-                e = node_expectation(lat, lat.spot, k, j)
-                assert abs(e - lat.spot_at(k, j)) <= 1e-12 * (1 + abs(e))
+            nxt = lat.spot.row(k + 1)
+            e = lat.q * nxt[1:] + (1.0 - lat.q) * nxt[:-1]
+            assert np.all(np.abs(e - lat.spot.row(k)) <= 1e-12 * (1 + np.abs(e)))
 
 
 def test_csv_round_trip_bit_exact(tmp_path, rng):

@@ -1,5 +1,8 @@
 """Contract validation, obstacle builders, quotes, and stopping regions."""
 
+import math
+from itertools import repeat
+
 import numpy as np
 import pytest
 
@@ -18,9 +21,9 @@ from gamehedge import (
     build_lattice,
     builtin_game_bond,
     builtin_israeli_put,
-    counterparty_obstacles,
-    hedger_obstacles,
+    side_obstacles,
 )
+from gamehedge.lattice import node_coords, tri
 from conftest import random_instance
 
 
@@ -70,7 +73,7 @@ def test_contract_order_validation(one_step_lattice):
 
 
 def test_hedger_obstacles_instance_a(one_step_lattice, one_step_put, hedger_view):
-    inputs = hedger_obstacles(one_step_put, hedger_view, ZeroGenerator(), one_step_lattice)
+    inputs = side_obstacles(one_step_put, hedger_view, ZeroGenerator(), one_step_lattice)
     assert inputs.lower.at(1, 0) == pytest.approx(20.0)  # (100-80)^+
     assert inputs.lower.at(1, 1) == 0.0
     assert inputs.upper.at(0, 0) == pytest.approx(5.0)
@@ -80,7 +83,7 @@ def test_hedger_obstacles_instance_a(one_step_lattice, one_step_put, hedger_view
 
 
 def test_counterparty_obstacles_instance_a(one_step_lattice, one_step_put, counterparty_view):
-    inputs = counterparty_obstacles(
+    inputs = side_obstacles(
         one_step_put, counterparty_view, ZeroGenerator(), one_step_lattice
     )
     assert inputs.lower.at(1, 0) == pytest.approx(-25.0)  # Xh = -(100-S)^+ - 5
@@ -91,7 +94,7 @@ def test_counterparty_obstacles_instance_a(one_step_lattice, one_step_put, count
 def test_counterparty_endowment_shift(one_step_lattice, one_step_put):
     acct = BenchmarkAccount(0.0, 0.0)
     shifted = PartyView(side="counterparty", endowment=3.0, acct=acct)
-    inputs = counterparty_obstacles(
+    inputs = side_obstacles(
         one_step_put, shifted, ZeroGenerator(), one_step_lattice
     )
     assert inputs.upper.at(0, 0) == pytest.approx(3.0 - 0.0)
@@ -119,11 +122,11 @@ def test_acceptable_price_both_sides(one_step_lattice, one_step_put, hedger_view
 
 def test_instance_a_regions(one_step_lattice, one_step_put, hedger_view):
     quote = acceptable_price(one_step_put, hedger_view, ZeroGenerator(), one_step_lattice)
-    assert (0, 0) in quote.region_sigma          # Y(0,0) = 5 = upper
-    assert (0, 0) in quote.region_bar_sigma      # dU(0,0) = 5 > 0
-    assert (0, 0) not in quote.region_tau
-    assert (1, 0) in quote.region_tau            # terminal Y = 20 = lower
-    assert quote.region_bar_tau == ()
+    assert tri(0, 0) in quote.region_sigma          # Y(0,0) = 5 = upper
+    assert tri(0, 0) in quote.region_bar_sigma      # dU(0,0) = 5 > 0
+    assert tri(0, 0) not in quote.region_tau
+    assert tri(1, 0) in quote.region_tau            # terminal Y = 20 = lower
+    assert quote.region_bar_tau.size == 0
 
 
 def test_region_disjointness_random(rng):
@@ -131,8 +134,52 @@ def test_region_disjointness_random(rng):
         lat, gen, contract, views = random_instance(rng, 8)
         for side in ("hedger", "counterparty"):
             quote = acceptable_price(contract, views[side], gen, lat)
-            both = set(quote.region_sigma) & set(quote.region_tau)
-            assert both == set(), (side, both)
+            both = np.intersect1d(quote.region_sigma, quote.region_tau)
+            assert both.size == 0, (side, both)
+
+
+def reference_region(mask, n_steps):
+    """Sorted (k, j) pairs of a flat node mask, built row by row."""
+    nodes = []
+    for k in range(n_steps + 1):
+        nodes.extend(zip(repeat(k), np.flatnonzero(mask[tri(k):tri(k + 1)]).tolist()))
+    return tuple(nodes)
+
+
+def assert_regions_match_reference(quote, region_tol=1e-9):
+    sol, inputs = quote.solution, quote.inputs
+    y, n = sol.Y.flat, sol.Y.n_steps
+    band = region_tol * (1.0 + np.abs(y))
+    upper, lower = np.abs(y - inputs.upper.flat) <= band, np.abs(y - inputs.lower.flat) <= band
+    masks = {"region_sigma": upper, "region_tau": lower,
+             "region_bar_sigma": sol.dU.flat > 0.0, "region_bar_tau": sol.dL.flat > 0.0}
+    if quote.side == "counterparty":
+        masks = {"region_sigma": lower, "region_tau": upper,
+                 "region_bar_sigma": sol.dL.flat > 0.0, "region_bar_tau": sol.dU.flat > 0.0}
+    ks, js = node_coords(n)
+    for name, mask in masks.items():
+        region = getattr(quote, name)
+        assert region.dtype == np.int64 and region.ndim == 1, name
+        assert not region.flags.writeable, name
+        assert np.all(np.diff(region) > 0), name
+        assert tuple(zip(ks[region].tolist(), js[region].tolist())) == reference_region(mask, n)
+
+
+def test_regions_match_tuple_reference(rng):
+    for _ in range(12):
+        lat, gen, contract, views = random_instance(rng, 30)
+        for side in ("hedger", "counterparty"):
+            assert_regions_match_reference(acceptable_price(contract, views[side], gen, lat))
+    grid = TimeGrid(horizon=1.0, n_steps=200)
+    u = math.exp(0.2 * math.sqrt(grid.dt))
+    lat = build_lattice(100.0, u, 1.0 / u, grid)
+    put = builtin_israeli_put(lat, strike=100.0, penalty=5.0)
+    acct = BenchmarkAccount(0.02, 0.10)
+    for side in ("hedger", "counterparty"):
+        quote = acceptable_price(put, PartyView(side=side, endowment=0.0, acct=acct),
+                                 DifferentialRates(0.02, 0.10), lat)
+        assert quote.region_tau.size and quote.region_bar_tau.size
+        assert_regions_match_reference(quote)
 
 
 def test_endowment_translation_zero_generator(rng):

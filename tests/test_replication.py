@@ -20,7 +20,6 @@ from gamehedge import (
     classify_quadruplet,
     forward_wealth,
     path_moves,
-    rule_from_region,
     solution_path,
     stopping_time_battery,
     verify_break_even,
@@ -28,6 +27,7 @@ from gamehedge import (
     verify_replication,
 )
 from gamehedge.errors import OutOfRange
+from gamehedge.lattice import node_coords, tri
 
 from conftest import random_instance
 
@@ -61,7 +61,7 @@ def test_forward_wealth_strict_ordering(rng):
     # more initial cash stays strictly ahead under the nonlinear driver
     lat = build_lattice(100.0, 1.2, 0.8, TimeGrid(horizon=1.0, n_steps=6))
     gen = DifferentialRates(0.02, 0.10)
-    hedge = NodeProcess.from_function(6, lambda k, j: 0.3 - 0.1 * j)
+    hedge = NodeProcess(0.3 - 0.1 * node_coords(6)[1])
     cash = NodeProcess.zeros(6)
     for _ in range(5):
         moves = rng.integers(0, 2, size=6)
@@ -113,7 +113,7 @@ def test_batched_solution_path_rejects_negative_push(instance_a):
 
 def test_classifier_instance_a(instance_a):
     lat, contract, view, gen, quote = instance_a
-    sigma = rule_from_region(1, quote.region_sigma)
+    sigma = StoppingRule.from_nodes(1, quote.region_sigma)
     tau = StoppingRule.never_early(1)
     z = quote.solution.Z
     at_quote = classify_quadruplet(5.0, z, sigma, tau, contract, view, gen, lat)
@@ -131,8 +131,8 @@ def test_classifier_flag_structure(rng):
         lat, gen, contract, views = random_instance(rng, 5)
         for side in ("hedger", "counterparty"):
             quote = acceptable_price(contract, views[side], gen, lat)
-            sigma = rule_from_region(lat.n_steps, quote.region_sigma)
-            tau = rule_from_region(lat.n_steps, quote.region_tau)
+            sigma = StoppingRule.from_nodes(lat.n_steps, quote.region_sigma)
+            tau = StoppingRule.from_nodes(lat.n_steps, quote.region_tau)
             for bump in (-0.25, 0.0, 0.25):
                 rep = classify_quadruplet(
                     quote.price + bump, quote.solution.Z, sigma, tau,
@@ -184,10 +184,11 @@ def test_slack_obstacles_replicate_to_terminal(rng):
 
     lat = build_lattice(100.0, 1.2, 0.8, TimeGrid(horizon=1.0, n_steps=4))
     wide = NodeProcess.constant(4, 1e6)
+    ks, js = node_coords(4)
     contract = ContractSpec(
         Xh=NodeProcess.constant(4, -1e6),
         Xc=wide,
-        Xbar=NodeProcess.from_function(4, lambda k, j: 0.25 * j if k == 4 else 0.0),
+        Xbar=NodeProcess(np.where(ks == 4, 0.25 * js, 0.0)),
         dA=NodeProcess.zeros(4),
     )
     view = PartyView("hedger", 0.0, BenchmarkAccount(0.0, 0.0))
@@ -199,7 +200,7 @@ def test_slack_obstacles_replicate_to_terminal(rng):
 
 def test_rational_cancellation_instance_a(instance_a):
     lat, contract, view, gen, quote = instance_a
-    sigma = rule_from_region(1, quote.region_sigma)
+    sigma = StoppingRule.from_nodes(1, quote.region_sigma)
     report = verify_rational_cancellation(sigma, quote, contract, view, gen, lat)
     assert report.rational and report.sufficient
     assert report.push_before_stop_max == 0.0
@@ -214,7 +215,7 @@ def test_rational_cancellation_instance_a(instance_a):
 
 def test_stop_node_push_knob(instance_a):
     lat, contract, view, gen, quote = instance_a
-    sigma = rule_from_region(1, quote.region_sigma)
+    sigma = StoppingRule.from_nodes(1, quote.region_sigma)
     inclusive = verify_rational_cancellation(
         sigma, quote, contract, view, gen, lat, include_stop_node_push=True
     )
@@ -236,7 +237,7 @@ def two_step_quote():
 
 def test_break_even_canonical_rule():
     lat, contract, view, gen, quote = two_step_quote()
-    tau = rule_from_region(2, quote.region_tau)
+    tau = StoppingRule.from_nodes(2, quote.region_tau)
     report = verify_break_even(tau, quote, contract, view, gen, lat)
     assert report.flags == (True, True, True, True, True)
     assert report.equivalent
@@ -246,7 +247,7 @@ def test_break_even_root_rule_fails_all_five():
     # stopping where the solved value sits strictly above the exercise payoff
     # surrenders value; every characterization must see it the same way
     lat, contract, view, gen, quote = two_step_quote()
-    root_tau = StoppingRule.from_nodes(2, [(0, 0)])
+    root_tau = StoppingRule.from_nodes(2, [tri(0, 0)])
     report = verify_break_even(root_tau, quote, contract, view, gen, lat)
     assert report.flags == (False, False, False, False, False)
     assert report.equivalent
@@ -279,8 +280,8 @@ def test_path_guard():
     view = PartyView("hedger", 0.0, BenchmarkAccount(0.0, 0.0))
     gen = ZeroGenerator()
     quote = acceptable_price(contract, view, gen, lat)
-    sigma = rule_from_region(n, quote.region_sigma)
-    tau = rule_from_region(n, quote.region_tau)
+    sigma = StoppingRule.from_nodes(n, quote.region_sigma)
+    tau = StoppingRule.from_nodes(n, quote.region_tau)
     with pytest.raises(TooManyPaths):
         classify_quadruplet(
             quote.price, quote.solution.Z, sigma, tau, contract, view, gen, lat
