@@ -1,7 +1,7 @@
 """Backward solvers on the lattice: plain and doubly reflected value recursions.
 
 ``backward_step`` is the one-step scheme every recursion in the package
-uses (the solvers here, ``evaluate_stopped`` and the game oracle).  From
+uses (the solvers here, the fixed-rule evaluations and the game oracle).  From
 row k+1 to row k it does, per node:
 
 1. hedge slope  z = (y_up - y_dn) / (s_up - s_dn)
@@ -15,9 +15,11 @@ axes (one value per stopping rule, say).
 
 The implicit solve is a pure fixed-point iteration; for builtin generators
 the start point already solves the piecewise-linear equation exactly, so one
-confirming sweep suffices.  Its exit test looks at every value of the step
-at once, so results of a slowly converging custom generator depend on what
-one step covers: row solvers step whole rows, the oracle one node at a time.
+confirming sweep suffices.  Its exit test accepts a change of at most
+FIXED_POINT_TOL or 4*eps*max|v|, whichever is larger, so quotes converge in
+any price units.  It looks at every value of the step at once, so results of
+a slowly converging custom generator depend on what one step covers: row
+solvers step whole rows, the oracle one node at a time.
 The recorded pushes satisfy dL * dU = 0 node by node because the obstacles
 never touch.  Solutions are written straight into flat node arrays (node
 (k, j) at ``tri(k, j)``).
@@ -26,7 +28,8 @@ never touch.  Solutions are written straight into flat node arrays (node
 stopping rules instead of reflection: first marked node wins, simultaneous
 marks pay the tie row, and unmarked regions continue by the identical
 implicit step, so its values are directly comparable with the reflected
-solution.
+solution.  ``snell_sup_for_minimizer`` keeps one rule and lets the other
+party stop wherever it pays most.
 """
 
 from __future__ import annotations
@@ -58,10 +61,12 @@ __all__ = [
     "solve_bsde",
     "solve_drbsde",
     "evaluate_stopped",
+    "snell_sup_for_minimizer",
 ]
 
 FIXED_POINT_TOL = 1e-12
 MAX_FIXED_POINT_ITER = 200
+_RELATIVE_TOL = 4.0 * np.finfo(np.float64).eps  # per unit of max|v|
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,7 +130,9 @@ def _implicit_row(gen: Generator, t: float, rhs, z, s, dt: float):
     """Solve v = rhs + g(t, v, z, s)*dt by fixed-point iteration on a whole row.
 
     Returns (v, residual, iterations).  The exit test bounds the true
-    residual because one extra application contracts the gap by dt*L_y < 1.
+    residual because one extra application contracts the gap by dt*L_y < 1;
+    it also accepts 4*eps*max|v|, since above |v| = 8192 one ulp alone
+    exceeds FIXED_POINT_TOL.
     """
     v = implicit_start(gen, t, rhs, z, s, dt)
     delta = np.inf
@@ -133,11 +140,11 @@ def _implicit_row(gen: Generator, t: float, rhs, z, s, dt: float):
         v_new = rhs + eval_g(gen, t, v, z, s) * dt
         delta = float(np.max(np.abs(v_new - v)))
         v = v_new
-        if delta <= FIXED_POINT_TOL:
+        if delta <= FIXED_POINT_TOL or delta <= _RELATIVE_TOL * float(np.max(np.abs(v))):
             residual = float(np.max(np.abs(v - (rhs + eval_g(gen, t, v, z, s) * dt))))
             return v, residual, it
     raise NonConvergence(
-        f"implicit step did not reach {FIXED_POINT_TOL:g} within "
+        f"implicit step did not reach {FIXED_POINT_TOL:g} (nor 4*eps*max|v|) within "
         f"{MAX_FIXED_POINT_ITER} iterations (last change {delta:g}); "
         "declared Lipschitz bounds are likely understated"
     )
@@ -287,4 +294,18 @@ def evaluate_stopped(
             payoff.on_tie.row(k),
             np.where(sig, payoff.on_upper.row(k), np.where(tau_m, payoff.on_lower.row(k), cont)),
         )
+    return float(vals[0])
+
+
+def snell_sup_for_minimizer(
+    lat: Lattice, gen: Generator, cashflow_increments: NodeProcess,
+    payoff: GamePayoff, sigma: StoppingRule,
+) -> float:
+    """sup over all maximizer stopping behaviour against the fixed minimizer rule."""
+    n = lat.n_steps
+    vals = payoff.on_tie.row(n)
+    for k in range(n - 1, -1, -1):
+        cont = backward_step(lat, gen, k, vals, cashflow_increments.row(k))[0]
+        lo, hi, tie = payoff.on_lower.row(k), payoff.on_upper.row(k), payoff.on_tie.row(k)
+        vals = np.where(sigma.row(k), np.maximum(tie, hi), np.maximum(lo, cont))
     return float(vals[0])

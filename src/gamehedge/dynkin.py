@@ -8,25 +8,26 @@ so rule bit i is flat node i (``tri(k, j)``).  The oracle computes
     upper_value = min over minimizer rules of max over maximizer rules
     lower_value = max over maximizer rules of min over minimizer rules
 
-by two independent routes: joint enumeration of rule pairs (a pairs matrix,
-used whenever the pair count fits the cap) and a per-rule dynamic program
-where the opponent plays optimally node by node.  Both routes step with
-the solvers' ``backward_step``, one node at a time over a batch of rules,
-so agreement with the reflected backward solve is a genuine cross-check,
-not a tautology.
+by two independent routes: the pair matrix, the root value of every rule
+pair (used whenever the pair count fits the cap), and one per-rule dynamic
+program per player, where the opponent plays optimally node by node.  Both
+step with the solvers' ``backward_step``, so agreement with the reflected
+backward solve is a genuine cross-check, not a tautology.
 
-The pairs matrix is cone-factored.  A node's stopped value depends only on
-the rule bits in its forward cone, so each node keeps a table with one
-entry per combination of its cone bits (4**|cone| entries for all rules;
-at N=4 the cones hold 1, 3, 6 or 10 bits).  The implicit step runs once per
-combination of the two children's cone bits, and the node's own bits only
-pick a stop payoff or that continuation.  The cost is the sum over nodes of
-4**(|cone| - 1) continuation entries (4**9 at the root for N=4) plus one
-n_rules**2 root table, which is the only full-size array; pair_limit bounds
-it, so the cap still counts rule pairs.  Every entry goes through the same
-elementwise arithmetic as a joint (sigma, tau) broadcast, and the
-fixed-point exit test sees the same set of values, so the matrix is
-identical bit for bit to the full broadcast.
+Both routes run on one cone engine.  A node's stopped value depends only on
+the rule bits in its forward cone, so each node keeps a table with one axis
+per enumerated player (two for the pair matrix, one for a dynamic program)
+and one entry per combination of those players' cone bits.  The implicit
+step runs once per combination of the children's cone bits; a node rule
+then maps the node's own bits, its payoffs and that continuation to the
+node's values.  Per node that is 2**(|cone| - 1) continuation entries for a
+dynamic program (2**14 at the root for N=5) and 4**(|cone| - 1) for the
+pair matrix (4**9 at the root for N=4).  The root table, n_rules entries
+along each axis, is the only full-size array; pair_limit bounds the pair
+matrix's, so the cap still counts rule pairs.  Every entry goes through the
+same elementwise arithmetic as broadcasting every node over all rule ids,
+and the fixed-point exit test sees the same set of values, so the results
+are identical bit for bit to that broadcast.
 
 Naming follows the hedger orientation (sigma = minimizer, tau = maximizer);
 for counterparty games the same engine applies with the counterparty's
@@ -58,7 +59,6 @@ __all__ = [
     "sup_values_by_minimizer_rule",
     "inf_values_by_maximizer_rule",
     "stopped_values_for_maximizer_rules",
-    "snell_sup_for_minimizer",
 ]
 
 MAX_INTERIOR_NODES = 15
@@ -119,60 +119,16 @@ def _node_bits(ids: np.ndarray, bit_index: int) -> np.ndarray:
     return ((ids >> bit_index) & 1).astype(bool)
 
 
-def _per_rule_dp(
-    lat: Lattice,
-    gen: Generator,
-    cashflow_increments: NodeProcess,
-    payoff: GamePayoff,
-    minimizer: bool,
-) -> np.ndarray:
-    """For every rule of one player, the opponent's best response value at the root.
-
-    minimizer=True enumerates the minimizer's rules (returns per-rule sup),
-    minimizer=False the maximizer's (per-rule inf).
-    """
-    n = lat.n_steps
-    ids = np.arange(1 << _require_enumerable(n), dtype=np.int64)
-    vals = np.repeat(payoff.on_tie.row(n)[:, None], ids.size, axis=1)
-    for k in range(n - 1, -1, -1):
-        new_vals = np.empty((k + 1, ids.size))
-        for j in range(k + 1):
-            cont = backward_step(lat, gen, k, vals[j:j + 2], cashflow_increments.at(k, j), j)[0]
-            lo, hi, tie = (p.at(k, j) for p in (payoff.on_lower, payoff.on_upper, payoff.on_tie))
-            if minimizer:  # the opponent may force the tie, never gains by it
-                stopped, free = max(tie, hi), np.maximum(lo, cont)
-            else:
-                stopped, free = min(tie, lo), np.minimum(hi, cont)
-            new_vals[j] = np.where(_node_bits(ids, tri(k, j)), stopped, free)
-        vals = new_vals
-    return vals[0]
-
-
-def sup_values_by_minimizer_rule(
-    lat: Lattice, gen: Generator, cashflow_increments: NodeProcess, payoff: GamePayoff
-) -> np.ndarray:
-    """sup over maximizer behaviour of the stopped value, per minimizer rule id."""
-    return _per_rule_dp(lat, gen, cashflow_increments, payoff, minimizer=True)
-
-
-def inf_values_by_maximizer_rule(
-    lat: Lattice, gen: Generator, cashflow_increments: NodeProcess, payoff: GamePayoff
-) -> np.ndarray:
-    """inf over minimizer behaviour of the stopped value, per maximizer rule id."""
-    return _per_rule_dp(lat, gen, cashflow_increments, payoff, minimizer=False)
-
-
 @dataclass(frozen=True, eq=False)
 class _ConeTable:
     """A node's stopped values indexed by the rule bits in its forward cone.
 
-    ``values[rows[a], cols[b]]`` is the node value under the pair
-    (sigma_ids[a], tau_ids[b]); ``mask`` holds the cone's bits.
+    One axis per enumerated player: ``values[index[0][a], index[1][b]]`` is the
+    value under the ids (ids[0][a], ids[1][b]); ``mask`` holds the cone's bits.
     """
 
     values: np.ndarray
-    rows: np.ndarray
-    cols: np.ndarray
+    index: tuple[np.ndarray, ...]
     mask: int
 
 
@@ -182,79 +138,89 @@ def _cone_classes(ids: np.ndarray, mask: int) -> tuple[np.ndarray, np.ndarray]:
     return first, inverse
 
 
-def _pair_matrix(
-    lat: Lattice,
-    gen: Generator,
-    cashflow_increments: NodeProcess,
-    payoff: GamePayoff,
-    sigma_ids: np.ndarray,
-    tau_ids: np.ndarray,
-) -> np.ndarray:
-    """Root values for every (minimizer rule, maximizer rule) pair, from cone-indexed node tables."""
-    n = lat.n_steps
-    no_rows = np.zeros(sigma_ids.shape[0], dtype=np.intp)
-    no_cols = np.zeros(tau_ids.shape[0], dtype=np.intp)
+def _cone_values(lat: Lattice, gen: Generator, cashflow_increments: NodeProcess,
+                 payoff: GamePayoff, ids: tuple[np.ndarray, ...], node_rule) -> np.ndarray:
+    """Root values on the grid of the players' rule ids, from cone-indexed node tables.
 
+    ``ids`` holds one array of rule ids per enumerated player, each on its
+    own axis.  ``node_rule(lo, hi, tie, bits, cont)`` gives a node's values
+    from its payoffs, each player's own bit there (along that player's axis)
+    and the continuation.
+    """
+    n = lat.n_steps
+    no_index = tuple(np.zeros(a.shape[0], dtype=np.intp) for a in ids)
     tie_t = payoff.on_tie.row(n)
-    tables = [_ConeTable(np.full((1, 1), tie_t[j]), no_rows, no_cols, 0) for j in range(n + 1)]
+    tables = [_ConeTable(np.full((1,) * len(ids), tie_t[j]), no_index, 0) for j in range(n + 1)]
     for k in range(n - 1, -1, -1):
         new_tables = []
         for j in range(k + 1):
             # continuation: one entry per combination of the children's cone bits
             dn, up = tables[j], tables[j + 1]
             below = dn.mask | up.mask
-            cs_first, cs_of = _cone_classes(sigma_ids, below)
-            ct_first, ct_of = _cone_classes(tau_ids, below)
-            v_dn = dn.values[np.ix_(dn.rows[cs_first], dn.cols[ct_first])]
-            v_up = up.values[np.ix_(up.rows[cs_first], up.cols[ct_first])]
+            c_first, c_of = zip(*(_cone_classes(a, below) for a in ids))
+            v_dn, v_up = (t.values[np.ix_(*(i[f] for i, f in zip(t.index, c_first)))]
+                          for t in (dn, up))
             cont = backward_step(lat, gen, k, (v_dn, v_up), cashflow_increments.at(k, j), j)[0]
 
-            # the node's own bits pick a stop payoff or that continuation
+            # the node rule turns the node's own bits and that continuation into its values
             bit = tri(k, j)
             mask = below | (1 << bit)
-            ns_first, rows = _cone_classes(sigma_ids, mask)
-            nt_first, cols = _cone_classes(tau_ids, mask)
-            sig = _node_bits(sigma_ids[ns_first], bit)[:, None]
-            tau = _node_bits(tau_ids[nt_first], bit)[None, :]
-            node_val = np.where(
-                sig & tau,
-                payoff.on_tie.at(k, j),
-                np.where(sig, payoff.on_upper.at(k, j),
-                         np.where(tau, payoff.on_lower.at(k, j),
-                                  cont[np.ix_(cs_of[ns_first], ct_of[nt_first])])),
-            )
-            new_tables.append(_ConeTable(node_val, rows, cols, mask))
+            n_first, index = zip(*(_cone_classes(a, mask) for a in ids))
+            bits = [_node_bits(b, bit) for b in np.ix_(*(a[f] for a, f in zip(ids, n_first)))]
+            cont = cont[np.ix_(*(of[f] for of, f in zip(c_of, n_first)))]
+            lo, hi, tie = (p.at(k, j) for p in (payoff.on_lower, payoff.on_upper, payoff.on_tie))
+            new_tables.append(_ConeTable(node_rule(lo, hi, tie, bits, cont), index, mask))
         tables = new_tables
     root = tables[0]
-    return root.values[np.ix_(root.rows, root.cols)]
+    return root.values[np.ix_(*root.index)]
+
+
+def _pair_node(lo, hi, tie, bits, cont):
+    sig, tau = bits
+    return np.where(sig & tau, tie, np.where(sig, hi, np.where(tau, lo, cont)))
+
+
+def _sup_node(lo, hi, tie, bits, cont):  # the opponent may force the tie, never gains by it
+    return np.where(bits[0], max(tie, hi), np.maximum(lo, cont))
+
+
+def _inf_node(lo, hi, tie, bits, cont):
+    return np.where(bits[0], min(tie, lo), np.minimum(hi, cont))
+
+
+def _all_ids(n_steps: int) -> np.ndarray:
+    return np.arange(1 << _require_enumerable(n_steps), dtype=np.int64)
+
+
+def sup_values_by_minimizer_rule(
+    lat: Lattice, gen: Generator, cashflow_increments: NodeProcess, payoff: GamePayoff
+) -> np.ndarray:
+    """sup over maximizer behaviour of the stopped value, per minimizer rule id."""
+    ids = (_all_ids(lat.n_steps),)
+    return _cone_values(lat, gen, cashflow_increments, payoff, ids, _sup_node)
+
+
+def inf_values_by_maximizer_rule(
+    lat: Lattice, gen: Generator, cashflow_increments: NodeProcess, payoff: GamePayoff
+) -> np.ndarray:
+    """inf over minimizer behaviour of the stopped value, per maximizer rule id."""
+    ids = (_all_ids(lat.n_steps),)
+    return _cone_values(lat, gen, cashflow_increments, payoff, ids, _inf_node)
+
+
+def _pair_matrix(lat: Lattice, gen: Generator, cashflow_increments: NodeProcess,
+                 payoff: GamePayoff, sigma_ids: np.ndarray, tau_ids: np.ndarray) -> np.ndarray:
+    """Root values for every (minimizer rule, maximizer rule) pair."""
+    return _cone_values(lat, gen, cashflow_increments, payoff, (sigma_ids, tau_ids), _pair_node)
 
 
 def stopped_values_for_maximizer_rules(
-    lat: Lattice,
-    gen: Generator,
-    cashflow_increments: NodeProcess,
-    payoff: GamePayoff,
-    sigma: StoppingRule,
-) -> np.ndarray:
-    """Stopped value against a fixed minimizer rule, for every maximizer rule id."""
-    m = _require_enumerable(lat.n_steps)
-    sigma_ids = np.array([rule_to_id(sigma)], dtype=np.int64)
-    tau_ids = np.arange(1 << m, dtype=np.int64)
-    return _pair_matrix(lat, gen, cashflow_increments, payoff, sigma_ids, tau_ids)[0]
-
-
-def snell_sup_for_minimizer(
     lat: Lattice, gen: Generator, cashflow_increments: NodeProcess,
     payoff: GamePayoff, sigma: StoppingRule,
-) -> float:
-    """sup over all maximizer stopping behaviour against the fixed minimizer rule."""
-    n = lat.n_steps
-    vals = payoff.on_tie.row(n)
-    for k in range(n - 1, -1, -1):
-        cont = backward_step(lat, gen, k, vals, cashflow_increments.row(k))[0]
-        lo, hi, tie = payoff.on_lower.row(k), payoff.on_upper.row(k), payoff.on_tie.row(k)
-        vals = np.where(sigma.row(k), np.maximum(tie, hi), np.maximum(lo, cont))
-    return float(vals[0])
+) -> np.ndarray:
+    """Stopped value against a fixed minimizer rule, for every maximizer rule id."""
+    sigma_ids = np.array([rule_to_id(sigma)], dtype=np.int64)
+    return _pair_matrix(lat, gen, cashflow_increments, payoff, sigma_ids, _all_ids(lat.n_steps))[0]
 
 
 def _canonical_optimizer(values: np.ndarray, target: float, n_steps: int) -> StoppingRule:
@@ -297,17 +263,15 @@ def game_value_brute(
     sup_vals, inf_vals = sup_dp, inf_dp
 
     if n_rules * n_rules <= pair_limit:
-        ids = np.arange(n_rules, dtype=np.int64)
+        ids = _all_ids(n)
         pairs = _pair_matrix(lat, gen, cashflow_increments, payoff, ids, ids)
         sup_pairs = pairs.max(axis=1)
         inf_pairs = pairs.min(axis=0)
         scale = 1.0 + float(np.max(np.abs(sup_pairs)))
-        assert float(np.max(np.abs(sup_pairs - sup_dp))) <= 1e-10 * scale, (
-            "pair enumeration and per-rule dynamic program disagree"
-        )
-        assert float(np.max(np.abs(inf_pairs - inf_dp))) <= 1e-10 * scale, (
-            "pair enumeration and per-rule dynamic program disagree"
-        )
+        for by_pairs, by_dp in ((sup_pairs, sup_dp), (inf_pairs, inf_dp)):
+            assert float(np.max(np.abs(by_pairs - by_dp))) <= 1e-10 * scale, (
+                "pair enumeration and per-rule dynamic program disagree"
+            )
         sup_vals, inf_vals = sup_pairs, inf_pairs
 
     upper_value = float(sup_vals.min())

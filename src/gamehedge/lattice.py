@@ -14,7 +14,6 @@ obstacles, solutions and increments; stopping rules use the same layout.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -260,35 +259,49 @@ def write_node_process(proc: NodeProcess, path) -> None:
             fh.write(template % tuple(proc.row(k).tolist()))
 
 
+def _node_columns(rows: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Step, up-count and value columns; ValueError or OverflowError on a malformed row."""
+    if any(line.count(",") != 2 for line in rows):
+        raise ValueError("a row does not hold three cells")
+    cells = ",".join(rows).split(",")
+    ks, js = (np.array(list(map(int, cells[c::3])), dtype=np.int64) for c in (0, 1))
+    return ks, js, np.array(list(map(float, cells[2::3])))
+
+
 def read_node_process(path) -> NodeProcess:
-    """Read a node-process CSV; must cover every node of some step count exactly once."""
+    """Read a node-process CSV; must cover every node of some step count once, in any order."""
     try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != _CSV_HEADER:
-                raise ConfigError(f"{path}: expected header {_CSV_HEADER}, got {header}")
-            seen: dict[tuple[int, int], float] = {}
-            for line in reader:
-                if not line:
-                    continue
-                if len(line) != 3:
-                    raise ConfigError(f"{path}: malformed row {line!r}")
-                try:
-                    k, j, v = int(line[0]), int(line[1]), float(line[2])
-                except ValueError as exc:
-                    raise ConfigError(f"{path}: malformed row {line!r}") from exc
-                if (k, j) in seen:
-                    raise ConfigError(f"{path}: duplicate node ({k}, {j})")
-                seen[(k, j)] = v
+        with open(path) as fh:
+            lines = fh.read().splitlines()
     except OSError as exc:
         raise ConfigError(f"cannot read node process file {path}: {exc}") from exc
-    if not seen:
+    header = lines[0].split(",") if lines else None
+    if header != _CSV_HEADER:
+        raise ConfigError(f"{path}: expected header {_CSV_HEADER}, got {header}")
+    rows = [line for line in lines[1:] if line]
+    if not rows:
         raise ConfigError(f"{path}: no data rows")
-    n = max(k for k, _ in seen)
-    expected = {(k, j) for k in range(n + 1) for j in range(k + 1)}
-    if set(seen) != expected:
-        missing = sorted(expected - set(seen))[:3]
-        extra = sorted(set(seen) - expected)[:3]
+    try:
+        ks, js, values = _node_columns(rows)
+    except (ValueError, OverflowError):
+        for line in rows:  # the first row that fails on its own
+            try:
+                _node_columns([line])
+            except (ValueError, OverflowError):
+                raise ConfigError(f"{path}: malformed row {line.split(',')!r}") from None
+    n = max(int(ks.max()), -1)  # -1: every step negative, no lattice node expected
+    on = (0 <= js) & (js <= ks)
+    flat = tri(ks[on], js[on])
+    count = np.bincount(flat, minlength=tri(n + 1))
+    if count.max(initial=0) > 1:
+        order = np.argsort(flat, kind="stable")
+        i = np.flatnonzero(on)[order[1:][np.diff(flat[order]) == 0].min()]  # first repeat
+        raise ConfigError(f"{path}: duplicate node ({ks[i]}, {js[i]})")
+    if not (on.all() and count.all()):
+        missing = np.stack([c[count == 0][:3] for c in node_coords(n)], axis=1)
+        extra = np.unique(np.stack([ks[~on], js[~on]], axis=1), axis=0)[:3]
+        missing, extra = ([tuple(node) for node in a.tolist()] for a in (missing, extra))
         raise ConfigError(f"{path}: node coverage mismatch (missing {missing}, unexpected {extra})")
-    return NodeProcess(np.array([seen[node] for node in sorted(seen)]))  # (k, j) order is flat
+    out = np.empty(tri(n + 1))
+    out[flat] = values
+    return NodeProcess(out)

@@ -24,11 +24,10 @@ from typing import Iterator
 
 import numpy as np
 
-from .drbsde import evaluate_stopped
+from .drbsde import evaluate_stopped, snell_sup_for_minimizer
 from .dynkin import (
     _require_enumerable,
     rule_to_id,
-    snell_sup_for_minimizer,
     stopped_values_for_maximizer_rules,
     sup_values_by_minimizer_rule,
 )

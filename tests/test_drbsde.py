@@ -1,22 +1,30 @@
 """Backward solvers: plain, doubly reflected, and rule-stopped evaluation."""
 
+import math
+
 import numpy as np
 import pytest
 
 from gamehedge import (
+    BenchmarkAccount,
+    ContractSpec,
     ContractionViolated,
     CustomGenerator,
+    DifferentialRates,
     DrbsdeInputs,
     GamePayoff,
     LinearRate,
     NodeProcess,
     NonConvergence,
     ObstacleOrderViolated,
+    PartyView,
     StoppingRule,
     TerminalOutOfBand,
     TimeGrid,
     ZeroGenerator,
+    acceptable_price,
     build_lattice,
+    builtin_israeli_put,
     evaluate_stopped,
     side_obstacles,
     solve_bsde,
@@ -322,3 +330,55 @@ def test_unmarked_terminal_rejected():
     flat = np.array([False, True, False])  # rows [False], [True, False]
     with pytest.raises(InvalidStoppingRule):
         StoppingRule(flat)
+
+
+def sigma_lattice(s0, n, sigma=0.2):
+    u = math.exp(sigma * math.sqrt(1.0 / n))
+    return build_lattice(s0, u, 1.0 / u, TimeGrid(horizon=1.0, n_steps=n))
+
+
+def put_quote(s0, gen, side):
+    lat = sigma_lattice(s0, 200)
+    contract = builtin_israeli_put(lat, strike=s0, penalty=0.05 * s0)
+    view = PartyView(side=side, endowment=0.0, acct=BenchmarkAccount(0.02, 0.10))
+    return acceptable_price(contract, view, gen, lat)
+
+
+@pytest.mark.parametrize("s0,gen", [
+    (1e5, DifferentialRates(0.02, 0.10)),
+    (1e4, DifferentialRates(0.02, 0.10)),
+    (1e5, LinearRate(0.10)),
+])
+@pytest.mark.parametrize("side", ["hedger", "counterparty"])
+def test_large_prices_converge(s0, gen, side):
+    # above |v| = 8192 one ulp exceeds the absolute 1e-12 exit tolerance; the
+    # 1e5 two-rate hedger put used to raise NonConvergence at last change 1.82e-12
+    quote = put_quote(s0, gen, side)
+    base = put_quote(100.0, gen, side)
+    assert quote.solution.iterations_max <= 2
+    assert abs(quote.price - base.price * s0 / 100.0) <= 1e-12 * s0
+
+
+def european_call_quote(gen, side, n=2000):
+    """A call as a custom contract whose stop payoffs sit 1e3 away, so no stop binds."""
+    lat = sigma_lattice(100.0, n)
+    pay = -np.maximum(lat.spot.flat - 100.0, 0.0)
+    contract = ContractSpec(Xh=NodeProcess(pay - 1e3), Xc=NodeProcess(pay + 1e3),
+                            Xbar=NodeProcess(pay), dA=NodeProcess.zeros(n))
+    view = PartyView(side=side, endowment=0.0, acct=BenchmarkAccount(0.0, 0.0))
+    return acceptable_price(contract, view, gen, lat)
+
+
+@pytest.mark.parametrize("side,rate", [("hedger", 0.10), ("counterparty", 0.02)])
+def test_european_call_at_n2000_converges_under_two_rates(side, rate):
+    # the top spot is about 7.7e5, where the absolute exit test could never pass
+    quote = european_call_quote(DifferentialRates(0.02, 0.10), side)
+    assert not (len(quote.region_sigma) or len(quote.region_tau))
+    n = quote.inputs.lat.n_steps
+    sol = quote.solution
+    cash = (sol.Y.flat - sol.Z.flat * quote.inputs.lat.spot.flat)[:tri(n)]
+    # one cash sign throughout: the hedger borrows, the counterparty lends,
+    # so the two-rate solve is the one-rate solve at the rate that sign picks
+    assert (cash <= 0.0).all() if side == "hedger" else (cash >= 0.0).all()
+    one_rate = european_call_quote(LinearRate(rate), side).price
+    assert abs(quote.price - one_rate) <= 1e-12 * abs(one_rate)

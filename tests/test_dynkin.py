@@ -24,8 +24,13 @@ from gamehedge import (
     side_obstacles,
     snell_sup_for_minimizer,
 )
-from gamehedge.drbsde import _implicit_row
-from gamehedge.dynkin import _bit_counts, _pair_matrix
+from gamehedge.drbsde import _implicit_row, backward_step
+from gamehedge.dynkin import (
+    _bit_counts,
+    _pair_matrix,
+    inf_values_by_maximizer_rule,
+    sup_values_by_minimizer_rule,
+)
 from gamehedge.lattice import node_coords, tri
 from conftest import GAME_GENERATORS, game_instance, random_instance
 
@@ -249,6 +254,47 @@ def test_pair_matrix_matches_full_broadcast(name, n):
         shuffled = rng.permutation(np.concatenate([ids, repeats]))
         assert_same_pairs(lat, gen, cash, payoff, one, shuffled)
         assert_same_pairs(lat, gen, cash, payoff, shuffled[: ids.size // 3 + 1], one)
+
+
+def reference_per_rule_dp(lat, gen, cashflow_increments, payoff, minimizer):
+    """The unfactored per-rule program: every node carries every rule id of one player.
+
+    minimizer=True enumerates the minimizer's rules (per-rule sup),
+    minimizer=False the maximizer's (per-rule inf).
+    """
+    n = lat.n_steps
+    ids = np.arange(rule_count(n), dtype=np.int64)
+    vals = np.repeat(payoff.on_tie.row(n)[:, None], ids.size, axis=1)
+    for k in range(n - 1, -1, -1):
+        new_vals = np.empty((k + 1, ids.size))
+        for j in range(k + 1):
+            cont = backward_step(lat, gen, k, vals[j:j + 2], cashflow_increments.at(k, j), j)[0]
+            lo, hi, tie = (p.at(k, j) for p in (payoff.on_lower, payoff.on_upper, payoff.on_tie))
+            if minimizer:  # the opponent may force the tie, never gains by it
+                stopped, free = max(tie, hi), np.maximum(lo, cont)
+            else:
+                stopped, free = min(tie, lo), np.minimum(hi, cont)
+            new_vals[j] = np.where(((ids >> tri(k, j)) & 1).astype(bool), stopped, free)
+        vals = new_vals
+    return vals[0]
+
+
+# the custom generator evaluates per element, too slow for the reference past N=3
+DP_CASES = [(name, n) for name in ("zero", "linear", "differential") for n in (1, 2, 3, 4, 5)]
+DP_CASES += [("custom", n) for n in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("name,n", DP_CASES)
+def test_per_rule_dp_matches_unfactored_reference(name, n):
+    rng = np.random.default_rng(100 + DP_CASES.index((name, n)))
+    gen = GAME_GENERATORS[name]
+    for side in ("hedger", "counterparty"):
+        lat, cash, payoff = game_instance(rng, n, gen, side)
+        for got, minimizer in ((sup_values_by_minimizer_rule(lat, gen, cash, payoff), True),
+                               (inf_values_by_maximizer_rule(lat, gen, cash, payoff), False)):
+            want = reference_per_rule_dp(lat, gen, cash, payoff, minimizer)
+            assert got.shape == (rule_count(n),)
+            assert got.tobytes() == want.tobytes()
 
 
 def test_bit_counts_match_python_popcount():

@@ -142,6 +142,16 @@ def test_csv_round_trip_bit_exact(tmp_path, rng):
         assert np.array_equal(np.signbit(a), np.signbit(b))
 
 
+def test_csv_reader_places_rows_in_any_order(tmp_path, rng):
+    proc = NodeProcess.from_rows([rng.standard_normal(k + 1) for k in range(6)])
+    write_node_process(proc, tmp_path / "sorted.csv")
+    header, *rows = (tmp_path / "sorted.csv").read_text().splitlines()
+    shuffled = [rows[i] for i in rng.permutation(len(rows))]
+    (tmp_path / "shuffled.csv").write_text("\n".join([header, *shuffled, ""]))
+    back = read_node_process(tmp_path / "shuffled.csv")
+    assert back.flat.tobytes() == proc.flat.tobytes()
+
+
 def test_csv_writers_agree_and_blocks_join_seamlessly(tmp_path, rng, monkeypatch):
     proc = NodeProcess.from_rows([rng.standard_normal(k + 1) for k in range(7)])
     write_node_process(proc, tmp_path / "node.csv")

@@ -23,7 +23,9 @@ from gamehedge import (
     TimeGrid,
     ZeroGenerator,
     build_lattice,
+    read_node_process,
 )
+from gamehedge.errors import ConfigError
 
 
 def f64(x):
@@ -107,3 +109,35 @@ def test_stopping_rule_unmarked_terminal():
     marks = np.array([True, True, True, True, False, True])  # node (2, 1) unmarked
     text = message(InvalidStoppingRule, lambda: StoppingRule(marks))
     assert text == "terminal row must be fully marked"
+
+
+NODE_CSV_ERRORS = {
+    "header": ("k,j,v\r\n0,0,1\r\n",
+               "expected header ['step', 'up_count', 'value'], got ['k', 'j', 'v']"),
+    "empty": ("", "expected header ['step', 'up_count', 'value'], got None"),
+    "no_rows": ("step,up_count,value\r\n\r\n", "no data rows"),
+    "short_row": ("step,up_count,value\r\n0,0,1\r\n1,0\r\n1,x,2\r\n",
+                  "malformed row ['1', '0']"),
+    "bad_number": ("step,up_count,value\r\n0,0,1\r\n1,x,2\r\n1,0\r\n",
+                   "malformed row ['1', 'x', '2']"),
+    "widths_that_sum_to_three": ("step,up_count,value\r\n0,0\r\n1,0,5,1\r\n",
+                                 "malformed row ['0', '0']"),
+    "long_row": ("step,up_count,value\r\n0,0,1,7\r\n", "malformed row ['0', '0', '1', '7']"),
+    "duplicate": ("step,up_count,value\r\n0,0,1\r\n1,1,2\r\n1,0,3\r\n1,1,4\r\n1,0,5\r\n",
+                  "duplicate node (1, 1)"),
+    "coverage": ("step,up_count,value\r\n3,0,1\r\n1,2,1\r\n0,-1,1\r\n2,3,1\r\n1,3,1\r\n",
+                 "node coverage mismatch (missing [(0, 0), (1, 0), (1, 1)], "
+                 "unexpected [(0, -1), (1, 2), (1, 3)])"),
+    "negative_steps": ("step,up_count,value\r\n-5,0,1\r\n-3,-1,1\r\n",
+                       "node coverage mismatch (missing [], unexpected [(-5, 0), (-3, -1)])"),
+    "missing_only": ("step,up_count,value\r\n0,0,1\r\n1,1,2\r\n2,0,3\r\n2,1,4\r\n2,2,5\r\n",
+                     "node coverage mismatch (missing [(1, 0)], unexpected [])"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NODE_CSV_ERRORS))
+def test_node_csv_errors_keep_their_text(tmp_path, case):
+    text, expected = NODE_CSV_ERRORS[case]
+    path = tmp_path / f"{case}.csv"
+    path.write_bytes(text.encode())
+    assert message(ConfigError, lambda: read_node_process(path)) == f"{path}: {expected}"
