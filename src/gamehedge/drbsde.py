@@ -8,8 +8,6 @@ row k+1 to row k it does, per node:
 2. expectation  e = q*y_up + (1-q)*y_dn
 3. implicit solve of  v = e - cashflow_k + g(t_k, v, z, s_k)*dt
 
-and the reflected solve then projects v into [lower_k, upper_k], recording
-the one-sided pushes dL = (lower - v)^+ and dU = ((v v lower) - upper)^+.
 A step covers a whole row or one node; either may carry trailing batch
 axes (one value per stopping rule, say).
 
@@ -20,16 +18,20 @@ FIXED_POINT_TOL or 4*eps*max|v|, whichever is larger, so quotes converge in
 any price units.  It looks at every value of the step at once, so results of
 a slowly converging custom generator depend on what one step covers: row
 solvers step whole rows, the oracle one node at a time.
-The recorded pushes satisfy dL * dU = 0 node by node because the obstacles
-never touch.  Solutions are written straight into flat node arrays (node
-(k, j) at ``tri(k, j)``).
 
-``evaluate_stopped`` prices the same stream under externally imposed
-stopping rules instead of reflection: first marked node wins, simultaneous
-marks pay the tie row, and unmarked regions continue by the identical
-implicit step, so its values are directly comparable with the reflected
-solution.  ``snell_sup_for_minimizer`` keeps one rule and lets the other
-party stop wherever it pays most.
+Every row recursion is one backward sweep behind one entry check (each
+part spans the lattice's steps, and the step contracts); only the node rule
+that turns a row's continuation into its values differs.  ``solve_bsde``
+keeps the continuation.  ``solve_drbsde`` projects it into [lower_k,
+upper_k] and records the one-sided pushes dL = (lower - v)^+ and
+dU = ((v v lower) - upper)^+, with dL * dU = 0 node by node because the
+obstacles never touch.  ``evaluate_stopped`` prices the stream under
+externally imposed stopping rules (first marked node wins, simultaneous
+marks pay the tie row), and ``snell_sup_for_minimizer`` keeps one rule and
+lets the other party stop wherever it pays most.  The game oracle's cone
+engine applies the same pair, sup and inf node rules, so their values are
+directly comparable with the reflected solution.  Solutions are written
+straight into flat node arrays (node (k, j) at ``tri(k, j)``).
 """
 
 from __future__ import annotations
@@ -71,7 +73,7 @@ _RELATIVE_TOL = 4.0 * np.finfo(np.float64).eps  # per unit of max|v|
 
 @dataclass(frozen=True, eq=False)
 class DrbsdeInputs:
-    """Validated problem data for the doubly reflected backward solve."""
+    """Validated problem data for the doubly reflected backward solve, step size included."""
 
     lower: NodeProcess
     upper: NodeProcess
@@ -82,13 +84,8 @@ class DrbsdeInputs:
 
     def __post_init__(self) -> None:
         n = self.lat.n_steps
-        for name, proc in (
-            ("lower", self.lower),
-            ("upper", self.upper),
-            ("cashflow_increments", self.cashflow_increments),
-        ):
-            if proc.n_steps != n:
-                raise OutOfRange(f"{name} has {proc.n_steps} steps, lattice has {n}")
+        _check_entry(self.lat, self.gen, OutOfRange, lower=self.lower, upper=self.upper,
+                     cashflow_increments=self.cashflow_increments)
         term = np.array(_check_terminal(self.lat, self.terminal))
         term.flags.writeable = False
         object.__setattr__(self, "terminal", term)
@@ -201,43 +198,53 @@ def _check_terminal(lat: Lattice, terminal) -> np.ndarray:
     return term
 
 
+def _check_entry(lat: Lattice, gen: Generator, error, **parts) -> None:
+    """Entry check of every recursion: each part spans the lattice's steps, then the step contracts."""
+    n = lat.n_steps
+    for name, part in parts.items():
+        if part.n_steps != n:
+            raise error(f"{name} has {part.n_steps} steps, lattice has {n}")
+    require_contraction(gen, lat)
+
+
+def _sweep(lat: Lattice, gen: Generator, terminal, cash: NodeProcess, node_rule):
+    """The backward row loop: each row's continuation by ``backward_step``, then its node rule.
+
+    ``node_rule(k, cont)`` maps row k's continuation to its values.  Returns
+    flat value, slope and continuation arrays (terminal rows: the terminal
+    data, zero, the terminal data) and the residual and iteration maxima.
+    """
+    n = lat.n_steps
+    y, z, cont = (np.zeros(tri(n + 1)) for _ in range(3))
+    y[tri(n):] = cont[tri(n):] = terminal
+    residual_max, iterations_max = 0.0, 0
+    for k in range(n - 1, -1, -1):
+        row = slice(tri(k), tri(k + 1))
+        cont[row], z[row], res, its = backward_step(lat, gen, k, y[row.stop:tri(k + 2)], cash.row(k))
+        y[row] = node_rule(k, cont[row])
+        residual_max, iterations_max = max(residual_max, res), max(iterations_max, its)
+    return y, z, cont, residual_max, iterations_max
+
+
 def solve_bsde(
     lat: Lattice, gen: Generator, terminal, cashflow_increments: NodeProcess
 ) -> tuple[NodeProcess, NodeProcess]:
     """Unreflected backward solve; returns the value and hedge-slope processes."""
     term = _check_terminal(lat, terminal)
-    if cashflow_increments.n_steps != lat.n_steps:
-        raise OutOfRange("cashflow_increments shape does not match the lattice")
-    require_contraction(gen, lat)
-    n = lat.n_steps
-    y, z = np.zeros(tri(n + 1)), np.zeros(tri(n + 1))
-    y[tri(n):] = term
-    for k in range(n - 1, -1, -1):
-        row = slice(tri(k), tri(k + 1))
-        y[row], z[row], _, _ = backward_step(lat, gen, k, y[row.stop:tri(k + 2)],
-                                             cashflow_increments.row(k))
+    _check_entry(lat, gen, OutOfRange, cashflow_increments=cashflow_increments)
+    y, z, *_ = _sweep(lat, gen, term, cashflow_increments, lambda k, cont: cont)
     return NodeProcess(y), NodeProcess(z)
 
 
 def solve_drbsde(inputs: DrbsdeInputs) -> DrbsdeSolution:
     """Doubly reflected backward solve with per-node Skorokhod bookkeeping."""
-    lat, gen = inputs.lat, inputs.gen
-    require_contraction(gen, lat)
-    n = lat.n_steps
-    y, z, dl, du = (np.zeros(tri(n + 1)) for _ in range(4))
-    y[tri(n):] = inputs.terminal
-    residual_max = 0.0
-    iterations_max = 0
-    for k in range(n - 1, -1, -1):
-        row = slice(tri(k), tri(k + 1))
-        v, z[row], res, its = backward_step(lat, gen, k, y[row.stop:tri(k + 2)],
-                                            inputs.cashflow_increments.row(k))
-        residual_max = max(residual_max, res)
-        iterations_max = max(iterations_max, its)
-        lo, hi = inputs.lower.row(k), inputs.upper.row(k)
-        y[row] = np.minimum(hi, np.maximum(lo, v))
-        dl[row] = np.maximum(lo - v, 0.0)
-        du[row] = np.maximum(np.maximum(v, lo) - hi, 0.0)
+    lo, hi = inputs.lower, inputs.upper
+    y, z, v, residual_max, iterations_max = _sweep(
+        inputs.lat, inputs.gen, inputs.terminal, inputs.cashflow_increments,
+        lambda k, cont: np.minimum(hi.row(k), np.maximum(lo.row(k), cont)))
+    # terminal rows are zero, as the terminal data lies in the band; dU reuses v's memory
+    dl = np.maximum(lo.flat - v, 0.0)
+    du = np.maximum(np.maximum(v, lo.flat, out=v) - hi.flat, 0.0, out=v)
     return DrbsdeSolution(*(NodeProcess(a) for a in (y, z, dl, du)), residual_max, iterations_max)
 
 
@@ -265,6 +272,32 @@ class GamePayoff:
         return self.on_lower.n_steps
 
 
+# Game node rules (payoffs, stop marks, continuation -> values), for rows and cone tables alike.
+def _pair_node(lo, hi, tie, bits, cont):
+    sig, tau = bits
+    return np.where(sig & tau, tie, np.where(sig, hi, np.where(tau, lo, cont)))
+
+
+def _sup_node(lo, hi, tie, bits, cont):  # the opponent may force the tie, never gains by it
+    return np.where(bits[0], np.maximum(tie, hi), np.maximum(lo, cont))
+
+
+def _inf_node(lo, hi, tie, bits, cont):
+    return np.where(bits[0], np.minimum(tie, lo), np.minimum(hi, cont))
+
+
+def _game_root(lat: Lattice, gen: Generator, cash: NodeProcess, payoff: GamePayoff,
+               node_rule, **rules: StoppingRule) -> float:
+    """Root value of the sweep whose rows follow a game node rule under fixed stopping rules."""
+    _check_entry(lat, gen, InvalidStoppingRule, payoff=payoff, cashflow_increments=cash, **rules)
+
+    def row_rule(k, cont):
+        lo, hi, tie = (p.row(k) for p in (payoff.on_lower, payoff.on_upper, payoff.on_tie))
+        return node_rule(lo, hi, tie, [r.row(k) for r in rules.values()], cont)
+
+    return float(_sweep(lat, gen, payoff.on_tie.row(lat.n_steps), cash, row_rule)[0][0])
+
+
 def evaluate_stopped(
     lat: Lattice,
     gen: Generator,
@@ -279,22 +312,7 @@ def evaluate_stopped(
     tau the maximizer's (lower row); simultaneous stops pay the tie row.
     Unstopped nodes continue by the same implicit step as the solvers.
     """
-    n = lat.n_steps
-    for name, obj in (("payoff", payoff), ("cashflow_increments", cashflow_increments),
-                      ("sigma", sigma), ("tau", tau)):
-        if obj.n_steps != n:
-            raise InvalidStoppingRule(f"{name} has {obj.n_steps} steps, lattice has {n}")
-    require_contraction(gen, lat)
-    vals = payoff.on_tie.row(n)
-    for k in range(n - 1, -1, -1):
-        cont = backward_step(lat, gen, k, vals, cashflow_increments.row(k))[0]
-        sig, tau_m = sigma.row(k), tau.row(k)
-        vals = np.where(
-            sig & tau_m,
-            payoff.on_tie.row(k),
-            np.where(sig, payoff.on_upper.row(k), np.where(tau_m, payoff.on_lower.row(k), cont)),
-        )
-    return float(vals[0])
+    return _game_root(lat, gen, cashflow_increments, payoff, _pair_node, sigma=sigma, tau=tau)
 
 
 def snell_sup_for_minimizer(
@@ -302,10 +320,4 @@ def snell_sup_for_minimizer(
     payoff: GamePayoff, sigma: StoppingRule,
 ) -> float:
     """sup over all maximizer stopping behaviour against the fixed minimizer rule."""
-    n = lat.n_steps
-    vals = payoff.on_tie.row(n)
-    for k in range(n - 1, -1, -1):
-        cont = backward_step(lat, gen, k, vals, cashflow_increments.row(k))[0]
-        lo, hi, tie = payoff.on_lower.row(k), payoff.on_upper.row(k), payoff.on_tie.row(k)
-        vals = np.where(sigma.row(k), np.maximum(tie, hi), np.maximum(lo, cont))
-    return float(vals[0])
+    return _game_root(lat, gen, cashflow_increments, payoff, _sup_node, sigma=sigma)

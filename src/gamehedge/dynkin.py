@@ -11,8 +11,8 @@ so rule bit i is flat node i (``tri(k, j)``).  The oracle computes
 by two independent routes: the pair matrix, the root value of every rule
 pair (used whenever the pair count fits the cap), and one per-rule dynamic
 program per player, where the opponent plays optimally node by node.  Both
-step with the solvers' ``backward_step``, so agreement with the reflected
-backward solve is a genuine cross-check, not a tautology.
+step with the solvers' ``backward_step`` and node rules, so agreement with the
+reflected backward solve is a genuine cross-check, not a tautology.
 
 Both routes run on one cone engine.  A node's stopped value depends only on
 the rule bits in its forward cone, so each node keeps a table with one axis
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .drbsde import GamePayoff, backward_step
+from .drbsde import GamePayoff, _check_entry, _inf_node, _pair_node, _sup_node, backward_step
 from .errors import InvalidStoppingRule, TooLarge
 from .generators import Generator
 from .lattice import Lattice, NodeProcess, tri
@@ -147,6 +147,8 @@ def _cone_values(lat: Lattice, gen: Generator, cashflow_increments: NodeProcess,
     from its payoffs, each player's own bit there (along that player's axis)
     and the continuation.
     """
+    _check_entry(lat, gen, InvalidStoppingRule, payoff=payoff,
+                 cashflow_increments=cashflow_increments)
     n = lat.n_steps
     no_index = tuple(np.zeros(a.shape[0], dtype=np.intp) for a in ids)
     tie_t = payoff.on_tie.row(n)
@@ -173,19 +175,6 @@ def _cone_values(lat: Lattice, gen: Generator, cashflow_increments: NodeProcess,
         tables = new_tables
     root = tables[0]
     return root.values[np.ix_(*root.index)]
-
-
-def _pair_node(lo, hi, tie, bits, cont):
-    sig, tau = bits
-    return np.where(sig & tau, tie, np.where(sig, hi, np.where(tau, lo, cont)))
-
-
-def _sup_node(lo, hi, tie, bits, cont):  # the opponent may force the tie, never gains by it
-    return np.where(bits[0], max(tie, hi), np.maximum(lo, cont))
-
-
-def _inf_node(lo, hi, tie, bits, cont):
-    return np.where(bits[0], min(tie, lo), np.minimum(hi, cont))
 
 
 def _all_ids(n_steps: int) -> np.ndarray:
@@ -269,9 +258,8 @@ def game_value_brute(
         inf_pairs = pairs.min(axis=0)
         scale = 1.0 + float(np.max(np.abs(sup_pairs)))
         for by_pairs, by_dp in ((sup_pairs, sup_dp), (inf_pairs, inf_dp)):
-            assert float(np.max(np.abs(by_pairs - by_dp))) <= 1e-10 * scale, (
-                "pair enumeration and per-rule dynamic program disagree"
-            )
+            if not float(np.max(np.abs(by_pairs - by_dp))) <= 1e-10 * scale:
+                raise AssertionError("pair enumeration and per-rule dynamic program disagree")
         sup_vals, inf_vals = sup_pairs, inf_pairs
 
     upper_value = float(sup_vals.min())

@@ -26,10 +26,14 @@ from gamehedge import (
     build_lattice,
     builtin_israeli_put,
     evaluate_stopped,
+    game_payoff,
+    game_value_brute,
     side_obstacles,
+    snell_sup_for_minimizer,
     solve_bsde,
     solve_drbsde,
 )
+from gamehedge.dynkin import sup_values_by_minimizer_rule
 from gamehedge.errors import InvalidStoppingRule
 from gamehedge.lattice import tri
 from conftest import grid_values, random_instance
@@ -122,10 +126,25 @@ def test_terminal_band_enforced(one_step_lattice):
         )
 
 
+def put_game(n, horizon=1.0):
+    """An n-step put game for the hedger at zero rates: lattice, cash increments, payoff."""
+    lat = build_lattice(100.0, 1.2, 0.8, TimeGrid(horizon=horizon, n_steps=n))
+    contract = builtin_israeli_put(lat, strike=100.0, penalty=5.0)
+    view = PartyView(side="hedger", endowment=0.0, acct=BenchmarkAccount(0.0, 0.0))
+    return lat, NodeProcess.zeros(n), game_payoff(contract, view, lat)
+
+
 def test_contraction_refused():
     lat = build_lattice(100.0, 1.2, 0.8, TimeGrid(horizon=1.0, n_steps=1))
     with pytest.raises(ContractionViolated):
         solve_bsde(lat, LinearRate(1.5), TERM_A, NodeProcess.zeros(1))
+    # dt = 2 with rate 0.6: every game recursion refuses the grid before stepping
+    lat, cash, payoff = put_game(2, horizon=4.0)
+    gen = LinearRate(0.6)
+    with pytest.raises(ContractionViolated):
+        snell_sup_for_minimizer(lat, gen, cash, payoff, StoppingRule.never_early(2))
+    with pytest.raises(ContractionViolated):
+        game_value_brute(lat, gen, cash, payoff)
 
 
 def test_nonconvergence_on_understated_bound():
@@ -294,6 +313,21 @@ def test_evaluate_stopped_rejects_bad_rule(one_step_lattice, one_step_put, hedge
             one_step_lattice, ZeroGenerator(), NodeProcess.zeros(1), payoff,
             wrong_shape, StoppingRule.never_early(1),
         )
+    # every game recursion names the part whose step count disagrees with the lattice
+    lat, cash, payoff = put_game(2)
+    _, cash_3, payoff_3 = put_game(3)
+    gen, never = ZeroGenerator(), StoppingRule.never_early(2)
+    for part, call in (
+        ("sigma", lambda: snell_sup_for_minimizer(
+            lat, gen, cash, payoff, StoppingRule.never_early(3))),
+        ("cashflow_increments", lambda: snell_sup_for_minimizer(lat, gen, cash_3, payoff, never)),
+        ("cashflow_increments", lambda: sup_values_by_minimizer_rule(lat, gen, cash_3, payoff)),
+        ("payoff", lambda: sup_values_by_minimizer_rule(lat, gen, cash, payoff_3)),
+        ("cashflow_increments", lambda: game_value_brute(lat, gen, cash_3, payoff)),
+        ("payoff", lambda: game_value_brute(lat, gen, cash, payoff_3)),
+    ):
+        with pytest.raises(InvalidStoppingRule, match=f"^{part} has 3 steps, lattice has 2$"):
+            call()
 
 
 def test_first_hit_rejects_off_lattice_up_counts():
@@ -382,3 +416,12 @@ def test_european_call_at_n2000_converges_under_two_rates(side, rate):
     assert (cash <= 0.0).all() if side == "hedger" else (cash >= 0.0).all()
     one_rate = european_call_quote(LinearRate(rate), side).price
     assert abs(quote.price - one_rate) <= 1e-12 * abs(one_rate)
+    # and that one-rate solve is the binomial sum of the terminal row under
+    # the rate-adjusted weight q_r, discounted by (1 + r*dt)^N
+    lat = quote.inputs.lat
+    q_r = (1.0 + rate * lat.dt - lat.d) / (lat.u - lat.d)
+    log_w = [math.lgamma(n + 1) - math.lgamma(j + 1) - math.lgamma(n - j + 1)
+             + j * math.log(q_r) + (n - j) * math.log1p(-q_r) - n * math.log1p(rate * lat.dt)
+             for j in range(n + 1)]
+    closed = math.fsum(math.exp(w) * x for w, x in zip(log_w, quote.inputs.terminal))
+    assert abs(quote.y0 - closed) <= 1e-11 * abs(closed)

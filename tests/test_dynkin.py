@@ -300,3 +300,17 @@ def test_per_rule_dp_matches_unfactored_reference(name, n):
 def test_bit_counts_match_python_popcount():
     ids = np.arange(1 << 15, dtype=np.int64)
     assert _bit_counts(ids).tolist() == [bin(x).count("1") for x in range(1 << 15)]
+
+
+def test_route_disagreement_raises_without_assert(monkeypatch):
+    # an explicit raise, so the cross-check survives python -O
+    import gamehedge.dynkin as dynkin
+
+    rng = np.random.default_rng(7)
+    gen = GAME_GENERATORS["linear"]
+    lat, cash, payoff = game_instance(rng, 2, gen)
+    honest = dynkin.sup_values_by_minimizer_rule
+    monkeypatch.setattr(dynkin, "sup_values_by_minimizer_rule",
+                        lambda *args: honest(*args) + 1.0)
+    with pytest.raises(AssertionError, match="pair enumeration and per-rule dynamic program disagree"):
+        game_value_brute(lat, gen, cash, payoff)

@@ -1,4 +1,4 @@
-"""Property test: an oracle pair-matrix entry equals the stopped value from the solver module."""
+"""Property test: the oracle's cone engine and the solver module's row sweep agree on every game."""
 
 import numpy as np
 import pytest
@@ -7,8 +7,13 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from gamehedge import evaluate_stopped, rule_count, rule_from_id  # noqa: E402
-from gamehedge.dynkin import _pair_matrix  # noqa: E402
+from gamehedge import (  # noqa: E402
+    evaluate_stopped,
+    rule_count,
+    rule_from_id,
+    snell_sup_for_minimizer,
+)
+from gamehedge.dynkin import _pair_matrix, sup_values_by_minimizer_rule  # noqa: E402
 from conftest import GAME_GENERATORS, game_instance  # noqa: E402
 
 
@@ -33,3 +38,7 @@ def test_pair_entry_equals_evaluate_stopped(game):
     value = evaluate_stopped(lat, gen, cash, payoff,
                              rule_from_id(lat.n_steps, sigma), rule_from_id(lat.n_steps, tau))
     assert abs(entry - value) <= 1e-12 * (1.0 + abs(value))
+    # the per-rule dynamic program and the row sweep apply the same sup node rule
+    sup = float(sup_values_by_minimizer_rule(lat, gen, cash, payoff)[sigma])
+    snell = snell_sup_for_minimizer(lat, gen, cash, payoff, rule_from_id(lat.n_steps, sigma))
+    assert abs(sup - snell) <= 1e-12 * (1.0 + abs(snell))
