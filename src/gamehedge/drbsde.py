@@ -198,12 +198,16 @@ def _check_terminal(lat: Lattice, terminal) -> np.ndarray:
     return term
 
 
+def _check_steps(lat: Lattice, error, **parts) -> None:
+    """Raise ``error`` naming the first part whose step count differs from the lattice's."""
+    for name, part in parts.items():
+        if part.n_steps != lat.n_steps:
+            raise error(f"{name} has {part.n_steps} steps, lattice has {lat.n_steps}")
+
+
 def _check_entry(lat: Lattice, gen: Generator, error, **parts) -> None:
     """Entry check of every recursion: each part spans the lattice's steps, then the step contracts."""
-    n = lat.n_steps
-    for name, part in parts.items():
-        if part.n_steps != n:
-            raise error(f"{name} has {part.n_steps} steps, lattice has {n}")
+    _check_steps(lat, error, **parts)
     require_contraction(gen, lat)
 
 

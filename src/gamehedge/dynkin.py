@@ -16,18 +16,22 @@ reflected backward solve is a genuine cross-check, not a tautology.
 
 Both routes run on one cone engine.  A node's stopped value depends only on
 the rule bits in its forward cone, so each node keeps a table with one axis
-per enumerated player (two for the pair matrix, one for a dynamic program)
-and one entry per combination of those players' cone bits.  The implicit
-step runs once per combination of the children's cone bits; a node rule
-then maps the node's own bits, its payoffs and that continuation to the
-node's values.  Per node that is 2**(|cone| - 1) continuation entries for a
-dynamic program (2**14 at the root for N=5) and 4**(|cone| - 1) for the
-pair matrix (4**9 at the root for N=4).  The root table, n_rules entries
-along each axis, is the only full-size array; pair_limit bounds the pair
-matrix's, so the cap still counts rule pairs.  Every entry goes through the
-same elementwise arithmetic as broadcasting every node over all rule ids,
-and the fixed-point exit test sees the same set of values, so the results
-are identical bit for bit to that broadcast.
+per player seat.  A seat is either a fixed rule (axis length 1) or every
+rule; an enumerated axis is indexed by the player's cone bits packed
+lowest-first, so at the root, whose cone is every interior node, the index
+is the rule id.  The implicit step runs once per packed combination of the
+children's cone bits, gathered from the child tables by a bit-position map.
+The node's own bit ``tri(k, j)`` is its cone's lowest, so it is the fastest
+sub-axis of the node's table; a node rule maps it, the node's payoffs and
+that continuation to the node's values.  Nothing is sorted.  Per node that is 2**(|cone| - 1)
+continuation entries for a dynamic program (2**14 at the root for N=5) and
+4**(|cone| - 1) for the pair matrix (4**9 at the root for N=4).  The root
+table, n_rules entries along each enumerated axis, is the only full-size
+array; pair_limit bounds the pair matrix's, so the cap still counts rule
+pairs.  Packed order is the sorted order of the masked rule ids, so every
+entry goes through the same elementwise arithmetic as broadcasting every
+node over all rule ids, and the fixed-point exit test sees the same set of
+values: the results are identical bit for bit to that broadcast.
 
 Naming follows the hedger orientation (sigma = minimizer, tau = maximizer);
 for counterparty games the same engine applies with the counterparty's
@@ -115,92 +119,77 @@ class SaddleDiagnosis:
     value_gap: float
 
 
-def _node_bits(ids: np.ndarray, bit_index: int) -> np.ndarray:
-    return ((ids >> bit_index) & 1).astype(bool)
-
-
-@dataclass(frozen=True, eq=False)
-class _ConeTable:
-    """A node's stopped values indexed by the rule bits in its forward cone.
-
-    One axis per enumerated player: ``values[index[0][a], index[1][b]]`` is the
-    value under the ids (ids[0][a], ids[1][b]); ``mask`` holds the cone's bits.
-    """
-
-    values: np.ndarray
-    index: tuple[np.ndarray, ...]
-    mask: int
-
-
-def _cone_classes(ids: np.ndarray, mask: int) -> tuple[np.ndarray, np.ndarray]:
-    """First position of each distinct ``ids & mask``, and each id's class index."""
-    _, first, inverse = np.unique(ids & mask, return_index=True, return_inverse=True)
-    return first, inverse
+def _gather(values: np.ndarray, mask: int, below: int,
+            rules: list[StoppingRule | None]) -> np.ndarray:
+    """A child's table, cone bits ``mask``, on every packed combination of the ``below`` bits."""
+    weight = {b: 1 << q for q, b in enumerate(_bit_tuple(mask))}
+    at = np.zeros(1, dtype=np.intp)
+    for b in _bit_tuple(below):  # lowest bit first, so each bit doubles the packed range
+        at = np.concatenate([at, at + weight.get(b, 0)])
+    return values[np.ix_(*(at if r is None else [0] for r in rules))]
 
 
 def _cone_values(lat: Lattice, gen: Generator, cashflow_increments: NodeProcess,
-                 payoff: GamePayoff, ids: tuple[np.ndarray, ...], node_rule) -> np.ndarray:
-    """Root values on the grid of the players' rule ids, from cone-indexed node tables.
+                 payoff: GamePayoff, node_rule, **seats: StoppingRule | None) -> np.ndarray:
+    """Root values over the enumerated players' rule ids, from cone-indexed node tables.
 
-    ``ids`` holds one array of rule ids per enumerated player, each on its
-    own axis.  ``node_rule(lo, hi, tie, bits, cont)`` gives a node's values
-    from its payoffs, each player's own bit there (along that player's axis)
-    and the continuation.
+    Each seat (``sigma``, ``tau``) holds a fixed rule, an axis of length 1,
+    or None, every rule on its own axis indexed by rule id.  A node's table
+    is (values, the bit mask of its cone); along an enumerated axis the index
+    is the player's cone bits packed lowest-first.  ``node_rule(lo, hi, tie,
+    bits, cont)`` gives a node's values from its payoffs, each player's own
+    bit there and the continuation.
     """
+    _require_enumerable(lat.n_steps)
+    rules = list(seats.values())
     _check_entry(lat, gen, InvalidStoppingRule, payoff=payoff,
-                 cashflow_increments=cashflow_increments)
-    n = lat.n_steps
-    no_index = tuple(np.zeros(a.shape[0], dtype=np.intp) for a in ids)
+                 cashflow_increments=cashflow_increments,
+                 **{name: rule for name, rule in seats.items() if rule is not None})
+    n, ndim = lat.n_steps, 2 * len(rules)
     tie_t = payoff.on_tie.row(n)
-    tables = [_ConeTable(np.full((1,) * len(ids), tie_t[j]), no_index, 0) for j in range(n + 1)]
+    tables = [(np.full((1,) * len(rules), tie_t[j]), 0) for j in range(n + 1)]
     for k in range(n - 1, -1, -1):
         new_tables = []
         for j in range(k + 1):
-            # continuation: one entry per combination of the children's cone bits
-            dn, up = tables[j], tables[j + 1]
-            below = dn.mask | up.mask
-            c_first, c_of = zip(*(_cone_classes(a, below) for a in ids))
-            v_dn, v_up = (t.values[np.ix_(*(i[f] for i, f in zip(t.index, c_first)))]
-                          for t in (dn, up))
-            cont = backward_step(lat, gen, k, (v_dn, v_up), cashflow_increments.at(k, j), j)[0]
+            # continuation: one entry per packed combination of the children's cone bits
+            below = tables[j][1] | tables[j + 1][1]
+            v_next = [_gather(*table, below, rules) for table in tables[j:j + 2]]
+            cont = backward_step(lat, gen, k, v_next, cashflow_increments.at(k, j), j)[0]
 
-            # the node rule turns the node's own bits and that continuation into its values
+            # the node's own bit tri(k, j) is its cone's lowest, so each player's axis
+            # splits into (packed bits below, own bit): length 2, or 1 for a fixed rule
             bit = tri(k, j)
-            mask = below | (1 << bit)
-            n_first, index = zip(*(_cone_classes(a, mask) for a in ids))
-            bits = [_node_bits(b, bit) for b in np.ix_(*(a[f] for a, f in zip(ids, n_first)))]
-            cont = cont[np.ix_(*(of[f] for of, f in zip(c_of, n_first)))]
+            own = [np.array([False, True]) if r is None else r.flat[bit:bit + 1] for r in rules]
+            bits = [b.reshape([b.size if a == 2 * i + 1 else 1 for a in range(ndim)])
+                    for i, b in enumerate(own)]
+            split = cont.reshape([w for c in cont.shape for w in (c, 1)])
             lo, hi, tie = (p.at(k, j) for p in (payoff.on_lower, payoff.on_upper, payoff.on_tie))
-            new_tables.append(_ConeTable(node_rule(lo, hi, tie, bits, cont), index, mask))
+            values = node_rule(lo, hi, tie, bits, split)
+            shape = [c * b.size for c, b in zip(cont.shape, own)]
+            new_tables.append((values.reshape(shape), below | 1 << bit))
         tables = new_tables
-    root = tables[0]
-    return root.values[np.ix_(*root.index)]
-
-
-def _all_ids(n_steps: int) -> np.ndarray:
-    return np.arange(1 << _require_enumerable(n_steps), dtype=np.int64)
+    return tables[0][0]
 
 
 def sup_values_by_minimizer_rule(
     lat: Lattice, gen: Generator, cashflow_increments: NodeProcess, payoff: GamePayoff
 ) -> np.ndarray:
     """sup over maximizer behaviour of the stopped value, per minimizer rule id."""
-    ids = (_all_ids(lat.n_steps),)
-    return _cone_values(lat, gen, cashflow_increments, payoff, ids, _sup_node)
+    return _cone_values(lat, gen, cashflow_increments, payoff, _sup_node, sigma=None)
 
 
 def inf_values_by_maximizer_rule(
     lat: Lattice, gen: Generator, cashflow_increments: NodeProcess, payoff: GamePayoff
 ) -> np.ndarray:
     """inf over minimizer behaviour of the stopped value, per maximizer rule id."""
-    ids = (_all_ids(lat.n_steps),)
-    return _cone_values(lat, gen, cashflow_increments, payoff, ids, _inf_node)
+    return _cone_values(lat, gen, cashflow_increments, payoff, _inf_node, tau=None)
 
 
 def _pair_matrix(lat: Lattice, gen: Generator, cashflow_increments: NodeProcess,
-                 payoff: GamePayoff, sigma_ids: np.ndarray, tau_ids: np.ndarray) -> np.ndarray:
-    """Root values for every (minimizer rule, maximizer rule) pair."""
-    return _cone_values(lat, gen, cashflow_increments, payoff, (sigma_ids, tau_ids), _pair_node)
+                 payoff: GamePayoff, sigma: StoppingRule | None = None,
+                 tau: StoppingRule | None = None) -> np.ndarray:
+    """Root values per (minimizer rule, maximizer rule) pair; a fixed rule's axis has length 1."""
+    return _cone_values(lat, gen, cashflow_increments, payoff, _pair_node, sigma=sigma, tau=tau)
 
 
 def stopped_values_for_maximizer_rules(
@@ -208,8 +197,7 @@ def stopped_values_for_maximizer_rules(
     payoff: GamePayoff, sigma: StoppingRule,
 ) -> np.ndarray:
     """Stopped value against a fixed minimizer rule, for every maximizer rule id."""
-    sigma_ids = np.array([rule_to_id(sigma)], dtype=np.int64)
-    return _pair_matrix(lat, gen, cashflow_increments, payoff, sigma_ids, _all_ids(lat.n_steps))[0]
+    return _pair_matrix(lat, gen, cashflow_increments, payoff, sigma)[0]
 
 
 def _canonical_optimizer(values: np.ndarray, target: float, n_steps: int) -> StoppingRule:
@@ -252,8 +240,7 @@ def game_value_brute(
     sup_vals, inf_vals = sup_dp, inf_dp
 
     if n_rules * n_rules <= pair_limit:
-        ids = _all_ids(n)
-        pairs = _pair_matrix(lat, gen, cashflow_increments, payoff, ids, ids)
+        pairs = _pair_matrix(lat, gen, cashflow_increments, payoff)
         sup_pairs = pairs.max(axis=1)
         inf_pairs = pairs.min(axis=0)
         scale = 1.0 + float(np.max(np.abs(sup_pairs)))

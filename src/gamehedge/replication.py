@@ -24,14 +24,14 @@ from typing import Iterator
 
 import numpy as np
 
-from .drbsde import evaluate_stopped, snell_sup_for_minimizer
+from .drbsde import _check_steps, evaluate_stopped, snell_sup_for_minimizer
 from .dynkin import (
     _require_enumerable,
     rule_to_id,
     stopped_values_for_maximizer_rules,
     sup_values_by_minimizer_rule,
 )
-from .errors import NonFiniteState, OutOfRange, TooManyPaths
+from .errors import InvalidStoppingRule, NonFiniteState, OutOfRange, TooManyPaths
 from .generators import Generator, eval_g
 from .lattice import Lattice, NodeProcess, benchmark_profile, tri
 from .pricing import ContractSpec, PartyView, QuoteResult, game_payoff
@@ -242,6 +242,8 @@ def classify_quadruplet(
     eq_tol: float = 1e-9,
 ) -> ConditionReport:
     """Classify a candidate quadruplet by exhausting every path of the lattice."""
+    _check_steps(lat, InvalidStoppingRule, sigma=sigma, tau=tau)
+    _check_steps(lat, OutOfRange, hedge=hedge)
     n = lat.n_steps
     _require_paths(n)
     vb = benchmark_profile(view.acct, view.endowment, lat.grid)

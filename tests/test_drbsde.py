@@ -33,7 +33,7 @@ from gamehedge import (
     solve_bsde,
     solve_drbsde,
 )
-from gamehedge.dynkin import sup_values_by_minimizer_rule
+from gamehedge.dynkin import stopped_values_for_maximizer_rules, sup_values_by_minimizer_rule
 from gamehedge.errors import InvalidStoppingRule
 from gamehedge.lattice import tri
 from conftest import grid_values, random_instance
@@ -325,6 +325,10 @@ def test_evaluate_stopped_rejects_bad_rule(one_step_lattice, one_step_put, hedge
         ("payoff", lambda: sup_values_by_minimizer_rule(lat, gen, cash, payoff_3)),
         ("cashflow_increments", lambda: game_value_brute(lat, gen, cash_3, payoff)),
         ("payoff", lambda: game_value_brute(lat, gen, cash, payoff_3)),
+        ("sigma", lambda: stopped_values_for_maximizer_rules(
+            lat, gen, cash, payoff, StoppingRule.never_early(3))),
+        ("sigma", lambda: stopped_values_for_maximizer_rules(
+            lat, gen, cash, payoff, StoppingRule.from_nodes(3, [5]))),
     ):
         with pytest.raises(InvalidStoppingRule, match=f"^{part} has 3 steps, lattice has 2$"):
             call()

@@ -33,8 +33,7 @@ def stopped_games(draw):
 @given(game=stopped_games())
 def test_pair_entry_equals_evaluate_stopped(game):
     lat, gen, cash, payoff, sigma, tau = game
-    ids = np.arange(rule_count(lat.n_steps), dtype=np.int64)
-    entry = float(_pair_matrix(lat, gen, cash, payoff, ids, ids)[sigma, tau])
+    entry = float(_pair_matrix(lat, gen, cash, payoff)[sigma, tau])
     value = evaluate_stopped(lat, gen, cash, payoff,
                              rule_from_id(lat.n_steps, sigma), rule_from_id(lat.n_steps, tau))
     assert abs(entry - value) <= 1e-12 * (1.0 + abs(value))

@@ -21,7 +21,6 @@ from gamehedge import (
     build_lattice,
     evaluate_stopped,
     game_payoff,
-    rule_count,
     rule_from_id,
     side_obstacles,
     snell_sup_for_minimizer,
@@ -58,7 +57,6 @@ def recursion_bytes(side, seed):
     y, z = solve_bsde(lat, gen, inputs.terminal, cash)
     sol = solve_drbsde(inputs)
     rules = lambda rid: rule_from_id(N, rid)  # noqa: E731
-    ids = np.arange(rule_count(N), dtype=np.int64)
     return {
         "solve_bsde": node_bytes(y) + node_bytes(z),
         "solve_drbsde": b"".join(node_bytes(p) for p in (sol.Y, sol.Z, sol.dL, sol.dU))
@@ -71,7 +69,7 @@ def recursion_bytes(side, seed):
         "snell_sup_for_minimizer": np.array([
             snell_sup_for_minimizer(lat, gen, cash, payoff, rules(s)) for s, _ in RULE_PAIRS
         ]).tobytes(),
-        "pair_matrix": _pair_matrix(lat, gen, cash, payoff, ids, ids).tobytes(),
+        "pair_matrix": _pair_matrix(lat, gen, cash, payoff).tobytes(),
     }
 
 

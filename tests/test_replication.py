@@ -26,7 +26,7 @@ from gamehedge import (
     verify_rational_cancellation,
     verify_replication,
 )
-from gamehedge.errors import OutOfRange
+from gamehedge.errors import InvalidStoppingRule, OutOfRange
 from gamehedge.lattice import node_coords, tri
 
 from conftest import random_instance
@@ -123,6 +123,22 @@ def test_classifier_instance_a(instance_a):
     poor = classify_quadruplet(4.0, z, sigma, tau, contract, view, gen, lat)
     assert not poor.sh and poor.na
     assert poor.witness_paths  # at least one shortfall path is named
+
+
+def test_classifier_rejects_parts_off_the_lattice():
+    lat = build_lattice(100.0, 1.2, 0.8, TimeGrid(horizon=1.0, n_steps=2))
+    contract = builtin_israeli_put(lat, strike=100.0, penalty=5.0)
+    view = PartyView("hedger", 0.0, BenchmarkAccount(0.0, 0.0))
+    gen = ZeroGenerator()
+    quote = acceptable_price(contract, view, gen, lat)
+    z, never, never_3 = quote.solution.Z, StoppingRule.never_early(2), StoppingRule.never_early(3)
+    for error, part, (hedge, sigma, tau) in (
+        (InvalidStoppingRule, "sigma", (z, never_3, never)),
+        (InvalidStoppingRule, "tau", (z, never, never_3)),
+        (OutOfRange, "hedge", (NodeProcess.zeros(3), never, never)),
+    ):
+        with pytest.raises(error, match=f"^{part} has 3 steps, lattice has 2$"):
+            classify_quadruplet(quote.price, hedge, sigma, tau, contract, view, gen, lat)
 
 
 def test_classifier_flag_structure(rng):
