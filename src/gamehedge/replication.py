@@ -7,9 +7,11 @@ against the benchmark on every path, and stopping-rule claims are checked
 against exhaustive rule enumeration.
 
 Path convention: a path is a 0/1 up-move sequence; path ids pack the moves
-little-endian (bit i = move at step i).  All pathwise quantities are
-vectorized across chunks of path ids so full enumeration stays affordable
-up to the hard cap of 2**24 paths.
+little-endian (bit i = move at step i).  Each pathwise check is written once
+over rule rows (one row for a fixed rule, one per rule id in the battery)
+and folded over blocks of rule rows × paths, so full enumeration stays
+affordable up to the hard cap of 2**24 paths and the battery's memory does
+not grow with the number of paths.
 
 Side convention: reports work in solution coordinates, where the quote
 side's own stopping presses the upper obstacle (recording dU) and the
@@ -20,7 +22,6 @@ batteries the same computation with the region roles swapped.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -31,7 +32,7 @@ from .dynkin import (
     stopped_values_for_maximizer_rules,
     sup_values_by_minimizer_rule,
 )
-from .errors import InvalidStoppingRule, NonFiniteState, OutOfRange, TooManyPaths
+from .errors import InvalidParameters, InvalidStoppingRule, NonFiniteState, OutOfRange, TooManyPaths
 from .generators import Generator, eval_g
 from .lattice import Lattice, NodeProcess, benchmark_profile, tri
 from .pricing import ContractSpec, PartyView, QuoteResult, game_payoff
@@ -55,8 +56,9 @@ __all__ = [
 ]
 
 MAX_PATH_STEPS = 24
-_CHUNK = 1 << 16
+_BLOCK = 1 << 20  # rule rows × paths × steps that one block of the path fold holds
 _MAX_WITNESSES = 8
+_PROBE = 1e-6  # replication's price probe, relative to 1 + |price|
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,20 +108,24 @@ class ConditionReport:
     witness_paths: dict[str, tuple[int, ...]]
 
 
-def _require_paths(n_steps: int) -> int:
+def _fold(n_steps: int, n_rows: int, block) -> dict:
+    """Run ``block(pids, js, idx)`` over every path, at most _BLOCK rule rows × paths × steps
+    at a time (path ids, their up-counts and flat node indices), and fold its named results
+    across blocks: flags by all, maxima by max, path ids in order up to _MAX_WITNESSES."""
     if n_steps > MAX_PATH_STEPS:
-        raise TooManyPaths(
-            f"{1 << n_steps} paths exceed the {1 << MAX_PATH_STEPS} enumeration cap"
-        )
-    return 1 << n_steps
-
-
-def _path_chunks(n_steps: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Path ids with their up-counts and flat node indices, _CHUNK paths at a time."""
-    for start in range(0, 1 << n_steps, _CHUNK):
-        pids = np.arange(start, min(start + _CHUNK, 1 << n_steps), dtype=np.int64)
+        raise TooManyPaths(f"{1 << n_steps} paths exceed the {1 << MAX_PATH_STEPS} enumeration cap")
+    n_paths, size = 1 << n_steps, max(1, _BLOCK // (n_rows * (n_steps + 1)))
+    out: dict = {}
+    for start in range(0, n_paths, size):
+        pids = np.arange(start, min(start + size, n_paths), dtype=np.int64)
         js = path_up_counts(path_moves(pids, n_steps))
-        yield pids, js, _node_idx(js)
+        for name, value in block(pids, js, _node_idx(js)).items():
+            if value.dtype.kind == "i":
+                value = np.concatenate([out.get(name, value[:0]), value])[:_MAX_WITNESSES]
+            elif name in out:
+                value = (np.logical_and if value.dtype == bool else np.maximum)(out[name], value)
+            out[name] = value
+    return out
 
 
 def _node_idx(js: np.ndarray) -> np.ndarray:
@@ -127,9 +133,14 @@ def _node_idx(js: np.ndarray) -> np.ndarray:
     return tri(np.arange(js.shape[-1]), js)
 
 
-def _rule_hits(rule: StoppingRule, idx: np.ndarray) -> np.ndarray:
-    """First marked step of every path, given the paths' flat node indices."""
-    return np.argmax(rule.flat[idx], axis=1)
+def _hits(rule: StoppingRule | None, idx: np.ndarray) -> np.ndarray:
+    """First stop step on every path of ``idx``: one row for a fixed rule, or (``None``) a row
+    per rule id, whose bit i marks flat node i; the terminal row always stops."""
+    if rule is not None:
+        return np.argmax(rule.flat[idx], axis=-1)
+    m = tri(idx.shape[-1] - 1)
+    ids = np.arange(1 << m)[:, None, None]
+    return np.argmax((idx >= m) | (((ids >> idx) & 1) == 1), axis=-1)
 
 
 def _forward_matrix(
@@ -137,6 +148,7 @@ def _forward_matrix(
     js: np.ndarray,
 ) -> np.ndarray:
     """Wealth at every step of every path (no stopping; prefixes are what matter)."""
+    _check_steps(lat, OutOfRange, hedge=hedge, cashflow_increments=cashflow)
     n, dt = lat.n_steps, lat.dt
     out = np.empty((js.shape[0], n + 1))
     out[:, 0] = y0
@@ -179,14 +191,9 @@ def _before_cumsum(flat: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return out
 
 
-def _cum_at_stop(flat, idx, stops, include_stop_node: bool):
-    """Cumulative push at the stop.  Stopping preempts the stop node's own
-    projection push by default; including it is a sensitivity knob."""
-    rows = np.arange(idx.shape[0])
-    total = _before_cumsum(flat, idx)[rows, stops]
-    if include_stop_node:
-        total = total + flat[idx[rows, stops]]
-    return total
+def _cum_at_stop(flat: np.ndarray, idx: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """Cumulative push at each path's stop; stopping preempts the stop node's own push."""
+    return _before_cumsum(flat, idx)[np.arange(idx.shape[0]), stops]
 
 
 def solution_path(quote: QuoteResult, path) -> WealthPath:
@@ -202,32 +209,63 @@ def solution_path(quote: QuoteResult, path) -> WealthPath:
     )
 
 
-def _stop_comparison(
-    v_full: np.ndarray,
-    hits_sigma: np.ndarray,
-    hits_tau: np.ndarray,
-    idx: np.ndarray,
-    contract: ContractSpec,
-    view: PartyView,
-    vb: np.ndarray,
-    eq_tol: float,
-):
-    """Per-path comparison of stopped wealth plus settlement against the benchmark.
+def _stop_pay(first, second, idx, first_pays, second_pays, tie_pays):
+    """Stop step, node and payment per row and path when two rules race: the earlier stop
+    pays its own row, a joint stop pays the tie row."""
+    k_stop = np.minimum(first, second)
+    node = idx[np.arange(idx.shape[0]), k_stop]
+    pay = np.where(first < second, first_pays[node],
+                   np.where(second < first, second_pays[node], tie_pays[node]))
+    return k_stop, node, pay
+
+
+def _benchmark_rows(v_full, hits_sigma, hits_tau, idx, contract, view, vb, eq_tol):
+    """Stopped wealth plus settlement minus the benchmark per row and path, its tolerance,
+    and each row's flags over the paths: no shortfall (sh), equality (be), no strict gain.
 
     Settlements are hedger-signed, so the counterparty's wealth adds them negated.
     """
-    xh, xc, xm = contract.Xh.flat, contract.Xc.flat, contract.Xbar.flat
     sign = 1.0 if view.side == "hedger" else -1.0
-    k_stop = np.minimum(hits_sigma, hits_tau)
-    rows = np.arange(v_full.shape[0])
-    node = idx[rows, k_stop]
-    settle = np.where(hits_sigma < hits_tau, xh[node],
-                      np.where(hits_tau < hits_sigma, xc[node], xm[node]))
-    lhs = v_full[rows, k_stop] + sign * settle
+    k_stop, _, settle = _stop_pay(hits_sigma, hits_tau, idx,
+                                  contract.Xh.flat, contract.Xc.flat, contract.Xbar.flat)
     rhs = vb[k_stop]
-    diff = lhs - rhs
+    diff = v_full[np.arange(idx.shape[0]), k_stop] + sign * settle - rhs
     tol = eq_tol * (1.0 + np.abs(rhs))
-    return diff, tol, k_stop
+    flags = {"sh": (diff >= -tol).all(axis=-1), "be": (np.abs(diff) <= tol).all(axis=-1),
+             "no_gain": (diff <= tol).all(axis=-1)}
+    return diff, tol, flags
+
+
+def _own_rows(quote, hits, hits_other, idx, eq_tol):
+    """Per own rule row, over the paths: every interior stop presses the upper obstacle, and
+    the largest upper push before the stop and before the join with the counterpart."""
+    at_hit = idx[np.arange(idx.shape[0]), hits]
+    y_hit, upper_hit = quote.solution.Y.flat[at_hit], quote.inputs.upper.flat[at_hit]
+    on_upper = np.abs(y_hit - upper_hit) <= eq_tol * (1.0 + np.abs(y_hit))
+    du_flat = quote.solution.dU.flat
+    stops_at_t = hits >= idx.shape[1] - 1  # stopping at T needs no obstacle contact
+    return {
+        "on_upper": (stops_at_t | on_upper).all(axis=-1),
+        "push_before": _cum_at_stop(du_flat, idx, hits).max(axis=-1),
+        "push_join": _cum_at_stop(du_flat, idx, np.minimum(hits, hits_other)).max(axis=-1),
+    }
+
+
+def _counterpart_rows(quote, contract, view, payoff, vb, v_full, hits_own, hits, idx, eq_tol):
+    """Per counterpart rule row, over the paths: the benchmark flags of wealth stopped against
+    the own rule; forward wealth equal to the stopped game value; and the solved value equal
+    to it with no lower push before the join and no upper push before the own stop."""
+    sigma_tau = (hits_own, hits) if quote.side == "hedger" else (hits, hits_own)
+    _, _, flags = _benchmark_rows(v_full, *sigma_tau, idx, contract, view, vb, eq_tol)
+    k_stop, node, game_val = _stop_pay(hits_own, hits, idx, payoff.on_upper.flat,
+                                       payoff.on_lower.flat, payoff.on_tie.flat)
+    tol = eq_tol * (1.0 + np.abs(game_val))
+    sol = quote.solution
+    l_before = _cum_at_stop(sol.dL.flat, idx, k_stop)
+    u_before = _cum_at_stop(sol.dU.flat, idx, hits_own)
+    wealth = np.abs(v_full[np.arange(idx.shape[0]), k_stop] - game_val) <= tol
+    solution = (np.abs(sol.Y.flat[node] - game_val) <= tol) & (l_before == 0.0) & (u_before == 0.0)
+    return {**flags, "wealth": wealth.all(axis=-1), "solution": solution.all(axis=-1)}
 
 
 def classify_quadruplet(
@@ -243,51 +281,34 @@ def classify_quadruplet(
 ) -> ConditionReport:
     """Classify a candidate quadruplet by exhausting every path of the lattice."""
     _check_steps(lat, InvalidStoppingRule, sigma=sigma, tau=tau)
-    _check_steps(lat, OutOfRange, hedge=hedge)
-    n = lat.n_steps
-    _require_paths(n)
+    _check_steps(lat, InvalidParameters, contract=contract)
     vb = benchmark_profile(view.acct, view.endowment, lat.grid)
     y0 = view.endowment + price if view.side == "hedger" else view.endowment - price
     cash = contract.dA if view.side == "hedger" else NodeProcess(-contract.dA.flat)
-    all_ge = True
-    all_eq = True
-    any_gt = False
-    any_lt = False
-    witnesses: dict[str, list[int]] = {"strict_gain": [], "shortfall": [], "off_equal": []}
-    for pids, js, idx in _path_chunks(n):
+
+    def block(pids, js, idx):
         v_full = _forward_matrix(y0, hedge, gen, cash, lat, js)
-        diff, tol, _ = _stop_comparison(
-            v_full, _rule_hits(sigma, idx), _rule_hits(tau, idx), idx, contract, view, vb, eq_tol
+        diff, tol, flags = _benchmark_rows(
+            v_full, _hits(sigma, idx), _hits(tau, idx), idx, contract, view, vb, eq_tol
         )
-        ge = diff >= -tol
-        eq = np.abs(diff) <= tol
-        gt = diff > tol
-        lt = diff < -tol
-        all_ge &= bool(ge.all())
-        all_eq &= bool(eq.all())
-        any_gt |= bool(gt.any())
-        any_lt |= bool(lt.any())
-        for name, mask in (("strict_gain", gt), ("shortfall", lt), ("off_equal", ~eq)):
-            room = _MAX_WITNESSES - len(witnesses[name])
-            if room > 0:
-                witnesses[name].extend(int(p) for p in pids[mask][:room])
-    sh = all_ge
-    ao = sh and any_gt
-    be = all_eq
-    na = be or any_lt
+        return {**flags, "strict_gain": pids[diff > tol], "shortfall": pids[diff < -tol],
+                "off_equal": pids[np.abs(diff) > tol]}
+
+    out = _fold(lat.n_steps, 1, block)
+    sh, be = bool(out["sh"]), bool(out["be"])
     return ConditionReport(
-        sh=sh, ao=ao, be=be, na=na,
-        witness_paths={k: tuple(v) for k, v in witnesses.items()},
+        sh=sh, ao=sh and not out["no_gain"], be=be, na=be or not sh,
+        witness_paths={k: tuple(out[k].tolist())
+                       for k in ("strict_gain", "shortfall", "off_equal")},
     )
 
 
-def _own_regions(quote: QuoteResult):
-    """(own equality, own push, other equality, other push) in solution coordinates."""
-    if quote.side == "hedger":
-        return (quote.region_sigma, quote.region_bar_sigma,
-                quote.region_tau, quote.region_bar_tau)
-    return (quote.region_tau, quote.region_bar_tau,
-            quote.region_sigma, quote.region_bar_sigma)
+def _own_rules(quote: QuoteResult, n_steps: int):
+    """(own, own push, other, other push) stopping rules in solution coordinates."""
+    regions = (quote.region_sigma, quote.region_bar_sigma, quote.region_tau, quote.region_bar_tau)
+    if quote.side != "hedger":
+        regions = regions[2:] + regions[:2]
+    return tuple(StoppingRule.from_nodes(n_steps, region) for region in regions)
 
 
 @dataclass(frozen=True)
@@ -314,7 +335,6 @@ def verify_replication(
     gen: Generator,
     lat: Lattice,
     gap_tol: float = 1e-10,
-    probe_scale: float = 1e-6,
     eq_tol: float = 1e-9,
 ) -> ReplicationReport:
     """Wealth from the quoted price must track the solved value until someone stops.
@@ -327,27 +347,21 @@ def verify_replication(
     side the benchmark-safety condition must fail.
     """
     n = lat.n_steps
-    n_paths = _require_paths(n)
-    own_eq, _, other_eq, _ = _own_regions(quote)
-    own_rule = StoppingRule.from_nodes(n, own_eq)
-    other_rule = StoppingRule.from_nodes(n, other_eq)
+    own_rule, _, other_rule, _ = _own_rules(quote, n)
     sigma, tau = (own_rule, other_rule) if quote.side == "hedger" else (other_rule, own_rule)
-    y0 = quote.solution.Y.at(0, 0)
-    y_flat = quote.solution.Y.flat
+    y0, y_flat = quote.solution.Y.at(0, 0), quote.solution.Y.flat
     cash = quote.inputs.cashflow_increments
-    max_gap = 0.0
-    first_fail: int | None = None
-    for pids, js, idx in _path_chunks(n):
+
+    def block(pids, js, idx):
         v_full = _forward_matrix(y0, quote.solution.Z, gen, cash, lat, js)
-        k_stop = np.minimum(_rule_hits(sigma, idx), _rule_hits(tau, idx))
+        k_stop = np.minimum(_hits(sigma, idx), _hits(tau, idx))
         live = np.arange(n + 1)[None, :] <= k_stop[:, None]
-        gaps = np.where(live, np.abs(v_full - y_flat[idx]), 0.0)
-        path_gap = gaps.max(axis=1)
-        max_gap = max(max_gap, float(path_gap.max()))
-        bad = np.nonzero(path_gap > gap_tol)[0]
-        if bad.size and first_fail is None:
-            first_fail = int(pids[bad[0]])
-    probe = probe_scale * (1.0 + abs(quote.price))
+        path_gap = np.where(live, np.abs(v_full - y_flat[idx]), 0.0).max(axis=1)
+        return {"max_gap": path_gap.max(), "failing": pids[path_gap > gap_tol]}
+
+    out = _fold(n, 1, block)
+    max_gap = float(out["max_gap"])
+    probe = _PROBE * (1.0 + abs(quote.price))
     if quote.side == "counterparty":
         probe = -probe  # the counterparty pays the price, so less is more
     exact, up, down = (
@@ -357,8 +371,8 @@ def verify_replication(
     return ReplicationReport(
         replicates=max_gap <= gap_tol,
         max_gap=max_gap,
-        n_paths=n_paths,
-        first_failing_path=first_fail,
+        n_paths=1 << n,
+        first_failing_path=int(out["failing"][0]) if out["failing"].size else None,
         be=exact.be,
         ao_at_plus=up.ao,
         sh_fails_at_minus=not down.sh,
@@ -384,22 +398,6 @@ class RationalStopReport:
         return ok and (not self.push_at_join_max > 0.0 or not self.rational)
 
 
-def _own_stop_evidence(quote, hits, hits_other, idx, eq_tol, include_stop_node_push):
-    """Per rule (rows of ``hits``, one column per path): whether every interior stop presses
-    the upper obstacle, and the largest upper push before the stop and before the join."""
-    at_hit = idx[np.arange(idx.shape[0]), hits]
-    y_hit, upper_hit = quote.solution.Y.flat[at_hit], quote.inputs.upper.flat[at_hit]
-    on_upper = np.abs(y_hit - upper_hit) <= eq_tol * (1.0 + np.abs(y_hit))
-    du_flat = quote.solution.dU.flat
-    stops_at_t = hits >= idx.shape[1] - 1  # stopping at T needs no obstacle contact
-    joins = np.minimum(hits, hits_other)
-    return (
-        (stops_at_t | on_upper).all(axis=-1),
-        _cum_at_stop(du_flat, idx, hits, include_stop_node_push).max(axis=-1),
-        _cum_at_stop(du_flat, idx, joins, include_stop_node_push).max(axis=-1),
-    )
-
-
 def verify_rational_cancellation(
     sigma_rule: StoppingRule,
     quote: QuoteResult,
@@ -408,7 +406,6 @@ def verify_rational_cancellation(
     gen: Generator,
     lat: Lattice,
     eq_tol: float = 1e-9,
-    include_stop_node_push: bool = False,
 ) -> RationalStopReport:
     """Decide whether stopping by sigma_rule keeps the quote side benchmark-safe.
 
@@ -418,29 +415,17 @@ def verify_rational_cancellation(
     where the value presses the upper obstacle, no earlier push) and the
     necessity probe (push accumulated before the rule meets the
     counterpart's exercise region).  Cumulative pushes count strictly earlier
-    steps; set include_stop_node_push to also count the stop node's own
-    increment (sensitivity analysis, not the convention the theory needs).
+    steps.
     """
     n = lat.n_steps
-    _require_paths(n)
     payoff, cash = game_payoff(contract, view, lat), quote.inputs.cashflow_increments
     snell = snell_sup_for_minimizer(lat, gen, cash, payoff, sigma_rule)
     y0 = quote.solution.Y.at(0, 0)
     rational = snell <= y0 + eq_tol * (1.0 + abs(y0))
-
-    own_eq, _, other_eq, _ = _own_regions(quote)
-    other_rule = StoppingRule.from_nodes(n, other_eq)
-    stops_on_upper = True
-    push_before = 0.0
-    push_join = 0.0
-    for _, _, idx in _path_chunks(n):
-        on_upper, before, join = _own_stop_evidence(
-            quote, _rule_hits(sigma_rule, idx), _rule_hits(other_rule, idx), idx, eq_tol,
-            include_stop_node_push,
-        )
-        stops_on_upper &= bool(on_upper)
-        push_before = max(push_before, float(before))
-        push_join = max(push_join, float(join))
+    other_rule = _own_rules(quote, n)[2]
+    out = _fold(n, 1, lambda pids, js, idx: _own_rows(
+        quote, _hits(sigma_rule, idx), _hits(other_rule, idx), idx, eq_tol))
+    stops_on_upper, push_before = bool(out["on_upper"]), float(out["push_before"])
     return RationalStopReport(
         rational=rational,
         snell_value=snell,
@@ -448,7 +433,7 @@ def verify_rational_cancellation(
         stops_on_upper=stops_on_upper,
         push_before_stop_max=push_before,
         sufficient=stops_on_upper and push_before == 0.0,
-        push_at_join_max=push_join,
+        push_at_join_max=float(out["push_join"]),
     )
 
 
@@ -477,28 +462,6 @@ class BreakEvenReport:
         return len(set(self.flags)) == 1
 
 
-def _game_readings(quote, payoff, hits_own, hits_other, idx, v_full, eq_tol,
-                   include_stop_node_push):
-    """Per rule (rows of ``hits_other``): forward wealth equals the stopped game value on
-    every path, and so does the solved value with no lower push before the join and no
-    upper push before the own stop.  The own rule's stop pays the upper row, the other's
-    the lower and a joint stop the tie row."""
-    k_stop = np.minimum(hits_own, hits_other)
-    rows = np.arange(idx.shape[0])
-    node = idx[rows, k_stop]
-    game_val = np.where(hits_own < hits_other, payoff.on_upper.flat[node],
-                        np.where(hits_other < hits_own, payoff.on_lower.flat[node],
-                                 payoff.on_tie.flat[node]))
-    tol = eq_tol * (1.0 + np.abs(game_val))
-    y_stop = quote.solution.Y.flat[node]
-    l_before = _cum_at_stop(quote.solution.dL.flat, idx, k_stop, include_stop_node_push)
-    u_before = _cum_at_stop(quote.solution.dU.flat, idx, hits_own, include_stop_node_push)
-    return (
-        (np.abs(v_full[rows, k_stop] - game_val) <= tol).all(axis=-1),
-        ((np.abs(y_stop - game_val) <= tol) & (l_before == 0.0) & (u_before == 0.0)).all(axis=-1),
-    )
-
-
 def verify_break_even(
     tau_rule: StoppingRule,
     quote: QuoteResult,
@@ -507,7 +470,6 @@ def verify_break_even(
     gen: Generator,
     lat: Lattice,
     eq_tol: float = 1e-9,
-    include_stop_node_push: bool = False,
 ) -> BreakEvenReport:
     """Check one counterpart rule against all five break-even characterizations.
 
@@ -516,40 +478,27 @@ def verify_break_even(
     path by path, (4) the solved value equal to the stopped game value with
     no lower push before the join and no upper push before the own stop,
     and (5) the rule attaining the best response against the own rule.
-    They agree in theory; disagreement is a finding.  include_stop_node_push
-    switches characterization (4) to count the stop node's own projection
-    increment (sensitivity analysis only).
+    They agree in theory; disagreement is a finding.  Readings (1) to (3)
+    share one forward pass from the solved root value.
     """
     n = lat.n_steps
-    _require_paths(n)
-    own_eq, _, _, _ = _own_regions(quote)
-    own_rule = StoppingRule.from_nodes(n, own_eq)
-    sigma, tau = (own_rule, tau_rule) if quote.side == "hedger" else (tau_rule, own_rule)
-    exact = classify_quadruplet(
-        quote.price, quote.solution.Z, sigma, tau, contract, view, gen, lat, eq_tol
-    )
-
+    own_rule = _own_rules(quote, n)[0]
     payoff, cash = game_payoff(contract, view, lat), quote.inputs.cashflow_increments
-    y0 = quote.solution.Y.at(0, 0)
-    wealth_matches = True
-    solution_matches = True
-    for _, js, idx in _path_chunks(n):
-        v_full = _forward_matrix(y0, quote.solution.Z, gen, cash, lat, js)
-        wealth, solution = _game_readings(
-            quote, payoff, _rule_hits(own_rule, idx), _rule_hits(tau_rule, idx), idx,
-            v_full, eq_tol, include_stop_node_push,
-        )
-        wealth_matches &= bool(wealth)
-        solution_matches &= bool(solution)
     stopped_val = evaluate_stopped(lat, gen, cash, payoff, own_rule, tau_rule)
     snell = snell_sup_for_minimizer(lat, gen, cash, payoff, own_rule)
-    attains = abs(stopped_val - snell) <= eq_tol * (1.0 + abs(snell))
+    vb = benchmark_profile(view.acct, view.endowment, lat.grid)
+    y0 = quote.solution.Y.at(0, 0)
+    out = _fold(n, 1, lambda pids, js, idx: _counterpart_rows(
+        quote, contract, view, payoff, vb,
+        _forward_matrix(y0, quote.solution.Z, gen, cash, lat, js),
+        _hits(own_rule, idx), _hits(tau_rule, idx), idx, eq_tol))
+    be = bool(out["be"])
     return BreakEvenReport(
-        be_classified=exact.be,
-        na_classified=exact.na,
-        wealth_matches_game=wealth_matches,
-        solution_matches_game=solution_matches,
-        attains_supremum=attains,
+        be_classified=be,
+        na_classified=be or not out["sh"],
+        wealth_matches_game=bool(out["wealth"]),
+        solution_matches_game=bool(out["solution"]),
+        attains_supremum=abs(stopped_val - snell) <= eq_tol * (1.0 + abs(snell)),
     )
 
 
@@ -604,91 +553,58 @@ def stopping_time_battery(
     Counterpart sweep: the five break-even characterizations must agree for
     every rule, and when the own rule never precedes the counterpart's
     first-contact rule, no break-even rule may beat that contact time.
+    Both sweeps run the single-rule verifiers' rows with a row per rule id.
     """
     n = lat.n_steps
-    m = _require_enumerable(n)
-    n_rules = 1 << m
-    n_paths = _require_paths(n)
-    if n_paths > 1 << 12:
-        raise TooManyPaths(f"battery caps at {1 << 12} paths, lattice has {n_paths}")
-
+    n_rules = 1 << _require_enumerable(n)
     payoff, cash = game_payoff(contract, view, lat), quote.inputs.cashflow_increments
     y0 = quote.solution.Y.at(0, 0)
-    val_tol = eq_tol * (1.0 + abs(y0))
-
-    own_eq, own_bar, other_eq, other_bar = _own_regions(quote)
-    own_rule = StoppingRule.from_nodes(n, own_eq)
-    own_bar_rule = StoppingRule.from_nodes(n, own_bar)
-    other_rule = StoppingRule.from_nodes(n, other_eq)
-    other_bar_rule = StoppingRule.from_nodes(n, other_bar)
-
-    js = path_up_counts(path_moves(np.arange(n_paths, dtype=np.int64), n))
-    idx = _node_idx(js)
-    v_full = _forward_matrix(y0, quote.solution.Z, gen, cash, lat, js)
     vb = benchmark_profile(view.acct, view.endowment, lat.grid)
+    own_rule, own_bar_rule, other_rule, other_bar_rule = _own_rules(quote, n)
 
-    hits_own_canon = _rule_hits(own_rule, idx)
-    hits_own_bar = _rule_hits(own_bar_rule, idx)
-    hits_other_canon = _rule_hits(other_rule, idx)
-    hits_other_bar = _rule_hits(other_bar_rule, idx)
+    def block(pids, js, idx):
+        hits = _hits(None, idx)
+        h_own, h_own_bar, h_other, h_other_bar = (
+            _hits(rule, idx) for rule in (own_rule, own_bar_rule, other_rule, other_bar_rule)
+        )
+        v_full = _forward_matrix(y0, quote.solution.Z, gen, cash, lat, js)
+        # the earliest (latest) pins compare every rule with the canonical one on its event
+        early, late = h_own <= h_other_bar, h_own_bar < h_other_bar
+        return {
+            **_own_rows(quote, hits, h_other, idx, eq_tol),
+            **_counterpart_rows(quote, contract, view, payoff, vb, v_full, h_own, hits, idx,
+                                eq_tol),
+            "never_later": (~early | (hits <= h_own)).all(axis=-1),
+            "same_early": (~early | (hits == h_own)).all(axis=-1),
+            "never_earlier": (~late | (hits >= h_own_bar)).all(axis=-1),
+            "same_late": (~late | (hits == h_own_bar)).all(axis=-1),
+            "premise": (h_own >= h_other).all(),
+            "no_early_join": (np.minimum(hits, h_own) >= h_other).all(axis=-1),
+        }
 
-    # first hits of every rule id at once: bit i marks flat node i, the terminal row always
-    ids = np.arange(n_rules)[:, None, None]
-    all_hits = np.argmax((idx >= m) | (((ids >> idx) & 1) == 1), axis=2)
-
-    # own-side sweep: rationality is one vectorized best-response pass, the
-    # pathwise evidence one array with a row per rule id and a column per path
-    sup_vals = sup_values_by_minimizer_rule(lat, gen, cash, payoff)
-    rational = sup_vals <= y0 + val_tol
-    canonical_rational = bool(
-        rational[rule_to_id(own_rule)] and rational[rule_to_id(own_bar_rule)]
-    )
-    on_upper, push_before, push_join = _own_stop_evidence(
-        quote, all_hits, hits_other_canon, idx, eq_tol, False
-    )
-    sufficient = on_upper & (push_before == 0.0)
-
-    def pinned_elsewhere(event, hits_canon, compare):
-        """Rational rules that compare true to the canonical hits on the event, yet differ."""
-        hits, canon = all_hits[:, event], hits_canon[event]
-        if not event.any():
-            return np.zeros(n_rules, dtype=bool)
-        return rational & compare(hits, canon).all(axis=1) & ~(hits == canon).all(axis=1)
-
-    earliest_bad = pinned_elsewhere(hits_own_canon <= hits_other_bar, hits_own_canon, np.less_equal)
-    latest_bad = pinned_elsewhere(hits_own_bar < hits_other_bar, hits_own_bar, np.greater_equal)
-
-    # counterpart sweep: five break-even readings per rule
+    out = _fold(n, n_rules, block)
+    # rationality is one vectorized best-response pass, attainment one pair-matrix row
+    rational = sup_values_by_minimizer_rule(lat, gen, cash, payoff) <= y0 + eq_tol * (1.0 + abs(y0))
     pair_vals = stopped_values_for_maximizer_rules(lat, gen, cash, payoff, own_rule)
     snell = snell_sup_for_minimizer(lat, gen, cash, payoff, own_rule)
     attains = np.abs(pair_vals - snell) <= eq_tol * (1.0 + abs(snell))
-    premise = bool((hits_own_canon >= hits_other_canon).all())
-    sigma_tau = (hits_own_canon, all_hits) if quote.side == "hedger" else (all_hits, hits_own_canon)
-    settle_diff, settle_tol, _ = _stop_comparison(
-        v_full, *sigma_tau, idx, contract, view, vb, eq_tol
-    )
-    be = (np.abs(settle_diff) <= settle_tol).all(axis=1)
-    na = be | (settle_diff < -settle_tol).any(axis=1)
-    wealth, solution = _game_readings(
-        quote, payoff, hits_own_canon, all_hits, idx, v_full, eq_tol, False
-    )
-    flags = np.stack([be, na, wealth, solution, attains])
-    counterpart_early = premise & be & ~(
-        np.minimum(all_hits, hits_own_canon) >= hits_other_canon
-    ).all(axis=1)
+    be, premise = out["be"], bool(out["premise"])
+    flags = np.stack([be, be | ~out["sh"], out["wealth"], out["solution"], attains])
+    sufficient = out["on_upper"] & (out["push_before"] == 0.0)
 
     ids_where = lambda mask: tuple(np.flatnonzero(mask).tolist())  # noqa: E731
     return BatteryReport(
         n_rules=n_rules,
-        n_paths=n_paths,
+        n_paths=1 << n,
         rational_count=int(rational.sum()),
-        canonical_rational=canonical_rational,
+        canonical_rational=bool(rational[rule_to_id(own_rule)]
+                                and rational[rule_to_id(own_bar_rule)]),
         sufficiency_counterexamples=ids_where(sufficient & ~rational),
-        necessity_counterexamples=ids_where(rational & (push_join > 0.0)),
-        earliest_counterexamples=ids_where(earliest_bad),
-        latest_counterexamples=ids_where(latest_bad),
+        necessity_counterexamples=ids_where(rational & (out["push_join"] > 0.0)),
+        earliest_counterexamples=ids_where(rational & out["never_later"] & ~out["same_early"]),
+        latest_counterexamples=ids_where(rational & out["never_earlier"] & ~out["same_late"]),
         breakeven_count=int(be.sum()),
         breakeven_disagreements=ids_where(flags.any(axis=0) != flags.all(axis=0)),
         counterpart_earliest_premise=premise,
-        counterpart_earliest_counterexamples=ids_where(counterpart_early),
+        counterpart_earliest_counterexamples=ids_where(premise & be & ~out["no_early_join"]),
     )

@@ -29,7 +29,6 @@ from gamehedge import (
 )
 from gamehedge.dynkin import stopped_values_for_maximizer_rules, sup_values_by_minimizer_rule
 from gamehedge.lattice import tri
-from gamehedge.replication import _own_regions
 from conftest import random_instance
 
 KINDS = (
@@ -40,6 +39,12 @@ KINDS = (
     "breakeven_disagreements",
     "counterpart_earliest_counterexamples",
 )
+
+
+def own_regions(quote):
+    """(own equality, own push, other equality, other push) in solution coordinates."""
+    regions = (quote.region_sigma, quote.region_bar_sigma, quote.region_tau, quote.region_bar_tau)
+    return regions if quote.side == "hedger" else regions[2:] + regions[:2]
 
 
 def reference_counterexamples(quote, contract, view, gen, lat, eq_tol=1e-9):
@@ -59,7 +64,7 @@ def reference_counterexamples(quote, contract, view, gen, lat, eq_tol=1e-9):
     def along(proc, steps):
         return np.array([proc.at(int(k), int(js[p, k])) for p, k in enumerate(steps)])
 
-    own_eq, own_bar, other_eq, other_bar = _own_regions(quote)
+    own_eq, own_bar, other_eq, other_bar = own_regions(quote)
     h_own, h_own_bar, h_other, h_other_bar = (
         hits_of(StoppingRule.from_nodes(n, region))
         for region in (own_eq, own_bar, other_eq, other_bar)

@@ -1,5 +1,6 @@
 """Forward wealth, benchmark classification, and the stopping-rule verifiers."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -26,7 +27,7 @@ from gamehedge import (
     verify_rational_cancellation,
     verify_replication,
 )
-from gamehedge.errors import InvalidStoppingRule, OutOfRange
+from gamehedge.errors import InvalidParameters, InvalidStoppingRule, OutOfRange
 from gamehedge.lattice import node_coords, tri
 
 from conftest import random_instance
@@ -122,23 +123,35 @@ def test_classifier_instance_a(instance_a):
     assert rich.ao and rich.sh and not rich.na
     poor = classify_quadruplet(4.0, z, sigma, tau, contract, view, gen, lat)
     assert not poor.sh and poor.na
-    assert poor.witness_paths  # at least one shortfall path is named
+    assert poor.witness_paths["shortfall"] == (0, 1)
+    assert rich.witness_paths["strict_gain"] == (0, 1)
 
 
 def test_classifier_rejects_parts_off_the_lattice():
     lat = build_lattice(100.0, 1.2, 0.8, TimeGrid(horizon=1.0, n_steps=2))
     contract = builtin_israeli_put(lat, strike=100.0, penalty=5.0)
+    lat3 = build_lattice(100.0, 1.2, 0.8, TimeGrid(horizon=1.0, n_steps=3))
+    put3 = builtin_israeli_put(lat3, strike=100.0, penalty=5.0)
     view = PartyView("hedger", 0.0, BenchmarkAccount(0.0, 0.0))
     gen = ZeroGenerator()
     quote = acceptable_price(contract, view, gen, lat)
     z, never, never_3 = quote.solution.Z, StoppingRule.never_early(2), StoppingRule.never_early(3)
-    for error, part, (hedge, sigma, tau) in (
-        (InvalidStoppingRule, "sigma", (z, never_3, never)),
-        (InvalidStoppingRule, "tau", (z, never, never_3)),
-        (OutOfRange, "hedge", (NodeProcess.zeros(3), never, never)),
+    for error, part, (hedge, sigma, tau, spec) in (
+        (InvalidStoppingRule, "sigma", (z, never_3, never, contract)),
+        (InvalidStoppingRule, "tau", (z, never, never_3, contract)),
+        (OutOfRange, "hedge", (NodeProcess.zeros(3), never, never, contract)),
+        (InvalidParameters, "contract", (z, never, never, put3)),
     ):
         with pytest.raises(error, match=f"^{part} has 3 steps, lattice has 2$"):
-            classify_quadruplet(quote.price, hedge, sigma, tau, contract, view, gen, lat)
+            classify_quadruplet(quote.price, hedge, sigma, tau, spec, view, gen, lat)
+
+
+def test_forward_wealth_rejects_processes_off_the_lattice():
+    lat = build_lattice(100.0, 1.2, 0.8, TimeGrid(horizon=1.0, n_steps=2))
+    two, three = NodeProcess.zeros(2), NodeProcess.zeros(3)
+    for part, (hedge, cash) in (("hedge", (three, three)), ("cashflow_increments", (two, three))):
+        with pytest.raises(OutOfRange, match=f"^{part} has 3 steps, lattice has 2$"):
+            forward_wealth(5.0, hedge, ZeroGenerator(), cash, lat, [1, 0])
 
 
 def test_classifier_flag_structure(rng):
@@ -229,19 +242,6 @@ def test_rational_cancellation_instance_a(instance_a):
     assert late.snell_value == pytest.approx(10.0, abs=1e-12)
 
 
-def test_stop_node_push_knob(instance_a):
-    lat, contract, view, gen, quote = instance_a
-    sigma = StoppingRule.from_nodes(1, quote.region_sigma)
-    inclusive = verify_rational_cancellation(
-        sigma, quote, contract, view, gen, lat, include_stop_node_push=True
-    )
-    # counting the stop node's own projection increment destroys sufficiency,
-    # which is exactly why the exclusive convention is the default
-    assert inclusive.push_before_stop_max == pytest.approx(5.0)
-    assert not inclusive.sufficient
-    assert inclusive.rational  # the exact decision is unaffected by the knob
-
-
 def two_step_quote():
     lat = build_lattice(100.0, 1.2, 0.8, TimeGrid(horizon=1.0, n_steps=2))
     contract = builtin_israeli_put(lat, strike=100.0, penalty=5.0)
@@ -257,6 +257,8 @@ def test_break_even_canonical_rule():
     report = verify_break_even(tau, quote, contract, view, gen, lat)
     assert report.flags == (True, True, True, True, True)
     assert report.equivalent
+    with pytest.raises(InvalidStoppingRule, match="^tau has 3 steps, lattice has 2$"):
+        verify_break_even(StoppingRule.never_early(3), quote, contract, view, gen, lat)
 
 
 def test_break_even_root_rule_fails_all_five():
@@ -287,6 +289,25 @@ def test_battery_random_instances(rng):
             quote = acceptable_price(contract, views[side], gen, lat)
             report = stopping_time_battery(quote, contract, views[side], gen, lat)
             assert report.ok, (side, report)
+
+
+def test_battery_memory_stays_bounded():
+    # the N=5 put of acceptance check 7: 2**15 rules on 32 paths, audited one
+    # bounded block of rule rows x paths at a time
+    lat = build_lattice(100.0, 1.2, 0.8, TimeGrid(horizon=1.0, n_steps=5))
+    contract = builtin_israeli_put(lat, strike=100.0, penalty=5.0)
+    gen = ZeroGenerator()
+    for side in ("hedger", "counterparty"):
+        view = PartyView(side, 0.0, BenchmarkAccount(0.0, 0.0))
+        quote = acceptable_price(contract, view, gen, lat)
+        tracemalloc.start()
+        try:
+            report = stopping_time_battery(quote, contract, view, gen, lat)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.ok
+        assert peak < 48 * 2**20, (side, peak / 2**20)
 
 
 def test_path_guard():
