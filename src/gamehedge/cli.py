@@ -33,10 +33,11 @@ from .config import (
     load_config,
     set_axis_value,
 )
+from .drbsde import require_contraction
 from .dynkin import DEFAULT_PAIR_LIMIT, game_value_brute, saddle_check
 from .errors import ConfigError, EngineError, TooLarge, TooManyPaths
 from .lattice import node_coords, read_node_process, write_csv, write_node_process
-from .pricing import acceptable_price, game_payoff, side_obstacles
+from .pricing import SIDES, acceptable_price, game_payoff, side_obstacles, sweep_prices
 from .replication import forward_wealth, solution_path, verify_replication
 from .stopping import path_moves
 
@@ -263,19 +264,22 @@ def _parse_sweep_values(text: str):
 
 
 def cmd_sweep(raw_cfg: dict, axis: str, values, out: Path) -> int:
+    # a generator axis leaves lattice, contract and views alone, so its values
+    # share one pass per side; any other axis runs each value as a batch of one
+    groups = [values] if axis.startswith("generator.") else [[value] for value in values]
     prices = []
-    for value in values:
-        cfg = copy.deepcopy(raw_cfg)
-        set_axis_value(cfg, axis, value)
-        bundle = build_bundle(cfg)
-        tol = bundle.tolerances["obstacle_eq"]
-        ph = acceptable_price(bundle.contract, bundle.views["hedger"], bundle.gen,
-                              bundle.lat, region_tol=tol).price
-        pc = acceptable_price(bundle.contract, bundle.views["counterparty"], bundle.gen,
-                              bundle.lat, region_tol=tol).price
-        prices.append((ph, pc))
+    for group in groups:
+        gens = []
+        for value in group:  # one bundle at a time; the first failing value names the error
+            cfg = copy.deepcopy(raw_cfg)
+            set_axis_value(cfg, axis, value)
+            bundle = build_bundle(cfg)
+            require_contraction(bundle.gen, bundle.lat)
+            gens.append(bundle.gen)
+        prices.append([sweep_prices(bundle.contract, bundle.views[side], gens, bundle.lat)
+                       for side in SIDES])
     out.mkdir(parents=True, exist_ok=True)
-    ph, pc = np.array(prices).T
+    ph, pc = np.concatenate(prices, axis=1)
     labels = np.array([str(v) if isinstance(v, int) else _fmt(v) for v in values])
     write_csv(out / "sweep.csv", ("value", "price_hedger", "price_counterparty", "spread"),
               (labels, ph, pc, ph - pc))
@@ -294,7 +298,7 @@ def _parse_args(argv):
         p.add_argument("--config", required=True, help="path to the JSON run config")
         p.add_argument("--out", help="output directory (default: config output.dir or ./out)")
         p.add_argument("--workers", type=int, default=1,
-                       help="accepted and ignored; sweeps run serially (deprecated)")
+                       help="accepted and ignored (deprecated)")
         p.add_argument("--tol-override", action="append", default=[], metavar="KEY=VALUE",
                        help="override a tolerance, repeatable")
         if with_side:

@@ -15,15 +15,21 @@ The implicit solve is a pure fixed-point iteration; for builtin generators
 the start point already solves the piecewise-linear equation exactly, so one
 confirming sweep suffices.  Its exit test accepts a change of at most
 FIXED_POINT_TOL or 4*eps*max|v|, whichever is larger, so quotes converge in
-any price units.  It looks at every value of the step at once, so results of
-a slowly converging custom generator depend on what one step covers: row
-solvers step whole rows, the oracle one node at a time.
+any price units.  A row step tests each column (each index of its batch
+axes) on its own and freezes a column once it passes, so a column's values
+are bit-identical to a step over that column alone, whatever converges
+beside it.  A node step (the oracle's cone engine) tests all its values
+jointly, so there a slowly converging custom generator's results depend on
+what the step covers.
 
 Every row recursion is one backward sweep behind one entry check (each
 part spans the lattice's steps, and the step contracts); only the node rule
-that turns a row's continuation into its values differs.  ``solve_bsde``
-keeps the continuation.  ``solve_drbsde`` projects it into [lower_k,
-upper_k] and records the one-sided pushes dL = (lower - v)^+ and
+that turns a row's continuation into its values differs.  The sweep holds
+only the row it steps from and hands each row to its caller: the solvers
+store the full field, the stopped-game values and ``reflected_roots`` keep
+row 0 alone, so a batch of columns costs O(N x columns) memory.
+``solve_bsde`` keeps the continuation.  ``solve_drbsde`` projects it into
+[lower_k, upper_k] and records the one-sided pushes dL = (lower - v)^+ and
 dU = ((v v lower) - upper)^+, with dL * dU = 0 node by node because the
 obstacles never touch.  ``evaluate_stopped`` prices the stream under
 externally imposed stopping rules (first marked node wins, simultaneous
@@ -62,6 +68,7 @@ __all__ = [
     "backward_step",
     "solve_bsde",
     "solve_drbsde",
+    "reflected_roots",
     "evaluate_stopped",
     "snell_sup_for_minimizer",
 ]
@@ -123,28 +130,37 @@ class DrbsdeSolution:
     iterations_max: int
 
 
-def _implicit_row(gen: Generator, t: float, rhs, z, s, dt: float):
-    """Solve v = rhs + g(t, v, z, s)*dt by fixed-point iteration on a whole row.
+def _implicit_row(gen: Generator, t: float, rhs, z, s, dt: float, axis: int | None = None):
+    """Solve v = rhs + g(t, v, z, s)*dt by fixed-point iteration.
 
-    Returns (v, residual, iterations).  The exit test bounds the true
-    residual because one extra application contracts the gap by dt*L_y < 1;
-    it also accepts 4*eps*max|v|, since above |v| = 8192 one ulp alone
-    exceeds FIXED_POINT_TOL.
+    Returns (v, residual, iterations), the last two maxima over columns.  The
+    exit test bounds the true residual because one extra application
+    contracts the gap by dt*L_y < 1; it also accepts 4*eps*max|v|, since above
+    |v| = 8192 one ulp alone exceeds FIXED_POINT_TOL.  With ``axis`` None one
+    test covers every value; with ``axis=0`` each column (index of the axes
+    after 0) is tested alone and keeps the value it passed with.
     """
-    v = implicit_start(gen, t, rhs, z, s, dt)
-    delta = np.inf
+    v, live = implicit_start(gen, t, rhs, z, s, dt), None
     for it in range(1, MAX_FIXED_POINT_ITER + 1):
         v_new = rhs + eval_g(gen, t, v, z, s) * dt
-        delta = float(np.max(np.abs(v_new - v)))
-        v = v_new
-        if delta <= FIXED_POINT_TOL or delta <= _RELATIVE_TOL * float(np.max(np.abs(v))):
-            residual = float(np.max(np.abs(v - (rhs + eval_g(gen, t, v, z, s) * dt))))
-            return v, residual, it
-    raise NonConvergence(
-        f"implicit step did not reach {FIXED_POINT_TOL:g} (nor 4*eps*max|v|) within "
-        f"{MAX_FIXED_POINT_ITER} iterations (last change {delta:g}); "
-        "declared Lipschitz bounds are likely understated"
-    )
+        if live is not None:
+            v_new = np.where(live, v_new, v)
+        change = np.abs(v_new - v)
+        v, delta = v_new, float(np.max(change))
+        if delta <= FIXED_POINT_TOL:  # every column passes
+            break
+        col = np.max(change, axis=axis)
+        live = ~((col <= FIXED_POINT_TOL) | (col <= _RELATIVE_TOL * np.max(np.abs(v), axis=axis)))
+        if not live.any():
+            break
+    else:
+        raise NonConvergence(
+            f"implicit step did not reach {FIXED_POINT_TOL:g} (nor 4*eps*max|v|) within "
+            f"{MAX_FIXED_POINT_ITER} iterations (last change {delta:g}); "
+            "declared Lipschitz bounds are likely understated"
+        )
+    residual = float(np.max(np.abs(v - (rhs + eval_g(gen, t, v, z, s) * dt))))
+    return v, residual, it
 
 
 def require_contraction(gen: Generator, lat: Lattice) -> None:
@@ -185,7 +201,8 @@ def backward_step(lat: Lattice, gen: Generator, k: int, y_next, cash, j: int | N
         ds, s = s_next[j + 1] - s_next[j], s[j]
     z = (up - dn) / ds
     e = lat.q * up + (1.0 - lat.q) * dn
-    v, residual, iterations = _implicit_row(gen, k * lat.dt, e - cash, z, s, lat.dt)
+    v, residual, iterations = _implicit_row(gen, k * lat.dt, e - cash, z, s, lat.dt,
+                                            0 if j is None else None)
     return v, z, residual, iterations
 
 
@@ -211,23 +228,50 @@ def _check_entry(lat: Lattice, gen: Generator, error, **parts) -> None:
     require_contraction(gen, lat)
 
 
-def _sweep(lat: Lattice, gen: Generator, terminal, cash: NodeProcess, node_rule):
+def _sweep(lat: Lattice, gen: Generator, terminal, cash: NodeProcess, node_rule, keep=None):
     """The backward row loop: each row's continuation by ``backward_step``, then its node rule.
 
-    ``node_rule(k, cont)`` maps row k's continuation to its values.  Returns
-    flat value, slope and continuation arrays (terminal rows: the terminal
-    data, zero, the terminal data) and the residual and iteration maxima.
+    ``node_rule(k, cont)`` maps row k's continuation to its values, and
+    ``keep(k, values, slope, cont)``, if given, receives each row; the loop
+    itself holds only the row it steps from.  Rows may carry batch columns
+    after the node axis.  Returns row 0's values and the residual and
+    iteration maxima.
+    """
+    y, residual_max, iterations_max = terminal, 0.0, 0
+    for k in range(lat.n_steps - 1, -1, -1):
+        cont, z, res, its = backward_step(lat, gen, k, y, cash.row(k))
+        y = node_rule(k, cont)
+        if keep is not None:
+            keep(k, y, z, cont)
+        residual_max, iterations_max = max(residual_max, res), max(iterations_max, its)
+    return y, residual_max, iterations_max
+
+
+def _field(lat: Lattice, gen: Generator, terminal, cash: NodeProcess, node_rule):
+    """The sweep stored whole: flat value, slope and continuation arrays.
+
+    Terminal rows hold the terminal data, zero and the terminal data; the
+    residual and iteration maxima follow the arrays.
     """
     n = lat.n_steps
     y, z, cont = (np.zeros(tri(n + 1)) for _ in range(3))
     y[tri(n):] = cont[tri(n):] = terminal
-    residual_max, iterations_max = 0.0, 0
-    for k in range(n - 1, -1, -1):
+
+    def keep(k, y_k, z_k, cont_k):
         row = slice(tri(k), tri(k + 1))
-        cont[row], z[row], res, its = backward_step(lat, gen, k, y[row.stop:tri(k + 2)], cash.row(k))
-        y[row] = node_rule(k, cont[row])
-        residual_max, iterations_max = max(residual_max, res), max(iterations_max, its)
+        y[row], z[row], cont[row] = y_k, z_k, cont_k
+
+    _, residual_max, iterations_max = _sweep(lat, gen, terminal, cash, node_rule, keep)
     return y, z, cont, residual_max, iterations_max
+
+
+def _reflect(lo: NodeProcess, hi: NodeProcess):
+    """Node rule projecting a row's continuation into [lower_k, upper_k], batch columns alike."""
+    def rule(k, cont):
+        col = (-1,) + (1,) * (np.ndim(cont) - 1)
+        return np.minimum(hi.row(k).reshape(col), np.maximum(lo.row(k).reshape(col), cont))
+
+    return rule
 
 
 def solve_bsde(
@@ -236,20 +280,31 @@ def solve_bsde(
     """Unreflected backward solve; returns the value and hedge-slope processes."""
     term = _check_terminal(lat, terminal)
     _check_entry(lat, gen, OutOfRange, cashflow_increments=cashflow_increments)
-    y, z, *_ = _sweep(lat, gen, term, cashflow_increments, lambda k, cont: cont)
+    y, z, *_ = _field(lat, gen, term, cashflow_increments, lambda k, cont: cont)
     return NodeProcess(y), NodeProcess(z)
 
 
 def solve_drbsde(inputs: DrbsdeInputs) -> DrbsdeSolution:
     """Doubly reflected backward solve with per-node Skorokhod bookkeeping."""
     lo, hi = inputs.lower, inputs.upper
-    y, z, v, residual_max, iterations_max = _sweep(
-        inputs.lat, inputs.gen, inputs.terminal, inputs.cashflow_increments,
-        lambda k, cont: np.minimum(hi.row(k), np.maximum(lo.row(k), cont)))
+    y, z, v, residual_max, iterations_max = _field(
+        inputs.lat, inputs.gen, inputs.terminal, inputs.cashflow_increments, _reflect(lo, hi))
     # terminal rows are zero, as the terminal data lies in the band; dU reuses v's memory
     dl = np.maximum(lo.flat - v, 0.0)
     du = np.maximum(np.maximum(v, lo.flat, out=v) - hi.flat, 0.0, out=v)
     return DrbsdeSolution(*(NodeProcess(a) for a in (y, z, dl, du)), residual_max, iterations_max)
+
+
+def reflected_roots(inputs: DrbsdeInputs, columns: int) -> np.ndarray:
+    """Root values of the doubly reflected solve, one per column of a stacked generator.
+
+    Column b is bit-identical to ``solve_drbsde``'s root under the b-th
+    generator of ``inputs.gen`` (see ``generators.stack_generators``); no
+    other row is kept.
+    """
+    term = np.broadcast_to(inputs.terminal[:, None], (inputs.n_steps + 1, columns))
+    return _sweep(inputs.lat, inputs.gen, term, inputs.cashflow_increments,
+                  _reflect(inputs.lower, inputs.upper))[0][0]
 
 
 @dataclass(frozen=True, eq=False)

@@ -36,14 +36,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .drbsde import DrbsdeInputs, DrbsdeSolution, GamePayoff, solve_drbsde
+from .drbsde import DrbsdeInputs, DrbsdeSolution, GamePayoff, reflected_roots, solve_drbsde
 from .errors import (
     ContractInvariantViolated,
     InvalidParameters,
     InvalidPenalty,
     NonFiniteInput,
 )
-from .generators import Generator
+from .generators import Generator, stack_generators
 from .lattice import (
     BenchmarkAccount,
     Lattice,
@@ -61,6 +61,7 @@ __all__ = [
     "side_obstacles",
     "game_payoff",
     "acceptable_price",
+    "sweep_prices",
     "builtin_israeli_put",
     "builtin_game_bond",
 ]
@@ -216,19 +217,17 @@ def acceptable_price(
     pos_du = _nodes(sol.dU.flat > 0.0)
     pos_dl = _nodes(sol.dL.flat > 0.0)
     if view.side == "hedger":
-        price = y0 - view.endowment
         region_sigma, region_tau = eq_upper, eq_lower
         region_bar_sigma, region_bar_tau = pos_du, pos_dl
     else:
         # the hedger's cancel presses the counterparty value at the lower
         # obstacle, the counterparty's own exercise at the upper
-        price = view.endowment - y0
         region_sigma, region_tau = eq_lower, eq_upper
         region_bar_sigma, region_bar_tau = pos_dl, pos_du
     return QuoteResult(
         side=view.side,
         endowment=view.endowment,
-        price=price,
+        price=_price(view, y0),
         solution=sol,
         inputs=inputs,
         region_sigma=region_sigma,
@@ -236,6 +235,24 @@ def acceptable_price(
         region_bar_sigma=region_bar_sigma,
         region_bar_tau=region_bar_tau,
     )
+
+
+def _price(view: PartyView, y0):
+    """y0 - x for the hedger, x - y0 for the counterparty."""
+    return y0 - view.endowment if view.side == "hedger" else view.endowment - y0
+
+
+def sweep_prices(
+    contract: ContractSpec, view: PartyView, gens: list[Generator], lat: Lattice
+) -> np.ndarray:
+    """The side's acceptable price under each generator, from one reflected pass.
+
+    The generators are stacked into one whose columns share the pass, so
+    the entry check sees their largest rates; every price is bit-identical
+    to ``acceptable_price``'s, and no field or region is kept.
+    """
+    inputs = side_obstacles(contract, view, stack_generators(gens), lat)
+    return _price(view, reflected_roots(inputs, len(gens)))
 
 
 def builtin_israeli_put(lat: Lattice, strike: float, penalty: float) -> ContractSpec:

@@ -288,6 +288,24 @@ def test_sweep_equal_rates_zero_spread(tmp_path):
     assert abs(spread) <= 1e-12
 
 
+@pytest.mark.parametrize("values, err", [
+    # the first value that fails its contraction check names the error, not the largest
+    ("0.05,3.0,5.0", "solver error: ContractionViolated: dt=0.5 with Lipschitz bounds "
+                     "(y=3, z=3) is not a contraction; refine the grid\n"),
+    ("0.05,0.01,0.1", "solver error: OutOfRange: need 0 <= r_lend <= r_borrow, "
+                      "got r_lend=0.02, r_borrow=0.01\n"),
+])
+def test_sweep_rate_errors_name_the_first_failing_value(tmp_path, capsys, values, err):
+    cfg = write_config(tmp_path, lattice={"N": 2}, party={"side": "both"},
+                       generator={"type": "differential", "r_lend": 0.02, "r_borrow": 0.05})
+    out = tmp_path / "out"
+    code = main(["sweep", "--config", str(cfg), "--out", str(out),
+                 "--axis", "generator.r_borrow", "--values", values])
+    assert code == 3
+    assert capsys.readouterr().err == err
+    assert not (out / "sweep.csv").exists()
+
+
 def test_sweep_unknown_axis_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path)
     code = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o"),

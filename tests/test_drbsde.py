@@ -36,7 +36,7 @@ from gamehedge import (
 from gamehedge.dynkin import stopped_values_for_maximizer_rules, sup_values_by_minimizer_rule
 from gamehedge.errors import InvalidStoppingRule
 from gamehedge.lattice import tri
-from conftest import grid_values, random_instance
+from conftest import SMOOTH_CUSTOM, grid_values, random_instance
 
 # terminal row in up-count order: 20 at the down node (S=80), 0 at the up node
 TERM_A = np.array([20.0, 0.0])
@@ -224,23 +224,35 @@ def solve_from_row(inputs, next_row, k):
 
 
 def test_backward_step_batches_rows_and_nodes(rng):
-    # builtin generators start the implicit solve at its exact solution, so a
-    # step's values do not depend on which entries it solves together
+    # a row step tests and freezes each column on its own, so a column's values
+    # do not depend on the columns beside it, even under the custom generator
+    # whose columns converge after different numbers of iterations; node steps
+    # test jointly, and agree with rows for the builtins, which start the
+    # implicit solve at its exact solution
     from gamehedge.drbsde import backward_step
 
+    custom_spreads = []
     for _ in range(10):
-        lat, gen, contract, _ = random_instance(rng, 6)
+        lat, builtin, contract, _ = random_instance(rng, 6)
         k = int(rng.integers(0, lat.n_steps))
         cash = contract.dA.row(k)
         batch = grid_values(rng, (k + 2, 3))
-        cont, z, _, _ = backward_step(lat, gen, k, batch, cash)
-        assert cont.shape == z.shape == (k + 1, 3)
-        for b in range(3):
-            cont_b, z_b, _, _ = backward_step(lat, gen, k, batch[:, b], cash)
-            assert cont[:, b].tobytes() == cont_b.tobytes() and z[:, b].tobytes() == z_b.tobytes()
-            for j in range(k + 1):
-                cont_j, z_j, _, _ = backward_step(lat, gen, k, batch[j:j + 2, b], cash[j], j)
-                assert (cont_j, z_j) == (cont_b[j], z_b[j])
+        for gen in (builtin, SMOOTH_CUSTOM):
+            cont, z, res, its = backward_step(lat, gen, k, batch, cash)
+            assert cont.shape == z.shape == (k + 1, 3)
+            solo = []
+            for b in range(3):
+                cont_b, z_b, res_b, its_b = backward_step(lat, gen, k, batch[:, b], cash)
+                assert cont[:, b].tobytes() == cont_b.tobytes()
+                assert z[:, b].tobytes() == z_b.tobytes()
+                solo.append((res_b, its_b))
+                for j in range(k + 1 if gen is builtin else 0):
+                    cont_j, z_j, _, _ = backward_step(lat, gen, k, batch[j:j + 2, b], cash[j], j)
+                    assert (cont_j, z_j) == (cont_b[j], z_b[j])
+            assert (res, its) == (max(r for r, _ in solo), max(i for _, i in solo))
+            if gen is SMOOTH_CUSTOM:
+                custom_spreads.append(len({i for _, i in solo}))
+    assert max(custom_spreads) > 1  # some custom row mixed columns of different iteration counts
 
 
 def test_comparison_bump_increases_root(rng):

@@ -99,3 +99,25 @@ def test_contraction_gate():
     assert contraction_ok(ZeroGenerator(), 10.0)
     assert contraction_ok(DifferentialRates(0.02, 0.10), 1.0)  # 0.1 < 1
     assert not contraction_ok(DifferentialRates(0.0, 12.0), 0.1)  # 1.2 >= 1
+
+
+def test_stacked_generators_match_each_column(rng):
+    # column b of a stacked generator is gens[b] bit for bit, and its bounds cover every column
+    from gamehedge.generators import implicit_start, stack_generators
+
+    y, z, s = (rng.uniform(lo, hi, size=(7, 1)) for lo, hi in ((-10, 10), (-2, 2), (50, 150)))
+    for gens in ([LinearRate(0.03), LinearRate(0.0), LinearRate(0.07)],
+                 [DifferentialRates(lend, borrow) for lend, borrow in ((0.0, 0.05), (0.02, 0.1),
+                                                                       (0.01, 0.01))]):
+        stacked = stack_generators(gens)
+        assert stacked.lipschitz_y == stacked.lipschitz_z == max(g.lipschitz_y for g in gens)
+        g_all, v_all = eval_g(stacked, 0.5, y, z, s), implicit_start(stacked, 0.5, y, z, s, 0.25)
+        assert g_all.shape == v_all.shape == (7, 3)
+        for b, gen in enumerate(gens):
+            assert g_all[:, b].tobytes() == eval_g(gen, 0.5, y[:, 0], z[:, 0], s[:, 0]).tobytes()
+            v_b = implicit_start(gen, 0.5, y[:, 0], z[:, 0], s[:, 0], 0.25)
+            assert v_all[:, b].tobytes() == v_b.tobytes()
+    with pytest.raises(OutOfRange):
+        DifferentialRates(np.array([0.0, 0.03]), np.array([0.05, 0.02]))
+    with pytest.raises(NonFiniteInput):
+        LinearRate(np.array([0.01, np.inf]))
