@@ -270,11 +270,15 @@ def cmd_sweep(raw_cfg: dict, axis: str, values, out: Path) -> int:
     prices = []
     for group in groups:
         gens = []
-        for value in group:  # one bundle at a time; the first failing value names the error
+        for value in group:  # one bundle at a time, checked before the next is built
             cfg = copy.deepcopy(raw_cfg)
             set_axis_value(cfg, axis, value)
             bundle = build_bundle(cfg)
-            require_contraction(bundle.gen, bundle.lat)
+            if gens:  # only the generator differs from the group's first value
+                require_contraction(bundle.gen, bundle.lat)
+            elif len(group) > 1:  # the entry checks a solo price runs first, in its order
+                for side in SIDES:
+                    side_obstacles(bundle.contract, bundle.views[side], bundle.gen, bundle.lat)
             gens.append(bundle.gen)
         prices.append([sweep_prices(bundle.contract, bundle.views[side], gens, bundle.lat)
                        for side in SIDES])

@@ -26,7 +26,7 @@ Every row recursion is one backward sweep behind one entry check (each
 part spans the lattice's steps, and the step contracts); only the node rule
 that turns a row's continuation into its values differs.  The sweep holds
 only the row it steps from and hands each row to its caller: the solvers
-store the full field, the stopped-game values and ``reflected_roots`` keep
+store the full field, the stopped-game values and ``_reflected_roots`` keep
 row 0 alone, so a batch of columns costs O(N x columns) memory.
 ``solve_bsde`` keeps the continuation.  ``solve_drbsde`` projects it into
 [lower_k, upper_k] and records the one-sided pushes dL = (lower - v)^+ and
@@ -68,7 +68,6 @@ __all__ = [
     "backward_step",
     "solve_bsde",
     "solve_drbsde",
-    "reflected_roots",
     "evaluate_stopped",
     "snell_sup_for_minimizer",
 ]
@@ -295,11 +294,11 @@ def solve_drbsde(inputs: DrbsdeInputs) -> DrbsdeSolution:
     return DrbsdeSolution(*(NodeProcess(a) for a in (y, z, dl, du)), residual_max, iterations_max)
 
 
-def reflected_roots(inputs: DrbsdeInputs, columns: int) -> np.ndarray:
+def _reflected_roots(inputs: DrbsdeInputs, columns: int) -> np.ndarray:
     """Root values of the doubly reflected solve, one per column of a stacked generator.
 
     Column b is bit-identical to ``solve_drbsde``'s root under the b-th
-    generator of ``inputs.gen`` (see ``generators.stack_generators``); no
+    generator of ``inputs.gen`` (see ``generators._stack_generators``); no
     other row is kept.
     """
     term = np.broadcast_to(inputs.terminal[:, None], (inputs.n_steps + 1, columns))

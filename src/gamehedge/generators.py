@@ -8,7 +8,7 @@ bounds in y and in z (the z bound is per unit of z times spot, matching the
 builtins).
 
 A builtin's rates may also be 1-D arrays, one entry per batch column
-(``stack_generators``): ``eval_g`` and ``implicit_start`` broadcast them along
+(``_stack_generators``): ``eval_g`` and ``implicit_start`` broadcast them along
 the last axis, and the Lipschitz bounds are the largest over the columns.
 """
 
@@ -20,7 +20,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .errors import NonFiniteInput, OutOfRange
+from .errors import InvalidParameters, NonFiniteInput, OutOfRange
 
 __all__ = [
     "ZeroGenerator",
@@ -31,7 +31,6 @@ __all__ = [
     "eval_g",
     "contraction_ok",
     "implicit_start",
-    "stack_generators",
 ]
 
 
@@ -186,12 +185,15 @@ def implicit_start(gen: Generator, t: float, rhs, z, s, dt: float):
     return rhs if isinstance(rhs, np.ndarray) else float(rhs)
 
 
-def stack_generators(gens: Sequence[Generator]) -> Generator:
+def _stack_generators(gens: Sequence[Generator]) -> Generator:
     """One builtin generator of the given ones' common type, its rates 1-D arrays in their order.
 
     On rows whose last axis has one column per generator, column b of a
     step under the stacked generator is bit-identical to the same step under
     ``gens[b]`` alone.
     """
-    kind = type(gens[0])
+    kind = type(gens[0]) if gens else None
+    if kind not in (ZeroGenerator, LinearRate, DifferentialRates) or any(
+            type(g) is not kind for g in gens):
+        raise InvalidParameters("only one or more builtin generators of one type stack")
     return kind(*(np.array([getattr(g, f.name) for g in gens]) for f in fields(kind)))

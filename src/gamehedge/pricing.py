@@ -36,14 +36,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .drbsde import DrbsdeInputs, DrbsdeSolution, GamePayoff, reflected_roots, solve_drbsde
+from .drbsde import DrbsdeInputs, DrbsdeSolution, GamePayoff, _reflected_roots, solve_drbsde
 from .errors import (
     ContractInvariantViolated,
     InvalidParameters,
     InvalidPenalty,
     NonFiniteInput,
 )
-from .generators import Generator, stack_generators
+from .generators import Generator, _stack_generators
 from .lattice import (
     BenchmarkAccount,
     Lattice,
@@ -251,8 +251,8 @@ def sweep_prices(
     the entry check sees their largest rates; every price is bit-identical
     to ``acceptable_price``'s, and no field or region is kept.
     """
-    inputs = side_obstacles(contract, view, stack_generators(gens), lat)
-    return _price(view, reflected_roots(inputs, len(gens)))
+    inputs = side_obstacles(contract, view, _stack_generators(gens), lat)
+    return _price(view, _reflected_roots(inputs, len(gens)))
 
 
 def builtin_israeli_put(lat: Lattice, strike: float, penalty: float) -> ContractSpec:

@@ -306,6 +306,26 @@ def test_sweep_rate_errors_name_the_first_failing_value(tmp_path, capsys, values
     assert not (out / "sweep.csv").exists()
 
 
+@pytest.mark.parametrize("values", ["0.05,0.01", "0.05,3.0"])
+def test_sweep_first_value_entry_error_comes_before_later_values(tmp_path, capsys, values):
+    # the first value's terminal tie leaves the band; a later value's config or
+    # contraction error must not mask it, as a solo price would report it first
+    files = custom_contract_files(tmp_path, 1, terminal_tie=5.0)
+    raw = json.loads(json.dumps(BASE))
+    raw["contract"] = {"type": "custom", "files": files}
+    raw["generator"] = {"type": "differential", "r_lend": 0.02, "r_borrow": 0.05}
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    code = main(["sweep", "--config", str(cfg), "--out", str(out),
+                 "--axis", "generator.r_borrow", "--values", values])
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "solver error: TerminalOutOfBand: terminal value at node (1, 0) is np.float64(-5.0), "
+        "outside [np.float64(-2.0), np.float64(2.0)]\n")
+    assert not (out / "sweep.csv").exists()
+
+
 def test_sweep_unknown_axis_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path)
     code = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o"),

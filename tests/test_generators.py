@@ -6,6 +6,7 @@ import pytest
 from gamehedge import (
     CustomGenerator,
     DifferentialRates,
+    InvalidParameters,
     LinearRate,
     NonFiniteInput,
     OutOfRange,
@@ -103,13 +104,13 @@ def test_contraction_gate():
 
 def test_stacked_generators_match_each_column(rng):
     # column b of a stacked generator is gens[b] bit for bit, and its bounds cover every column
-    from gamehedge.generators import implicit_start, stack_generators
+    from gamehedge.generators import _stack_generators, implicit_start
 
     y, z, s = (rng.uniform(lo, hi, size=(7, 1)) for lo, hi in ((-10, 10), (-2, 2), (50, 150)))
     for gens in ([LinearRate(0.03), LinearRate(0.0), LinearRate(0.07)],
                  [DifferentialRates(lend, borrow) for lend, borrow in ((0.0, 0.05), (0.02, 0.1),
                                                                        (0.01, 0.01))]):
-        stacked = stack_generators(gens)
+        stacked = _stack_generators(gens)
         assert stacked.lipschitz_y == stacked.lipschitz_z == max(g.lipschitz_y for g in gens)
         g_all, v_all = eval_g(stacked, 0.5, y, z, s), implicit_start(stacked, 0.5, y, z, s, 0.25)
         assert g_all.shape == v_all.shape == (7, 3)
@@ -121,3 +122,7 @@ def test_stacked_generators_match_each_column(rng):
         DifferentialRates(np.array([0.0, 0.03]), np.array([0.05, 0.02]))
     with pytest.raises(NonFiniteInput):
         LinearRate(np.array([0.01, np.inf]))
+    custom = CustomGenerator(fn=lambda t, y, z, s: 0.0, lipschitz_y=0.0, lipschitz_z=0.0)
+    for gens in ([], [custom, custom], [LinearRate(0.01), DifferentialRates(0.0, 0.01)]):
+        with pytest.raises(InvalidParameters):
+            _stack_generators(gens)
