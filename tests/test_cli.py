@@ -1,6 +1,8 @@
 """End-to-end command tests: exit codes, file outputs, determinism."""
 
 import json
+import platform
+import resource
 
 import numpy as np
 import pytest
@@ -342,3 +344,32 @@ def test_missing_config_exits_2(tmp_path):
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     assert "price" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("failure", [OSError("no C library"), None])
+def test_cli_runs_where_mallopt_is_missing(tmp_path, monkeypatch, failure):
+    import gamehedge.cli as cli
+
+    # a C library that cannot be loaded, or one without mallopt, leaves the
+    # allocator alone and the command works as before
+    def cdll(name):
+        if failure is not None:
+            raise failure
+        return object()
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+    cfg = write_config(tmp_path)
+    assert main(["price", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc tuning")
+def test_repeated_quotes_reuse_freed_heap(tmp_path, capsys):
+    # N=200 node arrays (162 KB) lie above glibc's initial mmap threshold, so
+    # without the CLI's allocator setting each quote faulted them in again
+    cfg = write_config(tmp_path, lattice={"N": 200, "u": 1.02, "d": 0.98})
+    argv = ["price", "--config", str(cfg), "--out", str(tmp_path / "o")]
+    for _ in range(2):
+        assert main(argv) == 0
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    assert main(argv) == 0
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 100
