@@ -31,6 +31,7 @@ from .config import (
     ModelBundle,
     apply_tol_overrides,
     build_bundle,
+    build_generator,
     load_config,
     set_axis_value,
 )
@@ -160,11 +161,10 @@ def cmd_oracle(bundle: ModelBundle, out: Path, pair_limit: int) -> int:
     all_match = True
     for side in bundle.sides:
         view = bundle.views[side]
-        inputs = side_obstacles(bundle.contract, view, bundle.gen, bundle.lat)
         quote = acceptable_price(bundle.contract, view, bundle.gen, bundle.lat,
                                  region_tol=bundle.tolerances["obstacle_eq"])
         payoff = game_payoff(bundle.contract, view, bundle.lat)
-        report = game_value_brute(bundle.lat, bundle.gen, inputs.cashflow_increments,
+        report = game_value_brute(bundle.lat, bundle.gen, quote.inputs.cashflow_increments,
                                   payoff, pair_limit=pair_limit)
         diag = saddle_check(report, quote.y0, tol=bundle.tolerances["oracle"])
         all_match &= diag.matches_upper
@@ -264,25 +264,30 @@ def _parse_sweep_values(text: str):
     return out
 
 
-def cmd_sweep(raw_cfg: dict, axis: str, values, out: Path) -> int:
-    # a generator axis leaves lattice, contract and views alone, so its values
-    # share one pass per side; any other axis runs each value as a batch of one
-    groups = [values] if axis.startswith("generator.") else [[value] for value in values]
+def cmd_sweep(bundle: ModelBundle, raw_cfg: dict, axis: str, values, out: Path) -> int:
+    # a generator axis changes the generator alone, so its values share the given
+    # bundle and one pass; any other axis rebuilds the bundle for each value
+    on_generator = axis.startswith("generator.")
+    groups = [values] if on_generator else [[value] for value in values]
     prices = []
     for group in groups:
         gens = []
-        for value in group:  # one bundle at a time, checked before the next is built
+        for value in group:  # built in value order, each checked before the next
             cfg = copy.deepcopy(raw_cfg)
             set_axis_value(cfg, axis, value)
-            bundle = build_bundle(cfg)
+            if on_generator:
+                gen = build_generator(cfg)
+            else:
+                bundle = build_bundle(cfg)
+                gen = bundle.gen
             if gens:  # only the generator differs from the group's first value
-                require_contraction(bundle.gen, bundle.lat)
+                require_contraction(gen, bundle.lat)
             elif len(group) > 1:  # the entry checks a solo price runs first, in its order
                 for side in SIDES:
-                    side_obstacles(bundle.contract, bundle.views[side], bundle.gen, bundle.lat)
-            gens.append(bundle.gen)
-        prices.append([sweep_prices(bundle.contract, bundle.views[side], gens, bundle.lat)
-                       for side in SIDES])
+                    side_obstacles(bundle.contract, bundle.views[side], gen, bundle.lat)
+            gens.append(gen)
+        prices.append(sweep_prices(bundle.contract, [bundle.views[side] for side in SIDES],
+                                   gens, bundle.lat))
     out.mkdir(parents=True, exist_ok=True)
     ph, pc = np.concatenate(prices, axis=1)
     labels = np.array([str(v) if isinstance(v, int) else _fmt(v) for v in values])
@@ -381,7 +386,7 @@ def main(argv=None) -> int:
         if args.command == "replicate":
             return cmd_replicate(bundle, out, args.hedge_csv)
         if args.command == "sweep":
-            return cmd_sweep(cfg, args.axis, sweep_values, out)
+            return cmd_sweep(bundle, cfg, args.axis, sweep_values, out)
         raise AssertionError(f"unhandled command {args.command}")
     except ConfigError as exc:
         print(f"config error: ConfigError: {exc}", file=sys.stderr)

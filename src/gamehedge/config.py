@@ -43,7 +43,7 @@ from .pricing import (
 )
 
 __all__ = ["DEFAULT_TOLERANCES", "ModelBundle", "load_config", "apply_tol_overrides",
-           "set_axis_value", "build_bundle"]
+           "set_axis_value", "build_generator", "build_bundle"]
 
 DEFAULT_TOLERANCES = {"obstacle_eq": 1e-9, "oracle": 1e-10, "replication": 1e-10}
 
@@ -170,7 +170,8 @@ def _build_lattice(cfg: dict) -> Lattice:
     return build_lattice(s0, u, d, grid)
 
 
-def _build_generator(cfg: dict) -> Generator:
+def build_generator(cfg: dict) -> Generator:
+    """The config's generator alone, as ``build_bundle`` builds it."""
     block = cfg.get("generator", {"type": "zero"})
     kind = block.get("type")
     if kind == "zero":
@@ -226,7 +227,7 @@ def _build_contract(cfg: dict, lat: Lattice) -> ContractSpec:
 def build_bundle(cfg: dict) -> ModelBundle:
     """Construct and validate every model object a command might need."""
     lat = _build_lattice(cfg)
-    gen = _build_generator(cfg)
+    gen = build_generator(cfg)
     bench = cfg.get("benchmark", {})
     acct = BenchmarkAccount(
         r_lend=_num(bench, "benchmark", "r_lend", 0.0),

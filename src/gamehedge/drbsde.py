@@ -9,7 +9,8 @@ row k+1 to row k it does, per node:
 3. implicit solve of  v = e - cashflow_k + g(t_k, v, z, s_k)*dt
 
 A step covers a whole row or one node; either may carry trailing batch
-axes (one value per stopping rule, say).
+axes (one value per stopping rule, say), and a row's node data (cash and
+obstacle rows) the leading ones (one row per side), padded to the rest.
 
 The implicit solve is a pure fixed-point iteration; for builtin generators
 the start point already solves the piecewise-linear equation exactly, so one
@@ -27,7 +28,8 @@ part spans the lattice's steps, and the step contracts); only the node rule
 that turns a row's continuation into its values differs.  The sweep holds
 only the row it steps from and hands each row to its caller: the solvers
 store the full field, the stopped-game values and ``_reflected_roots`` keep
-row 0 alone, so a batch of columns costs O(N x columns) memory.
+row 0 alone, so a batch of columns costs O(N x columns) memory (the
+latter returns one root per side and column).
 ``solve_bsde`` keeps the continuation.  ``solve_drbsde`` projects it into
 [lower_k, upper_k] and records the one-sided pushes dL = (lower - v)^+ and
 dU = ((v v lower) - upper)^+, with dL * dU = 0 node by node because the
@@ -112,10 +114,6 @@ class DrbsdeInputs:
                 f"outside [{lo_t[j]!r}, {hi_t[j]!r}]"
             )
 
-    @property
-    def n_steps(self) -> int:
-        return self.lat.n_steps
-
 
 @dataclass(frozen=True, eq=False)
 class DrbsdeSolution:
@@ -187,14 +185,15 @@ def backward_step(lat: Lattice, gen: Generator, k: int, y_next, cash, j: int | N
     With ``j`` None, ``y_next`` is row k+1 along axis 0 and ``cash`` row k's
     increments; with ``j`` given, ``y_next`` holds node (k, j)'s children
     (down, up) and ``cash`` that node's increment.  Any trailing axes of
-    ``y_next`` are batch axes.  Returns (continuation, slope, residual,
+    ``y_next`` are batch axes; a row's ``cash`` may carry the leading ones
+    (one row per side, say).  Returns (continuation, slope, residual,
     iterations), shaped (k+1, *batch) for a row and (*batch) for a node.
     """
     s_next, s = lat.spot.row(k + 1), lat.spot.row(k)
     if j is None:  # node data runs along axis 0, ahead of the batch axes
-        tail = (1,) * (np.ndim(y_next) - 1)
+        rank = np.ndim(y_next)
         up, dn = y_next[1:], y_next[:-1]
-        ds, s, cash = (np.reshape(a, (-1, *tail)) for a in (s_next[1:] - s_next[:-1], s, cash))
+        ds, s, cash = (_pad(a, rank) for a in (s_next[1:] - s_next[:-1], s, cash))
     else:
         up, dn = y_next[1], y_next[0]
         ds, s = s_next[j + 1] - s_next[j], s[j]
@@ -203,6 +202,12 @@ def backward_step(lat: Lattice, gen: Generator, k: int, y_next, cash, j: int | N
     v, residual, iterations = _implicit_row(gen, k * lat.dt, e - cash, z, s, lat.dt,
                                             0 if j is None else None)
     return v, z, residual, iterations
+
+
+def _pad(a, rank: int) -> np.ndarray:
+    """Node data with trailing unit axes up to ``rank``, to broadcast over the rest of a batch."""
+    a = np.asarray(a)
+    return a.reshape(a.shape + (1,) * (rank - a.ndim))
 
 
 def _check_terminal(lat: Lattice, terminal) -> np.ndarray:
@@ -264,11 +269,11 @@ def _field(lat: Lattice, gen: Generator, terminal, cash: NodeProcess, node_rule)
     return y, z, cont, residual_max, iterations_max
 
 
-def _reflect(lo: NodeProcess, hi: NodeProcess):
+def _reflect(lo, hi):
     """Node rule projecting a row's continuation into [lower_k, upper_k], batch columns alike."""
     def rule(k, cont):
-        col = (-1,) + (1,) * (np.ndim(cont) - 1)
-        return np.minimum(hi.row(k).reshape(col), np.maximum(lo.row(k).reshape(col), cont))
+        rank = np.ndim(cont)
+        return np.minimum(_pad(hi.row(k), rank), np.maximum(_pad(lo.row(k), rank), cont))
 
     return rule
 
@@ -294,16 +299,30 @@ def solve_drbsde(inputs: DrbsdeInputs) -> DrbsdeSolution:
     return DrbsdeSolution(*(NodeProcess(a) for a in (y, z, dl, du)), residual_max, iterations_max)
 
 
-def _reflected_roots(inputs: DrbsdeInputs, columns: int) -> np.ndarray:
-    """Root values of the doubly reflected solve, one per column of a stacked generator.
+class _SideRows:
+    """Several sides' rows of one node part, gathered per step into one reused buffer."""
 
-    Column b is bit-identical to ``solve_drbsde``'s root under the b-th
-    generator of ``inputs.gen`` (see ``generators._stack_generators``); no
-    other row is kept.
+    def __init__(self, parts):
+        self.parts, self.buf = parts, np.empty((parts[0].n_steps + 1, len(parts)))
+
+    def row(self, k):
+        for b, part in enumerate(self.parts):
+            self.buf[:k + 1, b] = part.row(k)
+        return self.buf[:k + 1]
+
+
+def _reflected_roots(sides: list[DrbsdeInputs], columns: int) -> np.ndarray:
+    """Root values of several sides' doubly reflected solves in one pass, shaped (sides, columns).
+
+    The sides share the lattice and a stacked generator (see
+    ``generators._stack_generators``); entry (b, c) is bit-identical to
+    ``solve_drbsde``'s root for ``sides[b]`` under the c-th generator.  No
+    flat copy of the sides' node data is made, and no row but the root is kept.
     """
-    term = np.broadcast_to(inputs.terminal[:, None], (inputs.n_steps + 1, columns))
-    return _sweep(inputs.lat, inputs.gen, term, inputs.cashflow_increments,
-                  _reflect(inputs.lower, inputs.upper))[0][0]
+    lo, hi, cash = (_SideRows([getattr(s, name) for s in sides])
+                    for name in ("lower", "upper", "cashflow_increments"))
+    term = np.repeat(np.stack([s.terminal for s in sides], axis=1)[..., None], columns, axis=2)
+    return _sweep(sides[0].lat, sides[0].gen, term, cash, _reflect(lo, hi))[0][0]
 
 
 @dataclass(frozen=True, eq=False)

@@ -243,16 +243,17 @@ def _price(view: PartyView, y0):
 
 
 def sweep_prices(
-    contract: ContractSpec, view: PartyView, gens: list[Generator], lat: Lattice
+    contract: ContractSpec, views: list[PartyView], gens: list[Generator], lat: Lattice
 ) -> np.ndarray:
-    """The side's acceptable price under each generator, from one reflected pass.
+    """Each view's acceptable prices, one row per view and column per generator, from one pass.
 
     The generators are stacked into one whose columns share the pass, so
     the entry check sees their largest rates; every price is bit-identical
     to ``acceptable_price``'s, and no field or region is kept.
     """
-    inputs = side_obstacles(contract, view, _stack_generators(gens), lat)
-    return _price(view, _reflected_roots(inputs, len(gens)))
+    gen = _stack_generators(gens)
+    y0 = _reflected_roots([side_obstacles(contract, view, gen, lat) for view in views], len(gens))
+    return np.array([_price(view, y) for view, y in zip(views, y0)])
 
 
 def builtin_israeli_put(lat: Lattice, strike: float, penalty: float) -> ContractSpec:

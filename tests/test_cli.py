@@ -328,6 +328,32 @@ def test_sweep_first_value_entry_error_comes_before_later_values(tmp_path, capsy
     assert not (out / "sweep.csv").exists()
 
 
+@pytest.mark.parametrize("custom, axis, values, err", [
+    # the second value fails its contract build, after the first value is priced
+    (False, "contract.penalty", "5,0",
+     "solver error: InvalidPenalty: penalty must be strictly positive, got 0.0\n"),
+    # the first value's terminal tie leaves the band before the second value is built
+    (True, "benchmark.r_lend", "0,-1",
+     "solver error: TerminalOutOfBand: terminal value at node (1, 0) is np.float64(-5.0), "
+     "outside [np.float64(-2.0), np.float64(2.0)]\n"),
+])
+def test_sweep_errors_off_the_generator_axis_keep_value_order(tmp_path, capsys, custom, axis,
+                                                              values, err):
+    raw = json.loads(json.dumps(BASE))
+    raw["party"] = {"side": "both"}
+    if custom:
+        raw["contract"] = {"type": "custom",
+                           "files": custom_contract_files(tmp_path, 1, terminal_tie=5.0)}
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    code = main(["sweep", "--config", str(cfg), "--out", str(out),
+                 "--axis", axis, "--values", values])
+    assert code == 3
+    assert capsys.readouterr().err == err
+    assert not (out / "sweep.csv").exists()
+
+
 def test_sweep_unknown_axis_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path)
     code = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o"),

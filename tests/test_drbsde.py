@@ -255,6 +255,37 @@ def test_backward_step_batches_rows_and_nodes(rng):
     assert max(custom_spreads) > 1  # some custom row mixed columns of different iteration counts
 
 
+def test_backward_step_takes_node_data_with_a_batch_axis(rng):
+    # two sides' rows step as one batch, each side with its own cash row: every
+    # (side, column) entry equals the step of that side and that column alone
+    from gamehedge.drbsde import backward_step
+
+    for _ in range(10):
+        lat, builtin, contract, _ = random_instance(rng, 6)
+        k = int(rng.integers(0, lat.n_steps))
+        cash = np.stack([contract.dA.row(k), grid_values(rng, k + 1)], axis=1)
+        y_next = grid_values(rng, (k + 2, 2, 3))
+        for gen in (builtin, SMOOTH_CUSTOM):
+            cont, z, res, its = backward_step(lat, gen, k, y_next, cash)
+            assert cont.shape == z.shape == (k + 1, 2, 3)
+            solo = []
+            for side in range(2):
+                cont_s, z_s, res_s, its_s = backward_step(lat, gen, k, y_next[:, side],
+                                                          cash[:, side])
+                assert cont[:, side].tobytes() == cont_s.tobytes()
+                assert z[:, side].tobytes() == z_s.tobytes()
+                per_column = []
+                for b in range(3):
+                    cont_b, z_b, res_b, its_b = backward_step(lat, gen, k, y_next[:, side, b],
+                                                              cash[:, side])
+                    assert cont[:, side, b].tobytes() == cont_b.tobytes()
+                    assert z[:, side, b].tobytes() == z_b.tobytes()
+                    per_column.append((res_b, its_b))
+                assert (res_s, its_s) == tuple(map(max, zip(*per_column)))
+                solo += per_column
+            assert (res, its) == tuple(map(max, zip(*solo)))
+
+
 def test_comparison_bump_increases_root(rng):
     for _ in range(10):
         lat, gen, contract, views = random_instance(rng, 6)

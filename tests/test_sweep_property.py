@@ -1,11 +1,13 @@
-"""Property tests of ``gamehedge sweep`` on Israeli puts under two-rate funding.
+"""Property tests of ``gamehedge sweep`` under two-rate funding.
 
-A generator axis prices all its values in one backward pass per side, any
-other axis one value at a time; either way both price columns of
-``sweep.csv`` must equal a per-value ``acceptable_price`` bit for bit.  Along
-the borrowing rate the prices must be monotone, because a larger driver gives
-a larger solution: the hedger's price never falls and the counterparty's
-never rises.
+A generator axis prices all its values and both sides in one backward pass,
+any other axis one value at a time; either way both price columns of
+``sweep.csv`` must equal a per-value ``acceptable_price`` bit for bit.  Puts
+with zero endowment give both sides zero cash rows, so coupon bonds with
+unequal endowments check that each side keeps its own rows.  Along the
+borrowing rate the prices must be monotone, because a larger driver gives a
+larger solution: the hedger's price never falls and the counterparty's never
+rises.
 """
 
 import copy
@@ -38,6 +40,12 @@ AXES = {
     "generator.rate": ({"type": "linear", "rate": 0.05}, RATES, (0,)),
     "contract.penalty": (TWO_RATES, (0.5, 2.0, 7.5, 30.0), (1, 5)),
 }
+# the same for coupon bonds; every coupon list holds a nonzero coupon
+BOND_AXES = {
+    "generator.r_borrow": AXES["generator.r_borrow"],
+    "contract.coupon": (TWO_RATES, (0.25, 0.5, 1.5, 3.0), (0, 2)),
+}
+ENDOWMENTS = (-10.0, 0.0, 4.0, 25.0)
 
 
 def put_config(n, strike, penalty, generator):
@@ -47,6 +55,18 @@ def put_config(n, strike, penalty, generator):
         "benchmark": {"r_lend": 0.02, "r_borrow": 0.1},
         "contract": {"type": "israeli_put", "strike": strike, "penalty": penalty},
         "party": {"side": "both", "endowment": 0.0},
+    }
+
+
+def bond_config(n, coupon, call_penalty, put_discount, endowments, generator):
+    hedger, counterparty = endowments
+    return {
+        "lattice": {"s0": 100.0, "sigma": 0.2, "N": n, "T": 1.0},
+        "generator": generator,
+        "benchmark": {"r_lend": 0.02, "r_borrow": 0.1},
+        "contract": {"type": "game_bond", "face": 100.0, "coupon": coupon,
+                     "call_penalty": call_penalty, "put_discount": put_discount},
+        "party": {"side": "both", "endowment": hedger, "other_endowment": counterparty},
     }
 
 
@@ -72,14 +92,7 @@ def value_lists(draw, floats, ints):
     return values
 
 
-@pytest.mark.parametrize("axis", sorted(AXES))
-@settings(max_examples=15, deadline=None)
-@given(data=st.data(), n=st.integers(2, 60), strike=st.sampled_from(STRIKES),
-       penalty=st.sampled_from(PENALTIES))
-def test_sweep_prices_equal_solo_quotes_bit_for_bit(axis, data, n, strike, penalty):
-    generator, floats, ints = AXES[axis]
-    values = data.draw(value_lists(floats, ints))
-    cfg = put_config(n, strike, penalty, generator)
+def assert_rows_equal_solo_quotes(cfg, axis, values):
     for value, row in zip(values, sweep_prices_csv(cfg, axis, values)):
         solo = copy.deepcopy(cfg)
         set_axis_value(solo, axis, value)
@@ -87,6 +100,29 @@ def test_sweep_prices_equal_solo_quotes_bit_for_bit(axis, data, n, strike, penal
         want = [acceptable_price(bundle.contract, bundle.views[side], bundle.gen, bundle.lat).price
                 for side in SIDES]
         assert [p.hex() for p in row] == [float(p).hex() for p in want], value
+
+
+@pytest.mark.parametrize("axis", sorted(AXES))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data(), n=st.integers(2, 60), strike=st.sampled_from(STRIKES),
+       penalty=st.sampled_from(PENALTIES))
+def test_sweep_prices_equal_solo_quotes_bit_for_bit(axis, data, n, strike, penalty):
+    generator, floats, ints = AXES[axis]
+    values = data.draw(value_lists(floats, ints))
+    assert_rows_equal_solo_quotes(put_config(n, strike, penalty, generator), axis, values)
+
+
+@pytest.mark.parametrize("axis", sorted(BOND_AXES))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data(), n=st.integers(2, 60), coupon=st.sampled_from((0.25, 1.0, 3.0)),
+       call_penalty=st.sampled_from((1.0, 5.0)), put_discount=st.sampled_from((0.0, 2.0, 10.0)),
+       endowments=st.lists(st.sampled_from(ENDOWMENTS), min_size=2, max_size=2, unique=True))
+def test_bond_sweep_keeps_each_side_its_own_rows(axis, data, n, coupon, call_penalty,
+                                                 put_discount, endowments):
+    generator, floats, ints = BOND_AXES[axis]
+    values = data.draw(value_lists(floats, ints))
+    cfg = bond_config(n, coupon, call_penalty, put_discount, endowments, generator)
+    assert_rows_equal_solo_quotes(cfg, axis, values)
 
 
 @settings(max_examples=30, deadline=None)
