@@ -224,7 +224,18 @@ def benchmark_profile(acct: BenchmarkAccount, x: float, grid: TimeGrid) -> np.nd
 _CSV_HEADER = ["step", "up_count", "value"]
 _CSV_EOL = "\r\n"
 _CSV_FORMATS = {"i": "%d", "u": "%d", "f": "%.17g"}  # by numpy dtype kind; others "%s"
-_CSV_BLOCK_ROWS = 1 << 12  # rows formatted per write, so memory stays bounded
+_CSV_BLOCK_ROWS = 1 << 14  # rows per write: bounds memory and the cell strings made per block
+
+
+def _cells(col: np.ndarray) -> list[str]:
+    """Each entry of a 1-D column as its CSV cell, formatting each distinct bit pattern once."""
+    fmt = _CSV_FORMATS.get(col.dtype.kind, "%s")  # numbers keyed on bits: -0.0 is not 0.0
+    keys, inverse = np.unique(col if fmt == "%s" else col.view(f"u{col.itemsize}"),
+                              return_inverse=True)
+    distinct = ((fmt + "\n") * keys.size % tuple(keys.view(col.dtype).tolist())).split("\n")
+    if len(distinct) != keys.size + 1:  # the dialect has no quoting
+        raise ValueError("a CSV cell holds a line break")
+    return np.array(distinct, dtype=object)[inverse].tolist()
 
 
 def write_csv(path, header, columns) -> None:
@@ -232,31 +243,30 @@ def write_csv(path, header, columns) -> None:
 
     ``columns`` are equal-length numpy arrays, formatted by dtype: integers as
     %d, floats as %.17g (which round-trips every double) and anything else as
-    %s.  Rows are formatted in bulk, one block of rows per write.
+    %s.  Rows go out in blocks, formatting each distinct bit pattern once per block.
     """
-    row = ",".join(_CSV_FORMATS.get(c.dtype.kind, "%s") for c in columns) + _CSV_EOL
-    width = len(columns)
+    if len({len(c) for c in columns}) != 1:
+        raise ValueError(f"columns differ in length: {[len(c) for c in columns]}")
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + _CSV_EOL)
         for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
-            block = [c[start:start + _CSV_BLOCK_ROWS].tolist() for c in columns]
-            flat = [None] * (len(block[0]) * width)
-            for i, values in enumerate(block):
-                flat[i::width] = values
-            fh.write(row * len(block[0]) % tuple(flat))
+            cells = [_cells(c[start:start + _CSV_BLOCK_ROWS]) for c in columns]
+            fh.write(_CSV_EOL.join(map(",".join, zip(*cells))) + _CSV_EOL)
 
 
 def write_node_process(proc: NodeProcess, path) -> None:
     """Write rows (step, up_count, value) sorted by (step, up_count), 17 significant digits.
 
-    ``write_csv``'s bytes, one lattice row per write with the labels in the template.
+    ``write_csv``'s bytes; whole lattice rows per block, each distinct bit pattern formatted once.
     """
-    cells = [f"{j},{_CSV_FORMATS['f']}" for j in range(proc.n_steps + 1)]
+    labels = [f"{j},%s" for j in range(proc.n_steps + 1)]
+    rows = max(1, _CSV_BLOCK_ROWS // (proc.n_steps + 1))  # lattice rows per block
     with open(path, "w", newline="") as fh:
         fh.write(",".join(_CSV_HEADER) + _CSV_EOL)
-        for k in range(proc.n_steps + 1):
-            template = f"{k}," + f"{_CSV_EOL}{k},".join(cells[:k + 1]) + _CSV_EOL
-            fh.write(template % tuple(proc.row(k).tolist()))
+        for k in range(0, proc.n_steps + 1, rows):
+            template = "".join(f"{i}," + f"{_CSV_EOL}{i},".join(labels[:i + 1]) + _CSV_EOL
+                               for i in range(k, min(k + rows, proc.n_steps + 1)))
+            fh.write(template % tuple(_cells(proc.flat[tri(k):tri(k + rows)])))
 
 
 def _node_columns(rows: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -6,6 +6,9 @@ bytes (CSV dialect, ``%.17g`` floats, row order, JSON layout) are unchanged.
 The two ``oracle`` cases were recorded before the oracle's recursions and
 rule bits moved onto the shared backward step and flat node layout; with
 ``--pair-limit 1`` the oracle uses the per-rule dynamic program alone.
+The two benchmark-scale cases (``price`` at N=200, ``replicate`` at N=10)
+were recorded before the writers formatted each distinct value once; their
+files cross many write blocks.
 """
 
 import hashlib
@@ -51,6 +54,33 @@ PUT_SIGMA_NO_LEND = {**PUT_SIGMA, "generator": {**PUT_SIGMA["generator"], "r_len
 PUT_N4 = {**PUT_SIGMA, "lattice": {**PUT_SIGMA["lattice"], "N": 4},
           "contract": {**PUT_SIGMA["contract"], "strike": 110.0}}
 
+# benchmark scale: the price workload's lattice size, so each node CSV holds
+# 20,301 rows and many repeated values
+PUT_N200 = {**PUT_SIGMA, "lattice": {**PUT_SIGMA["lattice"], "N": 200},
+            "contract": {**PUT_SIGMA["contract"], "strike": 105.0}}
+
+# the verify workload's replication size: each paths.csv has 1024 x 11 rows
+CUSTOM_N10 = {
+    "lattice": {"s0": 100.0, "u": 1.15, "d": 0.85, "N": 10, "T": 1.0},
+    "generator": {"type": "differential", "r_lend": 0.02, "r_borrow": 0.1},
+    "benchmark": {"r_lend": 0.02, "r_borrow": 0.1},
+    "contract": {"type": "custom", "files": {name: f"{name}.csv"
+                                             for name in ("xh", "xc", "xbar", "da")}},
+    "party": {"side": "both", "endowment": 2.5, "other_endowment": -5.0},
+}
+
+
+def custom_contract_rows(n):
+    """Quarter-grid payoffs and coupons of CUSTOM_N10, by arithmetic on (k, j)."""
+    ks = np.repeat(np.arange(n + 1), np.arange(1, n + 2))
+    js = np.arange(ks.size) - ks * (ks + 1) // 2
+    xc = -10.0 + 0.25 * ((37 * ks + 11 * js + 5) % 81)
+    gap = 0.5 + 0.5 * ((3 * ks + 7 * js) % 10)
+    xh = xc - gap
+    xbar = xh + 0.25 * ((ks + 2 * js) % 5) * gap
+    da = np.where(ks < n, -1.0 + 0.5 * ((ks + 3 * js) % 5), 0.0)
+    return {"xh": xh, "xc": xc, "xbar": xbar, "da": da}
+
 # name -> (config, argv after --config/--out, expected exit code)
 RUNS = {
     "price_put": (PUT_SIGMA, ["price"], 0),
@@ -59,6 +89,8 @@ RUNS = {
     "oracle_put_rule_dp": (PUT_N4, ["oracle", "--pair-limit", "1"], 0),
     "replicate_bond": (BOND, ["replicate"], 0),
     "replicate_bad_hedge": (PUT_N2, ["replicate", "--hedge-csv", "{tmp}/badz.csv"], 5),
+    "price_put_n200": (PUT_N200, ["price"], 0),
+    "replicate_custom_n10": (CUSTOM_N10, ["replicate"], 0),
     "sweep_r_borrow": (PUT_SIGMA_NO_LEND, ["sweep", "--axis", "generator.r_borrow",
                                            "--values", "0.1,0,0.05,0.125"], 0),
 }
@@ -146,6 +178,56 @@ GOLDEN = {
         "hedger/replicate.json":
             "ec7acfc39ca445f0caad0307bebb23d0c470c33530a63206ba04712e79b41926",
     },
+    "price_put_n200": {
+        "counterparty/Y.csv":
+            "3438ac5ddc3d47e5fb9ed859fd7a423186c4cf02d5069326b7b691f47b909e03",
+        "counterparty/Z.csv":
+            "832a17fbffae6632921a6e351234f9f912e498d31361906b0174bc16727c22d4",
+        "counterparty/dL.csv":
+            "ca5a7e0996dd7c2643f5f69795169d23a98c086d05df5b63ffe53ed955a1796d",
+        "counterparty/dU.csv":
+            "f13b962d8f54160bd43458bd2e2ef8ce011e94e469a09ac0c336af2d6605d6c2",
+        "counterparty/region_bar_sigma.csv":
+            "bafce9b4a6b36bb12005c1f59687b084edf32ac6fd9cc674c1ccdbd3786e9bd1",
+        "counterparty/region_bar_tau.csv":
+            "eebf459c5c5404acae2a53f9954d3837611efe3e9e8d9082795ea1147c55a194",
+        "counterparty/region_sigma.csv":
+            "bafce9b4a6b36bb12005c1f59687b084edf32ac6fd9cc674c1ccdbd3786e9bd1",
+        "counterparty/region_tau.csv":
+            "943a6733fd930c26675874b49185020ecc329c2cf290b1a95660543474508a2b",
+        "counterparty/solution.json":
+            "8ab93d1a77424b0db00f65d2a8232f15e453c4f6458b8aa9f3b5a51c229fd7ad",
+        "hedger/Y.csv":
+            "18951f1955f9a9d3c18b1f4d59191296df95dd3f1e8d0874f13226f0b167db75",
+        "hedger/Z.csv":
+            "9775820796389ea2d57834fb14b456cf0ddfde08bac6f9d7633b4f496623b0d5",
+        "hedger/dL.csv":
+            "e789ef31ea0a3b3148db188819a43f3839113615eea858c0ee6c949828f36f0a",
+        "hedger/dU.csv":
+            "0fda9368de5a1782d6ef8f7d163073ba81ce15367c9fae2977b481d6ad15e887",
+        "hedger/region_bar_sigma.csv":
+            "a943f6b9147222db8e428399e09425df463eba0c6c6573cc8a8b674e5d8b124f",
+        "hedger/region_bar_tau.csv":
+            "dd804e7891bfaf5f3a026966f5a27894ecfe1ce3540be5e29701be6638f50fae",
+        "hedger/region_sigma.csv":
+            "a943f6b9147222db8e428399e09425df463eba0c6c6573cc8a8b674e5d8b124f",
+        "hedger/region_tau.csv":
+            "21d15713ff22771d89fbbfd0e5e5bb89ca1167f9d5b6a35ad8c1399d701d3cb4",
+        "hedger/solution.json":
+            "bd348688970f2a14245323c38d09dba495a5d243d9a412ae4eac0964eb4eca02",
+        "quote.json":
+            "0a4b650e5cad291e82a082e11b1095ba32818318f38445c4b8ce99599dedf1db",
+    },
+    "replicate_custom_n10": {
+        "counterparty/paths.csv":
+            "6586e37bf3ade00d882cf5d2b24fa59b03681cbfea9992c338329c1d4a976970",
+        "counterparty/replicate.json":
+            "55b717fbe6841a672a152a96fef37b90ac376ec19cd4c8721f3e8119a7c2b7a3",
+        "hedger/paths.csv":
+            "d62966ac499b9515b4640fecf3800245a5d05acc92d16afb86a4d0931dfd3287",
+        "hedger/replicate.json":
+            "55b717fbe6841a672a152a96fef37b90ac376ec19cd4c8721f3e8119a7c2b7a3",
+    },
     "sweep_r_borrow": {
         "sweep.csv":
             "2535a01acebfa6d79e778ef8cdd989995c876a31aad79e414d9b191121a44726",
@@ -160,6 +242,8 @@ def run_digests(name, tmp_path):
         NodeProcess.from_rows([np.array([9.0]), np.zeros(2), np.zeros(3)]),
         tmp_path / "badz.csv",
     )
+    for name, flat in custom_contract_rows(CUSTOM_N10["lattice"]["N"]).items():
+        write_node_process(NodeProcess(flat), tmp_path / f"{name}.csv")
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(json.dumps(cfg))
     out = tmp_path / "out"

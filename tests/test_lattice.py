@@ -166,6 +166,19 @@ def test_csv_writers_agree_and_blocks_join_seamlessly(tmp_path, rng, monkeypatch
     assert (tmp_path / "whole.csv").read_bytes() == node == (tmp_path / "blocks.csv").read_bytes()
 
 
+def test_csv_writer_rejects_columns_of_unequal_length(tmp_path):
+    path = tmp_path / "ragged.csv"
+    with pytest.raises(ValueError, match="differ in length"):
+        lattice.write_csv(path, ("a", "b"), (np.arange(3), np.zeros(2)))
+    assert not path.exists()  # refused before the file is opened
+
+
+def test_csv_writer_rejects_a_cell_with_a_line_break(tmp_path):
+    # the dialect has no quoting, so such a cell would split its row
+    with pytest.raises(ValueError, match="line break"):
+        lattice.write_csv(tmp_path / "nl.csv", ("s",), (np.array(["a", "b\nc"]),))
+
+
 def test_csv_reader_rejects_bad_files(tmp_path):
     bad_header = tmp_path / "h.csv"
     bad_header.write_text("a,b,c\n0,0,1\n")
