@@ -35,11 +35,11 @@ from .config import (
     load_config,
     set_axis_value,
 )
-from .drbsde import require_contraction
 from .dynkin import DEFAULT_PAIR_LIMIT, game_value_brute, saddle_check
 from .errors import ConfigError, EngineError, TooLarge, TooManyPaths
 from .lattice import node_coords, read_node_process, write_csv, write_node_process
-from .pricing import SIDES, acceptable_price, game_payoff, side_obstacles, sweep_prices
+from .pricing import SIDES, acceptable_price, game_payoff, sweep_prices
+from .pricing import side_obstacles  # noqa: F401  (a name bench/spans.py traces)
 from .replication import forward_wealth, solution_path, verify_replication
 from .stopping import path_moves
 
@@ -264,30 +264,45 @@ def _parse_sweep_values(text: str):
     return out
 
 
+def _with_value(raw_cfg: dict, axis: str, value) -> dict:
+    cfg = copy.deepcopy(raw_cfg)
+    set_axis_value(cfg, axis, value)
+    return cfg
+
+
+def _sweep_bundle(cfg: dict, axis: str, text: str) -> tuple[ModelBundle, list]:
+    """The bundle a sweep starts from: the config with its first swept value in place.
+
+    The config's own value at the swept key is never priced, so it must not
+    refuse the sweep.  If that build fails, the config as given is checked
+    first, then the values and the axis, so a config error is reported as
+    one (exit 2); if none fails, the first value fails in ``cmd_sweep`` as any
+    value would (exit 3).
+    """
+    try:
+        values = _parse_sweep_values(text)
+        return build_bundle(_with_value(cfg, axis, values[0])), values
+    except EngineError:
+        bundle = build_bundle(cfg)
+        values = _parse_sweep_values(text)
+        _with_value(cfg, axis, values[0])
+        return bundle, values
+
+
 def cmd_sweep(bundle: ModelBundle, raw_cfg: dict, axis: str, values, out: Path) -> int:
-    # a generator axis changes the generator alone, so its values share the given
-    # bundle and one pass; any other axis rebuilds the bundle for each value
-    on_generator = axis.startswith("generator.")
-    groups = [values] if on_generator else [[value] for value in values]
-    prices = []
-    for group in groups:
-        gens = []
-        for value in group:  # built in value order, each checked before the next
-            cfg = copy.deepcopy(raw_cfg)
-            set_axis_value(cfg, axis, value)
-            if on_generator:
-                gen = build_generator(cfg)
-            else:
-                bundle = build_bundle(cfg)
-                gen = bundle.gen
-            if gens:  # only the generator differs from the group's first value
-                require_contraction(gen, bundle.lat)
-            elif len(group) > 1:  # the entry checks a solo price runs first, in its order
-                for side in SIDES:
-                    side_obstacles(bundle.contract, bundle.views[side], gen, bundle.lat)
-            gens.append(gen)
-        prices.append(sweep_prices(bundle.contract, [bundle.views[side] for side in SIDES],
-                                   gens, bundle.lat))
+    def priced(b: ModelBundle, gens):
+        return sweep_prices(b.contract, [b.views[side] for side in SIDES], gens, b.lat)
+
+    if axis.startswith("generator."):
+        # the generator alone changes, so the values share the given bundle and one pass;
+        # built on demand, each value's generator follows the checks of those before it
+        prices = [priced(bundle, (build_generator(_with_value(raw_cfg, axis, value))
+                                  for value in values))]
+    else:  # any other axis rebuilds the bundle for each value, in value order
+        prices = []
+        for value in values:
+            value_bundle = build_bundle(_with_value(raw_cfg, axis, value))
+            prices.append(priced(value_bundle, [value_bundle.gen]))
     out.mkdir(parents=True, exist_ok=True)
     ph, pc = np.concatenate(prices, axis=1)
     labels = np.array([str(v) if isinstance(v, int) else _fmt(v) for v in values])
@@ -367,10 +382,10 @@ def main(argv=None) -> int:
         apply_tol_overrides(cfg, args.tol_override)
         if getattr(args, "side", None):
             cfg.setdefault("party", {})["side"] = args.side
-        bundle = build_bundle(cfg)
         if args.command == "sweep":
-            sweep_values = _parse_sweep_values(args.values)
-            set_axis_value(copy.deepcopy(cfg), args.axis, sweep_values[0])
+            bundle, sweep_values = _sweep_bundle(cfg, args.axis, args.values)
+        else:
+            bundle = build_bundle(cfg)
     except EngineError as exc:
         print(f"config error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -16,7 +16,11 @@ The implicit solve is a pure fixed-point iteration; for builtin generators
 the start point already solves the piecewise-linear equation exactly, so one
 confirming sweep suffices.  Its exit test accepts a change of at most
 FIXED_POINT_TOL or 4*eps*max|v|, whichever is larger, so quotes converge in
-any price units.  A row step tests each column (each index of its batch
+any price units.  Only ``solve_drbsde`` reports a residual, so only its
+steps evaluate the generator once more at the exit value; every other
+recursion gets None for the residual and one finiteness check of that
+value instead, as an iterate that overflows to +-inf passes the relative
+exit test.  A row step tests each column (each index of its batch
 axes) on its own and freezes a column once it passes, so a column's values
 are bit-identical to a step over that column alone, whatever converges
 beside it.  A node step (the oracle's cone engine) tests all its values
@@ -57,7 +61,7 @@ from .errors import (
     OutOfRange,
     TerminalOutOfBand,
 )
-from .generators import Generator, contraction_ok, eval_g, implicit_start
+from .generators import Generator, _check_finite, contraction_ok, eval_g, implicit_start
 from .lattice import Lattice, NodeProcess, first_node, tri
 from .stopping import StoppingRule
 
@@ -127,7 +131,8 @@ class DrbsdeSolution:
     iterations_max: int
 
 
-def _implicit_row(gen: Generator, t: float, rhs, z, s, dt: float, axis: int | None = None):
+def _implicit_row(gen: Generator, t: float, rhs, z, s, dt: float, axis: int | None = None,
+                  residual: bool = True):
     """Solve v = rhs + g(t, v, z, s)*dt by fixed-point iteration.
 
     Returns (v, residual, iterations), the last two maxima over columns.  The
@@ -135,7 +140,9 @@ def _implicit_row(gen: Generator, t: float, rhs, z, s, dt: float, axis: int | No
     contracts the gap by dt*L_y < 1; it also accepts 4*eps*max|v|, since above
     |v| = 8192 one ulp alone exceeds FIXED_POINT_TOL.  With ``axis`` None one
     test covers every value; with ``axis=0`` each column (index of the axes
-    after 0) is tested alone and keeps the value it passed with.
+    after 0) is tested alone and keeps the value it passed with.  The residual
+    costs one more generator evaluation; with ``residual`` false it is None,
+    and v is checked finite instead (inf passes the relative exit test).
     """
     v, live = implicit_start(gen, t, rhs, z, s, dt), None
     for it in range(1, MAX_FIXED_POINT_ITER + 1):
@@ -156,8 +163,10 @@ def _implicit_row(gen: Generator, t: float, rhs, z, s, dt: float, axis: int | No
             f"{MAX_FIXED_POINT_ITER} iterations (last change {delta:g}); "
             "declared Lipschitz bounds are likely understated"
         )
-    residual = float(np.max(np.abs(v - (rhs + eval_g(gen, t, v, z, s) * dt))))
-    return v, residual, it
+    if not residual:
+        _check_finite("y", v)
+        return v, None, it
+    return v, float(np.max(np.abs(v - (rhs + eval_g(gen, t, v, z, s) * dt)))), it
 
 
 def require_contraction(gen: Generator, lat: Lattice) -> None:
@@ -179,7 +188,8 @@ def require_contraction(gen: Generator, lat: Lattice) -> None:
         )
 
 
-def backward_step(lat: Lattice, gen: Generator, k: int, y_next, cash, j: int | None = None):
+def backward_step(lat: Lattice, gen: Generator, k: int, y_next, cash, j: int | None = None,
+                  residual: bool = True):
     """One backward step into row k: hedge slope, expectation and implicit solve.
 
     With ``j`` None, ``y_next`` is row k+1 along axis 0 and ``cash`` row k's
@@ -188,6 +198,9 @@ def backward_step(lat: Lattice, gen: Generator, k: int, y_next, cash, j: int | N
     ``y_next`` are batch axes; a row's ``cash`` may carry the leading ones
     (one row per side, say).  Returns (continuation, slope, residual,
     iterations), shaped (k+1, *batch) for a row and (*batch) for a node.
+    The residual, the largest |v - rhs - g*dt| at the exit value, costs one
+    more generator evaluation; with ``residual`` false it is None and the
+    continuation is checked finite instead (``NonFiniteInput``).
     """
     s_next, s = lat.spot.row(k + 1), lat.spot.row(k)
     if j is None:  # node data runs along axis 0, ahead of the batch axes
@@ -199,9 +212,9 @@ def backward_step(lat: Lattice, gen: Generator, k: int, y_next, cash, j: int | N
         ds, s = s_next[j + 1] - s_next[j], s[j]
     z = (up - dn) / ds
     e = lat.q * up + (1.0 - lat.q) * dn
-    v, residual, iterations = _implicit_row(gen, k * lat.dt, e - cash, z, s, lat.dt,
-                                            0 if j is None else None)
-    return v, z, residual, iterations
+    v, res, iterations = _implicit_row(gen, k * lat.dt, e - cash, z, s, lat.dt,
+                                       0 if j is None else None, residual)
+    return v, z, res, iterations
 
 
 def _pad(a, rank: int) -> np.ndarray:
@@ -232,30 +245,34 @@ def _check_entry(lat: Lattice, gen: Generator, error, **parts) -> None:
     require_contraction(gen, lat)
 
 
-def _sweep(lat: Lattice, gen: Generator, terminal, cash: NodeProcess, node_rule, keep=None):
+def _sweep(lat: Lattice, gen: Generator, terminal, cash: NodeProcess, node_rule, keep=None,
+           residual: bool = False):
     """The backward row loop: each row's continuation by ``backward_step``, then its node rule.
 
     ``node_rule(k, cont)`` maps row k's continuation to its values, and
     ``keep(k, values, slope, cont)``, if given, receives each row; the loop
     itself holds only the row it steps from.  Rows may carry batch columns
     after the node axis.  Returns row 0's values and the residual and
-    iteration maxima.
+    iteration maxima; the residual maximum is None unless ``residual``.
     """
-    y, residual_max, iterations_max = terminal, 0.0, 0
+    y, residual_max, iterations_max = terminal, 0.0 if residual else None, 0
     for k in range(lat.n_steps - 1, -1, -1):
-        cont, z, res, its = backward_step(lat, gen, k, y, cash.row(k))
+        cont, z, res, its = backward_step(lat, gen, k, y, cash.row(k), residual=residual)
         y = node_rule(k, cont)
         if keep is not None:
             keep(k, y, z, cont)
-        residual_max, iterations_max = max(residual_max, res), max(iterations_max, its)
+        if residual:
+            residual_max = max(residual_max, res)
+        iterations_max = max(iterations_max, its)
     return y, residual_max, iterations_max
 
 
-def _field(lat: Lattice, gen: Generator, terminal, cash: NodeProcess, node_rule):
+def _field(lat: Lattice, gen: Generator, terminal, cash: NodeProcess, node_rule,
+           residual: bool = False):
     """The sweep stored whole: flat value, slope and continuation arrays.
 
     Terminal rows hold the terminal data, zero and the terminal data; the
-    residual and iteration maxima follow the arrays.
+    residual (None unless ``residual``) and iteration maxima follow the arrays.
     """
     n = lat.n_steps
     y, z, cont = (np.zeros(tri(n + 1)) for _ in range(3))
@@ -265,7 +282,7 @@ def _field(lat: Lattice, gen: Generator, terminal, cash: NodeProcess, node_rule)
         row = slice(tri(k), tri(k + 1))
         y[row], z[row], cont[row] = y_k, z_k, cont_k
 
-    _, residual_max, iterations_max = _sweep(lat, gen, terminal, cash, node_rule, keep)
+    _, residual_max, iterations_max = _sweep(lat, gen, terminal, cash, node_rule, keep, residual)
     return y, z, cont, residual_max, iterations_max
 
 
@@ -292,7 +309,8 @@ def solve_drbsde(inputs: DrbsdeInputs) -> DrbsdeSolution:
     """Doubly reflected backward solve with per-node Skorokhod bookkeeping."""
     lo, hi = inputs.lower, inputs.upper
     y, z, v, residual_max, iterations_max = _field(
-        inputs.lat, inputs.gen, inputs.terminal, inputs.cashflow_increments, _reflect(lo, hi))
+        inputs.lat, inputs.gen, inputs.terminal, inputs.cashflow_increments, _reflect(lo, hi),
+        residual=True)
     # terminal rows are zero, as the terminal data lies in the band; dU reuses v's memory
     dl = np.maximum(lo.flat - v, 0.0)
     du = np.maximum(np.maximum(v, lo.flat, out=v) - hi.flat, 0.0, out=v)
@@ -311,18 +329,19 @@ class _SideRows:
         return self.buf[:k + 1]
 
 
-def _reflected_roots(sides: list[DrbsdeInputs], columns: int) -> np.ndarray:
+def _reflected_roots(sides: list[DrbsdeInputs], gen: Generator, columns: int) -> np.ndarray:
     """Root values of several sides' doubly reflected solves in one pass, shaped (sides, columns).
 
-    The sides share the lattice and a stacked generator (see
-    ``generators._stack_generators``); entry (b, c) is bit-identical to
+    The sides share the lattice; ``gen`` stacks one generator per column (see
+    ``generators._stack_generators``) and replaces the sides' own, which
+    served only their entry checks.  Entry (b, c) is bit-identical to
     ``solve_drbsde``'s root for ``sides[b]`` under the c-th generator.  No
     flat copy of the sides' node data is made, and no row but the root is kept.
     """
     lo, hi, cash = (_SideRows([getattr(s, name) for s in sides])
                     for name in ("lower", "upper", "cashflow_increments"))
     term = np.repeat(np.stack([s.terminal for s in sides], axis=1)[..., None], columns, axis=2)
-    return _sweep(sides[0].lat, sides[0].gen, term, cash, _reflect(lo, hi))[0][0]
+    return _sweep(sides[0].lat, gen, term, cash, _reflect(lo, hi))[0][0]
 
 
 @dataclass(frozen=True, eq=False)

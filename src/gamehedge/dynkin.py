@@ -154,7 +154,8 @@ def _cone_values(lat: Lattice, gen: Generator, cashflow_increments: NodeProcess,
             # continuation: one entry per packed combination of the children's cone bits
             below = tables[j][1] | tables[j + 1][1]
             v_next = [_gather(*table, below, rules) for table in tables[j:j + 2]]
-            cont = backward_step(lat, gen, k, v_next, cashflow_increments.at(k, j), j)[0]
+            cont = backward_step(lat, gen, k, v_next, cashflow_increments.at(k, j), j,
+                                 residual=False)[0]
 
             # the node's own bit tri(k, j) is its cone's lowest, so each player's axis
             # splits into (packed bits below, own bit): length 2, or 1 for a fixed rule

@@ -10,6 +10,11 @@ builtins).
 A builtin's rates may also be 1-D arrays, one entry per batch column
 (``_stack_generators``): ``eval_g`` and ``implicit_start`` broadcast them along
 the last axis, and the Lipschitz bounds are the largest over the columns.
+
+On array inputs the split-rate arithmetic picks each node's rate by the sign
+of its cash first (``np.where`` over the rates) and then computes once, so
+each element goes through the same IEEE operations as the branch its sign
+selects, and no element computes the other branch.
 """
 
 from __future__ import annotations
@@ -129,7 +134,7 @@ def eval_g(gen: Generator, t: float, y, z, s):
     if isinstance(gen, DifferentialRates):
         cash = y - z * s
         if isinstance(cash, np.ndarray):
-            return np.where(cash >= 0.0, -gen.r_lend * cash, -gen.r_borrow * cash)
+            return np.where(cash >= 0.0, -gen.r_lend, -gen.r_borrow) * cash
         return -gen.r_lend * cash if cash >= 0.0 else -gen.r_borrow * cash
     if isinstance(gen, CustomGenerator):
         if _any_array(y, z, s):
@@ -177,10 +182,11 @@ def implicit_start(gen: Generator, t: float, rhs, z, s, dt: float):
         return (rhs + r * z * s * dt) / (1.0 + r * dt)
     if isinstance(gen, DifferentialRates):
         zs = z * s
+        if isinstance(rhs, np.ndarray) or isinstance(zs, np.ndarray):
+            r = np.where(rhs - zs >= 0.0, gen.r_lend, gen.r_borrow)
+            return (rhs + r * zs * dt) / (1.0 + r * dt)
         lend = (rhs + gen.r_lend * zs * dt) / (1.0 + gen.r_lend * dt)
         borrow = (rhs + gen.r_borrow * zs * dt) / (1.0 + gen.r_borrow * dt)
-        if isinstance(rhs, np.ndarray) or isinstance(zs, np.ndarray):
-            return np.where(np.asarray(rhs - zs) >= 0.0, lend, borrow)
         return lend if rhs - zs >= 0.0 else borrow
     return rhs if isinstance(rhs, np.ndarray) else float(rhs)
 

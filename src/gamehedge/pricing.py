@@ -33,10 +33,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
-from .drbsde import DrbsdeInputs, DrbsdeSolution, GamePayoff, _reflected_roots, solve_drbsde
+from .drbsde import (
+    DrbsdeInputs,
+    DrbsdeSolution,
+    GamePayoff,
+    _reflected_roots,
+    require_contraction,
+    solve_drbsde,
+)
 from .errors import (
     ContractInvariantViolated,
     InvalidParameters,
@@ -243,16 +251,27 @@ def _price(view: PartyView, y0):
 
 
 def sweep_prices(
-    contract: ContractSpec, views: list[PartyView], gens: list[Generator], lat: Lattice
+    contract: ContractSpec, views: list[PartyView], gens: Iterable[Generator], lat: Lattice
 ) -> np.ndarray:
     """Each view's acceptable prices, one row per view and column per generator, from one pass.
 
-    The generators are stacked into one whose columns share the pass, so
-    the entry check sees their largest rates; every price is bit-identical
-    to ``acceptable_price``'s, and no field or region is kept.
+    ``gens`` is read in order, each generator only after the checks of the
+    ones before it, so the first failing one raises, as solo quotes taken in
+    turn would; it may build them on demand.  The first gets every entry
+    check of ``acceptable_price`` and the obstacles it builds serve the
+    pass, as they do not depend on the generator; each later one gets its
+    contraction check.  The pass runs the generators stacked into one whose
+    columns share it: every price is bit-identical to ``acceptable_price``'s,
+    and no field or region is kept.
     """
-    gen = _stack_generators(gens)
-    y0 = _reflected_roots([side_obstacles(contract, view, gen, lat) for view in views], len(gens))
+    sides, stack = None, []
+    for gen in gens:
+        if sides is None:
+            sides = [side_obstacles(contract, view, gen, lat) for view in views]
+        else:
+            require_contraction(gen, lat)
+        stack.append(gen)
+    y0 = _reflected_roots(sides, _stack_generators(stack), len(stack))
     return np.array([_price(view, y) for view, y in zip(views, y0)])
 
 

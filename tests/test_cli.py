@@ -354,6 +354,48 @@ def test_sweep_errors_off_the_generator_axis_keep_value_order(tmp_path, capsys, 
     assert not (out / "sweep.csv").exists()
 
 
+def test_sweep_prices_only_the_swept_values(tmp_path, capsys):
+    # the config's own r_borrow lies below its r_lend, but it is never priced
+    cfg = write_config(tmp_path, lattice={"N": 4}, party={"side": "both"},
+                       generator={"type": "differential", "r_lend": 0.05, "r_borrow": 0.02})
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out),
+                 "--axis", "generator.r_borrow", "--values", "0.1,0.2"]) == 0
+    assert capsys.readouterr().err == ""
+    rows = [line.split(",") for line in (out / "sweep.csv").read_text().splitlines()[1:]]
+    assert [row[0] for row in rows] == ["0.10000000000000001", "0.20000000000000001"]
+    for value, row in zip((0.1, 0.2), rows):
+        raw = load_config(str(cfg))
+        raw["generator"]["r_borrow"] = value
+        bundle = build_bundle(raw)
+        want = [acceptable_price(bundle.contract, bundle.views[side], bundle.gen,
+                                 bundle.lat).price for side in ("hedger", "counterparty")]
+        assert [float(p).hex() for p in row[1:3]] == [p.hex() for p in want]
+
+
+@pytest.mark.parametrize("config_borrow, values, code, err", [
+    # the config is valid and the first value is not: the sweep names the value
+    (0.1, "0.01,0.2", 3, "solver error: OutOfRange: need 0 <= r_lend <= r_borrow, "
+                         "got r_lend=0.05, r_borrow=0.01\n"),
+    # neither is valid: the config's own error comes first, as a config error
+    (0.02, "0.01,0.2", 2, "config error: OutOfRange: need 0 <= r_lend <= r_borrow, "
+                          "got r_lend=0.05, r_borrow=0.02\n"),
+    (0.02, "0.1,x", 2, "config error: OutOfRange: need 0 <= r_lend <= r_borrow, "
+                       "got r_lend=0.05, r_borrow=0.02\n"),
+    (0.1, "0.1,x", 2, "config error: ConfigError: sweep value 'x' is not a number\n"),
+])
+def test_sweep_with_a_failing_first_value_keeps_its_errors(tmp_path, capsys, config_borrow,
+                                                           values, code, err):
+    cfg = write_config(tmp_path, lattice={"N": 4}, party={"side": "both"},
+                       generator={"type": "differential", "r_lend": 0.05,
+                                  "r_borrow": config_borrow})
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out),
+                 "--axis", "generator.r_borrow", "--values", values]) == code
+    assert capsys.readouterr().err == err
+    assert not (out / "sweep.csv").exists()
+
+
 def test_sweep_unknown_axis_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path)
     code = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o"),

@@ -255,6 +255,23 @@ def test_backward_step_batches_rows_and_nodes(rng):
     assert max(custom_spreads) > 1  # some custom row mixed columns of different iteration counts
 
 
+def test_backward_step_without_residual_keeps_the_step(rng):
+    # skipping the residual changes neither the step's values nor its iteration count
+    from gamehedge.drbsde import backward_step
+
+    for _ in range(10):
+        lat, builtin, contract, _ = random_instance(rng, 6)
+        k = int(rng.integers(0, lat.n_steps))
+        cash = contract.dA.row(k)
+        batch = grid_values(rng, (k + 2, 3))
+        for gen in (builtin, SMOOTH_CUSTOM):
+            for j, y_next, c in ((None, batch, cash), (0, batch[:2], cash[0])):
+                cont, z, res, its = backward_step(lat, gen, k, y_next, c, j)
+                got = backward_step(lat, gen, k, y_next, c, j, residual=False)
+                assert isinstance(res, float) and got[2] is None and got[3] == its
+                assert got[0].tobytes() == cont.tobytes() and got[1].tobytes() == z.tobytes()
+
+
 def test_backward_step_takes_node_data_with_a_batch_axis(rng):
     # two sides' rows step as one batch, each side with its own cash row: every
     # (side, column) entry equals the step of that side and that column alone
