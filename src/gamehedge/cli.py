@@ -86,7 +86,7 @@ def _write_json(path: Path, obj) -> None:
 
 def _quote_obj(quote) -> dict:
     return {
-        "side": quote.side,
+        "side": quote.view.side,
         "price": quote.price,
         "y0": quote.y0,
         "residual_max": quote.solution.residual_max,
@@ -159,11 +159,8 @@ def cmd_oracle(bundle: ModelBundle, out: Path, pair_limit: int) -> int:
     t0 = time.perf_counter()
     results = {}
     all_match = True
-    for side in bundle.sides:
-        view = bundle.views[side]
-        quote = acceptable_price(bundle.contract, view, bundle.gen, bundle.lat,
-                                 region_tol=bundle.tolerances["obstacle_eq"])
-        payoff = game_payoff(bundle.contract, view, bundle.lat)
+    for side, quote in _quotes(bundle).items():
+        payoff = game_payoff(bundle.contract, quote.view, bundle.lat)
         report = game_value_brute(bundle.lat, bundle.gen, quote.inputs.cashflow_increments,
                                   payoff, pair_limit=pair_limit)
         diag = saddle_check(report, quote.y0, tol=bundle.tolerances["oracle"])
@@ -195,11 +192,7 @@ def cmd_replicate(bundle: ModelBundle, out: Path, hedge_csv: str | None) -> int:
     for side, quote in quotes.items():
         if hedge is not None:
             quote = replace(quote, solution=replace(quote.solution, Z=hedge))
-        rep = verify_replication(
-            quote, bundle.contract, bundle.views[side], bundle.gen, bundle.lat,
-            gap_tol=bundle.tolerances["replication"],
-            eq_tol=bundle.tolerances["obstacle_eq"],
-        )
+        rep = verify_replication(quote, gap_tol=bundle.tolerances["replication"])
         target = out if len(quotes) == 1 else out / side
         target.mkdir(parents=True, exist_ok=True)
         _write_json(
@@ -215,7 +208,7 @@ def cmd_replicate(bundle: ModelBundle, out: Path, hedge_csv: str | None) -> int:
             },
         )
         if bundle.lat.n_steps <= 12:
-            _write_paths_csv(target / "paths.csv", bundle, quote)
+            _write_paths_csv(target / "paths.csv", quote)
         verdict = "ok" if rep.ok else "FAIL"
         print(f"{side}: replicates={rep.replicates} max_gap={_fmt(rep.max_gap)} "
               f"be={rep.be} ao_at_plus={rep.ao_at_plus} "
@@ -230,13 +223,12 @@ def cmd_replicate(bundle: ModelBundle, out: Path, hedge_csv: str | None) -> int:
     return 0
 
 
-def _write_paths_csv(path: Path, bundle: ModelBundle, quote) -> None:
-    n = bundle.lat.n_steps
+def _write_paths_csv(path: Path, quote) -> None:
+    inputs = quote.inputs
+    n = inputs.lat.n_steps
     moves = path_moves(np.arange(1 << n), n)
-    wealth = forward_wealth(
-        quote.y0, quote.solution.Z, bundle.gen,
-        quote.inputs.cashflow_increments, bundle.lat, moves,
-    )
+    wealth = forward_wealth(quote.y0, quote.solution.Z, inputs.gen,
+                            inputs.cashflow_increments, inputs.lat, moves)
     solved = solution_path(quote, moves)
     write_csv(
         path, ("path_id", "step", "V", "Y", "L_cum", "U_cum"),
@@ -259,8 +251,6 @@ def _parse_sweep_values(text: str):
                 out.append(float(item))
             except ValueError as exc:
                 raise ConfigError(f"sweep value {item!r} is not a number") from exc
-    if not out:
-        raise ConfigError("--values must list at least one number")
     return out
 
 

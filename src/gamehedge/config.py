@@ -66,7 +66,6 @@ class ModelBundle:
 
     lat: Lattice
     gen: Generator
-    acct: BenchmarkAccount
     contract: ContractSpec
     views: dict  # both sides always present
     sides: tuple[str, ...]  # sides selected for processing
@@ -260,6 +259,6 @@ def build_bundle(cfg: dict) -> ModelBundle:
     if out_dir is not None and not isinstance(out_dir, str):
         raise ConfigError("output.dir must be a path string")
     return ModelBundle(
-        lat=lat, gen=gen, acct=acct, contract=contract,
+        lat=lat, gen=gen, contract=contract,
         views=views, sides=sides, tolerances=tols, output_dir=out_dir,
     )

@@ -175,21 +175,23 @@ def game_payoff(contract: ContractSpec, view: PartyView, lat: Lattice) -> GamePa
 
 @dataclass(frozen=True, eq=False)
 class QuoteResult:
-    """Price with the solved field and the stopping regions backing it.
+    """Price with the problem it solves, the solved field and the stopping regions backing it.
 
     Regions are node sets, each a read-only, strictly increasing int64 array
     of flat node indices (node (k, j) at ``tri(k, j)``): region_sigma /
-    region_tau are obstacle-equality sets for the quote side's cancel /
-    exercise times, region_bar_sigma / region_bar_tau the strict-push sets
-    behind the corresponding barred times.  ``inputs`` is retained so
-    verifiers replay exactly what was solved.
+    region_tau are obstacle-equality sets, within ``region_tol``, for the
+    quote side's cancel / exercise times, region_bar_sigma / region_bar_tau
+    the strict-push sets behind the corresponding barred times.  The
+    contract, the view and ``inputs`` (generator, lattice, obstacles and
+    cash flow) are retained so verifiers replay exactly what was solved.
     """
 
-    side: str
-    endowment: float
+    contract: ContractSpec
+    view: PartyView
     price: float
     solution: DrbsdeSolution
     inputs: DrbsdeInputs
+    region_tol: float
     region_sigma: np.ndarray
     region_tau: np.ndarray
     region_bar_sigma: np.ndarray
@@ -214,7 +216,13 @@ def acceptable_price(
     lat: Lattice,
     region_tol: float = 1e-9,
 ) -> QuoteResult:
-    """Solve the side's reflected system and report price plus stopping regions."""
+    """Solve the side's reflected system and report price plus stopping regions.
+
+    ``region_tol`` is the relative band of obstacle equality, for the regions
+    here and for every verifier of the quote.
+    """
+    if not math.isfinite(region_tol) or region_tol <= 0.0:
+        raise InvalidParameters(f"region_tol must be positive and finite, got {region_tol!r}")
     inputs = side_obstacles(contract, view, gen, lat)
     sol = solve_drbsde(inputs)
     y0 = sol.Y.at(0, 0)
@@ -233,11 +241,12 @@ def acceptable_price(
         region_sigma, region_tau = eq_lower, eq_upper
         region_bar_sigma, region_bar_tau = pos_dl, pos_du
     return QuoteResult(
-        side=view.side,
-        endowment=view.endowment,
+        contract=contract,
+        view=view,
         price=_price(view, y0),
         solution=sol,
         inputs=inputs,
+        region_tol=region_tol,
         region_sigma=region_sigma,
         region_tau=region_tau,
         region_bar_sigma=region_bar_sigma,

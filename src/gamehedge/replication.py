@@ -17,6 +17,10 @@ Side convention: reports work in solution coordinates, where the quote
 side's own stopping presses the upper obstacle (recording dU) and the
 counterpart's the lower (recording dL).  That makes hedger and counterparty
 batteries the same computation with the region roles swapped.
+
+A quote's verifiers take its problem from the quote itself (contract, view,
+and the generator, lattice and cash flow of ``quote.inputs``) and judge every
+equality at the quote's ``region_tol``.
 """
 
 from __future__ import annotations
@@ -236,12 +240,12 @@ def _benchmark_rows(v_full, hits_sigma, hits_tau, idx, contract, view, vb, eq_to
     return diff, tol, flags
 
 
-def _own_rows(quote, hits, hits_other, idx, eq_tol):
+def _own_rows(quote, hits, hits_other, idx):
     """Per own rule row, over the paths: every interior stop presses the upper obstacle, and
     the largest upper push before the stop and before the join with the counterpart."""
     at_hit = idx[np.arange(idx.shape[0]), hits]
     y_hit, upper_hit = quote.solution.Y.flat[at_hit], quote.inputs.upper.flat[at_hit]
-    on_upper = np.abs(y_hit - upper_hit) <= eq_tol * (1.0 + np.abs(y_hit))
+    on_upper = np.abs(y_hit - upper_hit) <= quote.region_tol * (1.0 + np.abs(y_hit))
     du_flat = quote.solution.dU.flat
     stops_at_t = hits >= idx.shape[1] - 1  # stopping at T needs no obstacle contact
     return {
@@ -251,15 +255,16 @@ def _own_rows(quote, hits, hits_other, idx, eq_tol):
     }
 
 
-def _counterpart_rows(quote, contract, view, payoff, vb, v_full, hits_own, hits, idx, eq_tol):
+def _counterpart_rows(quote, payoff, vb, v_full, hits_own, hits, idx):
     """Per counterpart rule row, over the paths: the benchmark flags of wealth stopped against
     the own rule; forward wealth equal to the stopped game value; and the solved value equal
     to it with no lower push before the join and no upper push before the own stop."""
-    sigma_tau = (hits_own, hits) if quote.side == "hedger" else (hits, hits_own)
-    _, _, flags = _benchmark_rows(v_full, *sigma_tau, idx, contract, view, vb, eq_tol)
+    sigma_tau = (hits_own, hits) if quote.view.side == "hedger" else (hits, hits_own)
+    _, _, flags = _benchmark_rows(v_full, *sigma_tau, idx, quote.contract, quote.view, vb,
+                                  quote.region_tol)
     k_stop, node, game_val = _stop_pay(hits_own, hits, idx, payoff.on_upper.flat,
                                        payoff.on_lower.flat, payoff.on_tie.flat)
-    tol = eq_tol * (1.0 + np.abs(game_val))
+    tol = quote.region_tol * (1.0 + np.abs(game_val))
     sol = quote.solution
     l_before = _cum_at_stop(sol.dL.flat, idx, k_stop)
     u_before = _cum_at_stop(sol.dU.flat, idx, hits_own)
@@ -306,9 +311,16 @@ def classify_quadruplet(
 def _own_rules(quote: QuoteResult, n_steps: int):
     """(own, own push, other, other push) stopping rules in solution coordinates."""
     regions = (quote.region_sigma, quote.region_bar_sigma, quote.region_tau, quote.region_bar_tau)
-    if quote.side != "hedger":
+    if quote.view.side != "hedger":
         regions = regions[2:] + regions[:2]
     return tuple(StoppingRule.from_nodes(n_steps, region) for region in regions)
+
+
+def _game(quote: QuoteResult):
+    """The quote's lattice, generator, cash flow and stopped-game payoff."""
+    lat = quote.inputs.lat
+    return (lat, quote.inputs.gen, quote.inputs.cashflow_increments,
+            game_payoff(quote.contract, quote.view, lat))
 
 
 @dataclass(frozen=True)
@@ -328,15 +340,7 @@ class ReplicationReport:
         return self.replicates and self.be and self.ao_at_plus and self.sh_fails_at_minus
 
 
-def verify_replication(
-    quote: QuoteResult,
-    contract: ContractSpec,
-    view: PartyView,
-    gen: Generator,
-    lat: Lattice,
-    gap_tol: float = 1e-10,
-    eq_tol: float = 1e-9,
-) -> ReplicationReport:
+def verify_replication(quote: QuoteResult, gap_tol: float = 1e-10) -> ReplicationReport:
     """Wealth from the quoted price must track the solved value until someone stops.
 
     Also classifies the quoted price exactly (break-even) and probes one
@@ -346,11 +350,11 @@ def verify_replication(
     pays it).  There the strict-gain condition must appear; on the opposite
     side the benchmark-safety condition must fail.
     """
-    n = lat.n_steps
+    lat, gen, cash = quote.inputs.lat, quote.inputs.gen, quote.inputs.cashflow_increments
+    n, side = lat.n_steps, quote.view.side
     own_rule, _, other_rule, _ = _own_rules(quote, n)
-    sigma, tau = (own_rule, other_rule) if quote.side == "hedger" else (other_rule, own_rule)
+    sigma, tau = (own_rule, other_rule) if side == "hedger" else (other_rule, own_rule)
     y0, y_flat = quote.solution.Y.at(0, 0), quote.solution.Y.flat
-    cash = quote.inputs.cashflow_increments
 
     def block(pids, js, idx):
         v_full = _forward_matrix(y0, quote.solution.Z, gen, cash, lat, js)
@@ -362,10 +366,11 @@ def verify_replication(
     out = _fold(n, 1, block)
     max_gap = float(out["max_gap"])
     probe = _PROBE * (1.0 + abs(quote.price))
-    if quote.side == "counterparty":
+    if side == "counterparty":
         probe = -probe  # the counterparty pays the price, so less is more
     exact, up, down = (
-        classify_quadruplet(price, quote.solution.Z, sigma, tau, contract, view, gen, lat, eq_tol)
+        classify_quadruplet(price, quote.solution.Z, sigma, tau, quote.contract, quote.view,
+                            gen, lat, quote.region_tol)
         for price in (quote.price, quote.price + probe, quote.price - probe)
     )
     return ReplicationReport(
@@ -398,15 +403,8 @@ class RationalStopReport:
         return ok and (not self.push_at_join_max > 0.0 or not self.rational)
 
 
-def verify_rational_cancellation(
-    sigma_rule: StoppingRule,
-    quote: QuoteResult,
-    contract: ContractSpec,
-    view: PartyView,
-    gen: Generator,
-    lat: Lattice,
-    eq_tol: float = 1e-9,
-) -> RationalStopReport:
+def verify_rational_cancellation(sigma_rule: StoppingRule,
+                                 quote: QuoteResult) -> RationalStopReport:
     """Decide whether stopping by sigma_rule keeps the quote side benchmark-safe.
 
     The decision is exact on the tree: the rule is rational iff the
@@ -417,14 +415,14 @@ def verify_rational_cancellation(
     counterpart's exercise region).  Cumulative pushes count strictly earlier
     steps.
     """
+    lat, gen, cash, payoff = _game(quote)
     n = lat.n_steps
-    payoff, cash = game_payoff(contract, view, lat), quote.inputs.cashflow_increments
     snell = snell_sup_for_minimizer(lat, gen, cash, payoff, sigma_rule)
     y0 = quote.solution.Y.at(0, 0)
-    rational = snell <= y0 + eq_tol * (1.0 + abs(y0))
+    rational = snell <= y0 + quote.region_tol * (1.0 + abs(y0))
     other_rule = _own_rules(quote, n)[2]
     out = _fold(n, 1, lambda pids, js, idx: _own_rows(
-        quote, _hits(sigma_rule, idx), _hits(other_rule, idx), idx, eq_tol))
+        quote, _hits(sigma_rule, idx), _hits(other_rule, idx), idx))
     stops_on_upper, push_before = bool(out["on_upper"]), float(out["push_before"])
     return RationalStopReport(
         rational=rational,
@@ -462,15 +460,7 @@ class BreakEvenReport:
         return len(set(self.flags)) == 1
 
 
-def verify_break_even(
-    tau_rule: StoppingRule,
-    quote: QuoteResult,
-    contract: ContractSpec,
-    view: PartyView,
-    gen: Generator,
-    lat: Lattice,
-    eq_tol: float = 1e-9,
-) -> BreakEvenReport:
+def verify_break_even(tau_rule: StoppingRule, quote: QuoteResult) -> BreakEvenReport:
     """Check one counterpart rule against all five break-even characterizations.
 
     (1) exact benchmark classification of the quadruplet, (2) its
@@ -481,24 +471,23 @@ def verify_break_even(
     They agree in theory; disagreement is a finding.  Readings (1) to (3)
     share one forward pass from the solved root value.
     """
+    lat, gen, cash, payoff = _game(quote)
     n = lat.n_steps
     own_rule = _own_rules(quote, n)[0]
-    payoff, cash = game_payoff(contract, view, lat), quote.inputs.cashflow_increments
     stopped_val = evaluate_stopped(lat, gen, cash, payoff, own_rule, tau_rule)
     snell = snell_sup_for_minimizer(lat, gen, cash, payoff, own_rule)
-    vb = benchmark_profile(view.acct, view.endowment, lat.grid)
+    vb = benchmark_profile(quote.view.acct, quote.view.endowment, lat.grid)
     y0 = quote.solution.Y.at(0, 0)
     out = _fold(n, 1, lambda pids, js, idx: _counterpart_rows(
-        quote, contract, view, payoff, vb,
-        _forward_matrix(y0, quote.solution.Z, gen, cash, lat, js),
-        _hits(own_rule, idx), _hits(tau_rule, idx), idx, eq_tol))
+        quote, payoff, vb, _forward_matrix(y0, quote.solution.Z, gen, cash, lat, js),
+        _hits(own_rule, idx), _hits(tau_rule, idx), idx))
     be = bool(out["be"])
     return BreakEvenReport(
         be_classified=be,
         na_classified=be or not out["sh"],
         wealth_matches_game=bool(out["wealth"]),
         solution_matches_game=bool(out["solution"]),
-        attains_supremum=abs(stopped_val - snell) <= eq_tol * (1.0 + abs(snell)),
+        attains_supremum=abs(stopped_val - snell) <= quote.region_tol * (1.0 + abs(snell)),
     )
 
 
@@ -537,14 +526,7 @@ class BatteryReport:
         )
 
 
-def stopping_time_battery(
-    quote: QuoteResult,
-    contract: ContractSpec,
-    view: PartyView,
-    gen: Generator,
-    lat: Lattice,
-    eq_tol: float = 1e-9,
-) -> BatteryReport:
+def stopping_time_battery(quote: QuoteResult) -> BatteryReport:
     """Audit every enumerable stopping rule against the quote's claims.
 
     Own-side sweep: rationality per rule (exact best-response test),
@@ -555,11 +537,11 @@ def stopping_time_battery(
     first-contact rule, no break-even rule may beat that contact time.
     Both sweeps run the single-rule verifiers' rows with a row per rule id.
     """
-    n = lat.n_steps
+    lat, gen, cash, payoff = _game(quote)
+    n, eq_tol = lat.n_steps, quote.region_tol
     n_rules = 1 << _require_enumerable(n)
-    payoff, cash = game_payoff(contract, view, lat), quote.inputs.cashflow_increments
     y0 = quote.solution.Y.at(0, 0)
-    vb = benchmark_profile(view.acct, view.endowment, lat.grid)
+    vb = benchmark_profile(quote.view.acct, quote.view.endowment, lat.grid)
     own_rule, own_bar_rule, other_rule, other_bar_rule = _own_rules(quote, n)
 
     def block(pids, js, idx):
@@ -571,9 +553,8 @@ def stopping_time_battery(
         # the earliest (latest) pins compare every rule with the canonical one on its event
         early, late = h_own <= h_other_bar, h_own_bar < h_other_bar
         return {
-            **_own_rows(quote, hits, h_other, idx, eq_tol),
-            **_counterpart_rows(quote, contract, view, payoff, vb, v_full, h_own, hits, idx,
-                                eq_tol),
+            **_own_rows(quote, hits, h_other, idx),
+            **_counterpart_rows(quote, payoff, vb, v_full, h_own, hits, idx),
             "never_later": (~early | (hits <= h_own)).all(axis=-1),
             "same_early": (~early | (hits == h_own)).all(axis=-1),
             "never_earlier": (~late | (hits >= h_own_bar)).all(axis=-1),

@@ -165,7 +165,7 @@ def test_solved_hedge_replicates_and_probes_pin_the_price(solved_pool):
     flags_ok = True
     strict_shortfall = True
     for lat, gen, contract, view, quote in solved_pool:
-        rep = verify_replication(quote, contract, view, gen, lat, gap_tol=1e-10)
+        rep = verify_replication(quote, gap_tol=1e-10)
         worst_gap = max(worst_gap, rep.max_gap)
         flags_ok &= rep.replicates and rep.be and rep.ao_at_plus and rep.sh_fails_at_minus
         strict_shortfall &= shortfall_on_every_path(quote, contract, view, gen, lat)
@@ -249,7 +249,7 @@ def test_stopping_rule_battery_finds_no_counterexamples():
     for lat, gen, contract, views in cases:
         for side in ("hedger", "counterparty"):
             quote = acceptable_price(contract, views[side], gen, lat)
-            report = stopping_time_battery(quote, contract, views[side], gen, lat)
+            report = stopping_time_battery(quote)
             rules_audited += report.n_rules
             all_ok &= report.ok
     check(

@@ -44,7 +44,7 @@ KINDS = (
 def own_regions(quote):
     """(own equality, own push, other equality, other push) in solution coordinates."""
     regions = (quote.region_sigma, quote.region_bar_sigma, quote.region_tau, quote.region_bar_tau)
-    return regions if quote.side == "hedger" else regions[2:] + regions[:2]
+    return regions if quote.view.side == "hedger" else regions[2:] + regions[:2]
 
 
 def reference_counterexamples(quote, contract, view, gen, lat, eq_tol=1e-9):
@@ -133,7 +133,7 @@ def random_region(rng, n):
 
 def corrupted(quote, rng):
     """The quote plus variants whose pushes, hedge, obstacle or regions are wrong."""
-    own_eq, own_bar = (("region_sigma", "region_bar_sigma") if quote.side == "hedger"
+    own_eq, own_bar = (("region_sigma", "region_bar_sigma") if quote.view.side == "hedger"
                        else ("region_tau", "region_bar_tau"))
     du = quote.solution.dU.flat.copy()
     du[0] += 0.5
@@ -171,9 +171,23 @@ def test_battery_matches_rule_by_rule_reference():
             view = views[side]
             quote = acceptable_price(contract, view, gen, lat)
             for name, variant in corrupted(quote, rng).items():
-                report = stopping_time_battery(variant, contract, view, gen, lat)
+                report = stopping_time_battery(variant)
                 want = reference_counterexamples(variant, contract, view, gen, lat)
                 got = {key: getattr(report, key) for key in want}
                 assert got == want, (seed, side, name)
                 seen.update(kind for kind in KINDS if got[kind])
     assert seen == set(KINDS)
+
+
+def test_battery_judges_at_the_quote_tolerance():
+    # a loose region tolerance widens the regions and every equality the battery judges
+    differs = 0
+    for seed in INSTANCE_SEEDS:
+        lat, gen, contract, views = random_instance(np.random.default_rng(seed), 3, 2)
+        for view in views.values():
+            loose = acceptable_price(contract, view, gen, lat, region_tol=0.1)
+            report = stopping_time_battery(loose)
+            want = reference_counterexamples(loose, contract, view, gen, lat, eq_tol=0.1)
+            assert {key: getattr(report, key) for key in want} == want, (seed, view.side)
+            differs += report != stopping_time_battery(acceptable_price(contract, view, gen, lat))
+    assert differs

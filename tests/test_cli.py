@@ -1,12 +1,16 @@
 """End-to-end command tests: exit codes, file outputs, determinism."""
 
 import json
+import os
 import platform
-import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gamehedge
 from gamehedge import (
     NodeProcess,
     acceptable_price,
@@ -430,14 +434,27 @@ def test_cli_runs_where_mallopt_is_missing(tmp_path, monkeypatch, failure):
     assert main(["price", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
 
 
+# two warm-up quotes, then the page faults of a third, printed last
+REPEATED_QUOTES = """
+import resource, sys
+from gamehedge.cli import main
+for _ in range(2):
+    assert main(sys.argv[1:]) == 0
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+assert main(sys.argv[1:]) == 0
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc tuning")
-def test_repeated_quotes_reuse_freed_heap(tmp_path, capsys):
+def test_repeated_quotes_reuse_freed_heap(tmp_path):
     # N=200 node arrays (162 KB) lie above glibc's initial mmap threshold, so
-    # without the CLI's allocator setting each quote faulted them in again
+    # without the CLI's allocator setting each quote faulted them in again.
+    # A fresh process keeps heap left over by earlier tests out of the count
     cfg = write_config(tmp_path, lattice={"N": 200, "u": 1.02, "d": 0.98})
     argv = ["price", "--config", str(cfg), "--out", str(tmp_path / "o")]
-    for _ in range(2):
-        assert main(argv) == 0
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    assert main(argv) == 0
-    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 100
+    path = (str(Path(gamehedge.__file__).parents[1]), os.environ.get("PYTHONPATH", ""))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    run = subprocess.run([sys.executable, "-c", REPEATED_QUOTES, *argv], env=env,
+                         capture_output=True, text=True, check=True)
+    assert int(run.stdout.split()[-1]) < 100

@@ -153,7 +153,7 @@ def assert_regions_match_reference(quote, region_tol=1e-9):
     upper, lower = np.abs(y - inputs.upper.flat) <= band, np.abs(y - inputs.lower.flat) <= band
     masks = {"region_sigma": upper, "region_tau": lower,
              "region_bar_sigma": sol.dU.flat > 0.0, "region_bar_tau": sol.dL.flat > 0.0}
-    if quote.side == "counterparty":
+    if quote.view.side == "counterparty":
         masks = {"region_sigma": lower, "region_tau": upper,
                  "region_bar_sigma": sol.dL.flat > 0.0, "region_bar_tau": sol.dU.flat > 0.0}
     ks, js = node_coords(n)

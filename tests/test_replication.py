@@ -175,7 +175,7 @@ def test_classifier_flag_structure(rng):
 
 def test_verify_replication_instance_a(instance_a):
     lat, contract, view, gen, quote = instance_a
-    rep = verify_replication(quote, contract, view, gen, lat)
+    rep = verify_replication(quote)
     assert rep.replicates and rep.max_gap <= 1e-10
     assert rep.be and rep.ao_at_plus and rep.sh_fails_at_minus
     assert rep.ok
@@ -185,7 +185,7 @@ def test_verify_replication_counterparty_probes(one_step_lattice, one_step_put,
                                                 counterparty_view):
     gen = ZeroGenerator()
     quote = acceptable_price(one_step_put, counterparty_view, gen, one_step_lattice)
-    rep = verify_replication(quote, one_step_put, counterparty_view, gen, one_step_lattice)
+    rep = verify_replication(quote)
     assert rep.ok
 
 
@@ -202,7 +202,7 @@ def test_corrupted_hedge_detected():
     rows = [quote.solution.Z.row(k).copy() for k in range(3)]
     rows[0][0] += 0.1
     bad = replace(quote, solution=replace(quote.solution, Z=NodeProcess.from_rows(rows)))
-    rep = verify_replication(bad, contract, view, gen, lat)
+    rep = verify_replication(bad)
     assert not rep.replicates
     assert rep.max_gap > 1e-6
     assert rep.first_failing_path is not None
@@ -223,20 +223,20 @@ def test_slack_obstacles_replicate_to_terminal(rng):
     view = PartyView("hedger", 0.0, BenchmarkAccount(0.0, 0.0))
     gen = ZeroGenerator()
     quote = acceptable_price(contract, view, gen, lat)
-    rep = verify_replication(quote, contract, view, gen, lat)
+    rep = verify_replication(quote)
     assert rep.ok and rep.max_gap <= 1e-12
 
 
 def test_rational_cancellation_instance_a(instance_a):
     lat, contract, view, gen, quote = instance_a
     sigma = StoppingRule.from_nodes(1, quote.region_sigma)
-    report = verify_rational_cancellation(sigma, quote, contract, view, gen, lat)
+    report = verify_rational_cancellation(sigma, quote)
     assert report.rational and report.sufficient
     assert report.push_before_stop_max == 0.0
     assert report.snell_value == pytest.approx(5.0, abs=1e-12)
 
     never = StoppingRule.never_early(1)
-    late = verify_rational_cancellation(never, quote, contract, view, gen, lat)
+    late = verify_rational_cancellation(never, quote)
     assert not late.rational
     assert late.push_at_join_max == pytest.approx(5.0)  # the root push fires first
     assert late.snell_value == pytest.approx(10.0, abs=1e-12)
@@ -246,34 +246,32 @@ def two_step_quote():
     lat = build_lattice(100.0, 1.2, 0.8, TimeGrid(horizon=1.0, n_steps=2))
     contract = builtin_israeli_put(lat, strike=100.0, penalty=5.0)
     view = PartyView("hedger", 0.0, BenchmarkAccount(0.0, 0.0))
-    gen = ZeroGenerator()
-    quote = acceptable_price(contract, view, gen, lat)
-    return lat, contract, view, gen, quote
+    return acceptable_price(contract, view, ZeroGenerator(), lat)
 
 
 def test_break_even_canonical_rule():
-    lat, contract, view, gen, quote = two_step_quote()
+    quote = two_step_quote()
     tau = StoppingRule.from_nodes(2, quote.region_tau)
-    report = verify_break_even(tau, quote, contract, view, gen, lat)
+    report = verify_break_even(tau, quote)
     assert report.flags == (True, True, True, True, True)
     assert report.equivalent
     with pytest.raises(InvalidStoppingRule, match="^tau has 3 steps, lattice has 2$"):
-        verify_break_even(StoppingRule.never_early(3), quote, contract, view, gen, lat)
+        verify_break_even(StoppingRule.never_early(3), quote)
 
 
 def test_break_even_root_rule_fails_all_five():
     # stopping where the solved value sits strictly above the exercise payoff
     # surrenders value; every characterization must see it the same way
-    lat, contract, view, gen, quote = two_step_quote()
+    quote = two_step_quote()
     root_tau = StoppingRule.from_nodes(2, [tri(0, 0)])
-    report = verify_break_even(root_tau, quote, contract, view, gen, lat)
+    report = verify_break_even(root_tau, quote)
     assert report.flags == (False, False, False, False, False)
     assert report.equivalent
 
 
 def test_battery_two_step_put():
-    lat, contract, view, gen, quote = two_step_quote()
-    report = stopping_time_battery(quote, contract, view, gen, lat)
+    quote = two_step_quote()
+    report = stopping_time_battery(quote)
     assert report.ok
     assert report.n_rules == 8
     assert report.rational_count == 4  # exactly the rules stopping at the root
@@ -287,7 +285,7 @@ def test_battery_random_instances(rng):
         lat, gen, contract, views = random_instance(rng, 4)
         for side in ("hedger", "counterparty"):
             quote = acceptable_price(contract, views[side], gen, lat)
-            report = stopping_time_battery(quote, contract, views[side], gen, lat)
+            report = stopping_time_battery(quote)
             assert report.ok, (side, report)
 
 
@@ -302,7 +300,7 @@ def test_battery_memory_stays_bounded():
         quote = acceptable_price(contract, view, gen, lat)
         tracemalloc.start()
         try:
-            report = stopping_time_battery(quote, contract, view, gen, lat)
+            report = stopping_time_battery(quote)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -72,13 +72,13 @@ def pool_reports():
                     classify_quadruplet(variant.price + bump, variant.solution.Z, sigma, tau, *args)
                     for bump in PRICE_BUMPS
                 ]
-                out["replication"].append(verify_replication(variant, *args))
-                out["rational"] += [verify_rational_cancellation(rule, variant, *args)
+                out["replication"].append(verify_replication(variant))
+                out["rational"] += [verify_rational_cancellation(rule, variant)
                                     for rule in own + extra]
-                out["break_even"] += [verify_break_even(rule, variant, *args)
+                out["break_even"] += [verify_break_even(rule, variant)
                                       for rule in other + extra]
                 if n <= 5:
-                    out["battery"].append(stopping_time_battery(variant, *args))
+                    out["battery"].append(stopping_time_battery(variant))
     return {name: [report_text(r) for r in reports] for name, reports in out.items()}
 
 

@@ -9,10 +9,12 @@ import numpy as np
 import pytest
 
 from gamehedge import (
+    BenchmarkAccount,
     ContractInvariantViolated,
     ContractSpec,
     DrbsdeInputs,
     GamePayoff,
+    InvalidParameters,
     InvalidStoppingRule,
     NodeProcess,
     NonFiniteInput,
@@ -20,9 +22,12 @@ from gamehedge import (
     OutOfRange,
     StoppingRule,
     TerminalOutOfBand,
+    PartyView,
     TimeGrid,
     ZeroGenerator,
+    acceptable_price,
     build_lattice,
+    builtin_israeli_put,
     read_node_process,
 )
 from gamehedge.errors import ConfigError
@@ -109,6 +114,16 @@ def test_stopping_rule_unmarked_terminal():
     marks = np.array([True, True, True, True, False, True])  # node (2, 1) unmarked
     text = message(InvalidStoppingRule, lambda: StoppingRule(marks))
     assert text == "terminal row must be fully marked"
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-9])
+def test_region_tolerance_must_be_positive_and_finite(tol):
+    lat = two_step_lattice()
+    contract = builtin_israeli_put(lat, strike=100.0, penalty=5.0)
+    view = PartyView("hedger", 0.0, BenchmarkAccount(0.0, 0.0))
+    text = message(InvalidParameters, lambda: acceptable_price(
+        contract, view, ZeroGenerator(), lat, region_tol=tol))
+    assert text == f"region_tol must be positive and finite, got {tol!r}"
 
 
 NODE_CSV_ERRORS = {
