@@ -160,9 +160,8 @@ def cmd_oracle(bundle: ModelBundle, out: Path, pair_limit: int) -> int:
     results = {}
     all_match = True
     for side, quote in _quotes(bundle).items():
-        payoff = game_payoff(bundle.contract, quote.view, bundle.lat)
-        report = game_value_brute(bundle.lat, bundle.gen, quote.inputs.cashflow_increments,
-                                  payoff, pair_limit=pair_limit)
+        game = game_payoff(bundle.contract, quote.view, bundle.gen, bundle.lat)
+        report = game_value_brute(game, pair_limit=pair_limit)
         diag = saddle_check(report, quote.y0, tol=bundle.tolerances["oracle"])
         all_match &= diag.matches_upper
         results[side] = {
@@ -176,9 +175,7 @@ def cmd_oracle(bundle: ModelBundle, out: Path, pair_limit: int) -> int:
     file_obj = results[bundle.sides[0]] if len(bundle.sides) == 1 else dict(results)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "oracle.json", file_obj)
-    stdout_obj = copy.deepcopy(file_obj)
-    stdout_obj["runtime_ms"] = (time.perf_counter() - t0) * 1000.0
-    print(_json_text(stdout_obj))
+    print(_json_text(dict(file_obj, runtime_ms=(time.perf_counter() - t0) * 1000.0)))
     return 0 if all_match else 1
 
 

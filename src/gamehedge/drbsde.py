@@ -29,7 +29,10 @@ what the step covers.
 
 Every row recursion is one backward sweep behind one entry check (each
 part spans the lattice's steps, and the step contracts); only the node rule
-that turns a row's continuation into its values differs.  The sweep holds
+that turns a row's continuation into its values differs.  A game
+(``GamePayoff``: payoff rows, cash flow, generator and lattice) and the
+reflected solve's ``DrbsdeInputs`` run that check at construction, so the
+game recursions check only their own stopping rules.  The sweep holds
 only the row it steps from and hands each row to its caller: the solvers
 store the full field, the stopped-game values and ``_reflected_roots`` keep
 row 0 alone, so a batch of columns costs O(N x columns) memory (the
@@ -346,26 +349,32 @@ def _reflected_roots(sides: list[DrbsdeInputs], gen: Generator, columns: int) ->
 
 @dataclass(frozen=True, eq=False)
 class GamePayoff:
-    """Stopped-game payoff rows: minimizer stops on the upper row, maximizer on the lower, ties in between."""
+    """A stopped game: minimizer stops on the upper row, maximizer on the lower, ties in between.
+
+    Construction runs the entry check of ``DrbsdeInputs`` (each part spans
+    the lattice's steps, then the step contracts) and then requires
+    on_lower <= on_tie <= on_upper at every node.
+    """
 
     on_lower: NodeProcess
     on_upper: NodeProcess
     on_tie: NodeProcess
+    cashflow_increments: NodeProcess
+    gen: Generator
+    lat: Lattice
 
     def __post_init__(self) -> None:
-        n = self.on_lower.n_steps
-        if self.on_upper.n_steps != n or self.on_tie.n_steps != n:
-            raise OutOfRange("payoff rows disagree on the number of steps")
+        _check_entry(self.lat, self.gen, OutOfRange, on_lower=self.on_lower,
+                     on_upper=self.on_upper, on_tie=self.on_tie,
+                     cashflow_increments=self.cashflow_increments)
         lo, hi, tie = self.on_lower.flat, self.on_upper.flat, self.on_tie.flat
         bad = first_node(~((lo <= tie) & (tie <= hi)))
         if bad:
+            i, k, j = bad
             raise ObstacleOrderViolated(
-                f"need on_lower <= on_tie <= on_upper at every node, violated at step {bad[1]}"
+                f"need on_lower <= on_tie <= on_upper; at node ({k}, {j}): "
+                f"on_lower={lo[i]!r}, on_tie={tie[i]!r}, on_upper={hi[i]!r}"
             )
-
-    @property
-    def n_steps(self) -> int:
-        return self.on_lower.n_steps
 
 
 # Game node rules (payoffs, stop marks, continuation -> values), for rows and cone tables alike.
@@ -382,38 +391,29 @@ def _inf_node(lo, hi, tie, bits, cont):
     return np.where(bits[0], np.minimum(tie, lo), np.minimum(hi, cont))
 
 
-def _game_root(lat: Lattice, gen: Generator, cash: NodeProcess, payoff: GamePayoff,
-               node_rule, **rules: StoppingRule) -> float:
+def _game_root(game: GamePayoff, node_rule, **rules: StoppingRule) -> float:
     """Root value of the sweep whose rows follow a game node rule under fixed stopping rules."""
-    _check_entry(lat, gen, InvalidStoppingRule, payoff=payoff, cashflow_increments=cash, **rules)
+    lat = game.lat
+    _check_steps(lat, InvalidStoppingRule, **rules)
 
     def row_rule(k, cont):
-        lo, hi, tie = (p.row(k) for p in (payoff.on_lower, payoff.on_upper, payoff.on_tie))
+        lo, hi, tie = (p.row(k) for p in (game.on_lower, game.on_upper, game.on_tie))
         return node_rule(lo, hi, tie, [r.row(k) for r in rules.values()], cont)
 
-    return float(_sweep(lat, gen, payoff.on_tie.row(lat.n_steps), cash, row_rule)[0][0])
+    return float(_sweep(lat, game.gen, game.on_tie.row(lat.n_steps), game.cashflow_increments,
+                        row_rule)[0][0])
 
 
-def evaluate_stopped(
-    lat: Lattice,
-    gen: Generator,
-    cashflow_increments: NodeProcess,
-    payoff: GamePayoff,
-    sigma: StoppingRule,
-    tau: StoppingRule,
-) -> float:
+def evaluate_stopped(game: GamePayoff, sigma: StoppingRule, tau: StoppingRule) -> float:
     """Root value of the stream stopped by the given rule pair.
 
     sigma is the minimizer's rule (pays the upper row when it stops alone),
     tau the maximizer's (lower row); simultaneous stops pay the tie row.
     Unstopped nodes continue by the same implicit step as the solvers.
     """
-    return _game_root(lat, gen, cashflow_increments, payoff, _pair_node, sigma=sigma, tau=tau)
+    return _game_root(game, _pair_node, sigma=sigma, tau=tau)
 
 
-def snell_sup_for_minimizer(
-    lat: Lattice, gen: Generator, cashflow_increments: NodeProcess,
-    payoff: GamePayoff, sigma: StoppingRule,
-) -> float:
+def snell_sup_for_minimizer(game: GamePayoff, sigma: StoppingRule) -> float:
     """sup over all maximizer stopping behaviour against the fixed minimizer rule."""
-    return _game_root(lat, gen, cashflow_increments, payoff, _sup_node, sigma=sigma)
+    return _game_root(game, _sup_node, sigma=sigma)

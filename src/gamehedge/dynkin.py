@@ -44,10 +44,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .drbsde import GamePayoff, _check_entry, _inf_node, _pair_node, _sup_node, backward_step
+from .drbsde import GamePayoff, _check_steps, _inf_node, _pair_node, _sup_node, backward_step
 from .errors import InvalidStoppingRule, TooLarge
-from .generators import Generator
-from .lattice import Lattice, NodeProcess, tri
+from .lattice import tri
 from .stopping import StoppingRule
 
 __all__ = [
@@ -129,8 +128,7 @@ def _gather(values: np.ndarray, mask: int, below: int,
     return values[np.ix_(*(at if r is None else [0] for r in rules))]
 
 
-def _cone_values(lat: Lattice, gen: Generator, cashflow_increments: NodeProcess,
-                 payoff: GamePayoff, node_rule, **seats: StoppingRule | None) -> np.ndarray:
+def _cone_values(game: GamePayoff, node_rule, **seats: StoppingRule | None) -> np.ndarray:
     """Root values over the enumerated players' rule ids, from cone-indexed node tables.
 
     Each seat (``sigma``, ``tau``) holds a fixed rule, an axis of length 1,
@@ -140,13 +138,13 @@ def _cone_values(lat: Lattice, gen: Generator, cashflow_increments: NodeProcess,
     bits, cont)`` gives a node's values from its payoffs, each player's own
     bit there and the continuation.
     """
+    lat = game.lat
     _require_enumerable(lat.n_steps)
     rules = list(seats.values())
-    _check_entry(lat, gen, InvalidStoppingRule, payoff=payoff,
-                 cashflow_increments=cashflow_increments,
+    _check_steps(lat, InvalidStoppingRule,
                  **{name: rule for name, rule in seats.items() if rule is not None})
     n, ndim = lat.n_steps, 2 * len(rules)
-    tie_t = payoff.on_tie.row(n)
+    tie_t = game.on_tie.row(n)
     tables = [(np.full((1,) * len(rules), tie_t[j]), 0) for j in range(n + 1)]
     for k in range(n - 1, -1, -1):
         new_tables = []
@@ -154,7 +152,7 @@ def _cone_values(lat: Lattice, gen: Generator, cashflow_increments: NodeProcess,
             # continuation: one entry per packed combination of the children's cone bits
             below = tables[j][1] | tables[j + 1][1]
             v_next = [_gather(*table, below, rules) for table in tables[j:j + 2]]
-            cont = backward_step(lat, gen, k, v_next, cashflow_increments.at(k, j), j,
+            cont = backward_step(lat, game.gen, k, v_next, game.cashflow_increments.at(k, j), j,
                                  residual=False)[0]
 
             # the node's own bit tri(k, j) is its cone's lowest, so each player's axis
@@ -164,7 +162,7 @@ def _cone_values(lat: Lattice, gen: Generator, cashflow_increments: NodeProcess,
             bits = [b.reshape([b.size if a == 2 * i + 1 else 1 for a in range(ndim)])
                     for i, b in enumerate(own)]
             split = cont.reshape([w for c in cont.shape for w in (c, 1)])
-            lo, hi, tie = (p.at(k, j) for p in (payoff.on_lower, payoff.on_upper, payoff.on_tie))
+            lo, hi, tie = (p.at(k, j) for p in (game.on_lower, game.on_upper, game.on_tie))
             values = node_rule(lo, hi, tie, bits, split)
             shape = [c * b.size for c, b in zip(cont.shape, own)]
             new_tables.append((values.reshape(shape), below | 1 << bit))
@@ -172,33 +170,25 @@ def _cone_values(lat: Lattice, gen: Generator, cashflow_increments: NodeProcess,
     return tables[0][0]
 
 
-def sup_values_by_minimizer_rule(
-    lat: Lattice, gen: Generator, cashflow_increments: NodeProcess, payoff: GamePayoff
-) -> np.ndarray:
+def sup_values_by_minimizer_rule(game: GamePayoff) -> np.ndarray:
     """sup over maximizer behaviour of the stopped value, per minimizer rule id."""
-    return _cone_values(lat, gen, cashflow_increments, payoff, _sup_node, sigma=None)
+    return _cone_values(game, _sup_node, sigma=None)
 
 
-def inf_values_by_maximizer_rule(
-    lat: Lattice, gen: Generator, cashflow_increments: NodeProcess, payoff: GamePayoff
-) -> np.ndarray:
+def inf_values_by_maximizer_rule(game: GamePayoff) -> np.ndarray:
     """inf over minimizer behaviour of the stopped value, per maximizer rule id."""
-    return _cone_values(lat, gen, cashflow_increments, payoff, _inf_node, tau=None)
+    return _cone_values(game, _inf_node, tau=None)
 
 
-def _pair_matrix(lat: Lattice, gen: Generator, cashflow_increments: NodeProcess,
-                 payoff: GamePayoff, sigma: StoppingRule | None = None,
+def _pair_matrix(game: GamePayoff, sigma: StoppingRule | None = None,
                  tau: StoppingRule | None = None) -> np.ndarray:
     """Root values per (minimizer rule, maximizer rule) pair; a fixed rule's axis has length 1."""
-    return _cone_values(lat, gen, cashflow_increments, payoff, _pair_node, sigma=sigma, tau=tau)
+    return _cone_values(game, _pair_node, sigma=sigma, tau=tau)
 
 
-def stopped_values_for_maximizer_rules(
-    lat: Lattice, gen: Generator, cashflow_increments: NodeProcess,
-    payoff: GamePayoff, sigma: StoppingRule,
-) -> np.ndarray:
+def stopped_values_for_maximizer_rules(game: GamePayoff, sigma: StoppingRule) -> np.ndarray:
     """Stopped value against a fixed minimizer rule, for every maximizer rule id."""
-    return _pair_matrix(lat, gen, cashflow_increments, payoff, sigma)[0]
+    return _pair_matrix(game, sigma)[0]
 
 
 def _canonical_optimizer(values: np.ndarray, target: float, n_steps: int) -> StoppingRule:
@@ -219,29 +209,23 @@ def _bit_tuple(rid: int) -> tuple[int, ...]:
     return tuple(i for i in range(rid.bit_length()) if (rid >> i) & 1)
 
 
-def game_value_brute(
-    lat: Lattice,
-    gen: Generator,
-    cashflow_increments: NodeProcess,
-    payoff: GamePayoff,
-    pair_limit: int = DEFAULT_PAIR_LIMIT,
-) -> GameValueReport:
+def game_value_brute(game: GamePayoff, pair_limit: int = DEFAULT_PAIR_LIMIT) -> GameValueReport:
     """Both game values over all enumerated rule pairs, with canonical optimizers.
 
     Uses joint pair enumeration when the pair count fits pair_limit and the
     per-rule dynamic program otherwise; when both run their results are
     cross-checked before reporting.
     """
-    n = lat.n_steps
+    n = game.lat.n_steps
     m = _require_enumerable(n)
     n_rules = 1 << m
 
-    sup_dp = sup_values_by_minimizer_rule(lat, gen, cashflow_increments, payoff)
-    inf_dp = inf_values_by_maximizer_rule(lat, gen, cashflow_increments, payoff)
+    sup_dp = sup_values_by_minimizer_rule(game)
+    inf_dp = inf_values_by_maximizer_rule(game)
     sup_vals, inf_vals = sup_dp, inf_dp
 
     if n_rules * n_rules <= pair_limit:
-        pairs = _pair_matrix(lat, gen, cashflow_increments, payoff)
+        pairs = _pair_matrix(game)
         sup_pairs = pairs.max(axis=1)
         inf_pairs = pairs.min(axis=0)
         scale = 1.0 + float(np.max(np.abs(sup_pairs)))

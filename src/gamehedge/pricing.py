@@ -151,26 +151,33 @@ def _shifted_payoffs(
     return NodeProcess(xh + vb), NodeProcess(xc + vb), NodeProcess(xm + vb)
 
 
+def _side_cash(contract: ContractSpec, view: PartyView) -> NodeProcess:
+    """The side's cash flow: dA for the hedger, -dA for the counterparty, who pays it."""
+    return contract.dA if view.side == "hedger" else NodeProcess(-contract.dA.flat)
+
+
 def side_obstacles(
     contract: ContractSpec, view: PartyView, gen: Generator, lat: Lattice
 ) -> DrbsdeInputs:
     """Reflected-solve data for the view side's minimal benchmark-safe wealth."""
     lower, upper, tie = _shifted_payoffs(contract, view, lat)
-    cash = contract.dA if view.side == "hedger" else NodeProcess(-contract.dA.flat)
     return DrbsdeInputs(
         lower=lower, upper=upper, terminal=tie.row(lat.n_steps),
-        cashflow_increments=cash, gen=gen, lat=lat,
+        cashflow_increments=_side_cash(contract, view), gen=gen, lat=lat,
     )
 
 
-def game_payoff(contract: ContractSpec, view: PartyView, lat: Lattice) -> GamePayoff:
-    """Stopped-game payoff rows matching the side's obstacles, tie rows included.
+def game_payoff(
+    contract: ContractSpec, view: PartyView, gen: Generator, lat: Lattice
+) -> GamePayoff:
+    """The stopped game matching the side's obstacles, tie rows included.
 
     Interior ties never help the stopping player (the tie row sits inside
     the band), so the game value agrees with the reflected solve that only
     sees the tie at the terminal step; that agreement is itself a test.
     """
-    return GamePayoff(*_shifted_payoffs(contract, view, lat))
+    return GamePayoff(*_shifted_payoffs(contract, view, lat),
+                      cashflow_increments=_side_cash(contract, view), gen=gen, lat=lat)
 
 
 @dataclass(frozen=True, eq=False)
@@ -257,6 +264,11 @@ def acceptable_price(
 def _price(view: PartyView, y0):
     """y0 - x for the hedger, x - y0 for the counterparty."""
     return y0 - view.endowment if view.side == "hedger" else view.endowment - y0
+
+
+def _initial_wealth(view: PartyView, price: float) -> float:
+    """The y0 whose ``_price`` is ``price``: x + price for the hedger, x - price otherwise."""
+    return view.endowment + price if view.side == "hedger" else view.endowment - price
 
 
 def sweep_prices(

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .drbsde import _check_steps, evaluate_stopped, snell_sup_for_minimizer
+from .drbsde import GamePayoff, _check_steps, evaluate_stopped, snell_sup_for_minimizer
 from .dynkin import (
     _require_enumerable,
     rule_to_id,
@@ -39,7 +39,7 @@ from .dynkin import (
 from .errors import InvalidParameters, InvalidStoppingRule, NonFiniteState, OutOfRange, TooManyPaths
 from .generators import Generator, eval_g
 from .lattice import Lattice, NodeProcess, benchmark_profile, tri
-from .pricing import ContractSpec, PartyView, QuoteResult, game_payoff
+from .pricing import ContractSpec, PartyView, QuoteResult, _initial_wealth, _side_cash, game_payoff
 from .stopping import StoppingRule, path_moves, path_up_counts
 
 __all__ = [
@@ -255,15 +255,15 @@ def _own_rows(quote, hits, hits_other, idx):
     }
 
 
-def _counterpart_rows(quote, payoff, vb, v_full, hits_own, hits, idx):
+def _counterpart_rows(quote, game, vb, v_full, hits_own, hits, idx):
     """Per counterpart rule row, over the paths: the benchmark flags of wealth stopped against
     the own rule; forward wealth equal to the stopped game value; and the solved value equal
     to it with no lower push before the join and no upper push before the own stop."""
     sigma_tau = (hits_own, hits) if quote.view.side == "hedger" else (hits, hits_own)
     _, _, flags = _benchmark_rows(v_full, *sigma_tau, idx, quote.contract, quote.view, vb,
                                   quote.region_tol)
-    k_stop, node, game_val = _stop_pay(hits_own, hits, idx, payoff.on_upper.flat,
-                                       payoff.on_lower.flat, payoff.on_tie.flat)
+    k_stop, node, game_val = _stop_pay(hits_own, hits, idx, game.on_upper.flat,
+                                       game.on_lower.flat, game.on_tie.flat)
     tol = quote.region_tol * (1.0 + np.abs(game_val))
     sol = quote.solution
     l_before = _cum_at_stop(sol.dL.flat, idx, k_stop)
@@ -288,8 +288,7 @@ def classify_quadruplet(
     _check_steps(lat, InvalidStoppingRule, sigma=sigma, tau=tau)
     _check_steps(lat, InvalidParameters, contract=contract)
     vb = benchmark_profile(view.acct, view.endowment, lat.grid)
-    y0 = view.endowment + price if view.side == "hedger" else view.endowment - price
-    cash = contract.dA if view.side == "hedger" else NodeProcess(-contract.dA.flat)
+    y0, cash = _initial_wealth(view, price), _side_cash(contract, view)
 
     def block(pids, js, idx):
         v_full = _forward_matrix(y0, hedge, gen, cash, lat, js)
@@ -316,11 +315,9 @@ def _own_rules(quote: QuoteResult, n_steps: int):
     return tuple(StoppingRule.from_nodes(n_steps, region) for region in regions)
 
 
-def _game(quote: QuoteResult):
-    """The quote's lattice, generator, cash flow and stopped-game payoff."""
-    lat = quote.inputs.lat
-    return (lat, quote.inputs.gen, quote.inputs.cashflow_increments,
-            game_payoff(quote.contract, quote.view, lat))
+def _game(quote: QuoteResult) -> GamePayoff:
+    """The stopped game of the quote's problem."""
+    return game_payoff(quote.contract, quote.view, quote.inputs.gen, quote.inputs.lat)
 
 
 @dataclass(frozen=True)
@@ -415,9 +412,9 @@ def verify_rational_cancellation(sigma_rule: StoppingRule,
     counterpart's exercise region).  Cumulative pushes count strictly earlier
     steps.
     """
-    lat, gen, cash, payoff = _game(quote)
-    n = lat.n_steps
-    snell = snell_sup_for_minimizer(lat, gen, cash, payoff, sigma_rule)
+    game = _game(quote)
+    n = game.lat.n_steps
+    snell = snell_sup_for_minimizer(game, sigma_rule)
     y0 = quote.solution.Y.at(0, 0)
     rational = snell <= y0 + quote.region_tol * (1.0 + abs(y0))
     other_rule = _own_rules(quote, n)[2]
@@ -471,15 +468,16 @@ def verify_break_even(tau_rule: StoppingRule, quote: QuoteResult) -> BreakEvenRe
     They agree in theory; disagreement is a finding.  Readings (1) to (3)
     share one forward pass from the solved root value.
     """
-    lat, gen, cash, payoff = _game(quote)
+    game = _game(quote)
+    lat, gen, cash = game.lat, game.gen, game.cashflow_increments
     n = lat.n_steps
     own_rule = _own_rules(quote, n)[0]
-    stopped_val = evaluate_stopped(lat, gen, cash, payoff, own_rule, tau_rule)
-    snell = snell_sup_for_minimizer(lat, gen, cash, payoff, own_rule)
+    stopped_val = evaluate_stopped(game, own_rule, tau_rule)
+    snell = snell_sup_for_minimizer(game, own_rule)
     vb = benchmark_profile(quote.view.acct, quote.view.endowment, lat.grid)
     y0 = quote.solution.Y.at(0, 0)
     out = _fold(n, 1, lambda pids, js, idx: _counterpart_rows(
-        quote, payoff, vb, _forward_matrix(y0, quote.solution.Z, gen, cash, lat, js),
+        quote, game, vb, _forward_matrix(y0, quote.solution.Z, gen, cash, lat, js),
         _hits(own_rule, idx), _hits(tau_rule, idx), idx))
     be = bool(out["be"])
     return BreakEvenReport(
@@ -537,7 +535,8 @@ def stopping_time_battery(quote: QuoteResult) -> BatteryReport:
     first-contact rule, no break-even rule may beat that contact time.
     Both sweeps run the single-rule verifiers' rows with a row per rule id.
     """
-    lat, gen, cash, payoff = _game(quote)
+    game = _game(quote)
+    lat, gen, cash = game.lat, game.gen, game.cashflow_increments
     n, eq_tol = lat.n_steps, quote.region_tol
     n_rules = 1 << _require_enumerable(n)
     y0 = quote.solution.Y.at(0, 0)
@@ -554,7 +553,7 @@ def stopping_time_battery(quote: QuoteResult) -> BatteryReport:
         early, late = h_own <= h_other_bar, h_own_bar < h_other_bar
         return {
             **_own_rows(quote, hits, h_other, idx),
-            **_counterpart_rows(quote, payoff, vb, v_full, h_own, hits, idx),
+            **_counterpart_rows(quote, game, vb, v_full, h_own, hits, idx),
             "never_later": (~early | (hits <= h_own)).all(axis=-1),
             "same_early": (~early | (hits == h_own)).all(axis=-1),
             "never_earlier": (~late | (hits >= h_own_bar)).all(axis=-1),
@@ -565,9 +564,9 @@ def stopping_time_battery(quote: QuoteResult) -> BatteryReport:
 
     out = _fold(n, n_rules, block)
     # rationality is one vectorized best-response pass, attainment one pair-matrix row
-    rational = sup_values_by_minimizer_rule(lat, gen, cash, payoff) <= y0 + eq_tol * (1.0 + abs(y0))
-    pair_vals = stopped_values_for_maximizer_rules(lat, gen, cash, payoff, own_rule)
-    snell = snell_sup_for_minimizer(lat, gen, cash, payoff, own_rule)
+    rational = sup_values_by_minimizer_rule(game) <= y0 + eq_tol * (1.0 + abs(y0))
+    pair_vals = stopped_values_for_maximizer_rules(game, own_rule)
+    snell = snell_sup_for_minimizer(game, own_rule)
     attains = np.abs(pair_vals - snell) <= eq_tol * (1.0 + abs(snell))
     be, premise = out["be"], bool(out["premise"])
     flags = np.stack([be, be | ~out["sh"], out["wealth"], out["solution"], attains])

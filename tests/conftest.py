@@ -25,7 +25,6 @@ from gamehedge import (
     build_lattice,
     builtin_israeli_put,
     game_payoff,
-    side_obstacles,
 )
 
 RATE_GRID = (0.0, 0.02, 0.05, 0.1)
@@ -151,7 +150,7 @@ GAME_GENERATORS = {
 
 
 def game_instance(rng, n: int, gen, side: str = "hedger"):
-    """A random n-step stopping game for a given generator: lattice, cash increments, payoff."""
+    """A random n-step stopping game for a given generator."""
     while True:
         lat = random_lattice(rng, n, n)
         if lat.dt * gen.lipschitz_z / (lat.u - lat.d) <= 0.9 * min(lat.q, 1.0 - lat.q):
@@ -159,8 +158,7 @@ def game_instance(rng, n: int, gen, side: str = "hedger"):
     contract = random_contract(rng, lat)
     endowment = float(rng.choice([-2.5, 0.0, 2.5]))
     view = PartyView(side=side, endowment=endowment, acct=BenchmarkAccount(0.02, 0.05))
-    inputs = side_obstacles(contract, view, gen, lat)
-    return lat, inputs.cashflow_increments, game_payoff(contract, view, lat)
+    return game_payoff(contract, view, gen, lat)
 
 
 def pytest_terminal_summary(terminalreporter):

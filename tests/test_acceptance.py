@@ -70,8 +70,7 @@ def test_backward_solve_matches_brute_force_game_value(solved_pool):
     t0 = time.perf_counter()
     worst = 0.0
     for lat, gen, contract, view, quote in solved_pool:
-        payoff = game_payoff(contract, view, lat)
-        report = game_value_brute(lat, gen, quote.inputs.cashflow_increments, payoff)
+        report = game_value_brute(game_payoff(contract, view, gen, lat))
         worst = max(worst, abs(quote.solution.Y.at(0, 0) - report.upper_value))
     elapsed = time.perf_counter() - t0
     check(

@@ -53,7 +53,7 @@ def reference_counterexamples(quote, contract, view, gen, lat, eq_tol=1e-9):
     moves = path_moves(np.arange(1 << n), n)
     js = path_up_counts(moves)
     paths = np.arange(1 << n)
-    payoff, cash = game_payoff(contract, view, lat), quote.inputs.cashflow_increments
+    payoff, cash = game_payoff(contract, view, gen, lat), quote.inputs.cashflow_increments
     y0 = quote.y0
     v_full = forward_wealth(y0, quote.solution.Z, gen, cash, lat, moves).values
     solved = solution_path(quote, moves)
@@ -70,7 +70,7 @@ def reference_counterexamples(quote, contract, view, gen, lat, eq_tol=1e-9):
         for region in (own_eq, own_bar, other_eq, other_bar)
     )
     rule_hits = [hits_of(rule_from_id(n, rid)) for rid in range(rule_count(n))]
-    rational = sup_values_by_minimizer_rule(lat, gen, cash, payoff) <= y0 + eq_tol * (1.0 + abs(y0))
+    rational = sup_values_by_minimizer_rule(payoff) <= y0 + eq_tol * (1.0 + abs(y0))
     found = {kind: [] for kind in KINDS}
     early, late = h_own <= h_other_bar, h_own_bar < h_other_bar
     for rid, hits in enumerate(rule_hits):
@@ -91,8 +91,8 @@ def reference_counterexamples(quote, contract, view, gen, lat, eq_tol=1e-9):
                     found[kind].append(rid)
 
     own_rule = StoppingRule.from_nodes(n, own_eq)
-    pair_vals = stopped_values_for_maximizer_rules(lat, gen, cash, payoff, own_rule)
-    snell = snell_sup_for_minimizer(lat, gen, cash, payoff, own_rule)
+    pair_vals = stopped_values_for_maximizer_rules(payoff, own_rule)
+    snell = snell_sup_for_minimizer(payoff, own_rule)
     premise = bool((h_own >= h_other).all())
     sign = 1.0 if view.side == "hedger" else -1.0
     vb = benchmark_profile(view.acct, view.endowment, lat.grid)

@@ -1,6 +1,7 @@
 """Backward solvers: plain, doubly reflected, and rule-stopped evaluation."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from gamehedge import (
     CustomGenerator,
     DifferentialRates,
     DrbsdeInputs,
-    GamePayoff,
     LinearRate,
     NodeProcess,
     NonConvergence,
@@ -27,14 +27,14 @@ from gamehedge import (
     builtin_israeli_put,
     evaluate_stopped,
     game_payoff,
-    game_value_brute,
     side_obstacles,
     snell_sup_for_minimizer,
     solve_bsde,
     solve_drbsde,
 )
-from gamehedge.dynkin import stopped_values_for_maximizer_rules, sup_values_by_minimizer_rule
-from gamehedge.errors import InvalidStoppingRule
+from gamehedge.drbsde import _game_root, _inf_node
+from gamehedge.dynkin import stopped_values_for_maximizer_rules
+from gamehedge.errors import InvalidStoppingRule, OutOfRange
 from gamehedge.lattice import tri
 from conftest import SMOOTH_CUSTOM, grid_values, random_instance
 
@@ -126,25 +126,21 @@ def test_terminal_band_enforced(one_step_lattice):
         )
 
 
-def put_game(n, horizon=1.0):
-    """An n-step put game for the hedger at zero rates: lattice, cash increments, payoff."""
+def put_game(n, gen=ZeroGenerator(), horizon=1.0):
+    """An n-step put game for the hedger with a zero benchmark."""
     lat = build_lattice(100.0, 1.2, 0.8, TimeGrid(horizon=horizon, n_steps=n))
     contract = builtin_israeli_put(lat, strike=100.0, penalty=5.0)
     view = PartyView(side="hedger", endowment=0.0, acct=BenchmarkAccount(0.0, 0.0))
-    return lat, NodeProcess.zeros(n), game_payoff(contract, view, lat)
+    return game_payoff(contract, view, gen, lat)
 
 
 def test_contraction_refused():
     lat = build_lattice(100.0, 1.2, 0.8, TimeGrid(horizon=1.0, n_steps=1))
     with pytest.raises(ContractionViolated):
         solve_bsde(lat, LinearRate(1.5), TERM_A, NodeProcess.zeros(1))
-    # dt = 2 with rate 0.6: every game recursion refuses the grid before stepping
-    lat, cash, payoff = put_game(2, horizon=4.0)
-    gen = LinearRate(0.6)
+    # dt = 2 with rate 0.6: the game refuses the grid when built, so no game recursion steps
     with pytest.raises(ContractionViolated):
-        snell_sup_for_minimizer(lat, gen, cash, payoff, StoppingRule.never_early(2))
-    with pytest.raises(ContractionViolated):
-        game_value_brute(lat, gen, cash, payoff)
+        put_game(2, LinearRate(0.6), horizon=4.0)
 
 
 def test_nonconvergence_on_understated_bound():
@@ -345,53 +341,37 @@ def test_forward_backward_consistency_unreflected(rng):
                 assert step == pytest.approx(y.at(k + 1, jn), abs=1e-10)
 
 
-def one_step_payoff(one_step_lattice, one_step_put, hedger_view):
-    from gamehedge import game_payoff
-
-    return game_payoff(one_step_put, hedger_view, one_step_lattice)
-
-
-def test_evaluate_stopped_instance_values(one_step_lattice, one_step_put, hedger_view):
-    payoff = one_step_payoff(one_step_lattice, one_step_put, hedger_view)
-    cash = NodeProcess.zeros(1)
+def test_evaluate_stopped_instance_values():
+    game = put_game(1)
     root = StoppingRule.from_nodes(1, [tri(0, 0)])
     never = StoppingRule.never_early(1)
-    gen = ZeroGenerator()
     # minimizer stops first at the root: upper payoff 5
-    assert evaluate_stopped(one_step_lattice, gen, cash, payoff, root, never) == pytest.approx(5.0)
+    assert evaluate_stopped(game, root, never) == pytest.approx(5.0)
     # simultaneous stop at the root: tie payoff (100-100)^+ = 0
-    assert evaluate_stopped(one_step_lattice, gen, cash, payoff, root, root) == pytest.approx(0.0)
+    assert evaluate_stopped(game, root, root) == pytest.approx(0.0)
     # nobody stops early: plain expectation of the terminal row
-    assert evaluate_stopped(one_step_lattice, gen, cash, payoff, never, never) == pytest.approx(10.0)
+    assert evaluate_stopped(game, never, never) == pytest.approx(10.0)
 
 
-def test_evaluate_stopped_rejects_bad_rule(one_step_lattice, one_step_put, hedger_view):
-    payoff = one_step_payoff(one_step_lattice, one_step_put, hedger_view)
-    wrong_shape = StoppingRule.never_early(2)
+def test_evaluate_stopped_rejects_bad_rule():
     with pytest.raises(InvalidStoppingRule):
-        evaluate_stopped(
-            one_step_lattice, ZeroGenerator(), NodeProcess.zeros(1), payoff,
-            wrong_shape, StoppingRule.never_early(1),
-        )
-    # every game recursion names the part whose step count disagrees with the lattice
-    lat, cash, payoff = put_game(2)
-    _, cash_3, payoff_3 = put_game(3)
-    gen, never = ZeroGenerator(), StoppingRule.never_early(2)
+        evaluate_stopped(put_game(1), StoppingRule.never_early(2), StoppingRule.never_early(1))
+    # every game recursion names the rule whose step count disagrees with the lattice
+    game, never = put_game(2), StoppingRule.never_early(2)
     for part, call in (
-        ("sigma", lambda: snell_sup_for_minimizer(
-            lat, gen, cash, payoff, StoppingRule.never_early(3))),
-        ("cashflow_increments", lambda: snell_sup_for_minimizer(lat, gen, cash_3, payoff, never)),
-        ("cashflow_increments", lambda: sup_values_by_minimizer_rule(lat, gen, cash_3, payoff)),
-        ("payoff", lambda: sup_values_by_minimizer_rule(lat, gen, cash, payoff_3)),
-        ("cashflow_increments", lambda: game_value_brute(lat, gen, cash_3, payoff)),
-        ("payoff", lambda: game_value_brute(lat, gen, cash, payoff_3)),
+        ("sigma", lambda: snell_sup_for_minimizer(game, StoppingRule.never_early(3))),
+        ("tau", lambda: evaluate_stopped(game, never, StoppingRule.never_early(3))),
+        ("sigma", lambda: stopped_values_for_maximizer_rules(game, StoppingRule.never_early(3))),
         ("sigma", lambda: stopped_values_for_maximizer_rules(
-            lat, gen, cash, payoff, StoppingRule.never_early(3))),
-        ("sigma", lambda: stopped_values_for_maximizer_rules(
-            lat, gen, cash, payoff, StoppingRule.from_nodes(3, [5]))),
+            game, StoppingRule.from_nodes(3, [5]))),
     ):
         with pytest.raises(InvalidStoppingRule, match=f"^{part} has 3 steps, lattice has 2$"):
             call()
+    # a game names its own part whose step count disagrees with its lattice when built
+    game_3 = put_game(3)
+    for part in ("on_lower", "on_upper", "on_tie", "cashflow_increments"):
+        with pytest.raises(OutOfRange, match=f"^{part} has 3 steps, lattice has 2$"):
+            replace(game, **{part: getattr(game_3, part)})
 
 
 def test_first_hit_rejects_off_lattice_up_counts():
@@ -489,3 +469,25 @@ def test_european_call_at_n2000_converges_under_two_rates(side, rate):
              for j in range(n + 1)]
     closed = math.fsum(math.exp(w) * x for w, x in zip(log_w, quote.inputs.terminal))
     assert abs(quote.y0 - closed) <= 1e-11 * abs(closed)
+
+
+@pytest.mark.parametrize("penalty", [5.0, 12.0])
+@pytest.mark.parametrize("side", ["hedger", "counterparty"])
+def test_first_push_rules_are_an_exact_saddle_point(side, penalty):
+    # Dynkin game and doubly reflected solve (Dumitrescu, Quenez and Sulem): the
+    # first-push rules are optimal for both players, so at pricing scale each
+    # one-sided root under them equals y0 bit for bit, where the tolerance-based
+    # equality-set rules drift with N
+    lat = sigma_lattice(100.0, 200)
+    gen = DifferentialRates(0.02, 0.10)
+    contract = builtin_israeli_put(lat, strike=100.0, penalty=penalty)
+    view = PartyView(side=side, endowment=0.0, acct=BenchmarkAccount(0.02, 0.10))
+    quote = acceptable_price(contract, view, gen, lat)
+    pushes = (quote.region_bar_sigma, quote.region_bar_tau)
+    if side == "counterparty":  # its own exercise takes the minimizer seat
+        pushes = pushes[::-1]
+    sigma, tau = (StoppingRule.from_nodes(200, nodes) for nodes in pushes)
+    game = game_payoff(contract, view, gen, lat)
+    assert evaluate_stopped(game, sigma, tau) == quote.y0
+    assert snell_sup_for_minimizer(game, sigma) == quote.y0
+    assert _game_root(game, _inf_node, tau=tau) == quote.y0

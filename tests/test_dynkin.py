@@ -1,5 +1,7 @@
 """Brute-force game values against the solver, with canonical optimizers."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,6 @@ from gamehedge import (
     rule_from_id,
     rule_to_id,
     saddle_check,
-    side_obstacles,
     snell_sup_for_minimizer,
 )
 from gamehedge.drbsde import _implicit_row, backward_step
@@ -49,10 +50,11 @@ def test_interior_nodes_order():
 
 def test_enumeration_guard():
     lat = build_lattice(100.0, 1.2, 0.8, TimeGrid(horizon=1.0, n_steps=6))
-    payoff = GamePayoff(on_lower=NodeProcess.constant(6, -1.0),
-                        on_upper=NodeProcess.constant(6, 1.0), on_tie=NodeProcess.zeros(6))
+    game = GamePayoff(on_lower=NodeProcess.constant(6, -1.0),
+                      on_upper=NodeProcess.constant(6, 1.0), on_tie=NodeProcess.zeros(6),
+                      cashflow_increments=NodeProcess.zeros(6), gen=ZeroGenerator(), lat=lat)
     with pytest.raises(TooLarge):
-        game_value_brute(lat, ZeroGenerator(), NodeProcess.zeros(6), payoff)
+        game_value_brute(game)
 
 
 def test_rule_id_round_trip():
@@ -79,15 +81,11 @@ def test_rule_from_id_rejects_ids_outside_range():
 
 
 def instance_a_game(lat, contract, view):
-    gen = ZeroGenerator()
-    inputs = side_obstacles(contract, view, gen, lat)
-    payoff = game_payoff(contract, view, lat)
-    return gen, inputs, payoff
+    return game_payoff(contract, view, ZeroGenerator(), lat)
 
 
 def test_instance_a_oracle(one_step_lattice, one_step_put, hedger_view):
-    gen, inputs, payoff = instance_a_game(one_step_lattice, one_step_put, hedger_view)
-    report = game_value_brute(one_step_lattice, gen, inputs.cashflow_increments, payoff)
+    report = game_value_brute(instance_a_game(one_step_lattice, one_step_put, hedger_view))
     assert report.upper_value == pytest.approx(5.0, abs=1e-12)
     assert report.lower_value == pytest.approx(5.0, abs=1e-12)
     assert report.rule_count == 2
@@ -96,8 +94,7 @@ def test_instance_a_oracle(one_step_lattice, one_step_put, hedger_view):
 
 
 def test_instance_a_saddle(one_step_lattice, one_step_put, hedger_view):
-    gen, inputs, payoff = instance_a_game(one_step_lattice, one_step_put, hedger_view)
-    report = game_value_brute(one_step_lattice, gen, inputs.cashflow_increments, payoff)
+    report = game_value_brute(instance_a_game(one_step_lattice, one_step_put, hedger_view))
     diag = saddle_check(report, 5.0, tol=1e-10)
     assert diag.matches_upper and diag.has_value
     off = saddle_check(report, 4.9, tol=1e-10)
@@ -108,14 +105,12 @@ def test_slack_payoff_reduces_to_expectation(one_step_lattice):
     # stopping early is never beneficial: minimizer sees a huge upper payoff,
     # maximizer a hugely negative lower payoff, so both wait for the terminal
     term = np.array([20.0, 0.0])
-    payoff = GamePayoff(
+    report = game_value_brute(GamePayoff(
         on_lower=NodeProcess.from_rows([np.array([-1e6]), term]),
         on_upper=NodeProcess.from_rows([np.array([1e6]), term]),
         on_tie=NodeProcess.from_rows([np.array([0.0]), term]),
-    )
-    report = game_value_brute(
-        one_step_lattice, ZeroGenerator(), NodeProcess.zeros(1), payoff
-    )
+        cashflow_increments=NodeProcess.zeros(1), gen=ZeroGenerator(), lat=one_step_lattice,
+    ))
     assert report.upper_value == pytest.approx(10.0, abs=1e-12)
     assert report.lower_value == pytest.approx(10.0, abs=1e-12)
     # canonical optimizers mark nothing early (fewest marks tie-break)
@@ -139,8 +134,7 @@ def test_large_penalty_equals_american_put():
     from gamehedge import BenchmarkAccount, PartyView
 
     view = PartyView(side="hedger", endowment=0.0, acct=BenchmarkAccount(0.0, 0.0))
-    gen, inputs, payoff = instance_a_game(lat, contract, view)
-    report = game_value_brute(lat, gen, inputs.cashflow_increments, payoff)
+    report = game_value_brute(instance_a_game(lat, contract, view))
     assert report.upper_value == pytest.approx(american_put_value(lat, 100.0), abs=1e-12)
     # cancellation is dead weight at this penalty: the canonical minimizer
     # rule marks no interior node
@@ -152,9 +146,7 @@ def test_oracle_equals_drbsde_on_random_instances(rng):
         lat, gen, contract, views = random_instance(rng, 4)
         for side in ("hedger", "counterparty"):
             quote = acceptable_price(contract, views[side], gen, lat)
-            inputs = side_obstacles(contract, views[side], gen, lat)
-            payoff = game_payoff(contract, views[side], lat)
-            report = game_value_brute(lat, gen, inputs.cashflow_increments, payoff)
+            report = game_value_brute(game_payoff(contract, views[side], gen, lat))
             assert report.upper_value >= report.lower_value - 1e-12
             diag = saddle_check(report, quote.y0, tol=1e-10)
             assert diag.matches_upper, (side, quote.y0, report.upper_value)
@@ -164,48 +156,44 @@ def test_first_contact_rule_attains_value(rng):
     for _ in range(10):
         lat, gen, contract, views = random_instance(rng, 4)
         quote = acceptable_price(contract, views["hedger"], gen, lat)
-        payoff = game_payoff(contract, views["hedger"], lat)
-        cash = quote.inputs.cashflow_increments
+        game = game_payoff(contract, views["hedger"], gen, lat)
         sigma = StoppingRule.from_nodes(lat.n_steps, quote.region_sigma)
-        sup_against = snell_sup_for_minimizer(lat, gen, cash, payoff, sigma)
+        sup_against = snell_sup_for_minimizer(game, sigma)
         assert sup_against == pytest.approx(quote.y0, abs=1e-10)
 
 
 def test_obstacle_monotonicity(one_step_lattice, one_step_put, hedger_view):
-    gen, inputs, payoff = instance_a_game(one_step_lattice, one_step_put, hedger_view)
-    base = game_value_brute(one_step_lattice, gen, inputs.cashflow_increments, payoff)
+    game = instance_a_game(one_step_lattice, one_step_put, hedger_view)
+    base = game_value_brute(game)
 
     def raised(proc, amount):
         return NodeProcess.from_rows([proc.row(k) + amount for k in range(proc.n_steps + 1)])
 
-    higher = GamePayoff(
-        on_lower=payoff.on_lower, on_upper=raised(payoff.on_upper, 1.0), on_tie=payoff.on_tie
-    )
-    up_report = game_value_brute(one_step_lattice, gen, inputs.cashflow_increments, higher)
+    up_report = game_value_brute(replace(game, on_upper=raised(game.on_upper, 1.0)))
     assert up_report.upper_value >= base.upper_value - 1e-12
 
 
 def test_stopped_value_matches_evaluate(one_step_lattice, one_step_put, hedger_view):
-    gen, inputs, payoff = instance_a_game(one_step_lattice, one_step_put, hedger_view)
+    game = instance_a_game(one_step_lattice, one_step_put, hedger_view)
     root = StoppingRule.from_nodes(1, [tri(0, 0)])
     never = StoppingRule.never_early(1)
-    cash = inputs.cashflow_increments
     from gamehedge.dynkin import stopped_values_for_maximizer_rules
 
-    vals = stopped_values_for_maximizer_rules(one_step_lattice, gen, cash, payoff, root)
+    vals = stopped_values_for_maximizer_rules(game, root)
     # maximizer rule ids: bit for node (0,0); id 0 waits, id 1 stops at root
-    assert vals[0] == pytest.approx(evaluate_stopped(one_step_lattice, gen, cash, payoff, root, never))
-    assert vals[1] == pytest.approx(evaluate_stopped(one_step_lattice, gen, cash, payoff, root, root))
+    assert vals[0] == pytest.approx(evaluate_stopped(game, root, never))
+    assert vals[1] == pytest.approx(evaluate_stopped(game, root, root))
 
 
-def reference_pair_matrix(lat, gen, cashflow_increments, payoff, sigma_ids, tau_ids):
+def reference_pair_matrix(game, sigma_ids, tau_ids):
     """The full-broadcast pair loop: every node carries every (sigma, tau) pair."""
+    lat, gen, cashflow_increments = game.lat, game.gen, game.cashflow_increments
     n, dt, q = lat.n_steps, lat.dt, lat.q
     interior = [(k, j) for k in range(n) for j in range(k + 1)]
     bit_of = {node: i for i, node in enumerate(interior)}
     shape = (sigma_ids.shape[0], tau_ids.shape[0])
 
-    tie_t = payoff.on_tie.row(n)
+    tie_t = game.on_tie.row(n)
     vals = [np.full(shape, tie_t[j]) for j in range(n + 1)]
     for k in range(n - 1, -1, -1):
         s_next = lat.spot.row(k + 1)
@@ -220,21 +208,21 @@ def reference_pair_matrix(lat, gen, cashflow_increments, payoff, sigma_ids, tau_
             tau = (((tau_ids >> bit_of[(k, j)]) & 1) == 1)[None, :]
             node_val = np.where(
                 sig & tau,
-                payoff.on_tie.at(k, j),
-                np.where(sig, payoff.on_upper.at(k, j),
-                         np.where(tau, payoff.on_lower.at(k, j), cont)),
+                game.on_tie.at(k, j),
+                np.where(sig, game.on_upper.at(k, j),
+                         np.where(tau, game.on_lower.at(k, j), cont)),
             )
             new_vals.append(node_val)
         vals = new_vals
     return vals[0]
 
 
-def assert_same_pairs(lat, gen, cash, payoff, sigma=None, tau=None):
+def assert_same_pairs(game, sigma=None, tau=None):
     """The engine's pair matrix, a fixed rule's axis of length 1, against the full broadcast."""
-    ids = np.arange(rule_count(lat.n_steps), dtype=np.int64)
+    ids = np.arange(rule_count(game.lat.n_steps), dtype=np.int64)
     sigma_ids, tau_ids = (ids if r is None else np.array([rule_to_id(r)]) for r in (sigma, tau))
-    got = _pair_matrix(lat, gen, cash, payoff, sigma, tau)
-    want = reference_pair_matrix(lat, gen, cash, payoff, sigma_ids, tau_ids)
+    got = _pair_matrix(game, sigma, tau)
+    want = reference_pair_matrix(game, sigma_ids, tau_ids)
     assert got.shape == (sigma_ids.shape[0], tau_ids.shape[0])
     assert got.tobytes() == want.tobytes()
 
@@ -249,27 +237,28 @@ def test_pair_matrix_matches_full_broadcast(name, n):
     rng = np.random.default_rng(PAIR_CASES.index((name, n)))
     gen = GAME_GENERATORS[name]
     for side in ("hedger", "counterparty"):
-        lat, cash, payoff = game_instance(rng, n, gen, side)
-        assert_same_pairs(lat, gen, cash, payoff)
+        game = game_instance(rng, n, gen, side)
+        assert_same_pairs(game)
         sigma, tau = (rule_from_id(n, int(rid)) for rid in rng.integers(0, rule_count(n), size=2))
-        assert_same_pairs(lat, gen, cash, payoff, sigma=sigma)
-        assert_same_pairs(lat, gen, cash, payoff, tau=tau)
+        assert_same_pairs(game, sigma=sigma)
+        assert_same_pairs(game, tau=tau)
 
 
-def reference_per_rule_dp(lat, gen, cashflow_increments, payoff, minimizer):
+def reference_per_rule_dp(game, minimizer):
     """The unfactored per-rule program: every node carries every rule id of one player.
 
     minimizer=True enumerates the minimizer's rules (per-rule sup),
     minimizer=False the maximizer's (per-rule inf).
     """
+    lat, gen, cashflow_increments = game.lat, game.gen, game.cashflow_increments
     n = lat.n_steps
     ids = np.arange(rule_count(n), dtype=np.int64)
-    vals = np.repeat(payoff.on_tie.row(n)[:, None], ids.size, axis=1)
+    vals = np.repeat(game.on_tie.row(n)[:, None], ids.size, axis=1)
     for k in range(n - 1, -1, -1):
         new_vals = np.empty((k + 1, ids.size))
         for j in range(k + 1):
             cont = backward_step(lat, gen, k, vals[j:j + 2], cashflow_increments.at(k, j), j)[0]
-            lo, hi, tie = (p.at(k, j) for p in (payoff.on_lower, payoff.on_upper, payoff.on_tie))
+            lo, hi, tie = (p.at(k, j) for p in (game.on_lower, game.on_upper, game.on_tie))
             if minimizer:  # the opponent may force the tie, never gains by it
                 stopped, free = max(tie, hi), np.maximum(lo, cont)
             else:
@@ -289,10 +278,10 @@ def test_per_rule_dp_matches_unfactored_reference(name, n):
     rng = np.random.default_rng(100 + DP_CASES.index((name, n)))
     gen = GAME_GENERATORS[name]
     for side in ("hedger", "counterparty"):
-        lat, cash, payoff = game_instance(rng, n, gen, side)
-        for got, minimizer in ((sup_values_by_minimizer_rule(lat, gen, cash, payoff), True),
-                               (inf_values_by_maximizer_rule(lat, gen, cash, payoff), False)):
-            want = reference_per_rule_dp(lat, gen, cash, payoff, minimizer)
+        game = game_instance(rng, n, gen, side)
+        for got, minimizer in ((sup_values_by_minimizer_rule(game), True),
+                               (inf_values_by_maximizer_rule(game), False)):
+            want = reference_per_rule_dp(game, minimizer)
             assert got.shape == (rule_count(n),)
             assert got.tobytes() == want.tobytes()
 
@@ -308,9 +297,9 @@ def test_route_disagreement_raises_without_assert(monkeypatch):
 
     rng = np.random.default_rng(7)
     gen = GAME_GENERATORS["linear"]
-    lat, cash, payoff = game_instance(rng, 2, gen)
+    game = game_instance(rng, 2, gen)
     honest = dynkin.sup_values_by_minimizer_rule
     monkeypatch.setattr(dynkin, "sup_values_by_minimizer_rule",
                         lambda *args: honest(*args) + 1.0)
     with pytest.raises(AssertionError, match="pair enumeration and per-rule dynamic program disagree"):
-        game_value_brute(lat, gen, cash, payoff)
+        game_value_brute(game)

@@ -23,21 +23,21 @@ def stopped_games(draw):
     gen = GAME_GENERATORS[draw(st.sampled_from(sorted(GAME_GENERATORS)))]
     side = draw(st.sampled_from(["hedger", "counterparty"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    lat, cash, payoff = game_instance(rng, n, gen, side)
+    game = game_instance(rng, n, gen, side)
     sigma = draw(st.integers(0, rule_count(n) - 1))
     tau = draw(st.integers(0, rule_count(n) - 1))
-    return lat, gen, cash, payoff, sigma, tau
+    return game, sigma, tau
 
 
 @settings(max_examples=40, deadline=None)
 @given(game=stopped_games())
 def test_pair_entry_equals_evaluate_stopped(game):
-    lat, gen, cash, payoff, sigma, tau = game
-    entry = float(_pair_matrix(lat, gen, cash, payoff)[sigma, tau])
-    value = evaluate_stopped(lat, gen, cash, payoff,
-                             rule_from_id(lat.n_steps, sigma), rule_from_id(lat.n_steps, tau))
+    game, sigma, tau = game
+    n = game.lat.n_steps
+    entry = float(_pair_matrix(game)[sigma, tau])
+    value = evaluate_stopped(game, rule_from_id(n, sigma), rule_from_id(n, tau))
     assert abs(entry - value) <= 1e-12 * (1.0 + abs(value))
     # the per-rule dynamic program and the row sweep apply the same sup node rule
-    sup = float(sup_values_by_minimizer_rule(lat, gen, cash, payoff)[sigma])
-    snell = snell_sup_for_minimizer(lat, gen, cash, payoff, rule_from_id(lat.n_steps, sigma))
+    sup = float(sup_values_by_minimizer_rule(game)[sigma])
+    snell = snell_sup_for_minimizer(game, rule_from_id(n, sigma))
     assert abs(sup - snell) <= 1e-12 * (1.0 + abs(snell))

@@ -92,24 +92,22 @@ def test_unreflected_solve_raises_on_an_overflowing_step(gen, view):
 @pytest.mark.parametrize("view", VIEWS, ids=lambda v: v.side)
 @pytest.mark.parametrize("gen", GENERATORS, ids=lambda g: type(g).__name__)
 def test_stopped_games_raise_on_an_overflowing_step(gen, view):
-    cash = side_obstacles(CONTRACT, view, gen, LAT).cashflow_increments
-    payoff = game_payoff(CONTRACT, view, LAT)
+    game = game_payoff(CONTRACT, view, gen, LAT)
     never = StoppingRule.never_early(1)
     with raises_y_not_finite():
-        evaluate_stopped(LAT, gen, cash, payoff, never, never)
+        evaluate_stopped(game, never, never)
     with raises_y_not_finite():
-        snell_sup_for_minimizer(LAT, gen, cash, payoff, never)
+        snell_sup_for_minimizer(game, never)
 
 
 @pytest.mark.parametrize("view", VIEWS, ids=lambda v: v.side)
 @pytest.mark.parametrize("gen", GENERATORS, ids=lambda g: type(g).__name__)
 def test_cone_engine_raises_on_an_overflowing_step(gen, view):
-    cash = side_obstacles(CONTRACT, view, gen, LAT).cashflow_increments
-    payoff = game_payoff(CONTRACT, view, LAT)
+    game = game_payoff(CONTRACT, view, gen, LAT)
     with raises_y_not_finite():
-        sup_values_by_minimizer_rule(LAT, gen, cash, payoff)
+        sup_values_by_minimizer_rule(game)
     with raises_y_not_finite():
-        inf_values_by_maximizer_rule(LAT, gen, cash, payoff)
+        inf_values_by_maximizer_rule(game)
 
 
 @pytest.mark.parametrize("gen", GENERATORS, ids=lambda g: type(g).__name__)

@@ -53,7 +53,7 @@ def recursion_bytes(side, seed):
     gen = SMOOTH_CUSTOM
     inputs = side_obstacles(contract, view, gen, lat)
     cash = inputs.cashflow_increments
-    payoff = game_payoff(contract, view, lat)
+    game = game_payoff(contract, view, gen, lat)
     y, z = solve_bsde(lat, gen, inputs.terminal, cash)
     sol = solve_drbsde(inputs)
     rules = lambda rid: rule_from_id(N, rid)  # noqa: E731
@@ -62,14 +62,14 @@ def recursion_bytes(side, seed):
         "solve_drbsde": b"".join(node_bytes(p) for p in (sol.Y, sol.Z, sol.dL, sol.dU))
         + np.array([sol.residual_max, sol.iterations_max]).tobytes(),
         "evaluate_stopped": np.array([
-            evaluate_stopped(lat, gen, cash, payoff, rules(s), rules(t)) for s, t in RULE_PAIRS
+            evaluate_stopped(game, rules(s), rules(t)) for s, t in RULE_PAIRS
         ]).tobytes(),
-        "sup_by_minimizer_rule": sup_values_by_minimizer_rule(lat, gen, cash, payoff).tobytes(),
-        "inf_by_maximizer_rule": inf_values_by_maximizer_rule(lat, gen, cash, payoff).tobytes(),
+        "sup_by_minimizer_rule": sup_values_by_minimizer_rule(game).tobytes(),
+        "inf_by_maximizer_rule": inf_values_by_maximizer_rule(game).tobytes(),
         "snell_sup_for_minimizer": np.array([
-            snell_sup_for_minimizer(lat, gen, cash, payoff, rules(s)) for s, _ in RULE_PAIRS
+            snell_sup_for_minimizer(game, rules(s)) for s, _ in RULE_PAIRS
         ]).tobytes(),
-        "pair_matrix": _pair_matrix(lat, gen, cash, payoff).tobytes(),
+        "pair_matrix": _pair_matrix(game).tobytes(),
     }
 
 

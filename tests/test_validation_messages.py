@@ -77,8 +77,10 @@ def test_game_payoff_order_names_first_step():
         on_lower=NodeProcess.constant(2, 0.0),
         on_upper=NodeProcess.constant(2, 1.0),
         on_tie=rows([0.5], [0.5, 0.5], [0.5, 2.0, -1.0]),
+        cashflow_increments=NodeProcess.zeros(2), gen=ZeroGenerator(), lat=two_step_lattice(),
     ))
-    assert text == "need on_lower <= on_tie <= on_upper at every node, violated at step 2"
+    assert text == (f"need on_lower <= on_tie <= on_upper; at node (2, 1): "
+                    f"on_lower={f64(0.0)}, on_tie={f64(2.0)}, on_upper={f64(1.0)}")
 
 
 def test_contract_order_names_first_node():
