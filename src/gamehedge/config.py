@@ -14,9 +14,11 @@ A run config is a JSON object with blocks
     tolerances {obstacle_eq, oracle, replication}
     output     {dir}
 
-Custom contract files are node-process CSVs resolved relative to the config
-file.  Unknown keys anywhere are rejected so typos cannot silently fall
-back to defaults.
+Every generator type builds the one two-rate generator: ``zero`` with both
+rates zero, ``linear`` with both rates ``rate``.  Custom contract files are
+node-process CSVs resolved relative to the config file.  Unknown keys
+anywhere are rejected, and so are keys of another type in the generator and
+contract blocks, so typos cannot silently fall back to defaults.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError
-from .generators import DifferentialRates, Generator, LinearRate, ZeroGenerator
+from .generators import DifferentialRates, Generator
 from .lattice import (
     BenchmarkAccount,
     Lattice,
@@ -47,12 +49,19 @@ __all__ = ["DEFAULT_TOLERANCES", "ModelBundle", "load_config", "apply_tol_overri
 
 DEFAULT_TOLERANCES = {"obstacle_eq": 1e-9, "oracle": 1e-10, "replication": 1e-10}
 
+# generator type -> the keys of its lending and borrowing rates (the flat market reads none)
+_GENERATOR_KEYS = {"zero": (), "linear": ("rate", "rate"), "differential": ("r_lend", "r_borrow")}
+# contract type -> the keys it reads
+_CONTRACT_KEYS = {
+    "israeli_put": ("strike", "penalty"),
+    "game_bond": ("face", "coupon", "call_penalty", "put_discount"),
+    "custom": ("files",),
+}
 _ALLOWED_KEYS = {
     "lattice": {"s0", "u", "d", "sigma", "T", "N"},
-    "generator": {"type", "rate", "r_lend", "r_borrow"},
+    "generator": {"type"}.union(*_GENERATOR_KEYS.values()),
     "benchmark": {"r_lend", "r_borrow"},
-    "contract": {"type", "strike", "penalty", "face", "coupon", "call_penalty",
-                 "put_discount", "files"},
+    "contract": {"type"}.union(*_CONTRACT_KEYS.values()),
     "party": {"side", "endowment", "other_endowment"},
     "tolerances": set(DEFAULT_TOLERANCES),
     "output": {"dir"},
@@ -116,6 +125,17 @@ def _num(block: dict, block_name: str, key: str, default=None) -> float:
     return float(v)
 
 
+def _typed(block: dict, block_name: str, table: dict, expected: str) -> str:
+    """The block's type, once it is known and the block holds only keys that type reads."""
+    kind = block.get("type")
+    if kind not in table:
+        raise ConfigError(f"{block_name}.type must be {expected}, got {kind!r}")
+    foreign = set(block) - {"type", *table[kind]}
+    if foreign:
+        raise ConfigError(f"unknown keys in {block_name!r} of type {kind!r}: {sorted(foreign)}")
+    return kind
+
+
 def _int(block: dict, block_name: str, key: str) -> int:
     v = _num(block, block_name, key)
     if v != int(v):
@@ -172,22 +192,14 @@ def _build_lattice(cfg: dict) -> Lattice:
 def build_generator(cfg: dict) -> Generator:
     """The config's generator alone, as ``build_bundle`` builds it."""
     block = cfg.get("generator", {"type": "zero"})
-    kind = block.get("type")
-    if kind == "zero":
-        return ZeroGenerator()
-    if kind == "linear":
-        return LinearRate(rate=_num(block, "generator", "rate"))
-    if kind == "differential":
-        return DifferentialRates(
-            r_lend=_num(block, "generator", "r_lend"),
-            r_borrow=_num(block, "generator", "r_borrow"),
-        )
-    raise ConfigError(f"generator.type must be zero, linear or differential, got {kind!r}")
+    kind = _typed(block, "generator", _GENERATOR_KEYS, "zero, linear or differential")
+    rates = [_num(block, "generator", key) for key in _GENERATOR_KEYS[kind]]
+    return DifferentialRates(*(rates or (0.0, 0.0)))
 
 
 def _build_contract(cfg: dict, lat: Lattice) -> ContractSpec:
     block = cfg["contract"]
-    kind = block.get("type")
+    kind = _typed(block, "contract", _CONTRACT_KEYS, "israeli_put, game_bond or custom")
     if kind == "israeli_put":
         return builtin_israeli_put(
             lat,
@@ -202,25 +214,22 @@ def _build_contract(cfg: dict, lat: Lattice) -> ContractSpec:
             call_penalty=_num(block, "contract", "call_penalty"),
             put_discount=_num(block, "contract", "put_discount"),
         )
-    if kind == "custom":
-        files = block.get("files")
-        if not isinstance(files, dict) or set(files) != {"xh", "xc", "xbar", "da"}:
-            raise ConfigError("contract.files must map exactly xh, xc, xbar, da to CSV paths")
-        base = Path(cfg.get("__dir__", "."))
-        procs = {}
-        for name, rel in files.items():
-            if not isinstance(rel, str):
-                raise ConfigError(f"contract.files.{name} must be a path string")
-            procs[name] = read_node_process(base / rel)
-            if procs[name].n_steps != lat.n_steps:
-                raise ConfigError(
-                    f"contract.files.{name} has {procs[name].n_steps} steps, "
-                    f"lattice has {lat.n_steps}"
-                )
-        return ContractSpec(Xh=procs["xh"], Xc=procs["xc"], Xbar=procs["xbar"], dA=procs["da"])
-    raise ConfigError(
-        f"contract.type must be israeli_put, game_bond or custom, got {kind!r}"
-    )
+    # custom
+    files = block.get("files")
+    if not isinstance(files, dict) or set(files) != {"xh", "xc", "xbar", "da"}:
+        raise ConfigError("contract.files must map exactly xh, xc, xbar, da to CSV paths")
+    base = Path(cfg.get("__dir__", "."))
+    procs = {}
+    for name, rel in files.items():
+        if not isinstance(rel, str):
+            raise ConfigError(f"contract.files.{name} must be a path string")
+        procs[name] = read_node_process(base / rel)
+        if procs[name].n_steps != lat.n_steps:
+            raise ConfigError(
+                f"contract.files.{name} has {procs[name].n_steps} steps, "
+                f"lattice has {lat.n_steps}"
+            )
+    return ContractSpec(Xh=procs["xh"], Xc=procs["xc"], Xbar=procs["xbar"], dA=procs["da"])
 
 
 def build_bundle(cfg: dict) -> ModelBundle:

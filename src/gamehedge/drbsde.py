@@ -12,7 +12,7 @@ A step covers a whole row or one node; either may carry trailing batch
 axes (one value per stopping rule, say), and a row's node data (cash and
 obstacle rows) the leading ones (one row per side), padded to the rest.
 
-The implicit solve is a pure fixed-point iteration; for builtin generators
+The implicit solve is a pure fixed-point iteration; for the builtin generator
 the start point already solves the piecewise-linear equation exactly, so one
 confirming sweep suffices.  Its exit test accepts a change of at most
 FIXED_POINT_TOL or 4*eps*max|v|, whichever is larger, so quotes converge in

@@ -1,13 +1,13 @@
 """Nonlinear funding generators g(t, y, z, s) and their Lipschitz metadata.
 
 The generator is the drift of the wealth/value recursion: over one step the
-value picks up ``-g * dt``.  Builtins cover the flat market (zero), a single
-funding rate, and split lend/borrow rates applied to the cash position
-``y - z*s``.  User generators supply a callable plus explicit Lipschitz
-bounds in y and in z (the z bound is per unit of z times spot, matching the
-builtins).
+value picks up ``-g * dt``.  The one builtin, ``DifferentialRates``, applies a
+lending rate to positive cash ``y - z*s`` and a borrowing rate to negative
+cash; equal rates give the one-rate market and zero rates the flat one.
+User generators supply a callable plus explicit Lipschitz bounds in y and
+in z (the z bound is per unit of z times spot, matching the builtin).
 
-A builtin's rates may also be 1-D arrays, one entry per batch column
+The builtin's rates may also be 1-D arrays, one entry per batch column
 (``_stack_generators``): ``eval_g`` and ``implicit_start`` broadcast them along
 the last axis, and the Lipschitz bounds are the largest over the columns.
 
@@ -20,7 +20,7 @@ selects, and no element computes the other branch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -28,8 +28,6 @@ import numpy as np
 from .errors import InvalidParameters, NonFiniteInput, OutOfRange
 
 __all__ = [
-    "ZeroGenerator",
-    "LinearRate",
     "DifferentialRates",
     "CustomGenerator",
     "Generator",
@@ -37,40 +35,6 @@ __all__ = [
     "contraction_ok",
     "implicit_start",
 ]
-
-
-@dataclass(frozen=True)
-class ZeroGenerator:
-    """g = 0: linear risk-neutral market."""
-
-    @property
-    def lipschitz_y(self) -> float:
-        return 0.0
-
-    @property
-    def lipschitz_z(self) -> float:
-        return 0.0
-
-
-@dataclass(frozen=True)
-class LinearRate:
-    """g = -r * (y - z*s): one funding rate for credit and debit."""
-
-    rate: float
-
-    def __post_init__(self) -> None:
-        if not np.isfinite(self.rate).all():
-            raise NonFiniteInput("rate must be finite")
-        if np.any(self.rate < 0.0):
-            raise OutOfRange(f"rate must be nonnegative, got {self.rate}")
-
-    @property
-    def lipschitz_y(self) -> float:
-        return float(np.max(self.rate))
-
-    @property
-    def lipschitz_z(self) -> float:
-        return self.lipschitz_y
 
 
 @dataclass(frozen=True)
@@ -112,7 +76,7 @@ class CustomGenerator:
             raise OutOfRange("declared Lipschitz bounds must be nonnegative")
 
 
-Generator = Union[ZeroGenerator, LinearRate, DifferentialRates, CustomGenerator]
+Generator = Union[DifferentialRates, CustomGenerator]
 
 
 def _check_finite(name: str, value) -> None:
@@ -127,17 +91,13 @@ def eval_g(gen: Generator, t: float, y, z, s):
     _check_finite("y", y)
     _check_finite("z", z)
     _check_finite("s", s)
-    if isinstance(gen, ZeroGenerator):
-        return np.zeros(np.broadcast(y, z, s).shape) if _any_array(y, z, s) else 0.0
-    if isinstance(gen, LinearRate):
-        return -gen.rate * (y - z * s)
     if isinstance(gen, DifferentialRates):
         cash = y - z * s
         if isinstance(cash, np.ndarray):
             return np.where(cash >= 0.0, -gen.r_lend, -gen.r_borrow) * cash
         return -gen.r_lend * cash if cash >= 0.0 else -gen.r_borrow * cash
     if isinstance(gen, CustomGenerator):
-        if _any_array(y, z, s):
+        if any(isinstance(v, np.ndarray) for v in (y, z, s)):
             yb, zb, sb = np.broadcast_arrays(np.asarray(y, float), np.asarray(z, float), np.asarray(s, float))
             out = np.empty(yb.shape)
             flat = zip(yb.reshape(-1), zb.reshape(-1), sb.reshape(-1))
@@ -152,16 +112,12 @@ def eval_g(gen: Generator, t: float, y, z, s):
     raise OutOfRange(f"unknown generator type {type(gen).__name__}")
 
 
-def _any_array(*vals) -> bool:
-    return any(isinstance(v, np.ndarray) for v in vals)
-
-
 def contraction_ok(gen: Generator, dt: float) -> bool:
     """True iff the implicit one-step map is a contraction at step size dt.
 
     The z bound is slope-invariant (the spot scale cancels against the
     hedge-slope denominator), so no spot level enters.  For the builtin
-    generators the test reduces to dt * max(r_lend, r_borrow) < 1.
+    generator the test reduces to dt * max(r_lend, r_borrow) < 1.
     """
     if dt <= 0.0 or not math.isfinite(dt):
         raise OutOfRange(f"dt must be positive and finite, got {dt}")
@@ -171,15 +127,10 @@ def contraction_ok(gen: Generator, dt: float) -> bool:
 def implicit_start(gen: Generator, t: float, rhs, z, s, dt: float):
     """Initial guess for the fixed-point solve of v = rhs + g(t, v, z, s)*dt.
 
-    For the builtins this is the exact solution (the equation is piecewise
+    For the builtin this is the exact solution (the equation is piecewise
     linear in v and the cash sign equals sign(rhs - z*s)), so the iteration
     that follows only has to confirm it.  Custom generators start at rhs.
     """
-    if isinstance(gen, ZeroGenerator):
-        return rhs if isinstance(rhs, np.ndarray) else float(rhs)
-    if isinstance(gen, LinearRate):
-        r = gen.rate
-        return (rhs + r * z * s * dt) / (1.0 + r * dt)
     if isinstance(gen, DifferentialRates):
         zs = z * s
         if isinstance(rhs, np.ndarray) or isinstance(zs, np.ndarray):
@@ -191,15 +142,13 @@ def implicit_start(gen: Generator, t: float, rhs, z, s, dt: float):
     return rhs if isinstance(rhs, np.ndarray) else float(rhs)
 
 
-def _stack_generators(gens: Sequence[Generator]) -> Generator:
-    """One builtin generator of the given ones' common type, its rates 1-D arrays in their order.
+def _stack_generators(gens: Sequence[Generator]) -> DifferentialRates:
+    """One builtin generator of the given builtins, its rates 1-D arrays in their order.
 
     On rows whose last axis has one column per generator, column b of a
     step under the stacked generator is bit-identical to the same step under
     ``gens[b]`` alone.
     """
-    kind = type(gens[0]) if gens else None
-    if kind not in (ZeroGenerator, LinearRate, DifferentialRates) or any(
-            type(g) is not kind for g in gens):
-        raise InvalidParameters("only one or more builtin generators of one type stack")
-    return kind(*(np.array([getattr(g, f.name) for g in gens]) for f in fields(kind)))
+    if not gens or any(type(g) is not DifferentialRates for g in gens):
+        raise InvalidParameters("only one or more builtin generators stack")
+    return DifferentialRates(np.array([g.r_lend for g in gens]), np.array([g.r_borrow for g in gens]))

@@ -17,11 +17,9 @@ from gamehedge import (
     CustomGenerator,
     DifferentialRates,
     Lattice,
-    LinearRate,
     NodeProcess,
     PartyView,
     TimeGrid,
-    ZeroGenerator,
     build_lattice,
     builtin_israeli_put,
     game_payoff,
@@ -84,10 +82,10 @@ def random_funding(rng, lat: Lattice):
     while True:
         kind = rng.integers(0, 3)
         if kind == 0:
-            return ZeroGenerator(), BenchmarkAccount(0.0, 0.0)
+            return DifferentialRates(0.0, 0.0), BenchmarkAccount(0.0, 0.0)
         if kind == 1:
             r = float(rng.choice(RATE_GRID))
-            gen, acct = LinearRate(r), BenchmarkAccount(r, r)
+            gen, acct = DifferentialRates(r, r), BenchmarkAccount(r, r)
         else:
             r_lend, r_borrow = sorted(float(rng.choice(RATE_GRID)) for _ in range(2))
             gen, acct = DifferentialRates(r_lend, r_borrow), BenchmarkAccount(r_lend, r_borrow)
@@ -142,8 +140,8 @@ SMOOTH_CUSTOM = CustomGenerator(
 )
 
 GAME_GENERATORS = {
-    "zero": ZeroGenerator(),
-    "linear": LinearRate(0.05),
+    "zero": DifferentialRates(0.0, 0.0),
+    "linear": DifferentialRates(0.05, 0.05),
     "differential": DifferentialRates(0.02, 0.1),
     "custom": SMOOTH_CUSTOM,
 }

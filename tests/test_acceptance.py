@@ -16,12 +16,10 @@ from gamehedge import (
     BenchmarkAccount,
     DifferentialRates,
     DrbsdeInputs,
-    LinearRate,
     NodeProcess,
     PartyView,
     StoppingRule,
     TimeGrid,
-    ZeroGenerator,
     acceptable_price,
     benchmark_profile,
     build_lattice,
@@ -100,7 +98,7 @@ def test_put_price_degenerates_to_american_in_linear_market():
     contract = builtin_israeli_put(lat, strike=100.0, penalty=100.0)
     view = PartyView(side="hedger", endowment=0.0, acct=BenchmarkAccount(0.0, 0.0))
     t0 = time.perf_counter()
-    price = acceptable_price(contract, view, ZeroGenerator(), lat).price
+    price = acceptable_price(contract, view, DifferentialRates(0.0, 0.0), lat).price
     elapsed = time.perf_counter() - t0
     gap = abs(price - american_put_root(lat, 100.0))
     check(
@@ -117,7 +115,7 @@ def test_two_sided_prices_coincide_when_rates_are_equal():
         lat = random_lattice(rng, 50)
         contract = random_contract(rng, lat)
         r = float(rng.choice(RATE_GRID))
-        gen, acct = LinearRate(r), BenchmarkAccount(r, r)
+        gen, acct = DifferentialRates(r, r), BenchmarkAccount(r, r)
         quotes = [
             acceptable_price(contract, PartyView(side=s, endowment=0.0, acct=acct), gen, lat)
             for s in ("hedger", "counterparty")
@@ -244,7 +242,7 @@ def test_stopping_rule_battery_finds_no_counterexamples():
     views5 = {
         s: PartyView(side=s, endowment=0.0, acct=acct5) for s in ("hedger", "counterparty")
     }
-    cases.append((lat5, ZeroGenerator(), put5, views5))
+    cases.append((lat5, DifferentialRates(0.0, 0.0), put5, views5))
     for lat, gen, contract, views in cases:
         for side in ("hedger", "counterparty"):
             quote = acceptable_price(contract, views[side], gen, lat)
@@ -272,7 +270,7 @@ def put_quote(side: str, n: int, gen, acct) -> float:
 
 
 def test_price_differences_shrink_under_refinement():
-    gen, acct = ZeroGenerator(), BenchmarkAccount(0.0, 0.0)
+    gen, acct = DifferentialRates(0.0, 0.0), BenchmarkAccount(0.0, 0.0)
     prices = {n: put_quote("hedger", n, gen, acct) for n in (25, 50, 100, 200, 400)}
     diffs = [abs(prices[2 * n] - prices[n]) for n in (25, 50, 100, 200)]
     ok = all(b < a for a, b in zip(diffs, diffs[1:]))

@@ -103,6 +103,20 @@ def test_unknown_config_key_exits_2(tmp_path):
     assert main(["price", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("block, extra, err", [
+    ("generator", {"rate": 0.5}, "unknown keys in 'generator' of type 'zero': ['rate']"),
+    ("contract", {"coupon": 1.0, "face": 100.0},
+     "unknown keys in 'contract' of type 'israeli_put': ['coupon', 'face']"),
+])
+def test_keys_another_type_reads_exit_2(tmp_path, capsys, block, extra, err):
+    # a key the block's type does not read is rejected, not silently ignored
+    cfg = write_config(tmp_path, **{block: extra})
+    out = tmp_path / "o"
+    assert main(["price", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: ConfigError: {err}\n"
+    assert not (out / "quote.json").exists()
+
+
 def test_unknown_tolerance_key_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path)
     code = main(["price", "--config", str(cfg), "--out", str(tmp_path / "o"),
@@ -406,6 +420,24 @@ def test_sweep_unknown_axis_exits_2(tmp_path, capsys):
                  "--axis", "contract.flavor", "--values", "1,2"])
     assert code == 2
     assert "axis" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("generator, axis, err", [
+    ({"type": "differential", "r_lend": 0.02, "r_borrow": 0.05}, "generator.rate",
+     "unknown keys in 'generator' of type 'differential': ['rate']"),
+    ({"type": "zero"}, "contract.coupon",
+     "unknown keys in 'contract' of type 'israeli_put': ['coupon']"),
+])
+def test_sweep_along_a_key_the_type_does_not_read_exits_2(tmp_path, capsys, generator, axis,
+                                                          err):
+    # each value would price the unchanged config, so the sweep writes nothing
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({**BASE, "generator": generator, "party": {"side": "both"}}))
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out),
+                 "--axis", axis, "--values", "0.01,0.2,0.5"]) == 2
+    assert capsys.readouterr().err == f"config error: ConfigError: {err}\n"
+    assert not (out / "sweep.csv").exists()
 
 
 def test_missing_config_exits_2(tmp_path):

@@ -13,7 +13,6 @@ from gamehedge import (
     CustomGenerator,
     DifferentialRates,
     DrbsdeInputs,
-    LinearRate,
     NodeProcess,
     NonConvergence,
     ObstacleOrderViolated,
@@ -21,7 +20,6 @@ from gamehedge import (
     StoppingRule,
     TerminalOutOfBand,
     TimeGrid,
-    ZeroGenerator,
     acceptable_price,
     build_lattice,
     builtin_israeli_put,
@@ -47,13 +45,13 @@ def put_inputs(lat, contract, view, gen):
 
 
 def test_bsde_one_step_values(one_step_lattice):
-    y, z = solve_bsde(one_step_lattice, ZeroGenerator(), TERM_A, NodeProcess.zeros(1))
+    y, z = solve_bsde(one_step_lattice, DifferentialRates(0.0, 0.0), TERM_A, NodeProcess.zeros(1))
     assert y.at(0, 0) == pytest.approx(10.0, abs=1e-14)
     assert z.at(0, 0) == pytest.approx(-0.5, abs=1e-14)  # (0-20)/(120-80)
 
 
 def test_bsde_constant_terminal(one_step_lattice):
-    y, z = solve_bsde(one_step_lattice, ZeroGenerator(), np.array([3.0, 3.0]),
+    y, z = solve_bsde(one_step_lattice, DifferentialRates(0.0, 0.0), np.array([3.0, 3.0]),
                       NodeProcess.zeros(1))
     assert y.at(0, 0) == 3.0
     assert z.at(0, 0) == 0.0
@@ -62,7 +60,7 @@ def test_bsde_constant_terminal(one_step_lattice):
 def test_bsde_linear_rate_closed_form():
     lat = build_lattice(100.0, 1.2, 0.8, TimeGrid(horizon=1.0, n_steps=1))
     r = 0.08
-    y, _ = solve_bsde(lat, LinearRate(r), np.array([3.0, 3.0]), NodeProcess.zeros(1))
+    y, _ = solve_bsde(lat, DifferentialRates(r, r), np.array([3.0, 3.0]), NodeProcess.zeros(1))
     # constant terminal c solves y = c - r*y*dt (z = 0), so y = c/(1 + r*dt)
     assert y.at(0, 0) == pytest.approx(3.0 / (1.0 + r * 1.0), abs=1e-12)
 
@@ -70,12 +68,12 @@ def test_bsde_linear_rate_closed_form():
 def test_bsde_linear_rate_multi_step_discounting():
     n, r = 8, 0.05
     lat = build_lattice(100.0, 1.2, 0.8, TimeGrid(horizon=1.0, n_steps=n))
-    y, _ = solve_bsde(lat, LinearRate(r), np.full(n + 1, 7.0), NodeProcess.zeros(n))
+    y, _ = solve_bsde(lat, DifferentialRates(r, r), np.full(n + 1, 7.0), NodeProcess.zeros(n))
     assert y.at(0, 0) == pytest.approx(7.0 / (1.0 + r / n) ** n, rel=1e-12)
 
 
 def test_drbsde_one_step_put(one_step_lattice, one_step_put, hedger_view):
-    inputs = put_inputs(one_step_lattice, one_step_put, hedger_view, ZeroGenerator())
+    inputs = put_inputs(one_step_lattice, one_step_put, hedger_view, DifferentialRates(0.0, 0.0))
     sol = solve_drbsde(inputs)
     assert sol.Y.at(0, 0) == pytest.approx(5.0, abs=1e-14)
     assert sol.Z.at(0, 0) == pytest.approx(-0.5, abs=1e-14)
@@ -86,13 +84,13 @@ def test_drbsde_one_step_put(one_step_lattice, one_step_put, hedger_view):
 
 def test_drbsde_slack_obstacles_match_plain_bsde(one_step_lattice):
     cash = NodeProcess.zeros(1)
-    y_plain, z_plain = solve_bsde(one_step_lattice, ZeroGenerator(), TERM_A, cash)
+    y_plain, z_plain = solve_bsde(one_step_lattice, DifferentialRates(0.0, 0.0), TERM_A, cash)
     inputs = DrbsdeInputs(
         lower=NodeProcess.constant(1, -1e6),
         upper=NodeProcess.constant(1, 1e6),
         terminal=TERM_A,
         cashflow_increments=cash,
-        gen=ZeroGenerator(),
+        gen=DifferentialRates(0.0, 0.0),
         lat=one_step_lattice,
     )
     sol = solve_drbsde(inputs)
@@ -109,7 +107,7 @@ def test_equal_obstacles_rejected(one_step_lattice):
             upper=NodeProcess.from_rows([np.array([2.0]), np.array([3.0, 3.0])]),
             terminal=np.array([2.5, 2.5]),
             cashflow_increments=NodeProcess.zeros(1),
-            gen=ZeroGenerator(),
+            gen=DifferentialRates(0.0, 0.0),
             lat=one_step_lattice,
         )
 
@@ -121,12 +119,12 @@ def test_terminal_band_enforced(one_step_lattice):
             upper=NodeProcess.constant(1, 1.0),
             terminal=np.array([0.5, 2.0]),
             cashflow_increments=NodeProcess.zeros(1),
-            gen=ZeroGenerator(),
+            gen=DifferentialRates(0.0, 0.0),
             lat=one_step_lattice,
         )
 
 
-def put_game(n, gen=ZeroGenerator(), horizon=1.0):
+def put_game(n, gen=DifferentialRates(0.0, 0.0), horizon=1.0):
     """An n-step put game for the hedger with a zero benchmark."""
     lat = build_lattice(100.0, 1.2, 0.8, TimeGrid(horizon=horizon, n_steps=n))
     contract = builtin_israeli_put(lat, strike=100.0, penalty=5.0)
@@ -137,10 +135,10 @@ def put_game(n, gen=ZeroGenerator(), horizon=1.0):
 def test_contraction_refused():
     lat = build_lattice(100.0, 1.2, 0.8, TimeGrid(horizon=1.0, n_steps=1))
     with pytest.raises(ContractionViolated):
-        solve_bsde(lat, LinearRate(1.5), TERM_A, NodeProcess.zeros(1))
+        solve_bsde(lat, DifferentialRates(1.5, 1.5), TERM_A, NodeProcess.zeros(1))
     # dt = 2 with rate 0.6: the game refuses the grid when built, so no game recursion steps
     with pytest.raises(ContractionViolated):
-        put_game(2, LinearRate(0.6), horizon=4.0)
+        put_game(2, DifferentialRates(0.6, 0.6), horizon=4.0)
 
 
 def test_nonconvergence_on_understated_bound():
@@ -162,7 +160,7 @@ def test_custom_generator_agrees_with_builtin():
     term = np.linspace(-5.0, 12.0, n + 1)
     cash = NodeProcess.zeros(n)
     y_custom, _ = solve_bsde(lat, custom, term, cash)
-    y_builtin, _ = solve_bsde(lat, LinearRate(r), term, cash)
+    y_builtin, _ = solve_bsde(lat, DifferentialRates(r, r), term, cash)
     assert y_custom.at(0, 0) == pytest.approx(y_builtin.at(0, 0), abs=1e-11)
 
 
@@ -425,7 +423,7 @@ def put_quote(s0, gen, side):
 @pytest.mark.parametrize("s0,gen", [
     (1e5, DifferentialRates(0.02, 0.10)),
     (1e4, DifferentialRates(0.02, 0.10)),
-    (1e5, LinearRate(0.10)),
+    (1e5, DifferentialRates(0.10, 0.10)),
 ])
 @pytest.mark.parametrize("side", ["hedger", "counterparty"])
 def test_large_prices_converge(s0, gen, side):
@@ -458,7 +456,7 @@ def test_european_call_at_n2000_converges_under_two_rates(side, rate):
     # one cash sign throughout: the hedger borrows, the counterparty lends,
     # so the two-rate solve is the one-rate solve at the rate that sign picks
     assert (cash <= 0.0).all() if side == "hedger" else (cash >= 0.0).all()
-    one_rate = european_call_quote(LinearRate(rate), side).price
+    one_rate = european_call_quote(DifferentialRates(rate, rate), side).price
     assert abs(quote.price - one_rate) <= 1e-12 * abs(one_rate)
     # and that one-rate solve is the binomial sum of the terminal row under
     # the rate-adjusted weight q_r, discounted by (1 + r*dt)^N

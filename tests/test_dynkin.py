@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from gamehedge import (
+    DifferentialRates,
     GamePayoff,
     InvalidStoppingRule,
     NodeProcess,
     StoppingRule,
     TimeGrid,
     TooLarge,
-    ZeroGenerator,
     acceptable_price,
     build_lattice,
     builtin_israeli_put,
@@ -52,7 +52,8 @@ def test_enumeration_guard():
     lat = build_lattice(100.0, 1.2, 0.8, TimeGrid(horizon=1.0, n_steps=6))
     game = GamePayoff(on_lower=NodeProcess.constant(6, -1.0),
                       on_upper=NodeProcess.constant(6, 1.0), on_tie=NodeProcess.zeros(6),
-                      cashflow_increments=NodeProcess.zeros(6), gen=ZeroGenerator(), lat=lat)
+                      cashflow_increments=NodeProcess.zeros(6), gen=DifferentialRates(0.0, 0.0),
+                      lat=lat)
     with pytest.raises(TooLarge):
         game_value_brute(game)
 
@@ -81,7 +82,7 @@ def test_rule_from_id_rejects_ids_outside_range():
 
 
 def instance_a_game(lat, contract, view):
-    return game_payoff(contract, view, ZeroGenerator(), lat)
+    return game_payoff(contract, view, DifferentialRates(0.0, 0.0), lat)
 
 
 def test_instance_a_oracle(one_step_lattice, one_step_put, hedger_view):
@@ -109,7 +110,8 @@ def test_slack_payoff_reduces_to_expectation(one_step_lattice):
         on_lower=NodeProcess.from_rows([np.array([-1e6]), term]),
         on_upper=NodeProcess.from_rows([np.array([1e6]), term]),
         on_tie=NodeProcess.from_rows([np.array([0.0]), term]),
-        cashflow_increments=NodeProcess.zeros(1), gen=ZeroGenerator(), lat=one_step_lattice,
+        cashflow_increments=NodeProcess.zeros(1), gen=DifferentialRates(0.0, 0.0),
+        lat=one_step_lattice,
     ))
     assert report.upper_value == pytest.approx(10.0, abs=1e-12)
     assert report.lower_value == pytest.approx(10.0, abs=1e-12)

@@ -1,23 +1,32 @@
 """Funding drivers: values, Lipschitz declarations, contraction gate."""
 
+import math
+
 import numpy as np
 import pytest
 
+import gamehedge.drbsde
 from gamehedge import (
+    BenchmarkAccount,
     CustomGenerator,
     DifferentialRates,
     InvalidParameters,
-    LinearRate,
     NonFiniteInput,
     OutOfRange,
-    ZeroGenerator,
+    PartyView,
+    TimeGrid,
+    acceptable_price,
+    build_lattice,
+    builtin_game_bond,
+    builtin_israeli_put,
     contraction_ok,
     eval_g,
 )
+from gamehedge.generators import _check_finite, implicit_start
 
 
 def test_zero_generator():
-    gen = ZeroGenerator()
+    gen = DifferentialRates(0.0, 0.0)
     assert eval_g(gen, 0.3, 5.0, -0.5, 100.0) == 0.0
     assert gen.lipschitz_y == 0.0 and gen.lipschitz_z == 0.0
 
@@ -30,13 +39,64 @@ def test_differential_rates_value():
     assert eval_g(gen, 0.0, -5.0, 0.5, 100.0) == pytest.approx(0.10 * 55.0)
 
 
-def test_differential_equals_linear_when_rates_match(rng):
-    lin = LinearRate(0.07)
-    diff = DifferentialRates(0.07, 0.07)
-    for _ in range(50):
-        y, z = rng.uniform(-20, 20, size=2)
-        s = rng.uniform(1, 200)
-        assert eval_g(diff, 0.1, y, z, s) == pytest.approx(eval_g(lin, 0.1, y, z, s), abs=1e-14)
+# The one-rate and flat generators had their own arithmetic before both became
+# the two-rate generator with equal rates.  Kept literally, it checks that
+# whole solves under equal rates did not change bit for bit.
+def one_rate_eval_g(gen, t, y, z, s):
+    for name, value in (("t", t), ("y", y), ("z", z), ("s", s)):
+        _check_finite(name, value)
+    r = gen.r_lend
+    if r == 0.0:
+        if any(isinstance(v, np.ndarray) for v in (y, z, s)):
+            return np.zeros(np.broadcast(y, z, s).shape)
+        return 0.0
+    return -r * (y - z * s)
+
+
+def one_rate_implicit_start(gen, t, rhs, z, s, dt):
+    r = gen.r_lend
+    if r == 0.0:
+        return rhs if isinstance(rhs, np.ndarray) else float(rhs)
+    return (rhs + r * z * s * dt) / (1.0 + r * dt)
+
+
+def reference_quotes():
+    """(lattice, generator, contract, views): the sigma put and the game bond per size and rate."""
+    for n in (9, 200):
+        u = math.exp(0.2 * math.sqrt(1.0 / n))
+        lat = build_lattice(100.0, u, 1.0 / u, TimeGrid(horizon=1.0, n_steps=n))
+        put = builtin_israeli_put(lat, strike=100.0, penalty=5.0)
+        bond = builtin_game_bond(lat, face=100.0, coupon=1.5, call_penalty=2.0, put_discount=3.0)
+        for rate in (0.0, 0.05, 0.1):
+            acct = BenchmarkAccount(rate, rate)
+            for contract, endowments in ((put, (0.0, 0.0)), (bond, (1.0, -2.5))):
+                views = [PartyView(side, x, acct)
+                         for side, x in zip(("hedger", "counterparty"), endowments)]
+                yield lat, DifferentialRates(rate, rate), contract, views
+
+
+def quote_bits(quote):
+    sol = quote.solution
+    return ([p.flat.tobytes() for p in (sol.Y, sol.Z, sol.dL, sol.dU)]
+            + [r.tobytes() for r in (quote.region_sigma, quote.region_tau,
+                                     quote.region_bar_sigma, quote.region_bar_tau)]
+            + [quote.price.hex(), sol.iterations_max])
+
+
+def test_equal_rates_solve_as_the_removed_one_rate_arithmetic(monkeypatch):
+    cases = list(reference_quotes())
+
+    def solve_all():
+        return [quote_bits(acceptable_price(contract, view, gen, lat))
+                for lat, gen, contract, views in cases for view in views]
+
+    now = solve_all()
+    monkeypatch.setattr(gamehedge.drbsde, "eval_g", one_rate_eval_g)
+    monkeypatch.setattr(gamehedge.drbsde, "implicit_start", one_rate_implicit_start)
+    before = solve_all()
+    assert len(now) == 24
+    for got, want in zip(now, before):
+        assert got == want
 
 
 def test_eval_g_vectorized_matches_scalar(rng):
@@ -52,7 +112,7 @@ def test_eval_g_vectorized_matches_scalar(rng):
 def test_lipschitz_declarations():
     gen = DifferentialRates(0.02, 0.10)
     assert gen.lipschitz_y == 0.10 and gen.lipschitz_z == 0.10
-    assert LinearRate(0.05).lipschitz_y == 0.05
+    assert DifferentialRates(0.05, 0.05).lipschitz_y == 0.05
 
 
 def test_lipschitz_bounds_hold(rng):
@@ -69,14 +129,14 @@ def test_lipschitz_bounds_hold(rng):
 
 def test_rate_validation():
     with pytest.raises(OutOfRange):
-        LinearRate(-0.01)
+        DifferentialRates(-0.01, -0.01)
     with pytest.raises(OutOfRange):
         DifferentialRates(0.10, 0.02)
 
 
 def test_non_finite_rejected():
     with pytest.raises(NonFiniteInput):
-        eval_g(ZeroGenerator(), 0.0, float("nan"), 0.0, 1.0)
+        eval_g(DifferentialRates(0.0, 0.0), 0.0, float("nan"), 0.0, 1.0)
     gen = CustomGenerator(fn=lambda t, y, z, s: float("inf"), lipschitz_y=0.0, lipschitz_z=0.0)
     with pytest.raises(NonFiniteInput):
         eval_g(gen, 0.0, 1.0, 0.0, 1.0)
@@ -97,17 +157,18 @@ def test_custom_generator_bad_bounds():
 
 
 def test_contraction_gate():
-    assert contraction_ok(ZeroGenerator(), 10.0)
+    assert contraction_ok(DifferentialRates(0.0, 0.0), 10.0)
     assert contraction_ok(DifferentialRates(0.02, 0.10), 1.0)  # 0.1 < 1
     assert not contraction_ok(DifferentialRates(0.0, 12.0), 0.1)  # 1.2 >= 1
 
 
 def test_stacked_generators_match_each_column(rng):
-    # column b of a stacked generator is gens[b] bit for bit, and its bounds cover every column
-    from gamehedge.generators import _stack_generators, implicit_start
+    # column b of a stacked generator is gens[b] bit for bit, and its bounds cover every
+    # column; flat, one-rate and two-rate columns stack alike
+    from gamehedge.generators import _stack_generators
 
     y, z, s = (rng.uniform(lo, hi, size=(7, 1)) for lo, hi in ((-10, 10), (-2, 2), (50, 150)))
-    for gens in ([LinearRate(0.03), LinearRate(0.0), LinearRate(0.07)],
+    for gens in ([DifferentialRates(r, r) for r in (0.03, 0.0, 0.07)],
                  [DifferentialRates(lend, borrow) for lend, borrow in ((0.0, 0.05), (0.02, 0.1),
                                                                        (0.01, 0.01))]):
         stacked = _stack_generators(gens)
@@ -121,8 +182,8 @@ def test_stacked_generators_match_each_column(rng):
     with pytest.raises(OutOfRange):
         DifferentialRates(np.array([0.0, 0.03]), np.array([0.05, 0.02]))
     with pytest.raises(NonFiniteInput):
-        LinearRate(np.array([0.01, np.inf]))
+        DifferentialRates(np.array([0.01, np.inf]), np.array([0.01, np.inf]))
     custom = CustomGenerator(fn=lambda t, y, z, s: 0.0, lipschitz_y=0.0, lipschitz_z=0.0)
-    for gens in ([], [custom, custom], [LinearRate(0.01), DifferentialRates(0.0, 0.01)]):
+    for gens in ([], [custom, custom], [DifferentialRates(0.0, 0.01), custom]):
         with pytest.raises(InvalidParameters):
             _stack_generators(gens)

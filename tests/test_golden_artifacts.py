@@ -9,6 +9,9 @@ rule bits moved onto the shared backward step and flat node layout; with
 The two benchmark-scale cases (``price`` at N=200, ``replicate`` at N=10)
 were recorded before the writers formatted each distinct value once; their
 files cross many write blocks.
+The one-rate and flat cases (``linear`` and ``zero`` at N=200, the sweep
+along ``generator.rate``) were recorded while those generator types still
+had their own classes and one-step arithmetic.
 """
 
 import hashlib
@@ -59,6 +62,13 @@ PUT_N4 = {**PUT_SIGMA, "lattice": {**PUT_SIGMA["lattice"], "N": 4},
 PUT_N200 = {**PUT_SIGMA, "lattice": {**PUT_SIGMA["lattice"], "N": 200},
             "contract": {**PUT_SIGMA["contract"], "strike": 105.0}}
 
+# the one-rate and flat markets of the same put, recorded before the zero and
+# linear generator types built the two-rate generator with equal rates
+PUT_N200_LINEAR = {**PUT_N200, "generator": {"type": "linear", "rate": 0.05}}
+PUT_N200_ZERO = {**PUT_N200, "generator": {"type": "zero"},
+                 "benchmark": {"r_lend": 0.0, "r_borrow": 0.0}}
+PUT_SIGMA_LINEAR = {**PUT_SIGMA, "generator": {"type": "linear", "rate": 0.05}}
+
 # the verify workload's replication size: each paths.csv has 1024 x 11 rows
 CUSTOM_N10 = {
     "lattice": {"s0": 100.0, "u": 1.15, "d": 0.85, "N": 10, "T": 1.0},
@@ -91,6 +101,10 @@ RUNS = {
     "replicate_bad_hedge": (PUT_N2, ["replicate", "--hedge-csv", "{tmp}/badz.csv"], 5),
     "price_put_n200": (PUT_N200, ["price"], 0),
     "replicate_custom_n10": (CUSTOM_N10, ["replicate"], 0),
+    "price_put_n200_linear": (PUT_N200_LINEAR, ["price"], 0),
+    "price_put_n200_zero": (PUT_N200_ZERO, ["price"], 0),
+    "sweep_rate": (PUT_SIGMA_LINEAR, ["sweep", "--axis", "generator.rate",
+                                      "--values", "0.05,0,0.1,0.025"], 0),
     "sweep_r_borrow": (PUT_SIGMA_NO_LEND, ["sweep", "--axis", "generator.r_borrow",
                                            "--values", "0.1,0,0.05,0.125"], 0),
 }
@@ -227,6 +241,90 @@ GOLDEN = {
             "d62966ac499b9515b4640fecf3800245a5d05acc92d16afb86a4d0931dfd3287",
         "hedger/replicate.json":
             "55b717fbe6841a672a152a96fef37b90ac376ec19cd4c8721f3e8119a7c2b7a3",
+    },
+    "price_put_n200_linear": {
+        "counterparty/Y.csv":
+            "9d27e742e719aebcf6e2bc45715c7863f407237654cccc8d38df32519b6aedbd",
+        "counterparty/Z.csv":
+            "7e411ed2f7154df1c38b44fcc0c76c8af53c72d48f07f678119fcf4620400dc7",
+        "counterparty/dL.csv":
+            "e5a1cdcab9802a37158d989c78afc2aaa009ec032541c243f7c9b52474a6b4c9",
+        "counterparty/dU.csv":
+            "4af69e99219d0ad697e389c597905007b7c0ffcdf7bd9367e997e434a42d45e1",
+        "counterparty/region_bar_sigma.csv":
+            "98134ead285a229df6cb0f3908bcde3dec2afdad7bcc301c3d9c88043db540c7",
+        "counterparty/region_bar_tau.csv":
+            "c14aec99fd0f3a313894baeb97eb78a86926597050e6af7c16158209bea140e9",
+        "counterparty/region_sigma.csv":
+            "98134ead285a229df6cb0f3908bcde3dec2afdad7bcc301c3d9c88043db540c7",
+        "counterparty/region_tau.csv":
+            "913f0a07430ad34e2d72ec5d96adcbb7dc0aed3339d67279ee51ff0e736c4cdb",
+        "counterparty/solution.json":
+            "e9da781be5a745b4d18d775fb8fee3abd6c1aaf6e9a1441f7ed167722c63063d",
+        "hedger/Y.csv":
+            "c33e09276ec2dab4288146f3d4e41816b068d6922512cfea4ad963700594a598",
+        "hedger/Z.csv":
+            "36aaec5b3df8cb463a6ca46a24193f19416e01b689f5e6bfdf46254cdf7ce311",
+        "hedger/dL.csv":
+            "4af69e99219d0ad697e389c597905007b7c0ffcdf7bd9367e997e434a42d45e1",
+        "hedger/dU.csv":
+            "e5a1cdcab9802a37158d989c78afc2aaa009ec032541c243f7c9b52474a6b4c9",
+        "hedger/region_bar_sigma.csv":
+            "98134ead285a229df6cb0f3908bcde3dec2afdad7bcc301c3d9c88043db540c7",
+        "hedger/region_bar_tau.csv":
+            "c14aec99fd0f3a313894baeb97eb78a86926597050e6af7c16158209bea140e9",
+        "hedger/region_sigma.csv":
+            "98134ead285a229df6cb0f3908bcde3dec2afdad7bcc301c3d9c88043db540c7",
+        "hedger/region_tau.csv":
+            "913f0a07430ad34e2d72ec5d96adcbb7dc0aed3339d67279ee51ff0e736c4cdb",
+        "hedger/solution.json":
+            "b43e1e3b73ea176a83b9fddec005ea583172b9d7d13172ef4d1e8d6b39d8b429",
+        "quote.json":
+            "4c2f61e7fd95ee7ae97845d6b0e46a07eda1107cbb4fe51b7099f6de3989a96f",
+    },
+    "price_put_n200_zero": {
+        "counterparty/Y.csv":
+            "d0a6337f6754f549a564a43f391bbaa1cb5fdb4d9c87a89dc9c6541a54362561",
+        "counterparty/Z.csv":
+            "4a55efc5e6605ef20e9a7af395ee6f42dd376d0b4a0eefd8b09110825dcfd27c",
+        "counterparty/dL.csv":
+            "2e1416d0e087711db3d7912f38da6aa76e376ae2d9072bd29dba3e8f3d004a73",
+        "counterparty/dU.csv":
+            "2147985cc18b189ec600fdf1d899d93b1266f632f0c8d649427a02ead5c1ca92",
+        "counterparty/region_bar_sigma.csv":
+            "bf8f94e1a461e388f7eb6646b1ea42eabec239d1c9264d11b7dbe392e6d9c0c8",
+        "counterparty/region_bar_tau.csv":
+            "6711515b69aa80e7bfb89b5b24e55bc8bcbd0fd41db126c239ae698ace928bca",
+        "counterparty/region_sigma.csv":
+            "bf8f94e1a461e388f7eb6646b1ea42eabec239d1c9264d11b7dbe392e6d9c0c8",
+        "counterparty/region_tau.csv":
+            "b717ff291c2f9fb67bc36137fd85904697e227cd94abc3964e22281635ccdcdd",
+        "counterparty/solution.json":
+            "8212d31e5576d7cd000062126d5922ea4e1a23aec6545a231e5d10b6757328fa",
+        "hedger/Y.csv":
+            "e436bcad86c6d28a1bc8cc55174262907934da14888c6a02e6d4366c60a5e32c",
+        "hedger/Z.csv":
+            "d319a8ade6ed93610bc92b4fe29ebf4a09a1c2355d8ff5c0c5f86e7177bdd589",
+        "hedger/dL.csv":
+            "2147985cc18b189ec600fdf1d899d93b1266f632f0c8d649427a02ead5c1ca92",
+        "hedger/dU.csv":
+            "2e1416d0e087711db3d7912f38da6aa76e376ae2d9072bd29dba3e8f3d004a73",
+        "hedger/region_bar_sigma.csv":
+            "bf8f94e1a461e388f7eb6646b1ea42eabec239d1c9264d11b7dbe392e6d9c0c8",
+        "hedger/region_bar_tau.csv":
+            "6711515b69aa80e7bfb89b5b24e55bc8bcbd0fd41db126c239ae698ace928bca",
+        "hedger/region_sigma.csv":
+            "bf8f94e1a461e388f7eb6646b1ea42eabec239d1c9264d11b7dbe392e6d9c0c8",
+        "hedger/region_tau.csv":
+            "b717ff291c2f9fb67bc36137fd85904697e227cd94abc3964e22281635ccdcdd",
+        "hedger/solution.json":
+            "6eb52059a23dee2a23e352ed321b36eb7a9ba9dc8cf9adf417310580fb531a96",
+        "quote.json":
+            "d62cd6bb87353e4c967354a7e8f183dd7d48be814cc28adb0c128e9fb5d0d703",
+    },
+    "sweep_rate": {
+        "sweep.csv":
+            "d055eb63e10735e7546d28ec55c66ac0d8a83b52089fc790d3758f68b2531cea",
     },
     "sweep_r_borrow": {
         "sweep.csv":

@@ -16,7 +16,6 @@ from gamehedge import (
     NodeProcess,
     PartyView,
     TimeGrid,
-    ZeroGenerator,
     acceptable_price,
     build_lattice,
     builtin_game_bond,
@@ -73,7 +72,8 @@ def test_contract_order_validation(one_step_lattice):
 
 
 def test_hedger_obstacles_instance_a(one_step_lattice, one_step_put, hedger_view):
-    inputs = side_obstacles(one_step_put, hedger_view, ZeroGenerator(), one_step_lattice)
+    inputs = side_obstacles(one_step_put, hedger_view, DifferentialRates(0.0, 0.0),
+                            one_step_lattice)
     assert inputs.lower.at(1, 0) == pytest.approx(20.0)  # (100-80)^+
     assert inputs.lower.at(1, 1) == 0.0
     assert inputs.upper.at(0, 0) == pytest.approx(5.0)
@@ -84,7 +84,7 @@ def test_hedger_obstacles_instance_a(one_step_lattice, one_step_put, hedger_view
 
 def test_counterparty_obstacles_instance_a(one_step_lattice, one_step_put, counterparty_view):
     inputs = side_obstacles(
-        one_step_put, counterparty_view, ZeroGenerator(), one_step_lattice
+        one_step_put, counterparty_view, DifferentialRates(0.0, 0.0), one_step_lattice
     )
     assert inputs.lower.at(1, 0) == pytest.approx(-25.0)  # Xh = -(100-S)^+ - 5
     assert inputs.upper.at(1, 0) == pytest.approx(-20.0)
@@ -95,20 +95,20 @@ def test_counterparty_endowment_shift(one_step_lattice, one_step_put):
     acct = BenchmarkAccount(0.0, 0.0)
     shifted = PartyView(side="counterparty", endowment=3.0, acct=acct)
     inputs = side_obstacles(
-        one_step_put, shifted, ZeroGenerator(), one_step_lattice
+        one_step_put, shifted, DifferentialRates(0.0, 0.0), one_step_lattice
     )
     assert inputs.upper.at(0, 0) == pytest.approx(3.0 - 0.0)
     # zero generator is translation invariant, so the price is unchanged
     base = PartyView(side="counterparty", endowment=0.0, acct=acct)
-    p0 = acceptable_price(one_step_put, base, ZeroGenerator(), one_step_lattice)
-    p3 = acceptable_price(one_step_put, shifted, ZeroGenerator(), one_step_lattice)
+    p0 = acceptable_price(one_step_put, base, DifferentialRates(0.0, 0.0), one_step_lattice)
+    p3 = acceptable_price(one_step_put, shifted, DifferentialRates(0.0, 0.0), one_step_lattice)
     assert p3.y0 == pytest.approx(p0.y0 + 3.0, abs=1e-12)
     assert p3.price == pytest.approx(p0.price, abs=1e-12)
 
 
 def test_acceptable_price_both_sides(one_step_lattice, one_step_put, hedger_view,
                                      counterparty_view):
-    gen = ZeroGenerator()
+    gen = DifferentialRates(0.0, 0.0)
     qh = acceptable_price(one_step_put, hedger_view, gen, one_step_lattice)
     qc = acceptable_price(one_step_put, counterparty_view, gen, one_step_lattice)
     assert qh.price == pytest.approx(5.0, abs=1e-14)
@@ -121,7 +121,8 @@ def test_acceptable_price_both_sides(one_step_lattice, one_step_put, hedger_view
 
 
 def test_instance_a_regions(one_step_lattice, one_step_put, hedger_view):
-    quote = acceptable_price(one_step_put, hedger_view, ZeroGenerator(), one_step_lattice)
+    quote = acceptable_price(one_step_put, hedger_view, DifferentialRates(0.0, 0.0),
+                             one_step_lattice)
     assert tri(0, 0) in quote.region_sigma          # Y(0,0) = 5 = upper
     assert tri(0, 0) in quote.region_bar_sigma      # dU(0,0) = 5 > 0
     assert tri(0, 0) not in quote.region_tau
@@ -185,7 +186,7 @@ def test_regions_match_tuple_reference(rng):
 def test_endowment_translation_zero_generator(rng):
     for _ in range(10):
         lat, _, contract, _ = random_instance(rng, 8)
-        gen = ZeroGenerator()
+        gen = DifferentialRates(0.0, 0.0)
         acct = BenchmarkAccount(0.0, 0.0)
         p0 = acceptable_price(
             contract, PartyView("hedger", 0.0, acct), gen, lat
@@ -201,10 +202,8 @@ def test_linear_market_symmetry(rng):
     # equal rates and equal endowments collapse the two unilateral prices
     for _ in range(10):
         lat, gen, contract, views = random_instance(rng, 8)
-        from gamehedge import LinearRate
-
         rate = 0.05
-        gen = LinearRate(rate)
+        gen = DifferentialRates(rate, rate)
         acct = BenchmarkAccount(rate, rate)
         qh = acceptable_price(contract, PartyView("hedger", 0.0, acct), gen, lat)
         qc = acceptable_price(contract, PartyView("counterparty", 0.0, acct), gen, lat)
@@ -215,7 +214,7 @@ def test_penalty_monotone_and_capped():
     lat = build_lattice(100.0, 1.2, 0.8, TimeGrid(horizon=1.0, n_steps=4))
     acct = BenchmarkAccount(0.0, 0.0)
     view = PartyView("hedger", 0.0, acct)
-    gen = ZeroGenerator()
+    gen = DifferentialRates(0.0, 0.0)
     prices = []
     for delta in (0.5, 1.0, 2.0, 5.0, 30.0, 120.0):
         c = builtin_israeli_put(lat, strike=100.0, penalty=delta)

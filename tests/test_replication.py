@@ -14,7 +14,6 @@ from gamehedge import (
     StoppingRule,
     TimeGrid,
     TooManyPaths,
-    ZeroGenerator,
     acceptable_price,
     build_lattice,
     builtin_israeli_put,
@@ -35,7 +34,7 @@ from conftest import random_instance
 
 @pytest.fixture
 def instance_a(one_step_lattice, one_step_put, hedger_view):
-    gen = ZeroGenerator()
+    gen = DifferentialRates(0.0, 0.0)
     quote = acceptable_price(one_step_put, hedger_view, gen, one_step_lattice)
     return one_step_lattice, one_step_put, hedger_view, gen, quote
 
@@ -52,7 +51,7 @@ def test_forward_wealth_one_step(instance_a):
 
 def test_forward_wealth_zero_hedge(one_step_lattice):
     flat = forward_wealth(
-        3.0, NodeProcess.zeros(1), ZeroGenerator(), NodeProcess.zeros(1),
+        3.0, NodeProcess.zeros(1), DifferentialRates(0.0, 0.0), NodeProcess.zeros(1),
         one_step_lattice, [1],
     )
     assert flat.values.tolist() == [3.0, 3.0]
@@ -133,7 +132,7 @@ def test_classifier_rejects_parts_off_the_lattice():
     lat3 = build_lattice(100.0, 1.2, 0.8, TimeGrid(horizon=1.0, n_steps=3))
     put3 = builtin_israeli_put(lat3, strike=100.0, penalty=5.0)
     view = PartyView("hedger", 0.0, BenchmarkAccount(0.0, 0.0))
-    gen = ZeroGenerator()
+    gen = DifferentialRates(0.0, 0.0)
     quote = acceptable_price(contract, view, gen, lat)
     z, never, never_3 = quote.solution.Z, StoppingRule.never_early(2), StoppingRule.never_early(3)
     for error, part, (hedge, sigma, tau, spec) in (
@@ -151,7 +150,7 @@ def test_forward_wealth_rejects_processes_off_the_lattice():
     two, three = NodeProcess.zeros(2), NodeProcess.zeros(3)
     for part, (hedge, cash) in (("hedge", (three, three)), ("cashflow_increments", (two, three))):
         with pytest.raises(OutOfRange, match=f"^{part} has 3 steps, lattice has 2$"):
-            forward_wealth(5.0, hedge, ZeroGenerator(), cash, lat, [1, 0])
+            forward_wealth(5.0, hedge, DifferentialRates(0.0, 0.0), cash, lat, [1, 0])
 
 
 def test_classifier_flag_structure(rng):
@@ -183,7 +182,7 @@ def test_verify_replication_instance_a(instance_a):
 
 def test_verify_replication_counterparty_probes(one_step_lattice, one_step_put,
                                                 counterparty_view):
-    gen = ZeroGenerator()
+    gen = DifferentialRates(0.0, 0.0)
     quote = acceptable_price(one_step_put, counterparty_view, gen, one_step_lattice)
     rep = verify_replication(quote)
     assert rep.ok
@@ -195,7 +194,7 @@ def test_corrupted_hedge_detected():
     lat = build_lattice(100.0, 1.2, 0.8, TimeGrid(horizon=1.0, n_steps=2))
     contract = builtin_israeli_put(lat, strike=100.0, penalty=30.0)
     view = PartyView("hedger", 0.0, BenchmarkAccount(0.0, 0.0))
-    gen = ZeroGenerator()
+    gen = DifferentialRates(0.0, 0.0)
     quote = acceptable_price(contract, view, gen, lat)
     from dataclasses import replace
 
@@ -221,7 +220,7 @@ def test_slack_obstacles_replicate_to_terminal(rng):
         dA=NodeProcess.zeros(4),
     )
     view = PartyView("hedger", 0.0, BenchmarkAccount(0.0, 0.0))
-    gen = ZeroGenerator()
+    gen = DifferentialRates(0.0, 0.0)
     quote = acceptable_price(contract, view, gen, lat)
     rep = verify_replication(quote)
     assert rep.ok and rep.max_gap <= 1e-12
@@ -246,7 +245,7 @@ def two_step_quote():
     lat = build_lattice(100.0, 1.2, 0.8, TimeGrid(horizon=1.0, n_steps=2))
     contract = builtin_israeli_put(lat, strike=100.0, penalty=5.0)
     view = PartyView("hedger", 0.0, BenchmarkAccount(0.0, 0.0))
-    return acceptable_price(contract, view, ZeroGenerator(), lat)
+    return acceptable_price(contract, view, DifferentialRates(0.0, 0.0), lat)
 
 
 def test_break_even_canonical_rule():
@@ -294,7 +293,7 @@ def test_battery_memory_stays_bounded():
     # bounded block of rule rows x paths at a time
     lat = build_lattice(100.0, 1.2, 0.8, TimeGrid(horizon=1.0, n_steps=5))
     contract = builtin_israeli_put(lat, strike=100.0, penalty=5.0)
-    gen = ZeroGenerator()
+    gen = DifferentialRates(0.0, 0.0)
     for side in ("hedger", "counterparty"):
         view = PartyView(side, 0.0, BenchmarkAccount(0.0, 0.0))
         quote = acceptable_price(contract, view, gen, lat)
@@ -313,7 +312,7 @@ def test_path_guard():
     lat = build_lattice(100.0, 1.01, 0.99, TimeGrid(horizon=1.0, n_steps=n))
     contract = builtin_israeli_put(lat, strike=100.0, penalty=1.0)
     view = PartyView("hedger", 0.0, BenchmarkAccount(0.0, 0.0))
-    gen = ZeroGenerator()
+    gen = DifferentialRates(0.0, 0.0)
     quote = acceptable_price(contract, view, gen, lat)
     sigma = StoppingRule.from_nodes(n, quote.region_sigma)
     tau = StoppingRule.from_nodes(n, quote.region_tau)

@@ -17,18 +17,16 @@ from hypothesis import strategies as st  # noqa: E402
 from gamehedge import (  # noqa: E402
     BenchmarkAccount,
     DifferentialRates,
-    LinearRate,
     PartyView,
     TimeGrid,
-    ZeroGenerator,
     acceptable_price,
     build_lattice,
     builtin_israeli_put,
 )
 
 GENERATORS = {
-    "zero": (ZeroGenerator(), BenchmarkAccount(0.0, 0.0)),
-    "linear": (LinearRate(0.05), BenchmarkAccount(0.05, 0.05)),
+    "zero": (DifferentialRates(0.0, 0.0), BenchmarkAccount(0.0, 0.0)),
+    "linear": (DifferentialRates(0.05, 0.05), BenchmarkAccount(0.05, 0.05)),
     "differential": (DifferentialRates(0.02, 0.10), BenchmarkAccount(0.02, 0.10)),
 }
 

@@ -12,6 +12,7 @@ from gamehedge import (
     BenchmarkAccount,
     ContractInvariantViolated,
     ContractSpec,
+    DifferentialRates,
     DrbsdeInputs,
     GamePayoff,
     InvalidParameters,
@@ -24,7 +25,6 @@ from gamehedge import (
     TerminalOutOfBand,
     PartyView,
     TimeGrid,
-    ZeroGenerator,
     acceptable_price,
     build_lattice,
     builtin_israeli_put,
@@ -57,7 +57,8 @@ def test_obstacle_order_names_first_node():
     upper = rows([1.0], [1.0, 1.0], [1.0, 1.0, 1.0])
     text = message(ObstacleOrderViolated, lambda: DrbsdeInputs(
         lower=lower, upper=upper, terminal=np.array([0.5, 0.5, 0.5]),
-        cashflow_increments=NodeProcess.zeros(2), gen=ZeroGenerator(), lat=two_step_lattice(),
+        cashflow_increments=NodeProcess.zeros(2), gen=DifferentialRates(0.0, 0.0),
+        lat=two_step_lattice(),
     ))
     assert text == (f"lower must stay strictly below upper; at node (1, 1): "
                     f"lower={f64(3.0)}, upper={f64(1.0)}")
@@ -67,7 +68,7 @@ def test_terminal_out_of_band_names_first_node():
     text = message(TerminalOutOfBand, lambda: DrbsdeInputs(
         lower=NodeProcess.constant(2, 0.0), upper=NodeProcess.constant(2, 1.0),
         terminal=np.array([0.5, 1.5, -2.0]), cashflow_increments=NodeProcess.zeros(2),
-        gen=ZeroGenerator(), lat=two_step_lattice(),
+        gen=DifferentialRates(0.0, 0.0), lat=two_step_lattice(),
     ))
     assert text == f"terminal value at node (2, 1) is {f64(1.5)}, outside [{f64(0.0)}, {f64(1.0)}]"
 
@@ -77,7 +78,8 @@ def test_game_payoff_order_names_first_step():
         on_lower=NodeProcess.constant(2, 0.0),
         on_upper=NodeProcess.constant(2, 1.0),
         on_tie=rows([0.5], [0.5, 0.5], [0.5, 2.0, -1.0]),
-        cashflow_increments=NodeProcess.zeros(2), gen=ZeroGenerator(), lat=two_step_lattice(),
+        cashflow_increments=NodeProcess.zeros(2), gen=DifferentialRates(0.0, 0.0),
+        lat=two_step_lattice(),
     ))
     assert text == (f"need on_lower <= on_tie <= on_upper; at node (2, 1): "
                     f"on_lower={f64(0.0)}, on_tie={f64(2.0)}, on_upper={f64(1.0)}")
@@ -124,7 +126,7 @@ def test_region_tolerance_must_be_positive_and_finite(tol):
     contract = builtin_israeli_put(lat, strike=100.0, penalty=5.0)
     view = PartyView("hedger", 0.0, BenchmarkAccount(0.0, 0.0))
     text = message(InvalidParameters, lambda: acceptable_price(
-        contract, view, ZeroGenerator(), lat, region_tol=tol))
+        contract, view, DifferentialRates(0.0, 0.0), lat, region_tol=tol))
     assert text == f"region_tol must be positive and finite, got {tol!r}"
 
 
