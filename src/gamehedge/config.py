@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, OutOfRange
 from .generators import DifferentialRates, Generator
 from .lattice import (
     BenchmarkAccount,
@@ -194,6 +194,8 @@ def build_generator(cfg: dict) -> Generator:
     block = cfg.get("generator", {"type": "zero"})
     kind = _typed(block, "generator", _GENERATOR_KEYS, "zero, linear or differential")
     rates = [_num(block, "generator", key) for key in _GENERATOR_KEYS[kind]]
+    if kind == "linear" and rates[0] < 0.0:  # both rates are `rate`: name the key the config holds
+        raise OutOfRange(f"generator.rate must be nonnegative, got {rates[0]!r}")
     return DifferentialRates(*(rates or (0.0, 0.0)))
 
 

@@ -378,17 +378,26 @@ class GamePayoff:
 
 
 # Game node rules (payoffs, stop marks, continuation -> values), for rows and cone tables alike.
-def _pair_node(lo, hi, tie, bits, cont):
-    sig, tau = bits
-    return np.where(sig & tau, tie, np.where(sig, hi, np.where(tau, lo, cont)))
+# A row's marks are arrays, one per node, and ``_pick`` selects node by node; a cone table
+# fills one slot per combination of the players' own bits, so there each mark is a single
+# boolean and ``_pick`` hands back the chosen operand whole, with no masking pass.
+def _pick(mark, stop, go):
+    if isinstance(mark, np.ndarray):
+        return np.where(mark, stop, go)
+    return stop if mark else go
 
 
-def _sup_node(lo, hi, tie, bits, cont):  # the opponent may force the tie, never gains by it
-    return np.where(bits[0], np.maximum(tie, hi), np.maximum(lo, cont))
+def _pair_node(lo, hi, tie, marks, cont):
+    sig, tau = marks
+    return _pick(sig & tau, tie, _pick(sig, hi, _pick(tau, lo, cont)))
 
 
-def _inf_node(lo, hi, tie, bits, cont):
-    return np.where(bits[0], np.minimum(tie, lo), np.minimum(hi, cont))
+def _sup_node(lo, hi, tie, marks, cont):  # the opponent may force the tie, never gains by it
+    return _pick(marks[0], np.maximum(tie, hi), np.maximum(lo, cont))
+
+
+def _inf_node(lo, hi, tie, marks, cont):
+    return _pick(marks[0], np.minimum(tie, lo), np.minimum(hi, cont))
 
 
 def _game_root(game: GamePayoff, node_rule, **rules: StoppingRule) -> float:

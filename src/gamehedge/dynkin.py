@@ -22,13 +22,16 @@ lowest-first, so at the root, whose cone is every interior node, the index
 is the rule id.  The implicit step runs once per packed combination of the
 children's cone bits, gathered from the child tables by a bit-position map.
 The node's own bit ``tri(k, j)`` is its cone's lowest, so it is the fastest
-sub-axis of the node's table; a node rule maps it, the node's payoffs and
-that continuation to the node's values.  Nothing is sorted.  Per node that is 2**(|cone| - 1)
-continuation entries for a dynamic program (2**14 at the root for N=5) and
-4**(|cone| - 1) for the pair matrix (4**9 at the root for N=4).  The root
-table, n_rules entries along each enumerated axis, is the only full-size
-array; pair_limit bounds the pair matrix's, so the cap still counts rule
-pairs.  Packed order is the sorted order of the masked rule ids, so every
+sub-axis of the node's table.  The table is allocated once and filled one
+slot per combination of the players' own bits (both bits of an enumerated
+seat, the one of a fixed rule: at most 4 slots); in a slot each mark is a
+single boolean, so the node rule picks whole operands from the node's
+payoffs and that continuation instead of masking.  Nothing is sorted.  Per
+node that is 2**(|cone| - 1) continuation entries for a dynamic program
+(2**14 at the root for N=5) and 4**(|cone| - 1) for the pair matrix (4**9
+at the root for N=4).  The root table, n_rules entries along each
+enumerated axis, is the only full-size array; pair_limit bounds the pair
+matrix's, so the cap still counts rule pairs.  Packed order is the sorted order of the masked rule ids, so every
 entry goes through the same elementwise arithmetic as broadcasting every
 node over all rule ids, and the fixed-point exit test sees the same set of
 values: the results are identical bit for bit to that broadcast.
@@ -135,15 +138,15 @@ def _cone_values(game: GamePayoff, node_rule, **seats: StoppingRule | None) -> n
     or None, every rule on its own axis indexed by rule id.  A node's table
     is (values, the bit mask of its cone); along an enumerated axis the index
     is the player's cone bits packed lowest-first.  ``node_rule(lo, hi, tie,
-    bits, cont)`` gives a node's values from its payoffs, each player's own
-    bit there and the continuation.
+    marks, cont)`` gives a node's values from its payoffs, each player's own
+    bit there and the continuation; it runs once per combination of own bits.
     """
     lat = game.lat
     _require_enumerable(lat.n_steps)
     rules = list(seats.values())
     _check_steps(lat, InvalidStoppingRule,
                  **{name: rule for name, rule in seats.items() if rule is not None})
-    n, ndim = lat.n_steps, 2 * len(rules)
+    n = lat.n_steps
     tie_t = game.on_tie.row(n)
     tables = [(np.full((1,) * len(rules), tie_t[j]), 0) for j in range(n + 1)]
     for k in range(n - 1, -1, -1):
@@ -155,16 +158,17 @@ def _cone_values(game: GamePayoff, node_rule, **seats: StoppingRule | None) -> n
             cont = backward_step(lat, game.gen, k, v_next, game.cashflow_increments.at(k, j), j,
                                  residual=False)[0]
 
-            # the node's own bit tri(k, j) is its cone's lowest, so each player's axis
-            # splits into (packed bits below, own bit): length 2, or 1 for a fixed rule
+            # the node's own bit tri(k, j) is its cone's lowest, so each player's axis splits
+            # into (packed bits below, own bit): an enumerated seat has both own bits, a
+            # fixed rule its one; each combination of own bits fills one slot of the table
             bit = tri(k, j)
-            own = [np.array([False, True]) if r is None else r.flat[bit:bit + 1] for r in rules]
-            bits = [b.reshape([b.size if a == 2 * i + 1 else 1 for a in range(ndim)])
-                    for i, b in enumerate(own)]
-            split = cont.reshape([w for c in cont.shape for w in (c, 1)])
+            own = [(False, True) if r is None else (r.flat[bit],) for r in rules]
+            values = np.empty([w for c, o in zip(cont.shape, own) for w in (c, len(o))])
             lo, hi, tie = (p.at(k, j) for p in (game.on_lower, game.on_upper, game.on_tie))
-            values = node_rule(lo, hi, tie, bits, split)
-            shape = [c * b.size for c, b in zip(cont.shape, own)]
+            for pos in np.ndindex(*map(len, own)):
+                slot = tuple(x for i in pos for x in (slice(None), i))
+                values[slot] = node_rule(lo, hi, tie, [o[i] for o, i in zip(own, pos)], cont)
+            shape = [c * len(o) for c, o in zip(cont.shape, own)]
             new_tables.append((values.reshape(shape), below | 1 << bit))
         tables = new_tables
     return tables[0][0]

@@ -79,24 +79,39 @@ class CustomGenerator:
 Generator = Union[DifferentialRates, CustomGenerator]
 
 
+def _finite(value) -> bool:
+    return np.isfinite(value).all() if isinstance(value, np.ndarray) else math.isfinite(value)
+
+
 def _check_finite(name: str, value) -> None:
-    ok = np.isfinite(value).all() if isinstance(value, np.ndarray) else math.isfinite(value)
-    if not ok:
+    if not _finite(value):
         raise NonFiniteInput(f"{name} must be finite")
 
 
 def eval_g(gen: Generator, t: float, y, z, s):
-    """Evaluate the generator; y, z, s may be scalars or broadcastable arrays."""
-    _check_finite("t", t)
-    _check_finite("y", y)
-    _check_finite("z", z)
-    _check_finite("s", s)
+    """Evaluate the generator; y, z, s may be scalars or broadcastable arrays.
+
+    A non-finite input raises ``NonFiniteInput`` naming the first of t, y, z,
+    s that holds one.  The builtin checks t, which its g does not read, and
+    then scans only its output: a non-finite y, z or s leaves the g entries
+    it reaches non-finite, so the inputs are scanned only when g fails.  A
+    g that overflows from finite inputs is returned as it is.
+    """
     if isinstance(gen, DifferentialRates):
-        cash = y - z * s
-        if isinstance(cash, np.ndarray):
-            return np.where(cash >= 0.0, -gen.r_lend, -gen.r_borrow) * cash
-        return -gen.r_lend * cash if cash >= 0.0 else -gen.r_borrow * cash
+        _check_finite("t", t)
+        with np.errstate(invalid="ignore"):  # inf*0 or inf-inf from an input named below
+            cash = y - z * s
+            if isinstance(cash, np.ndarray):
+                g = np.where(cash >= 0.0, -gen.r_lend, -gen.r_borrow) * cash
+            else:
+                g = -gen.r_lend * cash if cash >= 0.0 else -gen.r_borrow * cash
+        if not _finite(g):
+            for name, value in (("y", y), ("z", z), ("s", s)):
+                _check_finite(name, value)
+        return g
     if isinstance(gen, CustomGenerator):
+        for name, value in (("t", t), ("y", y), ("z", z), ("s", s)):
+            _check_finite(name, value)
         if any(isinstance(v, np.ndarray) for v in (y, z, s)):
             yb, zb, sb = np.broadcast_arrays(np.asarray(y, float), np.asarray(z, float), np.asarray(s, float))
             out = np.empty(yb.shape)

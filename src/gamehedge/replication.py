@@ -142,9 +142,15 @@ def _hits(rule: StoppingRule | None, idx: np.ndarray) -> np.ndarray:
     per rule id, whose bit i marks flat node i; the terminal row always stops."""
     if rule is not None:
         return np.argmax(rule.flat[idx], axis=-1)
-    m = tri(idx.shape[-1] - 1)
-    ids = np.arange(1 << m)[:, None, None]
-    return np.argmax((idx >= m) | (((ids >> idx) & 1) == 1), axis=-1)
+    # node indices grow along a path, so a rule's first marked node there is the lowest set
+    # bit of (rule id & the path's interior-node mask); with no bit set it stops at step n
+    n = idx.shape[-1] - 1
+    m = tri(n)
+    first = np.arange(1 << m)[:, None] & np.bitwise_or.reduce(1 << idx[:, :n], axis=-1)
+    first &= -first
+    step = np.full(1 << m, n)  # indexed by the lowest set bit, 1 << tri(k, j) -> k
+    step[1 << np.arange(m)] = np.repeat(np.arange(n), np.arange(1, n + 1))
+    return step[first]
 
 
 def _forward_matrix(

@@ -29,6 +29,7 @@ from gamehedge import (
 )
 from gamehedge.dynkin import stopped_values_for_maximizer_rules, sup_values_by_minimizer_rule
 from gamehedge.lattice import tri
+from gamehedge.replication import _hits, _node_idx
 from conftest import random_instance
 
 KINDS = (
@@ -191,3 +192,19 @@ def test_battery_judges_at_the_quote_tolerance():
             assert {key: getattr(report, key) for key in want} == want, (seed, view.side)
             differs += report != stopping_time_battery(acceptable_price(contract, view, gen, lat))
     assert differs
+
+
+def shifted_first_hits(idx):
+    """The battery's first stop per rule id and path, one shift per rule, path and step."""
+    m = tri(idx.shape[-1] - 1)
+    ids = np.arange(1 << m)[:, None, None]
+    return np.argmax((idx >= m) | (((ids >> idx) & 1) == 1), axis=-1)
+
+
+def test_first_hits_by_lowest_set_bit_match_the_shift_formulation():
+    for n in range(6):
+        idx = _node_idx(path_up_counts(path_moves(np.arange(1 << n), n)))
+        got = _hits(None, idx)
+        assert got.shape == (rule_count(n), 1 << n)
+        for paths in np.array_split(np.arange(1 << n), 4):  # bounds the reference's temporary
+            assert np.array_equal(got[:, paths], shifted_first_hits(idx[paths])), n

@@ -142,6 +142,39 @@ def test_non_finite_rejected():
         eval_g(gen, 0.0, 1.0, 0.0, 1.0)
 
 
+# the builtin scans only its output and names an input only when that scan fails,
+# so the first non-finite input must still be the one named, wherever it sits
+SCAN_GENERATORS = [DifferentialRates(0.02, 0.10), DifferentialRates(0.0, 0.0),
+                   CustomGenerator(fn=lambda t, y, z, s: -0.03 * (y - z * s),
+                                   lipschitz_y=0.03, lipschitz_z=0.03)]
+INPUTS = ("t", "y", "z", "s")
+
+
+@pytest.mark.parametrize("shape", [None, (3,)], ids=["scalars", "arrays"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("first", INPUTS)
+@pytest.mark.parametrize("gen", SCAN_GENERATORS, ids=["two_rate", "zero", "custom"])
+def test_first_non_finite_input_is_named(gen, first, bad, shape):
+    args = {"t": 0.5, "y": 5.0, "z": 0.0, "s": 100.0}
+    for name in INPUTS[INPUTS.index(first):]:  # this input and every one after it
+        args[name] = bad
+    if shape is not None:  # t stays a scalar; one entry of each array carries the value
+        for name in ("y", "z", "s"):
+            args[name] = np.array([1.0, args[name], 2.0])
+    with pytest.raises(NonFiniteInput, match=rf"\A{first} must be finite\Z"):
+        eval_g(gen, *args.values())
+
+
+@pytest.mark.parametrize("gen", SCAN_GENERATORS[:2], ids=["two_rate", "zero"])
+def test_overflow_from_finite_inputs_is_returned(gen):
+    # cash y - z*s overflows to +inf: g is -inf, or nan at a zero rate, and nothing raises
+    want = -math.inf if gen.r_lend else math.nan
+    assert str(eval_g(gen, 0.5, 1e308, -1e308, 100.0)) == str(want)
+    with np.errstate(over="ignore"):
+        g = eval_g(gen, 0.5, np.array([1.0, 1e308]), np.array([0.0, -1e308]), 100.0)
+    assert g[0] == -gen.r_lend * 1.0 and str(g[1]) == str(want)
+
+
 def test_custom_generator_dispatch():
     gen = CustomGenerator(fn=lambda t, y, z, s: -0.03 * y, lipschitz_y=0.03, lipschitz_z=0.0)
     assert eval_g(gen, 0.0, 10.0, 0.0, 1.0) == pytest.approx(-0.3)

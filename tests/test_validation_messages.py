@@ -5,6 +5,8 @@ vectorized flat-array checks replaced.  Every case holds a second, later
 violation, so a check that reports the wrong node fails.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,7 @@ from gamehedge import (
     builtin_israeli_put,
     read_node_process,
 )
+from gamehedge.cli import main
 from gamehedge.errors import ConfigError
 
 
@@ -160,3 +163,18 @@ def test_node_csv_errors_keep_their_text(tmp_path, case):
     path = tmp_path / f"{case}.csv"
     path.write_bytes(text.encode())
     assert message(ConfigError, lambda: read_node_process(path)) == f"{path}: {expected}"
+
+
+def test_negative_linear_rate_names_the_rate_key(tmp_path, capsys):
+    cfg = {
+        "lattice": {"s0": 100.0, "u": 1.2, "d": 0.8, "N": 1, "T": 1.0},
+        "benchmark": {"r_lend": 0.0, "r_borrow": 0.0},
+        "generator": {"type": "linear", "rate": -0.01},
+        "contract": {"type": "israeli_put", "strike": 100.0, "penalty": 5.0},
+        "party": {"side": "hedger", "endowment": 0.0},
+    }
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["price", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "config error: OutOfRange: generator.rate must be nonnegative, got -0.01\n")
