@@ -149,10 +149,13 @@ def _implicit_row(gen: Generator, t: float, rhs, z, s, dt: float, axis: int | No
     """
     v, live = implicit_start(gen, t, rhs, z, s, dt), None
     for it in range(1, MAX_FIXED_POINT_ITER + 1):
-        v_new = rhs + eval_g(gen, t, v, z, s) * dt
+        v_new = eval_g(gen, t, v, z, s)  # fresh, so rhs + g*dt is built in it
+        v_new *= dt
+        v_new += rhs
         if live is not None:
             v_new = np.where(live, v_new, v)
-        change = np.abs(v_new - v)
+        change = v_new - v
+        change = np.abs(change, out=change if isinstance(change, np.ndarray) else None)
         v, delta = v_new, float(np.max(change))
         if delta <= FIXED_POINT_TOL:  # every column passes
             break
@@ -203,7 +206,9 @@ def backward_step(lat: Lattice, gen: Generator, k: int, y_next, cash, j: int | N
     iterations), shaped (k+1, *batch) for a row and (*batch) for a node.
     The residual, the largest |v - rhs - g*dt| at the exit value, costs one
     more generator evaluation; with ``residual`` false it is None and the
-    continuation is checked finite instead (``NonFiniteInput``).
+    continuation is checked finite instead (``NonFiniteInput``).  The step
+    builds its arithmetic in place in its own fresh arrays and never writes
+    into ``y_next`` or ``cash``, so read-only tables and broadcast views serve.
     """
     s_next, s = lat.spot.row(k + 1), lat.spot.row(k)
     if j is None:  # node data runs along axis 0, ahead of the batch axes
@@ -213,9 +218,12 @@ def backward_step(lat: Lattice, gen: Generator, k: int, y_next, cash, j: int | N
     else:
         up, dn = y_next[1], y_next[0]
         ds, s = s_next[j + 1] - s_next[j], s[j]
-    z = (up - dn) / ds
-    e = lat.q * up + (1.0 - lat.q) * dn
-    v, res, iterations = _implicit_row(gen, k * lat.dt, e - cash, z, s, lat.dt,
+    z = up - dn
+    z /= ds
+    e = lat.q * up
+    e += (1.0 - lat.q) * dn
+    e -= cash
+    v, res, iterations = _implicit_row(gen, k * lat.dt, e, z, s, lat.dt,
                                        0 if j is None else None, residual)
     return v, z, res, iterations
 

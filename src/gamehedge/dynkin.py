@@ -20,7 +20,10 @@ per player seat.  A seat is either a fixed rule (axis length 1) or every
 rule; an enumerated axis is indexed by the player's cone bits packed
 lowest-first, so at the root, whose cone is every interior node, the index
 is the rule id.  The implicit step runs once per packed combination of the
-children's cone bits, gathered from the child tables by a bit-position map.
+children's cone bits.  A child's table is gathered onto them one enumerated
+axis at a time (``ndarray.take``) through a packed index that depends only on
+the two cone masks, so it is built once per (child mask, combined mask) pair
+and kept, read-only; a fixed rule's axis has length 1 and is not gathered.
 The node's own bit ``tri(k, j)`` is its cone's lowest, so it is the fastest
 sub-axis of the node's table.  The table is allocated once and filled one
 slot per combination of the players' own bits (both bits of an enumerated
@@ -43,6 +46,7 @@ exercise in the minimizer seat.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,14 +125,34 @@ class SaddleDiagnosis:
     value_gap: float
 
 
+@functools.lru_cache(maxsize=128)  # N <= 5 has 41 (mask, below) pairs in all
+def _packed_index(mask: int, below: int) -> np.ndarray:
+    """Read-only index into a table with cone bits ``mask``, per packed ``below`` combination.
+
+    Combination c sets the q-th lowest ``below`` bit where c has bit q; the
+    entry is that combination's ``mask`` bits, packed lowest-first.
+    """
+    pos, bits = {b: q for q, b in enumerate(_bit_tuple(mask))}, _bit_tuple(below)
+    combos = np.arange(1 << len(bits), dtype=np.intp)
+    at = np.zeros_like(combos)
+    for q, b in enumerate(bits):
+        if b in pos:
+            at |= (combos >> q & 1) << pos[b]
+    at.flags.writeable = False
+    return at
+
+
 def _gather(values: np.ndarray, mask: int, below: int,
             rules: list[StoppingRule | None]) -> np.ndarray:
-    """A child's table, cone bits ``mask``, on every packed combination of the ``below`` bits."""
-    weight = {b: 1 << q for q, b in enumerate(_bit_tuple(mask))}
-    at = np.zeros(1, dtype=np.intp)
-    for b in _bit_tuple(below):  # lowest bit first, so each bit doubles the packed range
-        at = np.concatenate([at, at + weight.get(b, 0)])
-    return values[np.ix_(*(at if r is None else [0] for r in rules))]
+    """A child's table, cone bits ``mask``, on every packed combination of the ``below`` bits.
+
+    Each enumerated axis is gathered on its own; a fixed rule's axis has length 1 as it is.
+    """
+    at = _packed_index(mask, below)
+    for axis, rule in enumerate(rules):
+        if rule is None:
+            values = values.take(at, axis=axis)
+    return values
 
 
 def _cone_values(game: GamePayoff, node_rule, **seats: StoppingRule | None) -> np.ndarray:

@@ -95,14 +95,16 @@ def eval_g(gen: Generator, t: float, y, z, s):
     s that holds one.  The builtin checks t, which its g does not read, and
     then scans only its output: a non-finite y, z or s leaves the g entries
     it reaches non-finite, so the inputs are scanned only when g fails.  A
-    g that overflows from finite inputs is returned as it is.
+    g that overflows from finite inputs is returned as it is.  An array g is
+    a fresh array, which the caller may write into.
     """
     if isinstance(gen, DifferentialRates):
         _check_finite("t", t)
         with np.errstate(invalid="ignore"):  # inf*0 or inf-inf from an input named below
             cash = y - z * s
             if isinstance(cash, np.ndarray):
-                g = np.where(cash >= 0.0, -gen.r_lend, -gen.r_borrow) * cash
+                g = np.where(cash >= 0.0, -gen.r_lend, -gen.r_borrow)
+                g *= cash
             else:
                 g = -gen.r_lend * cash if cash >= 0.0 else -gen.r_borrow * cash
         if not _finite(g):
@@ -142,15 +144,24 @@ def contraction_ok(gen: Generator, dt: float) -> bool:
 def implicit_start(gen: Generator, t: float, rhs, z, s, dt: float):
     """Initial guess for the fixed-point solve of v = rhs + g(t, v, z, s)*dt.
 
-    For the builtin this is the exact solution (the equation is piecewise
-    linear in v and the cash sign equals sign(rhs - z*s)), so the iteration
-    that follows only has to confirm it.  Custom generators start at rhs.
+    For the builtin this is the exact solution (rhs + r*z*s*dt) / (1 + r*dt),
+    r the rate the sign of rhs - z*s picks (the equation is piecewise linear
+    in v and the cash sign equals that sign), so the iteration that follows
+    only has to confirm it.  On arrays the quotient is built in place in two
+    fresh arrays, the numerator and the picked rates, with the same operations
+    in the same order; no input is written.  Custom generators start at rhs.
     """
     if isinstance(gen, DifferentialRates):
         zs = z * s
         if isinstance(rhs, np.ndarray) or isinstance(zs, np.ndarray):
             r = np.where(rhs - zs >= 0.0, gen.r_lend, gen.r_borrow)
-            return (rhs + r * zs * dt) / (1.0 + r * dt)
+            num = r * zs
+            num *= dt
+            num += rhs
+            r *= dt
+            r += 1.0
+            num /= r
+            return num
         lend = (rhs + gen.r_lend * zs * dt) / (1.0 + gen.r_lend * dt)
         borrow = (rhs + gen.r_borrow * zs * dt) / (1.0 + gen.r_borrow * dt)
         return lend if rhs - zs >= 0.0 else borrow

@@ -297,6 +297,65 @@ def test_backward_step_takes_node_data_with_a_batch_axis(rng):
             assert (res, its) == tuple(map(max, zip(*solo)))
 
 
+def test_step_never_writes_into_its_inputs(rng):
+    # the step builds its arithmetic in place, in its own fresh arrays only: every
+    # input here is read-only, a frozen array or a zero-stride broadcast view, so a
+    # write such as `rhs += ...` raises, and no input's bytes may change
+    from gamehedge.drbsde import _implicit_row, backward_step
+    from gamehedge.generators import _stack_generators, eval_g, implicit_start
+
+    def frozen(shape):
+        a = grid_values(rng, shape)
+        a.flags.writeable = False
+        return a
+
+    lat, _, contract, _ = random_instance(rng, 6, 6)
+    k, dt = 3, lat.dt
+    t, s_row, cash = k * dt, lat.spot.row(k), contract.dA.row(k)
+    stacked = _stack_generators([DifferentialRates(0.0, 0.05), DifferentialRates(0.02, 0.1),
+                                 DifferentialRates(0.03, 0.03)])
+    for rates in (stacked.r_lend, stacked.r_borrow):
+        rates.flags.writeable = False
+    gens = (DifferentialRates(0.02, 0.1), SMOOTH_CUSTOM)
+
+    # (generator, rhs or y, z, s, exit-test axis): a row with batch columns, a node with
+    # 2-D cone tables, and scalars beside arrays
+    point_cases = [(stacked, frozen((k + 1, 3)), np.broadcast_to(frozen((k + 1, 1)), (k + 1, 3)),
+                    s_row[:, None], 0)]
+    point_cases += [(gen, frozen((4, 8)), np.broadcast_to(frozen(8), (4, 8)), s_row[1], None)
+                    for gen in gens]
+    point_cases += [(gen, rhs, z, s, None) for gen in gens for rhs, z, s in (
+        (frozen(5), 0.25, 100.0), (2.5, frozen(5), 100.0),
+        (np.broadcast_to(-1.5, (5,)), -0.25, np.broadcast_to(90.0, (5,))))]
+    for gen, rhs, z, s, axis in point_cases:
+        inputs = [a for a in (rhs, z, s) if isinstance(a, np.ndarray)]
+        before = [a.tobytes() for a in inputs]
+        implicit_start(gen, t, rhs, z, s, dt)
+        eval_g(gen, t, rhs, z, s)
+        for residual in (True, False):
+            _implicit_row(gen, t, rhs, z, s, dt, axis, residual)
+        assert [a.tobytes() for a in inputs] == before
+
+    # (generator, y_next, cash, node): rows with batch columns (one per stacked generator,
+    # then one per side and column), a node's two cone tables, and a 1-D row and node
+    step_cases = [(stacked, frozen((k + 2, 3)), cash, None),
+                  (stacked, np.broadcast_to(frozen((k + 2, 1)), (k + 2, 3)), cash, None)]
+    sides_cash = np.stack([cash, cash], axis=1)
+    sides_cash.flags.writeable = False
+    step_cases += [(gen, frozen((k + 2, 2, 3)), sides_cash, None) for gen in gens]
+    step_cases += [(gen, [frozen((4, 8)), np.broadcast_to(frozen((4, 1)), (4, 8))], cash[1], 1)
+                   for gen in gens]
+    step_cases += [(gen, frozen(k + 2), cash, None) for gen in gens]
+    step_cases += [(gen, frozen(k + 2), cash[2], 2) for gen in gens]
+    for gen, y_next, c, j in step_cases:
+        children = y_next if isinstance(y_next, list) else [y_next]
+        inputs = [a for a in (*children, c) if isinstance(a, np.ndarray)]
+        before = [a.tobytes() for a in inputs]
+        for residual in (True, False):
+            backward_step(lat, gen, k, y_next, c, j, residual)
+        assert [a.tobytes() for a in inputs] == before
+
+
 def test_comparison_bump_increases_root(rng):
     for _ in range(10):
         lat, gen, contract, views = random_instance(rng, 6)

@@ -28,6 +28,9 @@ from gamehedge import (
 from gamehedge.drbsde import _implicit_row, backward_step
 from gamehedge.dynkin import (
     _bit_counts,
+    _bit_tuple,
+    _gather,
+    _packed_index,
     _pair_matrix,
     inf_values_by_maximizer_rule,
     sup_values_by_minimizer_rule,
@@ -286,6 +289,42 @@ def test_per_rule_dp_matches_unfactored_reference(name, n):
             want = reference_per_rule_dp(game, minimizer)
             assert got.shape == (rule_count(n),)
             assert got.tobytes() == want.tobytes()
+
+
+def cone_mask(n, k, j):
+    """Rule bits of node (k, j)'s forward cone on an n-step lattice; 0 on the terminal row."""
+    return sum(1 << tri(kk, jj) for kk in range(k, n) for jj in range(j, j + kk - k + 1))
+
+
+def reference_gather(values, mask, below, rules):
+    """A child's table gathered through np.ix_ on the per-bit concatenation index."""
+    weight = {b: 1 << q for q, b in enumerate(_bit_tuple(mask))}
+    at = np.zeros(1, dtype=np.intp)
+    for b in _bit_tuple(below):  # lowest bit first, so each bit doubles the packed range
+        at = np.concatenate([at, at + weight.get(b, 0)])
+    return values[np.ix_(*(at if r is None else [0] for r in rules))]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_gather_matches_concatenated_index(n):
+    # every child table of every node, with one seat fixed and, where the pair matrix
+    # runs under the default cap (N <= 4), with both seats enumerated
+    rng = np.random.default_rng(n)
+    fixed = rule_from_id(n, int(rng.integers(rule_count(n))))
+    seatings = [[None, fixed], [fixed, None]] + ([[None, None]] if n <= 4 else [])
+    for k in range(n):
+        for j in range(k + 1):
+            children = [cone_mask(n, k + 1, j + c) for c in (0, 1)]
+            below = children[0] | children[1]
+            assert cone_mask(n, k, j) == below | 1 << tri(k, j)
+            for mask in children:
+                assert not _packed_index(mask, below).flags.writeable
+                for rules in seatings:
+                    shape = [1 << len(_bit_tuple(mask)) if r is None else 1 for r in rules]
+                    values = rng.standard_normal(shape)
+                    got, want = (f(values, mask, below, rules) for f in (_gather, reference_gather))
+                    assert got.shape == want.shape
+                    assert got.tobytes() == want.tobytes()
 
 
 def test_bit_counts_match_python_popcount():
