@@ -38,8 +38,9 @@ from .config import (
 from .dynkin import DEFAULT_PAIR_LIMIT, game_value_brute, saddle_check
 from .errors import ConfigError, EngineError, TooLarge, TooManyPaths
 from .lattice import node_coords, read_node_process, write_csv, write_node_process
-from .pricing import SIDES, acceptable_price, game_payoff, sweep_prices
+from .pricing import SIDES, acceptable_price, sweep_prices
 from .pricing import side_obstacles  # noqa: F401  (a name bench/spans.py traces)
+from .pricing import side_obstacles as game_payoff  # noqa: F401  (a name bench/spans.py traces)
 from .replication import forward_wealth, solution_path, verify_replication
 from .stopping import path_moves
 
@@ -115,43 +116,43 @@ def _write_side_regions(out: Path, quote) -> None:
 
 
 def _quotes(bundle: ModelBundle):
+    """Each configured side's (side, quote), solved only when asked for; callers drop each
+    quote before asking for the next, so one side's arrays are alive at a time."""
     tol = bundle.tolerances["obstacle_eq"]
-    return {
-        side: acceptable_price(bundle.contract, bundle.views[side], bundle.gen, bundle.lat,
-                               region_tol=tol)
-        for side in bundle.sides
-    }
+    for side in bundle.sides:
+        yield side, acceptable_price(bundle.contract, bundle.views[side], bundle.gen, bundle.lat,
+                                     region_tol=tol)
+
+
+def _side_dir(bundle: ModelBundle, out: Path, side: str) -> Path:
+    """A side's output directory: ``out`` itself for one side, ``out/<side>`` for both."""
+    return out if len(bundle.sides) == 1 else out / side
 
 
 def cmd_price(bundle: ModelBundle, out: Path) -> int:
-    quotes = _quotes(bundle)
     out.mkdir(parents=True, exist_ok=True)
-    if len(quotes) == 1:
-        (side, quote), = quotes.items()
-        _write_json(out / "quote.json", _quote_obj(quote))
-        _write_side_solution(out, quote)
+    obj = {"side": "both"}
+    for side, quote in _quotes(bundle):
+        obj[side] = _quote_obj(quote)
+        _write_side_solution(_side_dir(bundle, out, side), quote)
         print(f"{side} price = {_fmt(quote.price)}")
+        del quote
+    if len(bundle.sides) == 1:
+        obj = obj[bundle.sides[0]]
     else:
-        obj = {"side": "both"}
-        for side, quote in quotes.items():
-            obj[side] = _quote_obj(quote)
-            _write_side_solution(out / side, quote)
-            print(f"{side} price = {_fmt(quote.price)}")
-        spread = quotes["hedger"].price - quotes["counterparty"].price
-        obj["spread"] = spread
-        _write_json(out / "quote.json", obj)
-        print(f"spread = {_fmt(spread)}")
+        obj["spread"] = obj["hedger"]["price"] - obj["counterparty"]["price"]
+        print(f"spread = {_fmt(obj['spread'])}")
+    _write_json(out / "quote.json", obj)
     return 0
 
 
 def cmd_regions(bundle: ModelBundle, out: Path) -> int:
-    quotes = _quotes(bundle)
     out.mkdir(parents=True, exist_ok=True)
-    for side, quote in quotes.items():
-        target = out if len(quotes) == 1 else out / side
-        _write_side_regions(target, quote)
+    for side, quote in _quotes(bundle):
+        _write_side_regions(_side_dir(bundle, out, side), quote)
         print(f"{side}: sigma region {len(quote.region_sigma)} nodes, "
               f"tau region {len(quote.region_tau)} nodes")
+        del quote
     return 0
 
 
@@ -159,9 +160,8 @@ def cmd_oracle(bundle: ModelBundle, out: Path, pair_limit: int) -> int:
     t0 = time.perf_counter()
     results = {}
     all_match = True
-    for side, quote in _quotes(bundle).items():
-        game = game_payoff(bundle.contract, quote.view, bundle.gen, bundle.lat)
-        report = game_value_brute(game, pair_limit=pair_limit)
+    for side, quote in _quotes(bundle):
+        report = game_value_brute(quote.inputs, pair_limit=pair_limit)
         diag = saddle_check(report, quote.y0, tol=bundle.tolerances["oracle"])
         all_match &= diag.matches_upper
         results[side] = {
@@ -172,6 +172,7 @@ def cmd_oracle(bundle: ModelBundle, out: Path, pair_limit: int) -> int:
             "has_value": diag.has_value,
             "n_rules": report.rule_count,
         }
+        del quote
     file_obj = results[bundle.sides[0]] if len(bundle.sides) == 1 else dict(results)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "oracle.json", file_obj)
@@ -180,17 +181,16 @@ def cmd_oracle(bundle: ModelBundle, out: Path, pair_limit: int) -> int:
 
 
 def cmd_replicate(bundle: ModelBundle, out: Path, hedge_csv: str | None) -> int:
-    quotes = _quotes(bundle)
     out.mkdir(parents=True, exist_ok=True)
     failure: str | None = None
     hedge = None if hedge_csv is None else read_node_process(hedge_csv)
     if hedge is not None and hedge.n_steps != bundle.lat.n_steps:
         raise ConfigError(f"hedge CSV has {hedge.n_steps} steps, lattice has {bundle.lat.n_steps}")
-    for side, quote in quotes.items():
+    for side, quote in _quotes(bundle):
         if hedge is not None:
             quote = replace(quote, solution=replace(quote.solution, Z=hedge))
         rep = verify_replication(quote, gap_tol=bundle.tolerances["replication"])
-        target = out if len(quotes) == 1 else out / side
+        target = _side_dir(bundle, out, side)
         target.mkdir(parents=True, exist_ok=True)
         _write_json(
             target / "replicate.json",
@@ -206,6 +206,7 @@ def cmd_replicate(bundle: ModelBundle, out: Path, hedge_csv: str | None) -> int:
         )
         if bundle.lat.n_steps <= 12:
             _write_paths_csv(target / "paths.csv", quote)
+        del quote
         verdict = "ok" if rep.ok else "FAIL"
         print(f"{side}: replicates={rep.replicates} max_gap={_fmt(rep.max_gap)} "
               f"be={rep.be} ao_at_plus={rep.ao_at_plus} "

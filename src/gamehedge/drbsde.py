@@ -29,10 +29,11 @@ what the step covers.
 
 Every row recursion is one backward sweep behind one entry check (each
 part spans the lattice's steps, and the step contracts); only the node rule
-that turns a row's continuation into its values differs.  A game
-(``GamePayoff``: payoff rows, cash flow, generator and lattice) and the
-reflected solve's ``DrbsdeInputs`` run that check at construction, so the
-game recursions check only their own stopping rules.  The sweep holds
+that turns a row's continuation into its values differs.  One problem
+(``DrbsdeInputs``: lower, upper and tie rows, cash flow, generator and
+lattice) serves the reflected solve and the game recursions alike and runs
+that check at construction, so the game recursions check only their own
+stopping rules; the tie's last row is the terminal data.  The sweep holds
 only the row it steps from and hands each row to its caller: the solvers
 store the full field, the stopped-game values and ``_reflected_roots`` keep
 row 0 alone, so a batch of columns costs O(N x columns) memory (the
@@ -73,7 +74,6 @@ __all__ = [
     "MAX_FIXED_POINT_ITER",
     "DrbsdeInputs",
     "DrbsdeSolution",
-    "GamePayoff",
     "backward_step",
     "solve_bsde",
     "solve_drbsde",
@@ -88,23 +88,26 @@ _RELATIVE_TOL = 4.0 * np.finfo(np.float64).eps  # per unit of max|v|
 
 @dataclass(frozen=True, eq=False)
 class DrbsdeInputs:
-    """Validated problem data for the doubly reflected backward solve, step size included."""
+    """Validated problem of a game and its doubly reflected solve, step size included.
+
+    The minimizer stops on the upper row, the maximizer on the lower; a
+    simultaneous stop pays the tie row, whose last row is the terminal data.
+    Construction runs the entry check (each part spans the lattice's steps,
+    then the step contracts), then requires lower < upper and
+    lower <= tie <= upper at every node.
+    """
 
     lower: NodeProcess
     upper: NodeProcess
-    terminal: np.ndarray
+    tie: NodeProcess
     cashflow_increments: NodeProcess
     gen: Generator
     lat: Lattice
 
     def __post_init__(self) -> None:
-        n = self.lat.n_steps
         _check_entry(self.lat, self.gen, OutOfRange, lower=self.lower, upper=self.upper,
-                     cashflow_increments=self.cashflow_increments)
-        term = np.array(_check_terminal(self.lat, self.terminal))
-        term.flags.writeable = False
-        object.__setattr__(self, "terminal", term)
-        lo, hi = self.lower.flat, self.upper.flat
+                     tie=self.tie, cashflow_increments=self.cashflow_increments)
+        lo, hi, tie = self.lower.flat, self.upper.flat, self.tie.flat
         bad = first_node(~(lo < hi))
         if bad:
             i, k, j = bad
@@ -112,13 +115,17 @@ class DrbsdeInputs:
                 f"lower must stay strictly below upper; at node ({k}, {j}): "
                 f"lower={lo[i]!r}, upper={hi[i]!r}"
             )
-        lo_t, hi_t = self.lower.row(n), self.upper.row(n)
-        bad = np.nonzero((term < lo_t) | (term > hi_t))[0]
-        if bad.size:
-            j = int(bad[0])
-            raise TerminalOutOfBand(
-                f"terminal value at node ({n}, {j}) is {term[j]!r}, "
-                f"outside [{lo_t[j]!r}, {hi_t[j]!r}]"
+        bad = first_node(~((lo <= tie) & (tie <= hi)))
+        if bad:
+            i, k, j = bad
+            if k == self.lat.n_steps:
+                raise TerminalOutOfBand(
+                    f"terminal value at node ({k}, {j}) is {tie[i]!r}, "
+                    f"outside [{lo[i]!r}, {hi[i]!r}]"
+                )
+            raise ObstacleOrderViolated(
+                f"need lower <= tie <= upper; at node ({k}, {j}): "
+                f"lower={lo[i]!r}, tie={tie[i]!r}, upper={hi[i]!r}"
             )
 
 
@@ -234,15 +241,6 @@ def _pad(a, rank: int) -> np.ndarray:
     return a.reshape(a.shape + (1,) * (rank - a.ndim))
 
 
-def _check_terminal(lat: Lattice, terminal) -> np.ndarray:
-    term = np.asarray(terminal, dtype=np.float64)
-    if term.shape != (lat.n_steps + 1,):
-        raise OutOfRange(f"terminal must have {lat.n_steps + 1} entries, got shape {term.shape}")
-    if not np.isfinite(term).all():
-        raise NonFiniteInput("terminal data contains non-finite values")
-    return term
-
-
 def _check_steps(lat: Lattice, error, **parts) -> None:
     """Raise ``error`` naming the first part whose step count differs from the lattice's."""
     for name, part in parts.items():
@@ -310,7 +308,11 @@ def solve_bsde(
     lat: Lattice, gen: Generator, terminal, cashflow_increments: NodeProcess
 ) -> tuple[NodeProcess, NodeProcess]:
     """Unreflected backward solve; returns the value and hedge-slope processes."""
-    term = _check_terminal(lat, terminal)
+    term = np.asarray(terminal, dtype=np.float64)
+    if term.shape != (lat.n_steps + 1,):
+        raise OutOfRange(f"terminal must have {lat.n_steps + 1} entries, got shape {term.shape}")
+    if not np.isfinite(term).all():
+        raise NonFiniteInput("terminal data contains non-finite values")
     _check_entry(lat, gen, OutOfRange, cashflow_increments=cashflow_increments)
     y, z, *_ = _field(lat, gen, term, cashflow_increments, lambda k, cont: cont)
     return NodeProcess(y), NodeProcess(z)
@@ -320,8 +322,8 @@ def solve_drbsde(inputs: DrbsdeInputs) -> DrbsdeSolution:
     """Doubly reflected backward solve with per-node Skorokhod bookkeeping."""
     lo, hi = inputs.lower, inputs.upper
     y, z, v, residual_max, iterations_max = _field(
-        inputs.lat, inputs.gen, inputs.terminal, inputs.cashflow_increments, _reflect(lo, hi),
-        residual=True)
+        inputs.lat, inputs.gen, inputs.tie.row(inputs.lat.n_steps), inputs.cashflow_increments,
+        _reflect(lo, hi), residual=True)
     # terminal rows are zero, as the terminal data lies in the band; dU reuses v's memory
     dl = np.maximum(lo.flat - v, 0.0)
     du = np.maximum(np.maximum(v, lo.flat, out=v) - hi.flat, 0.0, out=v)
@@ -351,38 +353,9 @@ def _reflected_roots(sides: list[DrbsdeInputs], gen: Generator, columns: int) ->
     """
     lo, hi, cash = (_SideRows([getattr(s, name) for s in sides])
                     for name in ("lower", "upper", "cashflow_increments"))
-    term = np.repeat(np.stack([s.terminal for s in sides], axis=1)[..., None], columns, axis=2)
+    n = sides[0].lat.n_steps
+    term = np.repeat(np.stack([s.tie.row(n) for s in sides], axis=1)[..., None], columns, axis=2)
     return _sweep(sides[0].lat, gen, term, cash, _reflect(lo, hi))[0][0]
-
-
-@dataclass(frozen=True, eq=False)
-class GamePayoff:
-    """A stopped game: minimizer stops on the upper row, maximizer on the lower, ties in between.
-
-    Construction runs the entry check of ``DrbsdeInputs`` (each part spans
-    the lattice's steps, then the step contracts) and then requires
-    on_lower <= on_tie <= on_upper at every node.
-    """
-
-    on_lower: NodeProcess
-    on_upper: NodeProcess
-    on_tie: NodeProcess
-    cashflow_increments: NodeProcess
-    gen: Generator
-    lat: Lattice
-
-    def __post_init__(self) -> None:
-        _check_entry(self.lat, self.gen, OutOfRange, on_lower=self.on_lower,
-                     on_upper=self.on_upper, on_tie=self.on_tie,
-                     cashflow_increments=self.cashflow_increments)
-        lo, hi, tie = self.on_lower.flat, self.on_upper.flat, self.on_tie.flat
-        bad = first_node(~((lo <= tie) & (tie <= hi)))
-        if bad:
-            i, k, j = bad
-            raise ObstacleOrderViolated(
-                f"need on_lower <= on_tie <= on_upper; at node ({k}, {j}): "
-                f"on_lower={lo[i]!r}, on_tie={tie[i]!r}, on_upper={hi[i]!r}"
-            )
 
 
 # Game node rules (payoffs, stop marks, continuation -> values), for rows and cone tables alike.
@@ -408,20 +381,20 @@ def _inf_node(lo, hi, tie, marks, cont):
     return _pick(marks[0], np.minimum(tie, lo), np.minimum(hi, cont))
 
 
-def _game_root(game: GamePayoff, node_rule, **rules: StoppingRule) -> float:
+def _game_root(game: DrbsdeInputs, node_rule, **rules: StoppingRule) -> float:
     """Root value of the sweep whose rows follow a game node rule under fixed stopping rules."""
     lat = game.lat
     _check_steps(lat, InvalidStoppingRule, **rules)
 
     def row_rule(k, cont):
-        lo, hi, tie = (p.row(k) for p in (game.on_lower, game.on_upper, game.on_tie))
+        lo, hi, tie = (p.row(k) for p in (game.lower, game.upper, game.tie))
         return node_rule(lo, hi, tie, [r.row(k) for r in rules.values()], cont)
 
-    return float(_sweep(lat, game.gen, game.on_tie.row(lat.n_steps), game.cashflow_increments,
+    return float(_sweep(lat, game.gen, game.tie.row(lat.n_steps), game.cashflow_increments,
                         row_rule)[0][0])
 
 
-def evaluate_stopped(game: GamePayoff, sigma: StoppingRule, tau: StoppingRule) -> float:
+def evaluate_stopped(game: DrbsdeInputs, sigma: StoppingRule, tau: StoppingRule) -> float:
     """Root value of the stream stopped by the given rule pair.
 
     sigma is the minimizer's rule (pays the upper row when it stops alone),
@@ -431,6 +404,6 @@ def evaluate_stopped(game: GamePayoff, sigma: StoppingRule, tau: StoppingRule) -
     return _game_root(game, _pair_node, sigma=sigma, tau=tau)
 
 
-def snell_sup_for_minimizer(game: GamePayoff, sigma: StoppingRule) -> float:
+def snell_sup_for_minimizer(game: DrbsdeInputs, sigma: StoppingRule) -> float:
     """sup over all maximizer stopping behaviour against the fixed minimizer rule."""
     return _game_root(game, _sup_node, sigma=sigma)

@@ -12,7 +12,8 @@ by two independent routes: the pair matrix, the root value of every rule
 pair (used whenever the pair count fits the cap), and one per-rule dynamic
 program per player, where the opponent plays optimally node by node.  Both
 step with the solvers' ``backward_step`` and node rules, so agreement with the
-reflected backward solve is a genuine cross-check, not a tautology.
+reflected backward solve is a genuine cross-check, not a tautology.  A game
+is the solve's own problem, a ``DrbsdeInputs`` such as a quote's ``inputs``.
 
 Both routes run on one cone engine.  A node's stopped value depends only on
 the rule bits in its forward cone, so each node keeps a table with one axis
@@ -51,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .drbsde import GamePayoff, _check_steps, _inf_node, _pair_node, _sup_node, backward_step
+from .drbsde import DrbsdeInputs, _check_steps, _inf_node, _pair_node, _sup_node, backward_step
 from .errors import InvalidStoppingRule, TooLarge
 from .lattice import tri
 from .stopping import StoppingRule
@@ -155,7 +156,7 @@ def _gather(values: np.ndarray, mask: int, below: int,
     return values
 
 
-def _cone_values(game: GamePayoff, node_rule, **seats: StoppingRule | None) -> np.ndarray:
+def _cone_values(game: DrbsdeInputs, node_rule, **seats: StoppingRule | None) -> np.ndarray:
     """Root values over the enumerated players' rule ids, from cone-indexed node tables.
 
     Each seat (``sigma``, ``tau``) holds a fixed rule, an axis of length 1,
@@ -171,7 +172,7 @@ def _cone_values(game: GamePayoff, node_rule, **seats: StoppingRule | None) -> n
     _check_steps(lat, InvalidStoppingRule,
                  **{name: rule for name, rule in seats.items() if rule is not None})
     n = lat.n_steps
-    tie_t = game.on_tie.row(n)
+    tie_t = game.tie.row(n)
     tables = [(np.full((1,) * len(rules), tie_t[j]), 0) for j in range(n + 1)]
     for k in range(n - 1, -1, -1):
         new_tables = []
@@ -188,7 +189,7 @@ def _cone_values(game: GamePayoff, node_rule, **seats: StoppingRule | None) -> n
             bit = tri(k, j)
             own = [(False, True) if r is None else (r.flat[bit],) for r in rules]
             values = np.empty([w for c, o in zip(cont.shape, own) for w in (c, len(o))])
-            lo, hi, tie = (p.at(k, j) for p in (game.on_lower, game.on_upper, game.on_tie))
+            lo, hi, tie = (p.at(k, j) for p in (game.lower, game.upper, game.tie))
             for pos in np.ndindex(*map(len, own)):
                 slot = tuple(x for i in pos for x in (slice(None), i))
                 values[slot] = node_rule(lo, hi, tie, [o[i] for o, i in zip(own, pos)], cont)
@@ -198,23 +199,23 @@ def _cone_values(game: GamePayoff, node_rule, **seats: StoppingRule | None) -> n
     return tables[0][0]
 
 
-def sup_values_by_minimizer_rule(game: GamePayoff) -> np.ndarray:
+def sup_values_by_minimizer_rule(game: DrbsdeInputs) -> np.ndarray:
     """sup over maximizer behaviour of the stopped value, per minimizer rule id."""
     return _cone_values(game, _sup_node, sigma=None)
 
 
-def inf_values_by_maximizer_rule(game: GamePayoff) -> np.ndarray:
+def inf_values_by_maximizer_rule(game: DrbsdeInputs) -> np.ndarray:
     """inf over minimizer behaviour of the stopped value, per maximizer rule id."""
     return _cone_values(game, _inf_node, tau=None)
 
 
-def _pair_matrix(game: GamePayoff, sigma: StoppingRule | None = None,
+def _pair_matrix(game: DrbsdeInputs, sigma: StoppingRule | None = None,
                  tau: StoppingRule | None = None) -> np.ndarray:
     """Root values per (minimizer rule, maximizer rule) pair; a fixed rule's axis has length 1."""
     return _cone_values(game, _pair_node, sigma=sigma, tau=tau)
 
 
-def stopped_values_for_maximizer_rules(game: GamePayoff, sigma: StoppingRule) -> np.ndarray:
+def stopped_values_for_maximizer_rules(game: DrbsdeInputs, sigma: StoppingRule) -> np.ndarray:
     """Stopped value against a fixed minimizer rule, for every maximizer rule id."""
     return _pair_matrix(game, sigma)[0]
 
@@ -237,7 +238,7 @@ def _bit_tuple(rid: int) -> tuple[int, ...]:
     return tuple(i for i in range(rid.bit_length()) if (rid >> i) & 1)
 
 
-def game_value_brute(game: GamePayoff, pair_limit: int = DEFAULT_PAIR_LIMIT) -> GameValueReport:
+def game_value_brute(game: DrbsdeInputs, pair_limit: int = DEFAULT_PAIR_LIMIT) -> GameValueReport:
     """Both game values over all enumerated rule pairs, with canonical optimizers.
 
     Uses joint pair enumeration when the pair count fits pair_limit and the

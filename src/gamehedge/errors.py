@@ -33,7 +33,7 @@ class NonConvergence(EngineError):
 
 
 class ObstacleOrderViolated(EngineError):
-    """Lower obstacle does not stay strictly below the upper obstacle."""
+    """Lower obstacle not strictly below the upper one, or a tie payoff outside them."""
 
 
 class TerminalOutOfBand(EngineError):

@@ -14,11 +14,12 @@ largest premium it can pay and stay benchmark-safe itself.  Both come from
 the same doubly reflected backward solve, with obstacles built from the
 benchmark wealth of the respective endowment:
 
-* hedger:        lower = Vb - Xc, upper = Vb - Xh, terminal = Vb - Xbar
-* counterparty:  lower = Xh + Vb, upper = Xc + Vb, terminal = Xbar + Vb
+* hedger:        lower = Vb - Xc, upper = Vb - Xh, tie = Vb - Xbar
+* counterparty:  lower = Xh + Vb, upper = Xc + Vb, tie = Xbar + Vb
 
-and the counterparty pays the flow, so its cashflow is -dA.  The price is
-y0 - x for the hedger and x - y0 for the counterparty.
+and the counterparty pays the flow, so its cashflow is -dA; the tie's last
+row is the terminal data, and the same problem is the side's stopped game.
+The price is y0 - x for the hedger and x - y0 for the counterparty.
 
 Stopping regions are reported as raw equality sets of the solved value
 against the obstacles (region_sigma, region_tau) and as strict-positivity
@@ -40,7 +41,6 @@ import numpy as np
 from .drbsde import (
     DrbsdeInputs,
     DrbsdeSolution,
-    GamePayoff,
     _reflected_roots,
     require_contraction,
     solve_drbsde,
@@ -67,7 +67,6 @@ __all__ = [
     "PartyView",
     "QuoteResult",
     "side_obstacles",
-    "game_payoff",
     "acceptable_price",
     "sweep_prices",
     "builtin_israeli_put",
@@ -135,22 +134,6 @@ class PartyView:
             raise NonFiniteInput("endowment must be finite")
 
 
-def _shifted_payoffs(
-    contract: ContractSpec, view: PartyView, lat: Lattice
-) -> tuple[NodeProcess, NodeProcess, NodeProcess]:
-    """The side's benchmark-shifted (on_lower, on_upper, on_tie) processes.
-
-    hedger: Vb - Xc, Vb - Xh, Vb - Xbar; counterparty: Xh + Vb, Xc + Vb, Xbar + Vb.
-    """
-    if contract.n_steps != lat.n_steps:
-        raise InvalidParameters(f"contract has {contract.n_steps} steps, lattice has {lat.n_steps}")
-    vb = benchmark_profile(view.acct, view.endowment, lat.grid)[node_coords(lat.n_steps)[0]]
-    xh, xc, xm = contract.Xh.flat, contract.Xc.flat, contract.Xbar.flat
-    if view.side == "hedger":
-        return NodeProcess(vb - xc), NodeProcess(vb - xh), NodeProcess(vb - xm)
-    return NodeProcess(xh + vb), NodeProcess(xc + vb), NodeProcess(xm + vb)
-
-
 def _side_cash(contract: ContractSpec, view: PartyView) -> NodeProcess:
     """The side's cash flow: dA for the hedger, -dA for the counterparty, who pays it."""
     return contract.dA if view.side == "hedger" else NodeProcess(-contract.dA.flat)
@@ -159,25 +142,24 @@ def _side_cash(contract: ContractSpec, view: PartyView) -> NodeProcess:
 def side_obstacles(
     contract: ContractSpec, view: PartyView, gen: Generator, lat: Lattice
 ) -> DrbsdeInputs:
-    """Reflected-solve data for the view side's minimal benchmark-safe wealth."""
-    lower, upper, tie = _shifted_payoffs(contract, view, lat)
+    """The view side's problem: benchmark-shifted lower, upper and tie rows and its cash flow.
+
+    hedger: Vb - Xc, Vb - Xh, Vb - Xbar; counterparty: Xh + Vb, Xc + Vb, Xbar + Vb.
+    Its reflected solve and its stopped game agree, as interior ties never help
+    the stopping player (the tie row sits inside the band); that is itself a test.
+    """
+    if contract.n_steps != lat.n_steps:
+        raise InvalidParameters(f"contract has {contract.n_steps} steps, lattice has {lat.n_steps}")
+    vb = benchmark_profile(view.acct, view.endowment, lat.grid)[node_coords(lat.n_steps)[0]]
+    xh, xc, xm = contract.Xh.flat, contract.Xc.flat, contract.Xbar.flat
+    if view.side == "hedger":
+        lower, upper, tie = vb - xc, vb - xh, vb - xm
+    else:
+        lower, upper, tie = xh + vb, xc + vb, xm + vb
     return DrbsdeInputs(
-        lower=lower, upper=upper, terminal=tie.row(lat.n_steps),
+        lower=NodeProcess(lower), upper=NodeProcess(upper), tie=NodeProcess(tie),
         cashflow_increments=_side_cash(contract, view), gen=gen, lat=lat,
     )
-
-
-def game_payoff(
-    contract: ContractSpec, view: PartyView, gen: Generator, lat: Lattice
-) -> GamePayoff:
-    """The stopped game matching the side's obstacles, tie rows included.
-
-    Interior ties never help the stopping player (the tie row sits inside
-    the band), so the game value agrees with the reflected solve that only
-    sees the tie at the terminal step; that agreement is itself a test.
-    """
-    return GamePayoff(*_shifted_payoffs(contract, view, lat),
-                      cashflow_increments=_side_cash(contract, view), gen=gen, lat=lat)
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,8 +171,9 @@ class QuoteResult:
     region_tau are obstacle-equality sets, within ``region_tol``, for the
     quote side's cancel / exercise times, region_bar_sigma / region_bar_tau
     the strict-push sets behind the corresponding barred times.  The
-    contract, the view and ``inputs`` (generator, lattice, obstacles and
-    cash flow) are retained so verifiers replay exactly what was solved.
+    contract, the view and ``inputs`` (generator, lattice, lower, upper and
+    tie rows and cash flow) are retained so verifiers replay exactly what
+    was solved, and the oracle plays the game of that same problem.
     """
 
     contract: ContractSpec

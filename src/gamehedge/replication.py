@@ -20,7 +20,8 @@ batteries the same computation with the region roles swapped.
 
 A quote's verifiers take its problem from the quote itself (contract, view,
 and the generator, lattice and cash flow of ``quote.inputs``) and judge every
-equality at the quote's ``region_tol``.
+equality at the quote's ``region_tol``; the game they judge against is
+rebuilt from the contract and view, not read from the stored rows.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .drbsde import GamePayoff, _check_steps, evaluate_stopped, snell_sup_for_minimizer
+from .drbsde import DrbsdeInputs, _check_steps, evaluate_stopped, snell_sup_for_minimizer
 from .dynkin import (
     _require_enumerable,
     rule_to_id,
@@ -39,7 +40,8 @@ from .dynkin import (
 from .errors import InvalidParameters, InvalidStoppingRule, NonFiniteState, OutOfRange, TooManyPaths
 from .generators import Generator, eval_g
 from .lattice import Lattice, NodeProcess, benchmark_profile, tri
-from .pricing import ContractSpec, PartyView, QuoteResult, _initial_wealth, _side_cash, game_payoff
+from .pricing import (ContractSpec, PartyView, QuoteResult, _initial_wealth, _side_cash,
+                      side_obstacles)
 from .stopping import StoppingRule, path_moves, path_up_counts
 
 __all__ = [
@@ -268,8 +270,8 @@ def _counterpart_rows(quote, game, vb, v_full, hits_own, hits, idx):
     sigma_tau = (hits_own, hits) if quote.view.side == "hedger" else (hits, hits_own)
     _, _, flags = _benchmark_rows(v_full, *sigma_tau, idx, quote.contract, quote.view, vb,
                                   quote.region_tol)
-    k_stop, node, game_val = _stop_pay(hits_own, hits, idx, game.on_upper.flat,
-                                       game.on_lower.flat, game.on_tie.flat)
+    k_stop, node, game_val = _stop_pay(hits_own, hits, idx, game.upper.flat, game.lower.flat,
+                                       game.tie.flat)
     tol = quote.region_tol * (1.0 + np.abs(game_val))
     sol = quote.solution
     l_before = _cum_at_stop(sol.dL.flat, idx, k_stop)
@@ -321,9 +323,10 @@ def _own_rules(quote: QuoteResult, n_steps: int):
     return tuple(StoppingRule.from_nodes(n_steps, region) for region in regions)
 
 
-def _game(quote: QuoteResult) -> GamePayoff:
-    """The stopped game of the quote's problem."""
-    return game_payoff(quote.contract, quote.view, quote.inputs.gen, quote.inputs.lat)
+def _game(quote: QuoteResult) -> DrbsdeInputs:
+    """The stopped game of the quote's problem, rebuilt from its contract and view so that a
+    wrong stored row of ``quote.inputs`` cannot also corrupt the game judged against."""
+    return side_obstacles(quote.contract, quote.view, quote.inputs.gen, quote.inputs.lat)
 
 
 @dataclass(frozen=True)
@@ -398,12 +401,6 @@ class RationalStopReport:
     push_before_stop_max: float
     sufficient: bool
     push_at_join_max: float
-
-    @property
-    def consistent(self) -> bool:
-        """Sufficiency implies rationality; a positive pre-join push forbids it."""
-        ok = (not self.sufficient) or self.rational
-        return ok and (not self.push_at_join_max > 0.0 or not self.rational)
 
 
 def verify_rational_cancellation(sigma_rule: StoppingRule,

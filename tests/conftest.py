@@ -22,7 +22,7 @@ from gamehedge import (
     TimeGrid,
     build_lattice,
     builtin_israeli_put,
-    game_payoff,
+    side_obstacles,
 )
 
 RATE_GRID = (0.0, 0.02, 0.05, 0.1)
@@ -156,7 +156,7 @@ def game_instance(rng, n: int, gen, side: str = "hedger"):
     contract = random_contract(rng, lat)
     endowment = float(rng.choice([-2.5, 0.0, 2.5]))
     view = PartyView(side=side, endowment=endowment, acct=BenchmarkAccount(0.02, 0.05))
-    return game_payoff(contract, view, gen, lat)
+    return side_obstacles(contract, view, gen, lat)
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -25,9 +25,9 @@ from gamehedge import (
     build_lattice,
     builtin_israeli_put,
     forward_wealth,
-    game_payoff,
     game_value_brute,
     path_up_counts,
+    side_obstacles,
     solve_drbsde,
     stopping_time_battery,
     verify_replication,
@@ -68,7 +68,7 @@ def test_backward_solve_matches_brute_force_game_value(solved_pool):
     t0 = time.perf_counter()
     worst = 0.0
     for lat, gen, contract, view, quote in solved_pool:
-        report = game_value_brute(game_payoff(contract, view, gen, lat))
+        report = game_value_brute(side_obstacles(contract, view, gen, lat))
         worst = max(worst, abs(quote.solution.Y.at(0, 0) - report.upper_value))
     elapsed = time.perf_counter() - t0
     check(
@@ -202,22 +202,28 @@ def test_terminal_bump_strictly_raises_root_value():
         lat = random_lattice(rng, 8)
         gen, _ = random_funding(rng, lat)
         n = lat.n_steps
-        # obstacles far outside the payoff range stay slack on every path
+        # obstacles far outside the payoff range stay slack on every path; the
+        # tie's interior is the lower row, its last row the free terminal data
+        lower = NodeProcess.constant(n, -1e3)
+
+        def tie(terminal):
+            return NodeProcess.from_rows([*(lower.row(k) for k in range(n)), terminal])
+
         wide = DrbsdeInputs(
-            lower=NodeProcess.constant(n, -1e3),
+            lower=lower,
             upper=NodeProcess.constant(n, 1e3),
-            terminal=grid_values(rng, n + 1, lo=-5.0, hi=5.0),
+            tie=tie(grid_values(rng, n + 1, lo=-5.0, hi=5.0)),
             cashflow_increments=NodeProcess.zeros(n),
             gen=gen,
             lat=lat,
         )
         base = solve_drbsde(wide).Y.at(0, 0)
-        bumped_terminal = wide.terminal.copy()
+        bumped_terminal = wide.tie.row(n).copy()
         bumped_terminal[int(rng.integers(0, n + 1))] += 1e-4
         bumped = DrbsdeInputs(
             lower=wide.lower,
             upper=wide.upper,
-            terminal=bumped_terminal,
+            tie=tie(bumped_terminal),
             cashflow_increments=wide.cashflow_increments,
             gen=gen,
             lat=lat,

@@ -18,11 +18,11 @@ from gamehedge import (
     acceptable_price,
     benchmark_profile,
     forward_wealth,
-    game_payoff,
     path_moves,
     path_up_counts,
     rule_count,
     rule_from_id,
+    side_obstacles,
     snell_sup_for_minimizer,
     solution_path,
     stopping_time_battery,
@@ -54,7 +54,7 @@ def reference_counterexamples(quote, contract, view, gen, lat, eq_tol=1e-9):
     moves = path_moves(np.arange(1 << n), n)
     js = path_up_counts(moves)
     paths = np.arange(1 << n)
-    payoff, cash = game_payoff(contract, view, gen, lat), quote.inputs.cashflow_increments
+    payoff, cash = side_obstacles(contract, view, gen, lat), quote.inputs.cashflow_increments
     y0 = quote.y0
     v_full = forward_wealth(y0, quote.solution.Z, gen, cash, lat, moves).values
     solved = solution_path(quote, moves)
@@ -107,9 +107,9 @@ def reference_counterexamples(quote, contract, view, gen, lat, eq_tol=1e-9):
         settle_tol = eq_tol * (1.0 + np.abs(vb[k_stop]))
         be = bool((np.abs(diff) <= settle_tol).all())
         na = be or bool((diff < -settle_tol).any())
-        game = np.where(h_own < hits, along(payoff.on_upper, k_stop),
-                        np.where(hits < h_own, along(payoff.on_lower, k_stop),
-                                 along(payoff.on_tie, k_stop)))
+        game = np.where(h_own < hits, along(payoff.upper, k_stop),
+                        np.where(hits < h_own, along(payoff.lower, k_stop),
+                                 along(payoff.tie, k_stop)))
         tol = eq_tol * (1.0 + np.abs(game))
         wealth = bool((np.abs(v_full[paths, k_stop] - game) <= tol).all())
         solution = bool(((np.abs(solved.values[paths, k_stop] - game) <= tol)
@@ -144,11 +144,15 @@ def corrupted(quote, rng):
     tight = y + 1e-12 * (1.0 + np.abs(y))  # on the value at interior nodes only
     n = quote.solution.Y.n_steps
     tight[tri(n):] = quote.inputs.upper.row(n)
+    # the tie must stay inside the corrupted band; the verifiers rebuild their game, so
+    # the stored tie they never read changes nothing they report
+    upper_on_value = replace(quote.inputs, upper=NodeProcess(tight),
+                             tie=NodeProcess(np.minimum(quote.inputs.tie.flat, tight)))
     return {
         "clean": quote,
         "push_at_root": replace(quote, solution=replace(quote.solution, dU=NodeProcess(du))),
         "hedge_off": replace(quote, solution=replace(quote.solution, Z=NodeProcess(z))),
-        "upper_on_value": replace(quote, inputs=replace(quote.inputs, upper=NodeProcess(tight))),
+        "upper_on_value": replace(quote, inputs=upper_on_value),
         "own_push_at_root": replace(quote, **{own_bar: (tri(0, 0),)}),
         "no_own_region": replace(quote, **{own_eq: ()}),
         "no_regions": replace(quote, region_sigma=(), region_tau=()),

@@ -24,7 +24,6 @@ from gamehedge import (
     build_lattice,
     builtin_israeli_put,
     evaluate_stopped,
-    game_payoff,
     side_obstacles,
     snell_sup_for_minimizer,
     solve_bsde,
@@ -88,7 +87,7 @@ def test_drbsde_slack_obstacles_match_plain_bsde(one_step_lattice):
     inputs = DrbsdeInputs(
         lower=NodeProcess.constant(1, -1e6),
         upper=NodeProcess.constant(1, 1e6),
-        terminal=TERM_A,
+        tie=NodeProcess.from_rows([np.zeros(1), TERM_A]),
         cashflow_increments=cash,
         gen=DifferentialRates(0.0, 0.0),
         lat=one_step_lattice,
@@ -105,7 +104,7 @@ def test_equal_obstacles_rejected(one_step_lattice):
         DrbsdeInputs(
             lower=NodeProcess.constant(1, 2.0),
             upper=NodeProcess.from_rows([np.array([2.0]), np.array([3.0, 3.0])]),
-            terminal=np.array([2.5, 2.5]),
+            tie=NodeProcess.constant(1, 2.5),
             cashflow_increments=NodeProcess.zeros(1),
             gen=DifferentialRates(0.0, 0.0),
             lat=one_step_lattice,
@@ -117,7 +116,7 @@ def test_terminal_band_enforced(one_step_lattice):
         DrbsdeInputs(
             lower=NodeProcess.constant(1, 0.0),
             upper=NodeProcess.constant(1, 1.0),
-            terminal=np.array([0.5, 2.0]),
+            tie=NodeProcess.from_rows([np.array([0.5]), np.array([0.5, 2.0])]),
             cashflow_increments=NodeProcess.zeros(1),
             gen=DifferentialRates(0.0, 0.0),
             lat=one_step_lattice,
@@ -129,7 +128,7 @@ def put_game(n, gen=DifferentialRates(0.0, 0.0), horizon=1.0):
     lat = build_lattice(100.0, 1.2, 0.8, TimeGrid(horizon=horizon, n_steps=n))
     contract = builtin_israeli_put(lat, strike=100.0, penalty=5.0)
     view = PartyView(side="hedger", endowment=0.0, acct=BenchmarkAccount(0.0, 0.0))
-    return game_payoff(contract, view, gen, lat)
+    return side_obstacles(contract, view, gen, lat)
 
 
 def test_contraction_refused():
@@ -426,7 +425,7 @@ def test_evaluate_stopped_rejects_bad_rule():
             call()
     # a game names its own part whose step count disagrees with its lattice when built
     game_3 = put_game(3)
-    for part in ("on_lower", "on_upper", "on_tie", "cashflow_increments"):
+    for part in ("lower", "upper", "tie", "cashflow_increments"):
         with pytest.raises(OutOfRange, match=f"^{part} has 3 steps, lattice has 2$"):
             replace(game, **{part: getattr(game_3, part)})
 
@@ -524,7 +523,7 @@ def test_european_call_at_n2000_converges_under_two_rates(side, rate):
     log_w = [math.lgamma(n + 1) - math.lgamma(j + 1) - math.lgamma(n - j + 1)
              + j * math.log(q_r) + (n - j) * math.log1p(-q_r) - n * math.log1p(rate * lat.dt)
              for j in range(n + 1)]
-    closed = math.fsum(math.exp(w) * x for w, x in zip(log_w, quote.inputs.terminal))
+    closed = math.fsum(math.exp(w) * x for w, x in zip(log_w, quote.inputs.tie.row(n)))
     assert abs(quote.y0 - closed) <= 1e-11 * abs(closed)
 
 
@@ -544,7 +543,7 @@ def test_first_push_rules_are_an_exact_saddle_point(side, penalty):
     if side == "counterparty":  # its own exercise takes the minimizer seat
         pushes = pushes[::-1]
     sigma, tau = (StoppingRule.from_nodes(200, nodes) for nodes in pushes)
-    game = game_payoff(contract, view, gen, lat)
+    game = side_obstacles(contract, view, gen, lat)
     assert evaluate_stopped(game, sigma, tau) == quote.y0
     assert snell_sup_for_minimizer(game, sigma) == quote.y0
     assert _game_root(game, _inf_node, tau=tau) == quote.y0

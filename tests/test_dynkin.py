@@ -7,7 +7,7 @@ import pytest
 
 from gamehedge import (
     DifferentialRates,
-    GamePayoff,
+    DrbsdeInputs,
     InvalidStoppingRule,
     NodeProcess,
     StoppingRule,
@@ -17,12 +17,12 @@ from gamehedge import (
     build_lattice,
     builtin_israeli_put,
     evaluate_stopped,
-    game_payoff,
     game_value_brute,
     rule_count,
     rule_from_id,
     rule_to_id,
     saddle_check,
+    side_obstacles,
     snell_sup_for_minimizer,
 )
 from gamehedge.drbsde import _implicit_row, backward_step
@@ -53,10 +53,10 @@ def test_interior_nodes_order():
 
 def test_enumeration_guard():
     lat = build_lattice(100.0, 1.2, 0.8, TimeGrid(horizon=1.0, n_steps=6))
-    game = GamePayoff(on_lower=NodeProcess.constant(6, -1.0),
-                      on_upper=NodeProcess.constant(6, 1.0), on_tie=NodeProcess.zeros(6),
-                      cashflow_increments=NodeProcess.zeros(6), gen=DifferentialRates(0.0, 0.0),
-                      lat=lat)
+    game = DrbsdeInputs(lower=NodeProcess.constant(6, -1.0),
+                        upper=NodeProcess.constant(6, 1.0), tie=NodeProcess.zeros(6),
+                        cashflow_increments=NodeProcess.zeros(6), gen=DifferentialRates(0.0, 0.0),
+                        lat=lat)
     with pytest.raises(TooLarge):
         game_value_brute(game)
 
@@ -85,7 +85,7 @@ def test_rule_from_id_rejects_ids_outside_range():
 
 
 def instance_a_game(lat, contract, view):
-    return game_payoff(contract, view, DifferentialRates(0.0, 0.0), lat)
+    return side_obstacles(contract, view, DifferentialRates(0.0, 0.0), lat)
 
 
 def test_instance_a_oracle(one_step_lattice, one_step_put, hedger_view):
@@ -107,12 +107,14 @@ def test_instance_a_saddle(one_step_lattice, one_step_put, hedger_view):
 
 def test_slack_payoff_reduces_to_expectation(one_step_lattice):
     # stopping early is never beneficial: minimizer sees a huge upper payoff,
-    # maximizer a hugely negative lower payoff, so both wait for the terminal
+    # maximizer a hugely negative lower payoff, so both wait for the terminal;
+    # there both are stopped, so the tie row pays and the obstacles around it
+    # only need to be strictly ordered
     term = np.array([20.0, 0.0])
-    report = game_value_brute(GamePayoff(
-        on_lower=NodeProcess.from_rows([np.array([-1e6]), term]),
-        on_upper=NodeProcess.from_rows([np.array([1e6]), term]),
-        on_tie=NodeProcess.from_rows([np.array([0.0]), term]),
+    report = game_value_brute(DrbsdeInputs(
+        lower=NodeProcess.from_rows([np.array([-1e6]), term - 1.0]),
+        upper=NodeProcess.from_rows([np.array([1e6]), term + 1.0]),
+        tie=NodeProcess.from_rows([np.array([0.0]), term]),
         cashflow_increments=NodeProcess.zeros(1), gen=DifferentialRates(0.0, 0.0),
         lat=one_step_lattice,
     ))
@@ -151,7 +153,7 @@ def test_oracle_equals_drbsde_on_random_instances(rng):
         lat, gen, contract, views = random_instance(rng, 4)
         for side in ("hedger", "counterparty"):
             quote = acceptable_price(contract, views[side], gen, lat)
-            report = game_value_brute(game_payoff(contract, views[side], gen, lat))
+            report = game_value_brute(side_obstacles(contract, views[side], gen, lat))
             assert report.upper_value >= report.lower_value - 1e-12
             diag = saddle_check(report, quote.y0, tol=1e-10)
             assert diag.matches_upper, (side, quote.y0, report.upper_value)
@@ -161,7 +163,7 @@ def test_first_contact_rule_attains_value(rng):
     for _ in range(10):
         lat, gen, contract, views = random_instance(rng, 4)
         quote = acceptable_price(contract, views["hedger"], gen, lat)
-        game = game_payoff(contract, views["hedger"], gen, lat)
+        game = side_obstacles(contract, views["hedger"], gen, lat)
         sigma = StoppingRule.from_nodes(lat.n_steps, quote.region_sigma)
         sup_against = snell_sup_for_minimizer(game, sigma)
         assert sup_against == pytest.approx(quote.y0, abs=1e-10)
@@ -174,7 +176,7 @@ def test_obstacle_monotonicity(one_step_lattice, one_step_put, hedger_view):
     def raised(proc, amount):
         return NodeProcess.from_rows([proc.row(k) + amount for k in range(proc.n_steps + 1)])
 
-    up_report = game_value_brute(replace(game, on_upper=raised(game.on_upper, 1.0)))
+    up_report = game_value_brute(replace(game, upper=raised(game.upper, 1.0)))
     assert up_report.upper_value >= base.upper_value - 1e-12
 
 
@@ -198,7 +200,7 @@ def reference_pair_matrix(game, sigma_ids, tau_ids):
     bit_of = {node: i for i, node in enumerate(interior)}
     shape = (sigma_ids.shape[0], tau_ids.shape[0])
 
-    tie_t = game.on_tie.row(n)
+    tie_t = game.tie.row(n)
     vals = [np.full(shape, tie_t[j]) for j in range(n + 1)]
     for k in range(n - 1, -1, -1):
         s_next = lat.spot.row(k + 1)
@@ -213,9 +215,9 @@ def reference_pair_matrix(game, sigma_ids, tau_ids):
             tau = (((tau_ids >> bit_of[(k, j)]) & 1) == 1)[None, :]
             node_val = np.where(
                 sig & tau,
-                game.on_tie.at(k, j),
-                np.where(sig, game.on_upper.at(k, j),
-                         np.where(tau, game.on_lower.at(k, j), cont)),
+                game.tie.at(k, j),
+                np.where(sig, game.upper.at(k, j),
+                         np.where(tau, game.lower.at(k, j), cont)),
             )
             new_vals.append(node_val)
         vals = new_vals
@@ -258,12 +260,12 @@ def reference_per_rule_dp(game, minimizer):
     lat, gen, cashflow_increments = game.lat, game.gen, game.cashflow_increments
     n = lat.n_steps
     ids = np.arange(rule_count(n), dtype=np.int64)
-    vals = np.repeat(game.on_tie.row(n)[:, None], ids.size, axis=1)
+    vals = np.repeat(game.tie.row(n)[:, None], ids.size, axis=1)
     for k in range(n - 1, -1, -1):
         new_vals = np.empty((k + 1, ids.size))
         for j in range(k + 1):
             cont = backward_step(lat, gen, k, vals[j:j + 2], cashflow_increments.at(k, j), j)[0]
-            lo, hi, tie = (p.at(k, j) for p in (game.on_lower, game.on_upper, game.on_tie))
+            lo, hi, tie = (p.at(k, j) for p in (game.lower, game.upper, game.tie))
             if minimizer:  # the opponent may force the tie, never gains by it
                 stopped, free = max(tie, hi), np.maximum(lo, cont)
             else:

@@ -25,7 +25,6 @@ from gamehedge import (
     acceptable_price,
     build_lattice,
     evaluate_stopped,
-    game_payoff,
     side_obstacles,
     snell_sup_for_minimizer,
     solve_bsde,
@@ -86,13 +85,13 @@ def test_sweep_raises_on_an_overflowing_step(views):
 def test_unreflected_solve_raises_on_an_overflowing_step(gen, view):
     inputs = side_obstacles(CONTRACT, view, gen, LAT)
     with raises_y_not_finite():
-        solve_bsde(LAT, gen, inputs.terminal, inputs.cashflow_increments)
+        solve_bsde(LAT, gen, inputs.tie.row(LAT.n_steps), inputs.cashflow_increments)
 
 
 @pytest.mark.parametrize("view", VIEWS, ids=lambda v: v.side)
 @pytest.mark.parametrize("gen", GENERATORS, ids=GEN_IDS)
 def test_stopped_games_raise_on_an_overflowing_step(gen, view):
-    game = game_payoff(CONTRACT, view, gen, LAT)
+    game = side_obstacles(CONTRACT, view, gen, LAT)
     never = StoppingRule.never_early(1)
     with raises_y_not_finite():
         evaluate_stopped(game, never, never)
@@ -103,7 +102,7 @@ def test_stopped_games_raise_on_an_overflowing_step(gen, view):
 @pytest.mark.parametrize("view", VIEWS, ids=lambda v: v.side)
 @pytest.mark.parametrize("gen", GENERATORS, ids=GEN_IDS)
 def test_cone_engine_raises_on_an_overflowing_step(gen, view):
-    game = game_payoff(CONTRACT, view, gen, LAT)
+    game = side_obstacles(CONTRACT, view, gen, LAT)
     with raises_y_not_finite():
         sup_values_by_minimizer_rule(game)
     with raises_y_not_finite():

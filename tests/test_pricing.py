@@ -17,6 +17,7 @@ from gamehedge import (
     PartyView,
     TimeGrid,
     acceptable_price,
+    benchmark_profile,
     build_lattice,
     builtin_game_bond,
     builtin_israeli_put,
@@ -71,13 +72,20 @@ def test_contract_order_validation(one_step_lattice):
         ContractSpec(Xh=flat, Xc=ones, Xbar=flat, dA=bad_da)
 
 
+def benchmark_vb(view, lat):
+    """The view's benchmark wealth at every node, flat."""
+    return benchmark_profile(view.acct, view.endowment, lat.grid)[node_coords(lat.n_steps)[0]]
+
+
 def test_hedger_obstacles_instance_a(one_step_lattice, one_step_put, hedger_view):
     inputs = side_obstacles(one_step_put, hedger_view, DifferentialRates(0.0, 0.0),
                             one_step_lattice)
     assert inputs.lower.at(1, 0) == pytest.approx(20.0)  # (100-80)^+
     assert inputs.lower.at(1, 1) == 0.0
     assert inputs.upper.at(0, 0) == pytest.approx(5.0)
-    assert inputs.terminal.tolist() == pytest.approx([20.0, 0.0])
+    assert inputs.tie.row(1).tolist() == pytest.approx([20.0, 0.0])
+    vb = benchmark_vb(hedger_view, one_step_lattice)
+    assert np.array_equal(inputs.tie.flat, vb - one_step_put.Xbar.flat)
     assert all(inputs.cashflow_increments.at(k, j) == 0.0
                for k in range(2) for j in range(k + 1))
 
@@ -88,7 +96,9 @@ def test_counterparty_obstacles_instance_a(one_step_lattice, one_step_put, count
     )
     assert inputs.lower.at(1, 0) == pytest.approx(-25.0)  # Xh = -(100-S)^+ - 5
     assert inputs.upper.at(1, 0) == pytest.approx(-20.0)
-    assert inputs.terminal.tolist() == pytest.approx([-20.0, 0.0])
+    assert inputs.tie.row(1).tolist() == pytest.approx([-20.0, 0.0])
+    vb = benchmark_vb(counterparty_view, one_step_lattice)
+    assert np.array_equal(inputs.tie.flat, one_step_put.Xbar.flat + vb)
 
 
 def test_counterparty_endowment_shift(one_step_lattice, one_step_put):

@@ -20,7 +20,6 @@ from gamehedge import (
     TimeGrid,
     build_lattice,
     evaluate_stopped,
-    game_payoff,
     rule_from_id,
     side_obstacles,
     snell_sup_for_minimizer,
@@ -51,11 +50,9 @@ def recursion_bytes(side, seed):
     contract = random_contract(np.random.default_rng(seed), lat)
     view = PartyView(side=side, endowment=1.0, acct=BenchmarkAccount(0.02, 0.05))
     gen = SMOOTH_CUSTOM
-    inputs = side_obstacles(contract, view, gen, lat)
-    cash = inputs.cashflow_increments
-    game = game_payoff(contract, view, gen, lat)
-    y, z = solve_bsde(lat, gen, inputs.terminal, cash)
-    sol = solve_drbsde(inputs)
+    game = side_obstacles(contract, view, gen, lat)
+    y, z = solve_bsde(lat, gen, game.tie.row(N), game.cashflow_increments)
+    sol = solve_drbsde(game)
     rules = lambda rid: rule_from_id(N, rid)  # noqa: E731
     return {
         "solve_bsde": node_bytes(y) + node_bytes(z),

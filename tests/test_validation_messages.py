@@ -16,7 +16,6 @@ from gamehedge import (
     ContractSpec,
     DifferentialRates,
     DrbsdeInputs,
-    GamePayoff,
     InvalidParameters,
     InvalidStoppingRule,
     NodeProcess,
@@ -59,7 +58,7 @@ def test_obstacle_order_names_first_node():
     lower = rows([0.0], [0.0, 3.0], [0.0, 0.0, 5.0])
     upper = rows([1.0], [1.0, 1.0], [1.0, 1.0, 1.0])
     text = message(ObstacleOrderViolated, lambda: DrbsdeInputs(
-        lower=lower, upper=upper, terminal=np.array([0.5, 0.5, 0.5]),
+        lower=lower, upper=upper, tie=NodeProcess.constant(2, 0.5),
         cashflow_increments=NodeProcess.zeros(2), gen=DifferentialRates(0.0, 0.0),
         lat=two_step_lattice(),
     ))
@@ -67,25 +66,27 @@ def test_obstacle_order_names_first_node():
                     f"lower={f64(3.0)}, upper={f64(1.0)}")
 
 
+def tie_inputs(tie):
+    return DrbsdeInputs(
+        lower=NodeProcess.constant(2, 0.0), upper=NodeProcess.constant(2, 1.0), tie=tie,
+        cashflow_increments=NodeProcess.zeros(2), gen=DifferentialRates(0.0, 0.0),
+        lat=two_step_lattice(),
+    )
+
+
 def test_terminal_out_of_band_names_first_node():
-    text = message(TerminalOutOfBand, lambda: DrbsdeInputs(
-        lower=NodeProcess.constant(2, 0.0), upper=NodeProcess.constant(2, 1.0),
-        terminal=np.array([0.5, 1.5, -2.0]), cashflow_increments=NodeProcess.zeros(2),
-        gen=DifferentialRates(0.0, 0.0), lat=two_step_lattice(),
-    ))
+    # the tie leaves the band only on its last row, the terminal data
+    tie = rows([0.5], [0.5, 0.5], [0.5, 1.5, -2.0])
+    text = message(TerminalOutOfBand, lambda: tie_inputs(tie))
     assert text == f"terminal value at node (2, 1) is {f64(1.5)}, outside [{f64(0.0)}, {f64(1.0)}]"
 
 
-def test_game_payoff_order_names_first_step():
-    text = message(ObstacleOrderViolated, lambda: GamePayoff(
-        on_lower=NodeProcess.constant(2, 0.0),
-        on_upper=NodeProcess.constant(2, 1.0),
-        on_tie=rows([0.5], [0.5, 0.5], [0.5, 2.0, -1.0]),
-        cashflow_increments=NodeProcess.zeros(2), gen=DifferentialRates(0.0, 0.0),
-        lat=two_step_lattice(),
-    ))
-    assert text == (f"need on_lower <= on_tie <= on_upper; at node (2, 1): "
-                    f"on_lower={f64(0.0)}, on_tie={f64(2.0)}, on_upper={f64(1.0)}")
+def test_interior_tie_order_names_first_node():
+    # an interior node comes first, so the terminal row's breach is not the one reported
+    tie = rows([0.5], [0.5, 2.0], [0.5, 1.5, -2.0])
+    text = message(ObstacleOrderViolated, lambda: tie_inputs(tie))
+    assert text == (f"need lower <= tie <= upper; at node (1, 1): "
+                    f"lower={f64(0.0)}, tie={f64(2.0)}, upper={f64(1.0)}")
 
 
 def test_contract_order_names_first_node():
