@@ -227,12 +227,11 @@ def _write_paths_csv(path: Path, quote) -> None:
     moves = path_moves(np.arange(1 << n), n)
     wealth = forward_wealth(quote.y0, quote.solution.Z, inputs.gen,
                             inputs.cashflow_increments, inputs.lat, moves)
-    solved = solution_path(quote, moves)
+    y, l_cum, u_cum = solution_path(quote, moves)
     write_csv(
         path, ("path_id", "step", "V", "Y", "L_cum", "U_cum"),
         (np.repeat(np.arange(1 << n), n + 1), np.tile(np.arange(n + 1), 1 << n),
-         wealth.values.ravel(), solved.values.ravel(), solved.L_cum.ravel(),
-         solved.U_cum.ravel()),
+         wealth.ravel(), y.ravel(), l_cum.ravel(), u_cum.ravel()),
     )
 
 

@@ -11,12 +11,14 @@ little-endian (bit i = move at step i).  Each pathwise check is written once
 over rule rows (one row for a fixed rule, one per rule id in the battery)
 and folded over blocks of rule rows × paths, so full enumeration stays
 affordable up to the hard cap of 2**24 paths and the battery's memory does
-not grow with the number of paths.
+not grow with the number of paths.  Each verifier runs one fold.  Wealth and
+solved paths are plain arrays, (N + 1,) for one path or (P, N + 1) for P.
 
 Side convention: reports work in solution coordinates, where the quote
 side's own stopping presses the upper obstacle (recording dU) and the
-counterpart's the lower (recording dL).  That makes hedger and counterparty
-batteries the same computation with the region roles swapped.
+counterpart's the lower (recording dL); stops and signed settlements are
+read as (own, other).  That makes hedger and counterparty batteries the
+same computation with the region roles swapped.
 
 A quote's verifiers take its problem from the quote itself (contract, view,
 and the generator, lattice and cash flow of ``quote.inputs``) and judge every
@@ -46,7 +48,6 @@ from .stopping import StoppingRule, path_moves, path_up_counts
 
 __all__ = [
     "MAX_PATH_STEPS",
-    "WealthPath",
     "ConditionReport",
     "ReplicationReport",
     "RationalStopReport",
@@ -65,36 +66,6 @@ MAX_PATH_STEPS = 24
 _BLOCK = 1 << 20  # rule rows × paths × steps that one block of the path fold holds
 _MAX_WITNESSES = 8
 _PROBE = 1e-6  # replication's price probe, relative to 1 + |price|
-
-
-@dataclass(frozen=True, eq=False)
-class WealthPath:
-    """Wealth trajectories with cumulative reflection pushed before each step.
-
-    ``path`` holds 0/1 moves, (N,) for one path or (P, N) for P; others are (N + 1,) or (P, N + 1).
-    """
-
-    path: np.ndarray
-    values: np.ndarray
-    L_cum: np.ndarray
-    U_cum: np.ndarray
-
-    def __post_init__(self) -> None:
-        moves = np.array(self.path, dtype=np.int64)
-        moves.flags.writeable = False
-        object.__setattr__(self, "path", moves)
-        shape = moves.shape[:-1] + (moves.shape[-1] + 1,)
-        for name, arr in (("values", self.values), ("L_cum", self.L_cum), ("U_cum", self.U_cum)):
-            a = np.asarray(arr, dtype=np.float64)
-            if a.shape != shape:
-                raise OutOfRange(f"{name} must have shape {shape}")
-            a.flags.writeable = False
-            object.__setattr__(self, name, a)
-        if not np.isfinite(self.values).all():
-            raise NonFiniteState("wealth trajectory contains non-finite values")
-        for name, arr in (("L_cum", self.L_cum), ("U_cum", self.U_cum)):
-            if np.any(arr[..., 0] != 0.0) or np.any(np.diff(arr, axis=-1) < 0.0):
-                raise OutOfRange(f"{name} must be nondecreasing from 0")
 
 
 @dataclass(frozen=True)
@@ -159,21 +130,30 @@ def _forward_matrix(
     y0, hedge: NodeProcess, gen: Generator, cashflow: NodeProcess, lat: Lattice,
     js: np.ndarray,
 ) -> np.ndarray:
-    """Wealth at every step of every path (no stopping; prefixes are what matter)."""
+    """Wealth at every step of every path (no stopping); a 1-D y0 adds a leading row axis."""
     _check_steps(lat, OutOfRange, hedge=hedge, cashflow_increments=cashflow)
     n, dt = lat.n_steps, lat.dt
-    out = np.empty((js.shape[0], n + 1))
-    out[:, 0] = y0
+    y0 = np.asarray(y0, dtype=np.float64)
+    out = np.empty(y0.shape + (js.shape[0], n + 1))
+    out[..., 0] = y0[..., None]
     for k in range(n):
         s_now = lat.spot.row(k)[js[:, k]]
         s_nxt = lat.spot.row(k + 1)[js[:, k + 1]]
         xi = hedge.row(k)[js[:, k]]
         cash = cashflow.row(k)[js[:, k]]
-        v = out[:, k]
-        out[:, k + 1] = v - eval_g(gen, k * dt, v, xi, s_now) * dt + xi * (s_nxt - s_now) + cash
-        if not np.isfinite(out[:, k + 1]).all():
+        v = out[..., k]
+        out[..., k + 1] = v - eval_g(gen, k * dt, v, xi, s_now) * dt + xi * (s_nxt - s_now) + cash
+        if not np.isfinite(out[..., k + 1]).all():
             raise NonFiniteState(f"wealth became non-finite advancing to step {k + 1}")
     return out
+
+
+def _path_up_counts(path, n_steps: int) -> np.ndarray:
+    """Up-counts of one path or every row of a move matrix, which must have n_steps moves."""
+    js = path_up_counts(path)
+    if js.shape[-1] != n_steps + 1:
+        raise OutOfRange(f"path must have {n_steps} moves, got {js.shape[-1] - 1}")
+    return js
 
 
 def forward_wealth(
@@ -183,16 +163,12 @@ def forward_wealth(
     cashflow_increments: NodeProcess,
     lat: Lattice,
     path,
-) -> WealthPath:
-    """Roll initial wealth forward along one path, or every row of a move matrix,
-    with the given hedge and flows (one batched pass)."""
-    js = path_up_counts(path)
-    if js.shape[-1] != lat.n_steps + 1:
-        raise OutOfRange(f"path must have {lat.n_steps} moves, got {js.shape[-1] - 1}")
-    values = _forward_matrix(float(y0), hedge, gen, cashflow_increments, lat,
-                             js.reshape(-1, js.shape[-1])).reshape(js.shape)
-    zeros = np.zeros(js.shape)
-    return WealthPath(path=path, values=values, L_cum=zeros, U_cum=zeros)
+) -> np.ndarray:
+    """Wealth rolled forward from y0 along one path, (N + 1,), or every row of a move matrix,
+    (P, N + 1), with the given hedge and flows (one batched pass)."""
+    js = _path_up_counts(path, lat.n_steps)
+    return _forward_matrix(float(y0), hedge, gen, cashflow_increments, lat,
+                           js.reshape(-1, js.shape[-1])).reshape(js.shape)
 
 
 def _before_cumsum(flat: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -208,17 +184,12 @@ def _cum_at_stop(flat: np.ndarray, idx: np.ndarray, stops: np.ndarray) -> np.nda
     return _before_cumsum(flat, idx)[np.arange(idx.shape[0]), stops]
 
 
-def solution_path(quote: QuoteResult, path) -> WealthPath:
-    """The solved value along one path, or every row of a move matrix, with its
-    cumulative reflection pushes."""
-    idx = _node_idx(path_up_counts(path))
+def solution_path(quote: QuoteResult, path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The solved value along one path, or every row of a move matrix, and its cumulative
+    lower and upper pushes before each step: (Y, L_cum, U_cum), shaped as the wealth."""
+    idx = _node_idx(_path_up_counts(path, quote.inputs.lat.n_steps))
     sol = quote.solution
-    return WealthPath(
-        path=path,
-        values=sol.Y.flat[idx],
-        L_cum=_before_cumsum(sol.dL.flat, idx),
-        U_cum=_before_cumsum(sol.dU.flat, idx),
-    )
+    return sol.Y.flat[idx], _before_cumsum(sol.dL.flat, idx), _before_cumsum(sol.dU.flat, idx)
 
 
 def _stop_pay(first, second, idx, first_pays, second_pays, tie_pays):
@@ -231,17 +202,20 @@ def _stop_pay(first, second, idx, first_pays, second_pays, tie_pays):
     return k_stop, node, pay
 
 
-def _benchmark_rows(v_full, hits_sigma, hits_tau, idx, contract, view, vb, eq_tol):
-    """Stopped wealth plus settlement minus the benchmark per row and path, its tolerance,
-    and each row's flags over the paths: no shortfall (sh), equality (be), no strict gain.
+def _settlements(contract: ContractSpec, view: PartyView):
+    """The side's signed settlement rows (own stop first, other stop first, joint stop):
+    (Xh, Xc, Xbar) for the hedger, (-Xc, -Xh, -Xbar) for the counterparty, who pays them."""
+    xh, xc, xm = contract.Xh.flat, contract.Xc.flat, contract.Xbar.flat
+    return (xh, xc, xm) if view.side == "hedger" else (-xc, -xh, -xm)
 
-    Settlements are hedger-signed, so the counterparty's wealth adds them negated.
-    """
-    sign = 1.0 if view.side == "hedger" else -1.0
-    k_stop, _, settle = _stop_pay(hits_sigma, hits_tau, idx,
-                                  contract.Xh.flat, contract.Xc.flat, contract.Xbar.flat)
+
+def _benchmark_rows(v_full, hits_own, hits_other, idx, settle, vb, eq_tol):
+    """Stopped wealth plus the side's settlement minus the benchmark per row and path, its
+    tolerance, and each row's flags over the paths: no shortfall (sh), equality (be), no
+    strict gain.  Wealth rows may carry a leading axis, one entry per initial wealth."""
+    k_stop, _, pay = _stop_pay(hits_own, hits_other, idx, *settle)
     rhs = vb[k_stop]
-    diff = v_full[np.arange(idx.shape[0]), k_stop] + sign * settle - rhs
+    diff = v_full[..., np.arange(idx.shape[0]), k_stop] + pay - rhs
     tol = eq_tol * (1.0 + np.abs(rhs))
     flags = {"sh": (diff >= -tol).all(axis=-1), "be": (np.abs(diff) <= tol).all(axis=-1),
              "no_gain": (diff <= tol).all(axis=-1)}
@@ -263,13 +237,11 @@ def _own_rows(quote, hits, hits_other, idx):
     }
 
 
-def _counterpart_rows(quote, game, vb, v_full, hits_own, hits, idx):
+def _counterpart_rows(quote, game, settle, vb, v_full, hits_own, hits, idx):
     """Per counterpart rule row, over the paths: the benchmark flags of wealth stopped against
     the own rule; forward wealth equal to the stopped game value; and the solved value equal
     to it with no lower push before the join and no upper push before the own stop."""
-    sigma_tau = (hits_own, hits) if quote.view.side == "hedger" else (hits, hits_own)
-    _, _, flags = _benchmark_rows(v_full, *sigma_tau, idx, quote.contract, quote.view, vb,
-                                  quote.region_tol)
+    _, _, flags = _benchmark_rows(v_full, hits_own, hits, idx, settle, vb, quote.region_tol)
     k_stop, node, game_val = _stop_pay(hits_own, hits, idx, game.upper.flat, game.lower.flat,
                                        game.tie.flat)
     tol = quote.region_tol * (1.0 + np.abs(game_val))
@@ -297,11 +269,13 @@ def classify_quadruplet(
     _check_steps(lat, InvalidParameters, contract=contract)
     vb = benchmark_profile(view.acct, view.endowment, lat.grid)
     y0, cash = _initial_wealth(view, price), _side_cash(contract, view)
+    own, other = (sigma, tau) if view.side == "hedger" else (tau, sigma)
+    settle = _settlements(contract, view)
 
     def block(pids, js, idx):
         v_full = _forward_matrix(y0, hedge, gen, cash, lat, js)
         diff, tol, flags = _benchmark_rows(
-            v_full, _hits(sigma, idx), _hits(tau, idx), idx, contract, view, vb, eq_tol
+            v_full, _hits(own, idx), _hits(other, idx), idx, settle, vb, eq_tol
         )
         return {**flags, "strict_gain": pids[diff > tol], "shortfall": pids[diff < -tol],
                 "off_equal": pids[np.abs(diff) > tol]}
@@ -357,36 +331,35 @@ def verify_replication(quote: QuoteResult, gap_tol: float = 1e-10) -> Replicatio
     side the benchmark-safety condition must fail.
     """
     lat, gen, cash = quote.inputs.lat, quote.inputs.gen, quote.inputs.cashflow_increments
-    n, side = lat.n_steps, quote.view.side
+    n, view, price = lat.n_steps, quote.view, quote.price
     own_rule, _, other_rule, _ = _own_rules(quote, n)
-    sigma, tau = (own_rule, other_rule) if side == "hedger" else (other_rule, own_rule)
-    y0, y_flat = quote.solution.Y.at(0, 0), quote.solution.Y.flat
+    probe = _PROBE * (1.0 + abs(price))
+    if view.side == "counterparty":
+        probe = -probe  # the counterparty pays the price, so less is more
+    # row 0 tracks the solved value; rows 1 to 3 are classified at price, plus and minus
+    y0 = [quote.y0] + [_initial_wealth(view, p) for p in (price, price + probe, price - probe)]
+    settle, y_flat = _settlements(quote.contract, view), quote.solution.Y.flat
+    vb = benchmark_profile(view.acct, view.endowment, lat.grid)
 
     def block(pids, js, idx):
         v_full = _forward_matrix(y0, quote.solution.Z, gen, cash, lat, js)
-        k_stop = np.minimum(_hits(sigma, idx), _hits(tau, idx))
-        live = np.arange(n + 1)[None, :] <= k_stop[:, None]
-        path_gap = np.where(live, np.abs(v_full - y_flat[idx]), 0.0).max(axis=1)
-        return {"max_gap": path_gap.max(), "failing": pids[path_gap > gap_tol]}
+        h_own, h_other = _hits(own_rule, idx), _hits(other_rule, idx)
+        live = np.arange(n + 1)[None, :] <= np.minimum(h_own, h_other)[:, None]
+        path_gap = np.where(live, np.abs(v_full[0] - y_flat[idx]), 0.0).max(axis=1)
+        _, _, flags = _benchmark_rows(v_full[1:], h_own, h_other, idx, settle, vb,
+                                      quote.region_tol)
+        return {**flags, "max_gap": path_gap.max(), "failing": pids[path_gap > gap_tol]}
 
-    out = _fold(n, 1, block)
+    out = _fold(n, len(y0), block)
     max_gap = float(out["max_gap"])
-    probe = _PROBE * (1.0 + abs(quote.price))
-    if side == "counterparty":
-        probe = -probe  # the counterparty pays the price, so less is more
-    exact, up, down = (
-        classify_quadruplet(price, quote.solution.Z, sigma, tau, quote.contract, quote.view,
-                            gen, lat, quote.region_tol)
-        for price in (quote.price, quote.price + probe, quote.price - probe)
-    )
     return ReplicationReport(
         replicates=max_gap <= gap_tol,
         max_gap=max_gap,
         n_paths=1 << n,
         first_failing_path=int(out["failing"][0]) if out["failing"].size else None,
-        be=exact.be,
-        ao_at_plus=up.ao,
-        sh_fails_at_minus=not down.sh,
+        be=bool(out["be"][0]),
+        ao_at_plus=bool(out["sh"][1] and not out["no_gain"][1]),
+        sh_fails_at_minus=not out["sh"][2],
     )
 
 
@@ -418,7 +391,7 @@ def verify_rational_cancellation(sigma_rule: StoppingRule,
     game = _game(quote)
     n = game.lat.n_steps
     snell = snell_sup_for_minimizer(game, sigma_rule)
-    y0 = quote.solution.Y.at(0, 0)
+    y0 = quote.y0
     rational = snell <= y0 + quote.region_tol * (1.0 + abs(y0))
     other_rule = _own_rules(quote, n)[2]
     out = _fold(n, 1, lambda pids, js, idx: _own_rows(
@@ -478,9 +451,9 @@ def verify_break_even(tau_rule: StoppingRule, quote: QuoteResult) -> BreakEvenRe
     stopped_val = evaluate_stopped(game, own_rule, tau_rule)
     snell = snell_sup_for_minimizer(game, own_rule)
     vb = benchmark_profile(quote.view.acct, quote.view.endowment, lat.grid)
-    y0 = quote.solution.Y.at(0, 0)
+    settle, y0 = _settlements(quote.contract, quote.view), quote.y0
     out = _fold(n, 1, lambda pids, js, idx: _counterpart_rows(
-        quote, game, vb, _forward_matrix(y0, quote.solution.Z, gen, cash, lat, js),
+        quote, game, settle, vb, _forward_matrix(y0, quote.solution.Z, gen, cash, lat, js),
         _hits(own_rule, idx), _hits(tau_rule, idx), idx))
     be = bool(out["be"])
     return BreakEvenReport(
@@ -542,7 +515,7 @@ def stopping_time_battery(quote: QuoteResult) -> BatteryReport:
     lat, gen, cash = game.lat, game.gen, game.cashflow_increments
     n, eq_tol = lat.n_steps, quote.region_tol
     n_rules = 1 << _require_enumerable(n)
-    y0 = quote.solution.Y.at(0, 0)
+    y0, settle = quote.y0, _settlements(quote.contract, quote.view)
     vb = benchmark_profile(quote.view.acct, quote.view.endowment, lat.grid)
     own_rule, own_bar_rule, other_rule, other_bar_rule = _own_rules(quote, n)
 
@@ -556,7 +529,7 @@ def stopping_time_battery(quote: QuoteResult) -> BatteryReport:
         early, late = h_own <= h_other_bar, h_own_bar < h_other_bar
         return {
             **_own_rows(quote, hits, h_other, idx),
-            **_counterpart_rows(quote, game, vb, v_full, h_own, hits, idx),
+            **_counterpart_rows(quote, game, settle, vb, v_full, h_own, hits, idx),
             "never_later": (~early | (hits <= h_own)).all(axis=-1),
             "same_early": (~early | (hits == h_own)).all(axis=-1),
             "never_earlier": (~late | (hits >= h_own_bar)).all(axis=-1),

@@ -151,7 +151,7 @@ def shortfall_on_every_path(quote, contract, view, gen, lat) -> bool:
             settle = contract.Xbar.at(k, j)
         wealth = forward_wealth(
             start, quote.solution.Z, gen, quote.inputs.cashflow_increments, lat, moves
-        ).values[k]
+        )[k]
         if wealth + sign * settle >= vb[k] - 1e-9 * (1.0 + abs(vb[k])):
             return False
     return True

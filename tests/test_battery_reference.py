@@ -56,8 +56,8 @@ def reference_counterexamples(quote, contract, view, gen, lat, eq_tol=1e-9):
     paths = np.arange(1 << n)
     payoff, cash = side_obstacles(contract, view, gen, lat), quote.inputs.cashflow_increments
     y0 = quote.y0
-    v_full = forward_wealth(y0, quote.solution.Z, gen, cash, lat, moves).values
-    solved = solution_path(quote, moves)
+    v_full = forward_wealth(y0, quote.solution.Z, gen, cash, lat, moves)
+    y_sol, l_cum, u_cum = solution_path(quote, moves)
 
     def hits_of(rule):
         return np.array([rule.first_hit(path) for path in js])
@@ -75,14 +75,14 @@ def reference_counterexamples(quote, contract, view, gen, lat, eq_tol=1e-9):
     found = {kind: [] for kind in KINDS}
     early, late = h_own <= h_other_bar, h_own_bar < h_other_bar
     for rid, hits in enumerate(rule_hits):
-        y_hit = solved.values[paths, hits]
+        y_hit = y_sol[paths, hits]
         on_upper = np.abs(y_hit - along(quote.inputs.upper, hits)) <= eq_tol * (1.0 + np.abs(y_hit))
-        if ((hits == n) | on_upper).all() and solved.U_cum[paths, hits].max() == 0.0:
+        if ((hits == n) | on_upper).all() and u_cum[paths, hits].max() == 0.0:
             if not rational[rid]:
                 found["sufficiency_counterexamples"].append(rid)
         if not rational[rid]:
             continue
-        if solved.U_cum[paths, np.minimum(hits, h_other)].max() > 0.0:
+        if u_cum[paths, np.minimum(hits, h_other)].max() > 0.0:
             found["necessity_counterexamples"].append(rid)
         for kind, event, canon, never in (("earliest_counterexamples", early, h_own, np.less_equal),
                                           ("latest_counterexamples", late, h_own_bar,
@@ -112,9 +112,9 @@ def reference_counterexamples(quote, contract, view, gen, lat, eq_tol=1e-9):
                                  along(payoff.tie, k_stop)))
         tol = eq_tol * (1.0 + np.abs(game))
         wealth = bool((np.abs(v_full[paths, k_stop] - game) <= tol).all())
-        solution = bool(((np.abs(solved.values[paths, k_stop] - game) <= tol)
-                         & (solved.L_cum[paths, k_stop] == 0.0)
-                         & (solved.U_cum[paths, h_own] == 0.0)).all())
+        solution = bool(((np.abs(y_sol[paths, k_stop] - game) <= tol)
+                         & (l_cum[paths, k_stop] == 0.0)
+                         & (u_cum[paths, h_own] == 0.0)).all())
         attains = bool(abs(pair_vals[rid] - snell) <= eq_tol * (1.0 + abs(snell)))
         if len({be, na, wealth, solution, attains}) != 1:
             found["breakeven_disagreements"].append(rid)

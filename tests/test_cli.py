@@ -227,8 +227,8 @@ def test_replicate_corrupted_hedge_exits_5(tmp_path, capsys):
         moves = path_moves(pid, 2)
         v_csv = [float(r[2]) for r in rows[1:] if int(r[0]) == pid]
         args = (bundle.gen, quote.inputs.cashflow_increments, bundle.lat, moves)
-        assert v_csv == list(forward_wealth(quote.y0, bad, *args).values)
-        solved = forward_wealth(quote.y0, quote.solution.Z, *args).values
+        assert v_csv == list(forward_wealth(quote.y0, bad, *args))
+        solved = forward_wealth(quote.y0, quote.solution.Z, *args)
         solved_differs |= v_csv != list(solved)
     assert solved_differs
 

@@ -33,6 +33,7 @@ from gamehedge.drbsde import _game_root, _inf_node
 from gamehedge.dynkin import stopped_values_for_maximizer_rules
 from gamehedge.errors import InvalidStoppingRule, OutOfRange
 from gamehedge.lattice import tri
+from gamehedge.pricing import sweep_prices
 from conftest import SMOOTH_CUSTOM, grid_values, random_instance
 
 # terminal row in up-count order: 20 at the down node (S=80), 0 at the up node
@@ -493,14 +494,23 @@ def test_large_prices_converge(s0, gen, side):
     assert abs(quote.price - base.price * s0 / 100.0) <= 1e-12 * s0
 
 
-def european_call_quote(gen, side, n=2000):
-    """A call as a custom contract whose stop payoffs sit 1e3 away, so no stop binds."""
+def european_call(n):
+    """An at-the-money call as a custom contract whose stop payoffs sit 1e3 away, so no
+    stop binds, on its lattice."""
     lat = sigma_lattice(100.0, n)
     pay = -np.maximum(lat.spot.flat - 100.0, 0.0)
     contract = ContractSpec(Xh=NodeProcess(pay - 1e3), Xc=NodeProcess(pay + 1e3),
                             Xbar=NodeProcess(pay), dA=NodeProcess.zeros(n))
-    view = PartyView(side=side, endowment=0.0, acct=BenchmarkAccount(0.0, 0.0))
-    return acceptable_price(contract, view, gen, lat)
+    return contract, lat
+
+
+def call_view(side):
+    return PartyView(side=side, endowment=0.0, acct=BenchmarkAccount(0.0, 0.0))
+
+
+def european_call_quote(gen, side, n=2000):
+    contract, lat = european_call(n)
+    return acceptable_price(contract, call_view(side), gen, lat)
 
 
 @pytest.mark.parametrize("side,rate", [("hedger", 0.10), ("counterparty", 0.02)])
@@ -525,6 +535,33 @@ def test_european_call_at_n2000_converges_under_two_rates(side, rate):
              for j in range(n + 1)]
     closed = math.fsum(math.exp(w) * x for w, x in zip(log_w, quote.inputs.tie.row(n)))
     assert abs(quote.y0 - closed) <= 1e-11 * abs(closed)
+
+
+def black_scholes_call(rate, s0=100.0, strike=100.0, vol=0.2, horizon=1.0):
+    d1 = (math.log(s0 / strike) + (rate + 0.5 * vol * vol) * horizon) / (vol * math.sqrt(horizon))
+    d2 = d1 - vol * math.sqrt(horizon)
+    cdf = lambda x: 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))  # noqa: E731
+    return s0 * cdf(d1) - strike * math.exp(-rate * horizon) * cdf(d2)
+
+
+def test_two_rate_call_converges_to_black_scholes_at_first_order():
+    # one cash sign per side (Bergman 1995): the hedger's call converges to Black-Scholes
+    # at the borrowing rate, the counterparty's at the lending rate, with a gap N*(p - BS)
+    # that settles on a constant, so Richardson's 2p(2N) - p(N) cancels it
+    sizes = (250, 500, 1000, 2000)
+    prices = []
+    for n in sizes:
+        contract, lat = european_call(n)
+        views = [call_view("hedger"), call_view("counterparty")]
+        prices.append(sweep_prices(contract, views, [DifferentialRates(0.02, 0.10)], lat)[:, 0])
+    for side, rate, band in ((0, 0.10, (-2.39, -2.38)), (1, 0.02, (-1.995, -1.985))):
+        bs = black_scholes_call(rate)
+        for n, p in zip(sizes, prices):
+            assert band[0] <= n * (p[side] - bs) <= band[1], (side, n)
+        rich = [abs(2.0 * fine[side] - coarse[side] - bs)
+                for coarse, fine in zip(prices, prices[1:])]
+        assert rich[0] >= 3.0 * rich[1] and rich[1] >= 3.0 * rich[2], (side, rich)
+        assert rich[2] <= 3e-7, (side, rich)
 
 
 @pytest.mark.parametrize("penalty", [5.0, 12.0])

@@ -20,6 +20,7 @@ from gamehedge import (
     classify_quadruplet,
     forward_wealth,
     path_moves,
+    path_up_counts,
     solution_path,
     stopping_time_battery,
     verify_break_even,
@@ -28,8 +29,10 @@ from gamehedge import (
 )
 from gamehedge.errors import InvalidParameters, InvalidStoppingRule, OutOfRange
 from gamehedge.lattice import node_coords, tri
+from gamehedge.replication import _PROBE, _forward_matrix
 
-from conftest import random_instance
+from conftest import SMOOTH_CUSTOM, random_instance
+from test_battery_reference import corrupted
 
 
 @pytest.fixture
@@ -44,9 +47,9 @@ def test_forward_wealth_one_step(instance_a):
     down = forward_wealth(5.0, quote.solution.Z, gen, contract.dA, lat, [0])
     # 5 + (-0.5) * (80 - 100) = 15; the contract was already cancelled at the
     # root, so this only checks the wealth step itself
-    assert down.values[1] == pytest.approx(15.0, abs=1e-14)
+    assert down[1] == pytest.approx(15.0, abs=1e-14)
     up = forward_wealth(5.0, quote.solution.Z, gen, contract.dA, lat, [1])
-    assert up.values[1] == pytest.approx(-5.0, abs=1e-14)
+    assert up[1] == pytest.approx(-5.0, abs=1e-14)
 
 
 def test_forward_wealth_zero_hedge(one_step_lattice):
@@ -54,7 +57,7 @@ def test_forward_wealth_zero_hedge(one_step_lattice):
         3.0, NodeProcess.zeros(1), DifferentialRates(0.0, 0.0), NodeProcess.zeros(1),
         one_step_lattice, [1],
     )
-    assert flat.values.tolist() == [3.0, 3.0]
+    assert flat.tolist() == [3.0, 3.0]
 
 
 def test_forward_wealth_strict_ordering(rng):
@@ -67,15 +70,15 @@ def test_forward_wealth_strict_ordering(rng):
         moves = rng.integers(0, 2, size=6)
         base = forward_wealth(2.0, hedge, gen, cash, lat, moves)
         more = forward_wealth(2.0 + 1e-3, hedge, gen, cash, lat, moves)
-        assert (more.values - base.values > 0).all()
+        assert (more - base > 0).all()
 
 
 def test_solution_path_carries_pushes(instance_a):
     lat, contract, view, gen, quote = instance_a
-    path = solution_path(quote, [0])
-    assert path.values.tolist() == [5.0, 20.0]
-    assert path.U_cum.tolist() == [0.0, 5.0]  # root push counts after leaving 0
-    assert path.L_cum.tolist() == [0.0, 0.0]
+    y, l_cum, u_cum = solution_path(quote, [0])
+    assert y.tolist() == [5.0, 20.0]
+    assert u_cum.tolist() == [0.0, 5.0]  # root push counts after leaving 0
+    assert l_cum.tolist() == [0.0, 0.0]
 
 
 def test_batched_paths_match_single_path_calls(rng):
@@ -89,24 +92,27 @@ def test_batched_paths_match_single_path_calls(rng):
             args = (quote.y0, quote.solution.Z, gen, quote.inputs.cashflow_increments, lat)
             wealth = forward_wealth(*args, moves)
             solved = solution_path(quote, moves)
-            assert wealth.values.shape == solved.L_cum.shape == (1 << n, n + 1)
+            assert wealth.shape == solved[1].shape == (1 << n, n + 1)
             for pid in range(1 << n):
+                assert path_moves(pid, n).tolist() == moves[pid].tolist()
                 one = forward_wealth(*args, moves[pid])
-                one_solved = solution_path(quote, moves[pid])
-                assert one.path.tolist() == path_moves(pid, n).tolist() == moves[pid].tolist()
-                for batch, ref in ((wealth.values, one.values),
-                                   (solved.values, one_solved.values),
-                                   (solved.L_cum, one_solved.L_cum),
-                                   (solved.U_cum, one_solved.U_cum)):
+                for batch, ref in zip((wealth, *solved), (one, *solution_path(quote, moves[pid]))):
                     assert batch[pid].tobytes() == ref.tobytes()
 
 
-def test_batched_solution_path_rejects_negative_push(instance_a):
-    lat, contract, view, gen, quote = instance_a
-    bad_dl = NodeProcess.from_rows([np.array([-1.0]), np.zeros(2)])
-    bad = replace(quote, solution=replace(quote.solution, dL=bad_dl))
-    with pytest.raises(OutOfRange):
-        solution_path(bad, path_moves(np.arange(2), 1))
+def test_paths_must_have_the_lattice_step_count():
+    # one check for both: a short path is no prefix, a long one no untyped IndexError
+    lat = build_lattice(100.0, 1.2, 0.8, TimeGrid(horizon=1.0, n_steps=3))
+    contract = builtin_israeli_put(lat, strike=100.0, penalty=5.0)
+    view = PartyView("hedger", 0.0, BenchmarkAccount(0.0, 0.0))
+    gen = DifferentialRates(0.0, 0.0)
+    quote = acceptable_price(contract, view, gen, lat)
+    args = (quote.y0, quote.solution.Z, gen, quote.inputs.cashflow_increments, lat)
+    for moves, got in (([1], 1), ([0, 1, 1, 0, 1], 5), (np.zeros((4, 2), dtype=int), 2)):
+        with pytest.raises(OutOfRange, match=f"^path must have 3 moves, got {got}$"):
+            solution_path(quote, moves)
+        with pytest.raises(OutOfRange, match=f"^path must have 3 moves, got {got}$"):
+            forward_wealth(*args, moves)
     with pytest.raises(OutOfRange):
         path_moves(np.array([0, 2]), 1)
 
@@ -196,8 +202,6 @@ def test_corrupted_hedge_detected():
     view = PartyView("hedger", 0.0, BenchmarkAccount(0.0, 0.0))
     gen = DifferentialRates(0.0, 0.0)
     quote = acceptable_price(contract, view, gen, lat)
-    from dataclasses import replace
-
     rows = [quote.solution.Z.row(k).copy() for k in range(3)]
     rows[0][0] += 0.1
     bad = replace(quote, solution=replace(quote.solution, Z=NodeProcess.from_rows(rows)))
@@ -224,6 +228,48 @@ def test_slack_obstacles_replicate_to_terminal(rng):
     quote = acceptable_price(contract, view, gen, lat)
     rep = verify_replication(quote)
     assert rep.ok and rep.max_gap <= 1e-12
+
+
+@pytest.mark.parametrize("gen", [DifferentialRates(0.02, 0.10), SMOOTH_CUSTOM],
+                         ids=["builtin", "custom"])
+def test_forward_matrix_rows_match_one_call_per_wealth(rng, gen):
+    # a vector of initial wealths adds a leading row axis; each row is a scalar call's bytes
+    for _ in range(3):
+        lat, _, contract, views = random_instance(rng, 5)
+        n = lat.n_steps
+        js = path_up_counts(path_moves(np.arange(1 << n), n))
+        for view in views.values():
+            quote = acceptable_price(contract, view, gen, lat)
+            y0 = quote.y0 + np.array([0.0, 1e-6, -1e-6, 2.5])
+            args = (quote.solution.Z, gen, quote.inputs.cashflow_increments, lat, js)
+            rows = _forward_matrix(y0, *args)
+            assert rows.shape == (4, 1 << n, n + 1)
+            for start, row in zip(y0, rows):
+                assert row.tobytes() == _forward_matrix(float(start), *args).tobytes()
+
+
+def test_verify_replication_probes_read_the_public_classifier():
+    # the single fold's three flags are classify_quadruplet's at the price and one probe
+    # either way, the counterparty's probe negated, on clean and corrupted quotes
+    rng = np.random.default_rng(11)
+    seen = set()
+    for _ in range(5):
+        lat, gen, contract, views = random_instance(rng, 5)
+        n = lat.n_steps
+        for side, view in views.items():
+            for name, quote in corrupted(acceptable_price(contract, view, gen, lat), rng).items():
+                rep = verify_replication(quote)
+                probe = _PROBE * (1.0 + abs(quote.price)) * (1.0 if side == "hedger" else -1.0)
+                sigma, tau = (StoppingRule.from_nodes(n, region)
+                              for region in (quote.region_sigma, quote.region_tau))
+                exact, up, down = (
+                    classify_quadruplet(price, quote.solution.Z, sigma, tau, contract, view,
+                                        gen, lat, quote.region_tol)
+                    for price in (quote.price, quote.price + probe, quote.price - probe))
+                got = (rep.be, rep.ao_at_plus, rep.sh_fails_at_minus)
+                assert got == (exact.be, up.ao, not down.sh), (side, name)
+                seen.add(got)
+    assert all({got[i] for got in seen} == {True, False} for i in range(3)), seen
 
 
 def test_rational_cancellation_instance_a(instance_a):
@@ -319,16 +365,4 @@ def test_path_guard():
     with pytest.raises(TooManyPaths):
         classify_quadruplet(
             quote.price, quote.solution.Z, sigma, tau, contract, view, gen, lat
-        )
-
-
-def test_wealth_path_validation():
-    from gamehedge import WealthPath
-
-    with pytest.raises(OutOfRange):
-        WealthPath(
-            path=(0,),
-            values=np.array([1.0, 2.0]),
-            L_cum=np.array([0.0, -1.0]),  # cumulative push may not decrease
-            U_cum=np.zeros(2),
         )
