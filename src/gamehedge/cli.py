@@ -35,8 +35,8 @@ from .config import (
     load_config,
     set_axis_value,
 )
-from .dynkin import DEFAULT_PAIR_LIMIT, game_value_brute, saddle_check
-from .errors import ConfigError, EngineError, TooLarge, TooManyPaths
+from .dynkin import game_value_brute, saddle_check
+from .errors import ConfigError, EngineError, TooLarge
 from .lattice import node_coords, read_node_process, write_csv, write_node_process
 from .pricing import SIDES, acceptable_price, sweep_prices
 from .pricing import side_obstacles  # noqa: F401  (a name bench/spans.py traces)
@@ -156,12 +156,12 @@ def cmd_regions(bundle: ModelBundle, out: Path) -> int:
     return 0
 
 
-def cmd_oracle(bundle: ModelBundle, out: Path, pair_limit: int) -> int:
+def cmd_oracle(bundle: ModelBundle, out: Path) -> int:
     t0 = time.perf_counter()
     results = {}
     all_match = True
     for side, quote in _quotes(bundle):
-        report = game_value_brute(quote.inputs, pair_limit=pair_limit)
+        report = game_value_brute(quote.inputs)
         diag = saddle_check(report, quote.y0, tol=bundle.tolerances["oracle"])
         all_match &= diag.matches_upper
         results[side] = {
@@ -318,10 +318,7 @@ def _parse_args(argv):
                            help="override party.side from the config")
 
     common(sub.add_parser("price", help="solve and write quotes"))
-    p_or = sub.add_parser("oracle", help="brute-force game value check")
-    common(p_or)
-    p_or.add_argument("--pair-limit", type=int, default=DEFAULT_PAIR_LIMIT,
-                      help="max rule pairs for joint enumeration")
+    common(sub.add_parser("oracle", help="brute-force game value check"))
     p_rep = sub.add_parser("replicate", help="forward replication check")
     common(p_rep)
     p_rep.add_argument("--hedge-csv", help="node CSV overriding the solved hedge")
@@ -384,7 +381,7 @@ def main(argv=None) -> int:
         if args.command == "regions":
             return cmd_regions(bundle, out)
         if args.command == "oracle":
-            return cmd_oracle(bundle, out, args.pair_limit)
+            return cmd_oracle(bundle, out)
         if args.command == "replicate":
             return cmd_replicate(bundle, out, args.hedge_csv)
         if args.command == "sweep":
@@ -393,7 +390,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: ConfigError: {exc}", file=sys.stderr)
         return 2
-    except (TooLarge, TooManyPaths) as exc:
+    except TooLarge as exc:
         print(f"size cap: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
     except EngineError as exc:

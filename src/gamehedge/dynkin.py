@@ -8,9 +8,10 @@ so rule bit i is flat node i (``tri(k, j)``).  The oracle computes
     upper_value = min over minimizer rules of max over maximizer rules
     lower_value = max over maximizer rules of min over minimizer rules
 
-by two independent routes: the pair matrix, the root value of every rule
-pair (used whenever the pair count fits the cap), and one per-rule dynamic
-program per player, where the opponent plays optimally node by node.  Both
+by two independent routes: one per-rule dynamic program per player, where
+the opponent plays optimally node by node, and the pair matrix, the root
+value of every rule pair, run as a cross-check whenever n_rules**2 <=
+DEFAULT_PAIR_LIMIT (N <= 4; at N = 5 the dynamic programs run alone).  Both
 step with the solvers' ``backward_step`` and node rules, so agreement with the
 reflected backward solve is a genuine cross-check, not a tautology.  A game
 is the solve's own problem, a ``DrbsdeInputs`` such as a quote's ``inputs``.
@@ -34,9 +35,9 @@ payoffs and that continuation instead of masking.  Nothing is sorted.  Per
 node that is 2**(|cone| - 1) continuation entries for a dynamic program
 (2**14 at the root for N=5) and 4**(|cone| - 1) for the pair matrix (4**9
 at the root for N=4).  The root table, n_rules entries along each
-enumerated axis, is the only full-size array; pair_limit bounds the pair
-matrix's, so the cap still counts rule pairs.  Packed order is the sorted order of the masked rule ids, so every
-entry goes through the same elementwise arithmetic as broadcasting every
+enumerated axis, is the only full-size array; DEFAULT_PAIR_LIMIT bounds the
+pair matrix's.  Packed order is the sorted order of the masked rule ids, so
+every entry goes through the same elementwise arithmetic as broadcasting every
 node over all rule ids, and the fixed-point exit test sees the same set of
 values: the results are identical bit for bit to that broadcast.
 
@@ -54,6 +55,7 @@ import numpy as np
 
 from .drbsde import DrbsdeInputs, _check_steps, _inf_node, _pair_node, _sup_node, backward_step
 from .errors import InvalidStoppingRule, TooLarge
+from .generators import _check_positive
 from .lattice import tri
 from .stopping import StoppingRule
 
@@ -105,14 +107,12 @@ def rule_to_id(rule: StoppingRule) -> int:
     return sum(1 << int(i) for i in np.flatnonzero(rule.flat[:tri(rule.n_steps)]))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class GameValueReport:
-    """Both one-sided game values and canonical optimizers over enumerated rules."""
+    """Both one-sided game values over enumerated rules."""
 
     upper_value: float
     lower_value: float
-    argmin_sigma: StoppingRule
-    argmax_tau: StoppingRule
     rule_count: int
 
 
@@ -122,8 +122,6 @@ class SaddleDiagnosis:
 
     matches_upper: bool
     has_value: bool
-    gap_to_solution: float
-    value_gap: float
 
 
 @functools.lru_cache(maxsize=128)  # N <= 5 has 41 (mask, below) pairs in all
@@ -220,67 +218,44 @@ def stopped_values_for_maximizer_rules(game: DrbsdeInputs, sigma: StoppingRule) 
     return _pair_matrix(game, sigma)[0]
 
 
-def _canonical_optimizer(values: np.ndarray, target: float, n_steps: int) -> StoppingRule:
-    """Among rules attaining target exactly, pick fewest marks then lexicographic node list."""
-    cands = np.nonzero(values == target)[0]
-    pops = _bit_counts(cands)
-    cands = cands[pops == pops.min()]
-    best = min(cands, key=lambda rid: _bit_tuple(int(rid)))
-    return rule_from_id(n_steps, int(best))
-
-
-def _bit_counts(ids: np.ndarray) -> np.ndarray:
-    """Marks per rule id, summed over the at most MAX_INTERIOR_NODES rule bits."""
-    return sum(((ids >> i) & 1 for i in range(MAX_INTERIOR_NODES)), np.zeros_like(ids))
-
-
 def _bit_tuple(rid: int) -> tuple[int, ...]:
     return tuple(i for i in range(rid.bit_length()) if (rid >> i) & 1)
 
 
-def game_value_brute(game: DrbsdeInputs, pair_limit: int = DEFAULT_PAIR_LIMIT) -> GameValueReport:
-    """Both game values over all enumerated rule pairs, with canonical optimizers.
+def game_value_brute(game: DrbsdeInputs) -> GameValueReport:
+    """Both game values over all enumerated rule pairs.
 
-    Uses joint pair enumeration when the pair count fits pair_limit and the
-    per-rule dynamic program otherwise; when both run their results are
-    cross-checked before reporting.
+    Runs the per-rule dynamic programs always, and the pair matrix too when
+    n_rules**2 <= DEFAULT_PAIR_LIMIT; then the two routes are cross-checked
+    and the pair matrix's values reported.
     """
-    n = game.lat.n_steps
-    m = _require_enumerable(n)
+    m = _require_enumerable(game.lat.n_steps)
     n_rules = 1 << m
 
-    sup_dp = sup_values_by_minimizer_rule(game)
-    inf_dp = inf_values_by_maximizer_rule(game)
-    sup_vals, inf_vals = sup_dp, inf_dp
+    sup_vals = sup_values_by_minimizer_rule(game)
+    inf_vals = inf_values_by_maximizer_rule(game)
 
-    if n_rules * n_rules <= pair_limit:
+    if n_rules * n_rules <= DEFAULT_PAIR_LIMIT:
         pairs = _pair_matrix(game)
         sup_pairs = pairs.max(axis=1)
         inf_pairs = pairs.min(axis=0)
         scale = 1.0 + float(np.max(np.abs(sup_pairs)))
-        for by_pairs, by_dp in ((sup_pairs, sup_dp), (inf_pairs, inf_dp)):
+        for by_pairs, by_dp in ((sup_pairs, sup_vals), (inf_pairs, inf_vals)):
             if not float(np.max(np.abs(by_pairs - by_dp))) <= 1e-10 * scale:
                 raise AssertionError("pair enumeration and per-rule dynamic program disagree")
         sup_vals, inf_vals = sup_pairs, inf_pairs
 
-    upper_value = float(sup_vals.min())
-    lower_value = float(inf_vals.max())
     return GameValueReport(
-        upper_value=upper_value,
-        lower_value=lower_value,
-        argmin_sigma=_canonical_optimizer(sup_vals, upper_value, n),
-        argmax_tau=_canonical_optimizer(inf_vals, lower_value, n),
+        upper_value=float(sup_vals.min()),
+        lower_value=float(inf_vals.max()),
         rule_count=n_rules,
     )
 
 
 def saddle_check(report: GameValueReport, y0: float, tol: float = 1e-10) -> SaddleDiagnosis:
     """Flags for value existence and agreement of the backward solve with the game."""
-    gap = abs(y0 - report.upper_value)
-    value_gap = abs(report.upper_value - report.lower_value)
+    _check_positive("tol", tol)
     return SaddleDiagnosis(
-        matches_upper=gap <= tol,
-        has_value=value_gap <= tol,
-        gap_to_solution=gap,
-        value_gap=value_gap,
+        matches_upper=abs(y0 - report.upper_value) <= tol,
+        has_value=abs(report.upper_value - report.lower_value) <= tol,
     )

@@ -45,7 +45,7 @@ class InvalidStoppingRule(EngineError):
 
 
 class TooLarge(EngineError):
-    """Requested enumeration exceeds the hard size cap."""
+    """Requested enumeration (stopping rules or paths) exceeds its hard size cap."""
 
 
 class ContractInvariantViolated(EngineError):
@@ -62,10 +62,6 @@ class InvalidParameters(EngineError):
 
 class NonFiniteState(EngineError):
     """A simulated state became NaN or infinite."""
-
-
-class TooManyPaths(EngineError):
-    """Path enumeration would exceed the hard path-count cap."""
 
 
 class ConfigError(EngineError):

@@ -88,6 +88,11 @@ def _check_finite(name: str, value) -> None:
         raise NonFiniteInput(f"{name} must be finite")
 
 
+def _check_positive(name: str, value: float) -> None:
+    if not math.isfinite(value) or value <= 0.0:
+        raise InvalidParameters(f"{name} must be positive and finite, got {value!r}")
+
+
 def eval_g(gen: Generator, t: float, y, z, s):
     """Evaluate the generator; y, z, s may be scalars or broadcastable arrays.
 

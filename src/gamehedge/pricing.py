@@ -51,7 +51,7 @@ from .errors import (
     InvalidPenalty,
     NonFiniteInput,
 )
-from .generators import Generator, _stack_generators
+from .generators import Generator, _check_positive, _stack_generators
 from .lattice import (
     BenchmarkAccount,
     Lattice,
@@ -211,8 +211,7 @@ def acceptable_price(
     ``region_tol`` is the relative band of obstacle equality, for the regions
     here and for every verifier of the quote.
     """
-    if not math.isfinite(region_tol) or region_tol <= 0.0:
-        raise InvalidParameters(f"region_tol must be positive and finite, got {region_tol!r}")
+    _check_positive("region_tol", region_tol)
     inputs = side_obstacles(contract, view, gen, lat)
     sol = solve_drbsde(inputs)
     y0 = sol.Y.at(0, 0)
@@ -281,8 +280,7 @@ def sweep_prices(
 
 def builtin_israeli_put(lat: Lattice, strike: float, penalty: float) -> ContractSpec:
     """Cancellable put: exercise pays intrinsic, cancellation adds a penalty, tie pays intrinsic."""
-    if not math.isfinite(strike) or strike <= 0.0:
-        raise InvalidParameters(f"strike must be positive and finite, got {strike!r}")
+    _check_positive("strike", strike)
     if not math.isfinite(penalty) or penalty <= 0.0:
         raise InvalidPenalty(f"penalty must be strictly positive, got {penalty!r}")
     xc = NodeProcess(-np.maximum(strike - lat.spot.flat, 0.0))
@@ -294,8 +292,7 @@ def builtin_game_bond(
     lat: Lattice, face: float, coupon: float, call_penalty: float, put_discount: float
 ) -> ContractSpec:
     """Callable/puttable bond: issuer calls at face plus penalty, holder puts at a discount."""
-    if not math.isfinite(face) or face <= 0.0:
-        raise InvalidParameters(f"face must be positive and finite, got {face!r}")
+    _check_positive("face", face)
     if not math.isfinite(coupon) or coupon < 0.0:
         raise InvalidParameters(f"coupon must be nonnegative and finite, got {coupon!r}")
     if not math.isfinite(call_penalty) or call_penalty <= 0.0:

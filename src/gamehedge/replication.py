@@ -39,8 +39,8 @@ from .dynkin import (
     stopped_values_for_maximizer_rules,
     sup_values_by_minimizer_rule,
 )
-from .errors import InvalidParameters, InvalidStoppingRule, NonFiniteState, OutOfRange, TooManyPaths
-from .generators import Generator, eval_g
+from .errors import InvalidParameters, InvalidStoppingRule, NonFiniteState, OutOfRange, TooLarge
+from .generators import Generator, _check_positive, eval_g
 from .lattice import Lattice, NodeProcess, benchmark_profile, tri
 from .pricing import (ContractSpec, PartyView, QuoteResult, _initial_wealth, _side_cash,
                       side_obstacles)
@@ -90,7 +90,7 @@ def _fold(n_steps: int, n_rows: int, block) -> dict:
     at a time (path ids, their up-counts and flat node indices), and fold its named results
     across blocks: flags by all, maxima by max, path ids in order up to _MAX_WITNESSES."""
     if n_steps > MAX_PATH_STEPS:
-        raise TooManyPaths(f"{1 << n_steps} paths exceed the {1 << MAX_PATH_STEPS} enumeration cap")
+        raise TooLarge(f"{1 << n_steps} paths exceed the {1 << MAX_PATH_STEPS} enumeration cap")
     n_paths, size = 1 << n_steps, max(1, _BLOCK // (n_rows * (n_steps + 1)))
     out: dict = {}
     for start in range(0, n_paths, size):
@@ -265,6 +265,7 @@ def classify_quadruplet(
     eq_tol: float = 1e-9,
 ) -> ConditionReport:
     """Classify a candidate quadruplet by exhausting every path of the lattice."""
+    _check_positive("eq_tol", eq_tol)
     _check_steps(lat, InvalidStoppingRule, sigma=sigma, tau=tau)
     _check_steps(lat, InvalidParameters, contract=contract)
     vb = benchmark_profile(view.acct, view.endowment, lat.grid)
@@ -330,6 +331,7 @@ def verify_replication(quote: QuoteResult, gap_tol: float = 1e-10) -> Replicatio
     pays it).  There the strict-gain condition must appear; on the opposite
     side the benchmark-safety condition must fail.
     """
+    _check_positive("gap_tol", gap_tol)
     lat, gen, cash = quote.inputs.lat, quote.inputs.gen, quote.inputs.cashflow_increments
     n, view, price = lat.n_steps, quote.view, quote.price
     own_rule, _, other_rule, _ = _own_rules(quote, n)

@@ -145,6 +145,36 @@ def test_oracle_too_large_exits_4(tmp_path, capsys):
     assert "TooLarge" in capsys.readouterr().err
 
 
+def test_oracle_at_five_steps_runs_the_rule_dp_alone(tmp_path, monkeypatch):
+    # 2**15 rules per player: 2**30 pairs is past the pair route's cap
+    import gamehedge.dynkin as dynkin
+
+    def no_pairs(*_args, **_kwargs):
+        raise AssertionError("pair matrix built at N=5")
+
+    monkeypatch.setattr(dynkin, "_pair_matrix", no_pairs)
+    cfg = write_config(tmp_path, lattice={"N": 5}, party={"side": "both"})
+    out = tmp_path / "out"
+    assert main(["oracle", "--config", str(cfg), "--out", str(out)]) == 0
+    report = json.loads((out / "oracle.json").read_text())
+    for side in ("hedger", "counterparty"):
+        assert report[side]["matches_upper"] is True
+        assert report[side]["n_rules"] == 2**15
+
+
+def test_oracle_has_no_pair_limit_flag(tmp_path):
+    cfg = write_config(tmp_path)
+    assert main(["oracle", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                 "--pair-limit", "1"]) == 2
+
+
+def test_replicate_past_the_path_cap_exits_4(tmp_path, capsys):
+    # 2**25 paths is past the 2**24 enumeration cap
+    cfg = write_config(tmp_path, lattice={"N": 25})
+    assert main(["replicate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 4
+    assert "size cap: TooLarge" in capsys.readouterr().err
+
+
 def custom_contract_files(tmp_path, n, terminal_tie):
     """Flat band contract written as CSVs; the tie row at T is adjustable."""
     xh = NodeProcess.constant(n, -2.0)

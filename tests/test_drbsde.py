@@ -584,3 +584,36 @@ def test_first_push_rules_are_an_exact_saddle_point(side, penalty):
     assert evaluate_stopped(game, sigma, tau) == quote.y0
     assert snell_sup_for_minimizer(game, sigma) == quote.y0
     assert _game_root(game, _inf_node, tau=tau) == quote.y0
+
+
+def american_put_two_rate(lat, strike, rate):
+    """CRR induction for the American put with one-signed cash funded at ``rate``.
+
+    One step solves v = e - r*(v - z*s)*dt for v, with z*s = (v_up - v_dn)/(u - d),
+    written here from that equation, not from the solver.
+    """
+    n, dt, u, d = lat.n_steps, lat.dt, lat.u, lat.d
+    q = (1.0 - d) / (u - d)
+    v = np.maximum(strike - lat.spot.row(n), 0.0)
+    for k in range(n - 1, -1, -1):
+        e = q * v[1:] + (1.0 - q) * v[:-1]
+        cont = (e + rate * dt * (v[1:] - v[:-1]) / (u - d)) / (1.0 + rate * dt)
+        v = np.maximum(strike - lat.spot.row(k), cont)
+    return float(v[0])
+
+
+@pytest.mark.parametrize("n", [200, 2000])
+@pytest.mark.parametrize("side,rate,sign", [("hedger", 0.02, 1.0), ("counterparty", 0.10, -1.0)])
+def test_two_rate_put_degenerates_to_american_at_one_rate(n, side, rate, sign):
+    # check 2 under two rates: with the penalty at the strike no one cancels, and the
+    # cash Y - Z*S keeps one sign before maturity (the hedger lends, the counterparty
+    # borrows), so each price is the one-rate American put at that side's rate
+    lat = sigma_lattice(100.0, n)
+    contract = builtin_israeli_put(lat, strike=100.0, penalty=100.0)
+    view = PartyView(side=side, endowment=0.0, acct=BenchmarkAccount(0.0, 0.0))
+    quote = acceptable_price(contract, view, DifferentialRates(0.02, 0.10), lat)
+    m = tri(n)
+    cash = quote.solution.Y.flat[:m] - quote.solution.Z.flat[:m] * lat.spot.flat[:m]
+    assert (sign * cash >= 0.0).all(), (side, float(np.min(sign * cash)))
+    gap = abs(quote.price - american_put_two_rate(lat, 100.0, rate))
+    assert gap <= 5e-12, (side, n, gap)

@@ -3,9 +3,10 @@
 The digests were recorded with the row-at-a-time ``csv.writer`` writers
 that preceded the bulk-formatted ones, so a passing run shows the artifact
 bytes (CSV dialect, ``%.17g`` floats, row order, JSON layout) are unchanged.
-The two ``oracle`` cases were recorded before the oracle's recursions and
-rule bits moved onto the shared backward step and flat node layout; with
-``--pair-limit 1`` the oracle uses the per-rule dynamic program alone.
+The ``oracle`` case was recorded before the oracle's recursions and rule
+bits moved onto the shared backward step and flat node layout; at its N=4
+the oracle reports the pair matrix's values, and the per-rule dynamic
+programs give the same bits (``test_oracle_routes_agree_bit_for_bit``).
 The two benchmark-scale cases (``price`` at N=200, ``replicate`` at N=10)
 were recorded before the writers formatted each distinct value once; their
 files cross many write blocks.
@@ -20,8 +21,10 @@ import json
 import numpy as np
 import pytest
 
-from gamehedge import NodeProcess, write_node_process
+from gamehedge import NodeProcess, side_obstacles, write_node_process
 from gamehedge.cli import main
+from gamehedge.config import build_bundle
+from gamehedge.dynkin import _pair_matrix, inf_values_by_maximizer_rule, sup_values_by_minimizer_rule
 
 PUT_SIGMA = {
     "lattice": {"s0": 100.0, "sigma": 0.2, "N": 9, "T": 1.0},
@@ -96,7 +99,6 @@ RUNS = {
     "price_put": (PUT_SIGMA, ["price"], 0),
     "regions_put": (PUT_SIGMA, ["regions"], 0),
     "oracle_put": (PUT_N4, ["oracle"], 0),
-    "oracle_put_rule_dp": (PUT_N4, ["oracle", "--pair-limit", "1"], 0),
     "replicate_bond": (BOND, ["replicate"], 0),
     "replicate_bad_hedge": (PUT_N2, ["replicate", "--hedge-csv", "{tmp}/badz.csv"], 5),
     "price_put_n200": (PUT_N200, ["price"], 0),
@@ -169,10 +171,6 @@ GOLDEN = {
             "17e86fe13b10e0ce619662acd3db1a298948d2dc133f060325f673d1855ef86c",
     },
     "oracle_put": {
-        "oracle.json":
-            "4ec6f2228cf06acedc2828557b2a4a42ca6c4be3c07935d5502279b7bc8fdfe8",
-    },
-    "oracle_put_rule_dp": {
         "oracle.json":
             "4ec6f2228cf06acedc2828557b2a4a42ca6c4be3c07935d5502279b7bc8fdfe8",
     },
@@ -359,3 +357,16 @@ def test_artifacts_match_golden_digests(name, tmp_path):
     code, digests = run_digests(name, tmp_path)
     assert code == RUNS[name][2]
     assert digests == GOLDEN[name]
+
+
+def test_oracle_routes_agree_bit_for_bit():
+    # the per-rule dynamic programs alone give the pair matrix's game values, so the
+    # route the oracle takes does not change the bytes of oracle_put's oracle.json
+    bundle = build_bundle(PUT_N4)
+    for side in ("hedger", "counterparty"):
+        game = side_obstacles(bundle.contract, bundle.views[side], bundle.gen, bundle.lat)
+        pairs = _pair_matrix(game)
+        assert (sup_values_by_minimizer_rule(game).min().tobytes()
+                == pairs.max(axis=1).min().tobytes())
+        assert (inf_values_by_maximizer_rule(game).max().tobytes()
+                == pairs.min(axis=0).max().tobytes())

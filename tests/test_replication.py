@@ -13,7 +13,7 @@ from gamehedge import (
     PartyView,
     StoppingRule,
     TimeGrid,
-    TooManyPaths,
+    TooLarge,
     acceptable_price,
     build_lattice,
     builtin_israeli_put,
@@ -362,7 +362,7 @@ def test_path_guard():
     quote = acceptable_price(contract, view, gen, lat)
     sigma = StoppingRule.from_nodes(n, quote.region_sigma)
     tau = StoppingRule.from_nodes(n, quote.region_tau)
-    with pytest.raises(TooManyPaths):
+    with pytest.raises(TooLarge):
         classify_quadruplet(
             quote.price, quote.solution.Z, sigma, tau, contract, view, gen, lat
         )

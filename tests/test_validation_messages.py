@@ -29,7 +29,11 @@ from gamehedge import (
     acceptable_price,
     build_lattice,
     builtin_israeli_put,
+    classify_quadruplet,
+    game_value_brute,
     read_node_process,
+    saddle_check,
+    verify_replication,
 )
 from gamehedge.cli import main
 from gamehedge.errors import ConfigError
@@ -132,6 +136,33 @@ def test_region_tolerance_must_be_positive_and_finite(tol):
     text = message(InvalidParameters, lambda: acceptable_price(
         contract, view, DifferentialRates(0.0, 0.0), lat, region_tol=tol))
     assert text == f"region_tol must be positive and finite, got {tol!r}"
+
+
+def classify_at(quote, tol):
+    n = quote.inputs.lat.n_steps
+    sigma, tau = (StoppingRule.from_nodes(n, r) for r in (quote.region_sigma, quote.region_tau))
+    return classify_quadruplet(quote.price, quote.solution.Z, sigma, tau, quote.contract,
+                               quote.view, quote.inputs.gen, quote.inputs.lat, eq_tol=tol)
+
+
+# each verifier's tolerance, named as its message names it; a nan one would make every
+# comparison false (replicates=False at a max_gap of 0.0), an inf one accept any gap
+VERIFIER_TOLERANCES = {
+    "gap_tol": lambda quote, tol: verify_replication(quote, gap_tol=tol),
+    "tol": lambda quote, tol: saddle_check(game_value_brute(quote.inputs), quote.y0, tol=tol),
+    "eq_tol": classify_at,
+}
+
+
+@pytest.mark.parametrize("name", sorted(VERIFIER_TOLERANCES))
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-9])
+def test_verifier_tolerances_must_be_positive_and_finite(name, tol):
+    lat = build_lattice(100.0, 1.2, 0.8, TimeGrid(horizon=1.0, n_steps=3))
+    contract = builtin_israeli_put(lat, strike=100.0, penalty=5.0)
+    view = PartyView("hedger", 0.0, BenchmarkAccount(0.0, 0.0))
+    quote = acceptable_price(contract, view, DifferentialRates(0.0, 0.0), lat)
+    text = message(InvalidParameters, lambda: VERIFIER_TOLERANCES[name](quote, tol))
+    assert text == f"{name} must be positive and finite, got {tol!r}"
 
 
 NODE_CSV_ERRORS = {
