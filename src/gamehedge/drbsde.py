@@ -14,18 +14,23 @@ obstacle rows) the leading ones (one row per side), padded to the rest.
 
 The implicit solve is a pure fixed-point iteration; for the builtin generator
 the start point already solves the piecewise-linear equation exactly, so one
-confirming sweep suffices.  Its exit test accepts a change of at most
-FIXED_POINT_TOL or 4*eps*max|v|, whichever is larger, so quotes converge in
-any price units.  Only ``solve_drbsde`` reports a residual, so only its
-steps evaluate the generator once more at the exit value; every other
-recursion gets None for the residual and one finiteness check of that
-value instead, as an iterate that overflows to +-inf passes the relative
-exit test.  A row step tests each column (each index of its batch
-axes) on its own and freezes a column once it passes, so a column's values
-are bit-identical to a step over that column alone, whatever converges
-beside it.  A node step (the oracle's cone engine) tests all its values
-jointly, so there a slowly converging custom generator's results depend on
-what the step covers.
+confirming sweep suffices.  On arrays (every row step and every oracle node
+step) the builtin's start and confirming sweep run fused in one pass,
+``generators.two_rate_step``, with the loop's arithmetic in the loop's order,
+and its residual from the same z*s.  The general loop runs for custom
+generators, scalar steps and any builtin step whose pass meets a non-finite
+value or fails the exit test; it starts afresh, so values, errors and warnings
+are the loop's own.  The exit test accepts a change of at most FIXED_POINT_TOL
+or 4*eps*max|v|, whichever is larger, so quotes converge in any price units.
+Only ``solve_drbsde`` reports a residual, so only its steps evaluate the
+generator once more at the exit value; every other recursion gets None for the
+residual and one finiteness check of that value instead, as an iterate that
+overflows to +-inf passes the relative exit test.  A row step tests each
+column (each index of its batch axes) on its own and freezes a column once it
+passes, so a column's values are bit-identical to a step over that column
+alone, whatever converges beside it.  A node step (the oracle's cone engine)
+tests all its values jointly, so there a slowly converging custom generator's
+results depend on what the step covers.
 
 Every row recursion is one backward sweep behind one entry check (each
 part spans the lattice's steps, and the step contracts); only the node rule
@@ -65,7 +70,8 @@ from .errors import (
     OutOfRange,
     TerminalOutOfBand,
 )
-from .generators import Generator, _check_finite, contraction_ok, eval_g, implicit_start
+from .generators import (DifferentialRates, Generator, _check_finite, contraction_ok, eval_g,
+                         implicit_start, two_rate_residual, two_rate_step)
 from .lattice import Lattice, NodeProcess, first_node, tri
 from .stopping import StoppingRule
 
@@ -153,7 +159,17 @@ def _implicit_row(gen: Generator, t: float, rhs, z, s, dt: float, axis: int | No
     after 0) is tested alone and keeps the value it passed with.  The residual
     costs one more generator evaluation; with ``residual`` false it is None,
     and v is checked finite instead (inf passes the relative exit test).
+    A builtin step on arrays takes its first iteration from ``two_rate_step``,
+    fused into one pass, and ends there if that passes the exit test;
+    otherwise (a non-finite value, or a column that fails both tolerances)
+    the loop runs from the start.
     """
+    if isinstance(gen, DifferentialRates) and isinstance(rhs, np.ndarray):
+        first = two_rate_step(gen, t, rhs, z, s, dt)
+        if first is not None:
+            v, change, zs, delta = first
+            if delta <= FIXED_POINT_TOL or _moving(change, v, axis) is None:
+                return v, two_rate_residual(gen, rhs, v, zs, dt) if residual else None, 1
     v, live = implicit_start(gen, t, rhs, z, s, dt), None
     for it in range(1, MAX_FIXED_POINT_ITER + 1):
         v_new = eval_g(gen, t, v, z, s)  # fresh, so rhs + g*dt is built in it
@@ -166,9 +182,8 @@ def _implicit_row(gen: Generator, t: float, rhs, z, s, dt: float, axis: int | No
         v, delta = v_new, float(np.max(change))
         if delta <= FIXED_POINT_TOL:  # every column passes
             break
-        col = np.max(change, axis=axis)
-        live = ~((col <= FIXED_POINT_TOL) | (col <= _RELATIVE_TOL * np.max(np.abs(v), axis=axis)))
-        if not live.any():
+        live = _moving(change, v, axis)
+        if live is None:
             break
     else:
         raise NonConvergence(
@@ -180,6 +195,13 @@ def _implicit_row(gen: Generator, t: float, rhs, z, s, dt: float, axis: int | No
         _check_finite("y", v)
         return v, None, it
     return v, float(np.max(np.abs(v - (rhs + eval_g(gen, t, v, z, s) * dt)))), it
+
+
+def _moving(change, v, axis: int | None):
+    """The columns whose change exceeds both exit tolerances, or None if there is none."""
+    col = np.max(change, axis=axis)
+    live = ~((col <= FIXED_POINT_TOL) | (col <= _RELATIVE_TOL * np.max(np.abs(v), axis=axis)))
+    return live if live.any() else None
 
 
 def require_contraction(gen: Generator, lat: Lattice) -> None:
@@ -217,11 +239,16 @@ def backward_step(lat: Lattice, gen: Generator, k: int, y_next, cash, j: int | N
     builds its arithmetic in place in its own fresh arrays and never writes
     into ``y_next`` or ``cash``, so read-only tables and broadcast views serve.
     """
-    s_next, s = lat.spot.row(k + 1), lat.spot.row(k)
+    if not 0 <= k < lat.n_steps:
+        raise OutOfRange(f"step {k} outside 0..{lat.n_steps - 1}")
+    head = tri(k + 1)  # row k ends where row k+1 starts
+    s, s_next = lat.spot.flat[head - k - 1:head], lat.spot.flat[head:head + k + 2]
     if j is None:  # node data runs along axis 0, ahead of the batch axes
-        rank = np.ndim(y_next)
         up, dn = y_next[1:], y_next[:-1]
-        ds, s, cash = (_pad(a, rank) for a in (s_next[1:] - s_next[:-1], s, cash))
+        ds = s_next[1:] - s_next[:-1]
+        rank = np.ndim(y_next)
+        if rank > 1:
+            ds, s, cash = (_pad(a, rank) for a in (ds, s, cash))
     else:
         up, dn = y_next[1], y_next[0]
         ds, s = s_next[j + 1] - s_next[j], s[j]
@@ -298,8 +325,10 @@ def _field(lat: Lattice, gen: Generator, terminal, cash: NodeProcess, node_rule,
 def _reflect(lo, hi):
     """Node rule projecting a row's continuation into [lower_k, upper_k], batch columns alike."""
     def rule(k, cont):
-        rank = np.ndim(cont)
-        return np.minimum(_pad(hi.row(k), rank), np.maximum(_pad(lo.row(k), rank), cont))
+        lo_k, hi_k, rank = lo.row(k), hi.row(k), np.ndim(cont)
+        if rank > 1:
+            lo_k, hi_k = _pad(lo_k, rank), _pad(hi_k, rank)
+        return np.minimum(hi_k, np.maximum(lo_k, cont))
 
     return rule
 
@@ -337,8 +366,9 @@ class _SideRows:
         self.parts, self.buf = parts, np.empty((parts[0].n_steps + 1, len(parts)))
 
     def row(self, k):
+        start = tri(k)
         for b, part in enumerate(self.parts):
-            self.buf[:k + 1, b] = part.row(k)
+            self.buf[:k + 1, b] = part.flat[start:start + k + 1]
         return self.buf[:k + 1]
 
 

@@ -15,6 +15,14 @@ On array inputs the split-rate arithmetic picks each node's rate by the sign
 of its cash first (``np.where`` over the rates) and then computes once, so
 each element goes through the same IEEE operations as the branch its sign
 selects, and no element computes the other branch.
+
+``two_rate_step`` is the builtin's implicit one-step solve on arrays in one
+pass: the exact start and one confirming application, with the arithmetic
+of ``implicit_start`` and ``eval_g`` in the same order, z*s formed once and
+floating-point errors silenced once; ``two_rate_residual`` measures the
+residual from the same z*s.  ``drbsde`` applies its exit test to the pass
+and runs its general fixed-point loop, as for custom generators, only when
+the pass meets a non-finite value or fails that test.
 """
 
 from __future__ import annotations
@@ -108,8 +116,7 @@ def eval_g(gen: Generator, t: float, y, z, s):
         with np.errstate(invalid="ignore"):  # inf*0 or inf-inf from an input named below
             cash = y - z * s
             if isinstance(cash, np.ndarray):
-                g = np.where(cash >= 0.0, -gen.r_lend, -gen.r_borrow)
-                g *= cash
+                g = _two_rate_g(gen, cash)
             else:
                 g = -gen.r_lend * cash if cash >= 0.0 else -gen.r_borrow * cash
         if not _finite(g):
@@ -152,25 +159,77 @@ def implicit_start(gen: Generator, t: float, rhs, z, s, dt: float):
     For the builtin this is the exact solution (rhs + r*z*s*dt) / (1 + r*dt),
     r the rate the sign of rhs - z*s picks (the equation is piecewise linear
     in v and the cash sign equals that sign), so the iteration that follows
-    only has to confirm it.  On arrays the quotient is built in place in two
-    fresh arrays, the numerator and the picked rates, with the same operations
-    in the same order; no input is written.  Custom generators start at rhs.
+    only has to confirm it.  Custom generators start at rhs.
     """
     if isinstance(gen, DifferentialRates):
         zs = z * s
         if isinstance(rhs, np.ndarray) or isinstance(zs, np.ndarray):
-            r = np.where(rhs - zs >= 0.0, gen.r_lend, gen.r_borrow)
-            num = r * zs
-            num *= dt
-            num += rhs
-            r *= dt
-            r += 1.0
-            num /= r
-            return num
+            return _two_rate_start(gen, rhs, zs, dt)
         lend = (rhs + gen.r_lend * zs * dt) / (1.0 + gen.r_lend * dt)
         borrow = (rhs + gen.r_borrow * zs * dt) / (1.0 + gen.r_borrow * dt)
         return lend if rhs - zs >= 0.0 else borrow
     return rhs if isinstance(rhs, np.ndarray) else float(rhs)
+
+
+def _two_rate_g(gen: DifferentialRates, cash: np.ndarray) -> np.ndarray:
+    """The builtin's g = -r*cash on an array, each r picked by its cash sign; a fresh array."""
+    g = np.where(cash >= 0.0, -gen.r_lend, -gen.r_borrow)
+    g *= cash
+    return g
+
+
+def _two_rate_start(gen: DifferentialRates, rhs, zs, dt: float) -> np.ndarray:
+    """The exact start (rhs + r*zs*dt) / (1 + r*dt) on arrays, r picked by the sign of rhs - zs.
+
+    The quotient is built in place in two fresh arrays, the numerator and the
+    picked rates; no input is written.
+    """
+    r = np.where(rhs - zs >= 0.0, gen.r_lend, gen.r_borrow)
+    num = r * zs
+    num *= dt
+    num += rhs
+    r *= dt
+    r += 1.0
+    num /= r
+    return num
+
+
+def _rhs_plus_g_dt(gen: DifferentialRates, rhs, v: np.ndarray, zs, dt: float) -> np.ndarray:
+    """rhs + g(v)*dt in a fresh array, g at cash v - zs."""
+    out = _two_rate_g(gen, v - zs)
+    out *= dt
+    out += rhs
+    return out
+
+
+def two_rate_step(gen: DifferentialRates, t: float, rhs, z, s, dt: float):
+    """The builtin's first iteration for v = rhs + g(t, v, z, s)*dt on arrays, in one pass.
+
+    It forms z*s once, takes the exact start v0 and one confirming
+    application v1 = rhs + g(t, v0, z, s)*dt, with the arithmetic of
+    ``implicit_start`` and ``eval_g`` in the same order, so v1 and |v1 - v0|
+    are bit for bit those of the general loop's first iteration.
+    Floating-point errors are silenced once for the pass.  Returns (v1,
+    |v1 - v0|, z*s, max|v1 - v0|), or None when t or any value is non-finite
+    (the largest change is then non-finite); the caller then runs the general
+    loop, which meets the same values and raises or warns as it always has.
+    """
+    if not math.isfinite(t):
+        return None
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        zs = z * s
+        v = _two_rate_start(gen, rhs, zs, dt)
+        new = _rhs_plus_g_dt(gen, rhs, v, zs, dt)
+        change = np.subtract(new, v, out=v)
+        delta = float(np.abs(change, out=change).max())
+    return (new, change, zs, delta) if math.isfinite(delta) else None
+
+
+def two_rate_residual(gen: DifferentialRates, rhs, v: np.ndarray, zs, dt: float) -> float:
+    """max|v - (rhs + g(v)*dt)| of a finite array v, as the general loop measures it, z*s given."""
+    gap = _rhs_plus_g_dt(gen, rhs, v, zs, dt)
+    gap = np.subtract(v, gap, out=gap)
+    return float(np.abs(gap, out=gap).max())
 
 
 def _stack_generators(gens: Sequence[Generator]) -> DifferentialRates:

@@ -91,6 +91,7 @@ def test_equal_rates_solve_as_the_removed_one_rate_arithmetic(monkeypatch):
                 for lat, gen, contract, views in cases for view in views]
 
     now = solve_all()
+    monkeypatch.setattr(gamehedge.drbsde, "two_rate_step", lambda *args: None)  # loop only
     monkeypatch.setattr(gamehedge.drbsde, "eval_g", one_rate_eval_g)
     monkeypatch.setattr(gamehedge.drbsde, "implicit_start", one_rate_implicit_start)
     before = solve_all()
