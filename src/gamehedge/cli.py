@@ -8,8 +8,12 @@ Subcommands
     regions    export the stopping regions only
     sweep      reprice along one config axis, write a CSV of prices
 
+Each command reads its run settings (the side, endowments and tolerances
+included) from ``--config`` alone and writes to ``--out`` (default ``out``).
+
 Exit codes: 0 success (oracle: values match), 1 oracle mismatch, 2 config
-error, 3 solver error, 4 enumeration size cap, 5 replication failure.
+error (a malformed ``--hedge-csv`` included), 3 solver error, 4 enumeration
+size cap, 5 replication failure.
 
 All numbers in files are printed with 17 significant digits and reruns are
 byte-identical; wall-clock timing appears on stdout only.
@@ -27,14 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import (
-    ModelBundle,
-    apply_tol_overrides,
-    build_bundle,
-    build_generator,
-    load_config,
-    set_axis_value,
-)
+from .config import ModelBundle, build_bundle, build_generator, load_config, set_axis_value
 from .dynkin import game_value_brute, saddle_check
 from .errors import ConfigError, EngineError, TooLarge
 from .lattice import node_coords, read_node_process, write_csv, write_node_process
@@ -180,12 +177,10 @@ def cmd_oracle(bundle: ModelBundle, out: Path) -> int:
     return 0 if all_match else 1
 
 
-def cmd_replicate(bundle: ModelBundle, out: Path, hedge_csv: str | None) -> int:
+def cmd_replicate(bundle: ModelBundle, out: Path, hedge) -> int:
+    """Replicate each side's quote, with the solved hedge or, if given, the ``hedge`` process."""
     out.mkdir(parents=True, exist_ok=True)
     failure: str | None = None
-    hedge = None if hedge_csv is None else read_node_process(hedge_csv)
-    if hedge is not None and hedge.n_steps != bundle.lat.n_steps:
-        raise ConfigError(f"hedge CSV has {hedge.n_steps} steps, lattice has {bundle.lat.n_steps}")
     for side, quote in _quotes(bundle):
         if hedge is not None:
             quote = replace(quote, solution=replace(quote.solution, Z=hedge))
@@ -299,23 +294,18 @@ def cmd_sweep(bundle: ModelBundle, raw_cfg: dict, axis: str, values, out: Path) 
     return 0
 
 
-def _parse_args(argv):
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gamehedge",
         description="Price, verify and explore game contracts under nonlinear funding.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_side=True):
+    def common(p):
         p.add_argument("--config", required=True, help="path to the JSON run config")
-        p.add_argument("--out", help="output directory (default: config output.dir or ./out)")
+        p.add_argument("--out", default="out", help="output directory (default: ./out)")
         p.add_argument("--workers", type=int, default=1,
                        help="accepted and ignored (deprecated)")
-        p.add_argument("--tol-override", action="append", default=[], metavar="KEY=VALUE",
-                       help="override a tolerance, repeatable")
-        if with_side:
-            p.add_argument("--side", choices=("hedger", "counterparty", "both"),
-                           help="override party.side from the config")
 
     common(sub.add_parser("price", help="solve and write quotes"))
     common(sub.add_parser("oracle", help="brute-force game value check"))
@@ -324,10 +314,10 @@ def _parse_args(argv):
     p_rep.add_argument("--hedge-csv", help="node CSV overriding the solved hedge")
     common(sub.add_parser("regions", help="export stopping regions"))
     p_sw = sub.add_parser("sweep", help="reprice along one config axis")
-    common(p_sw, with_side=False)
+    common(p_sw)
     p_sw.add_argument("--axis", required=True, help="dotted config path, e.g. contract.penalty")
     p_sw.add_argument("--values", required=True, help="comma-separated values")
-    return parser.parse_args(argv)
+    return parser
 
 
 # glibc mallopt parameters and the ceilings its dynamic thresholds rise to on 64-bit
@@ -357,24 +347,27 @@ def _keep_freed_heap() -> None:
 def main(argv=None) -> int:
     _keep_freed_heap()
     try:
-        args = _parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse already printed the message
         return int(exc.code or 0)
 
     try:
         cfg = load_config(args.config)
-        apply_tol_overrides(cfg, args.tol_override)
-        if getattr(args, "side", None):
-            cfg.setdefault("party", {})["side"] = args.side
         if args.command == "sweep":
             bundle, sweep_values = _sweep_bundle(cfg, args.axis, args.values)
         else:
             bundle = build_bundle(cfg)
+        hedge = None
+        if args.command == "replicate" and args.hedge_csv is not None:
+            hedge = read_node_process(args.hedge_csv)
+            if hedge.n_steps != bundle.lat.n_steps:
+                raise ConfigError(f"hedge CSV has {hedge.n_steps} steps, "
+                                  f"lattice has {bundle.lat.n_steps}")
     except EngineError as exc:
         print(f"config error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
-    out = Path(args.out or bundle.output_dir or "out")
+    out = Path(args.out)
     try:
         if args.command == "price":
             return cmd_price(bundle, out)
@@ -383,7 +376,7 @@ def main(argv=None) -> int:
         if args.command == "oracle":
             return cmd_oracle(bundle, out)
         if args.command == "replicate":
-            return cmd_replicate(bundle, out, args.hedge_csv)
+            return cmd_replicate(bundle, out, hedge)
         if args.command == "sweep":
             return cmd_sweep(bundle, cfg, args.axis, sweep_values, out)
         raise AssertionError(f"unhandled command {args.command}")

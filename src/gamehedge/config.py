@@ -10,9 +10,9 @@ A run config is a JSON object with blocks
     contract   {type, ...}             israeli_put(strike, penalty) |
                                         game_bond(face, coupon, call_penalty,
                                         put_discount) | custom(files)
-    party      {side, endowment, other_endowment}
-    tolerances {obstacle_eq, oracle, replication}
-    output     {dir}
+    party      {side, endowment, other_endowment}  (endowment: the side's own,
+                                        the hedger's for both)
+    tolerances {obstacle_eq, oracle, replication}  (each optional, positive)
 
 Every generator type builds the one two-rate generator: ``zero`` with both
 rates zero, ``linear`` with both rates ``rate``.  Custom contract files are
@@ -44,8 +44,8 @@ from .pricing import (
     builtin_israeli_put,
 )
 
-__all__ = ["DEFAULT_TOLERANCES", "ModelBundle", "load_config", "apply_tol_overrides",
-           "set_axis_value", "build_generator", "build_bundle"]
+__all__ = ["DEFAULT_TOLERANCES", "ModelBundle", "load_config", "set_axis_value",
+           "build_generator", "build_bundle"]
 
 DEFAULT_TOLERANCES = {"obstacle_eq": 1e-9, "oracle": 1e-10, "replication": 1e-10}
 
@@ -64,7 +64,6 @@ _ALLOWED_KEYS = {
     "contract": {"type"}.union(*_CONTRACT_KEYS.values()),
     "party": {"side", "endowment", "other_endowment"},
     "tolerances": set(DEFAULT_TOLERANCES),
-    "output": {"dir"},
 }
 _SIDES = ("hedger", "counterparty", "both")
 
@@ -79,7 +78,6 @@ class ModelBundle:
     views: dict  # both sides always present
     sides: tuple[str, ...]  # sides selected for processing
     tolerances: dict
-    output_dir: str | None
 
 
 def load_config(path) -> dict:
@@ -143,28 +141,13 @@ def _int(block: dict, block_name: str, key: str) -> int:
     return int(v)
 
 
-def apply_tol_overrides(cfg: dict, overrides) -> None:
-    """Apply repeated --tol-override key=value pairs onto the config in place."""
-    tols = cfg.setdefault("tolerances", {})
-    for item in overrides or ():
-        key, sep, text = item.partition("=")
-        if not sep:
-            raise ConfigError(f"tolerance override {item!r} must look like key=value")
-        if key not in DEFAULT_TOLERANCES:
-            raise ConfigError(
-                f"unknown tolerance {key!r}; known: {sorted(DEFAULT_TOLERANCES)}"
-            )
-        try:
-            tols[key] = float(text)
-        except ValueError as exc:
-            raise ConfigError(f"tolerance override {item!r} has a non-numeric value") from exc
-
-
 def set_axis_value(cfg: dict, axis: str, value) -> None:
     """Set a dotted config path (sweep axis) to a new value, in place."""
     parts = axis.split(".")
     if len(parts) != 2 or parts[0] not in _ALLOWED_KEYS or parts[1] not in _ALLOWED_KEYS[parts[0]]:
         raise ConfigError(f"unknown sweep axis {axis!r}")
+    if parts[0] == "tolerances":  # every row would repeat the first price
+        raise ConfigError(f"sweep axis {axis!r} changes no price")
     block = cfg.setdefault(parts[0], {})
     if not isinstance(block, dict):
         raise ConfigError(f"config block {parts[0]!r} must be an object")
@@ -257,19 +240,11 @@ def build_bundle(cfg: dict) -> ModelBundle:
         "counterparty": PartyView(side="counterparty", endowment=x_counter, acct=acct),
     }
     sides = ("hedger", "counterparty") if side == "both" else (side,)
-    tols = dict(DEFAULT_TOLERANCES)
-    for key, value in cfg.get("tolerances", {}).items():
-        num = value
-        if isinstance(num, bool) or not isinstance(num, (int, float)) or not math.isfinite(num):
-            raise ConfigError(f"tolerances.{key} must be a finite number")
-        if num <= 0.0:
-            raise ConfigError(f"tolerances.{key} must be positive")
-        tols[key] = float(num)
-    out_block = cfg.get("output", {})
-    out_dir = out_block.get("dir")
-    if out_dir is not None and not isinstance(out_dir, str):
-        raise ConfigError("output.dir must be a path string")
-    return ModelBundle(
-        lat=lat, gen=gen, contract=contract,
-        views=views, sides=sides, tolerances=tols, output_dir=out_dir,
-    )
+    block = cfg.get("tolerances", {})
+    tols = {key: _num(block, "tolerances", key, default)
+            for key, default in DEFAULT_TOLERANCES.items()}
+    for key, tol in tols.items():
+        if tol <= 0.0:
+            raise ConfigError(f"tolerances.{key} must be positive, got {tol}")
+    return ModelBundle(lat=lat, gen=gen, contract=contract, views=views, sides=sides,
+                       tolerances=tols)

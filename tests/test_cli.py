@@ -1,5 +1,6 @@
 """End-to-end command tests: exit codes, file outputs, determinism."""
 
+import inspect
 import json
 import os
 import platform
@@ -16,10 +17,12 @@ from gamehedge import (
     acceptable_price,
     forward_wealth,
     path_moves,
+    saddle_check,
+    verify_replication,
     write_node_process,
 )
 from gamehedge.cli import main
-from gamehedge.config import build_bundle, load_config
+from gamehedge.config import DEFAULT_TOLERANCES, build_bundle, load_config
 
 BASE = {
     "lattice": {"s0": 100.0, "u": 1.2, "d": 0.8, "N": 1, "T": 1.0},
@@ -66,17 +69,6 @@ def test_price_both_sides_with_spread(tmp_path):
     assert (out / "counterparty" / "region_sigma.csv").exists()
 
 
-def test_price_side_flag_overrides_config(tmp_path):
-    cfg = write_config(tmp_path)
-    out = tmp_path / "out"
-    code = main(["price", "--config", str(cfg), "--out", str(out),
-                 "--side", "counterparty"])
-    assert code == 0
-    quote = json.loads((out / "quote.json").read_text())
-    assert quote["side"] == "counterparty"
-    assert quote["y0"] == -5.0
-
-
 def test_reruns_are_byte_identical(tmp_path):
     cfg = write_config(tmp_path, party={"side": "both"})
     out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -118,11 +110,87 @@ def test_keys_another_type_reads_exit_2(tmp_path, capsys, block, extra, err):
 
 
 def test_unknown_tolerance_key_exits_2(tmp_path, capsys):
-    cfg = write_config(tmp_path)
-    code = main(["price", "--config", str(cfg), "--out", str(tmp_path / "o"),
-                 "--tol-override", "wobble=1e-9"])
-    assert code == 2
-    assert "wobble" in capsys.readouterr().err
+    cfg = write_config(tmp_path, tolerances={"wobble": 1e-9})
+    assert main(["price", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        "config error: ConfigError: unknown keys in 'tolerances': ['wobble']\n")
+
+
+@pytest.mark.parametrize("extra_argv, blocks, err", [
+    (["--side", "both"], {}, "gamehedge: error: unrecognized arguments: --side both\n"),
+    (["--tol-override", "oracle=1e-9"], {},
+     "gamehedge: error: unrecognized arguments: --tol-override oracle=1e-9\n"),
+    ([], {"output": {"dir": "elsewhere"}},
+     "config error: ConfigError: unknown config blocks: ['output']\n"),
+])
+def test_removed_run_settings_exit_2(tmp_path, capsys, extra_argv, blocks, err):
+    # the side, the tolerances and the output directory each have one way in
+    cfg = write_config(tmp_path, **blocks)
+    out = tmp_path / "o"
+    assert main(["price", "--config", str(cfg), "--out", str(out), *extra_argv]) == 2
+    assert capsys.readouterr().err.endswith(err)
+    assert not out.exists()
+
+
+LATTICE = BASE["lattice"]
+CUSTOM_FILES = {name: f"{name}.csv" for name in ("xh", "xc", "xbar", "da")}
+
+
+@pytest.mark.parametrize("config, err", [
+    ("{", "config {path} is not valid JSON: "
+          "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    ("[1]", "config root must be a JSON object"),
+    ({"extra": {}}, "unknown config blocks: ['extra']"),
+    ({"party": 1}, "config block 'party' must be an object"),
+    ({"lattice": None}, "config block 'lattice' is required"),
+    ({"lattice": {**LATTICE, "s0": None}}, "lattice.s0 is required"),
+    ({"lattice": {**LATTICE, "s0": float("inf")}}, "lattice.s0 must be finite"),
+    ({"lattice": {**LATTICE, "s0": "100"}}, "lattice.s0 must be a number, got '100'"),
+    ({"lattice": {**LATTICE, "N": 1.5}}, "lattice.N must be an integer, got 1.5"),
+    ({"lattice": {**LATTICE, "sigma": 0.2}}, "lattice: give either sigma or u/d, not both"),
+    ({"lattice": {**LATTICE, "u": None, "d": None, "sigma": 0}},
+     "lattice.sigma must be positive, got 0.0"),
+    ({"contract": {"type": "custom", "files": {"xh": "xh.csv"}}},
+     "contract.files must map exactly xh, xc, xbar, da to CSV paths"),
+    ({"contract": {"type": "custom", "files": {**CUSTOM_FILES, "xh": 1}}},
+     "contract.files.xh must be a path string"),
+    ({"contract": {"type": "custom", "files": CUSTOM_FILES}},
+     "contract.files.xh has 2 steps, lattice has 1"),
+    ({"party": {"side": "sideways"}},
+     "party.side must be one of ('hedger', 'counterparty', 'both'), got 'sideways'"),
+    ({"tolerances": {"oracle": "small"}}, "tolerances.oracle must be a number, got 'small'"),
+    ({"tolerances": {"oracle": True}}, "tolerances.oracle must be a number, got True"),
+    ({"tolerances": {"replication": 0}}, "tolerances.replication must be positive, got 0.0"),
+    ({"tolerances": {"obstacle_eq": -1e-9}},
+     "tolerances.obstacle_eq must be positive, got -1e-09"),
+])
+def test_config_errors_exit_2(tmp_path, capsys, config, err):
+    # config is the file's text, or BASE with whole blocks replaced (keys or blocks set to
+    # None are left out); the custom contract files hold two steps against N=1
+    custom_contract_files(tmp_path, 2, terminal_tie=0.5)
+    if isinstance(config, dict):
+        blocks = {**BASE, **config}
+        config = json.dumps({block: {key: v for key, v in sub.items() if v is not None}
+                             if isinstance(sub, dict) else sub
+                             for block, sub in blocks.items() if sub is not None})
+    path = tmp_path / "run.json"
+    path.write_text(config)
+    out = tmp_path / "o"
+    assert main(["price", "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: ConfigError: {err.format(path=path)}\n"
+    assert not out.exists()
+
+
+def test_default_tolerances_are_the_library_defaults():
+    # a config without a tolerances block runs each check at the default its call declares
+    def default(fn, name):
+        return inspect.signature(fn).parameters[name].default
+
+    assert DEFAULT_TOLERANCES == {
+        "obstacle_eq": default(acceptable_price, "region_tol"),
+        "oracle": default(saddle_check, "tol"),
+        "replication": default(verify_replication, "gap_tol"),
+    }
 
 
 def test_oracle_instance_a(tmp_path, capsys):
@@ -173,6 +241,16 @@ def test_replicate_past_the_path_cap_exits_4(tmp_path, capsys):
     cfg = write_config(tmp_path, lattice={"N": 25})
     assert main(["replicate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 4
     assert "size cap: TooLarge" in capsys.readouterr().err
+
+
+def f64(x):
+    """The repr numpy gives a float64 element, which the messages quote."""
+    return repr(np.float64(x))
+
+
+# the solver's message for the terminal tie 5 of custom_contract_files outside the band [-2, 2]
+TERMINAL_OUT_OF_BAND = ("solver error: TerminalOutOfBand: terminal value at node (1, 0) is "
+                        f"{f64(-5.0)}, outside [{f64(-2.0)}, {f64(2.0)}]\n")
 
 
 def custom_contract_files(tmp_path, n, terminal_tie):
@@ -271,10 +349,26 @@ def test_replicate_hedge_shape_mismatch_exits_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("cell", ["nan", "1e309"])
+def test_replicate_non_finite_hedge_exits_2(tmp_path, capsys, cell):
+    # a non-finite hedge cell is a malformed input, as the same cell in a contract CSV is
+    cfg = replicate_fixture(tmp_path)
+    hedge = tmp_path / "z.csv"
+    write_node_process(NodeProcess.zeros(2), hedge)
+    hedge.write_text(hedge.read_text().replace("0,0,0\n", f"0,0,{cell}\n", 1))
+    out = tmp_path / "o"
+    assert main(["replicate", "--config", str(cfg), "--out", str(out),
+                 "--hedge-csv", str(hedge)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: NonFiniteInput: row 0 contains non-finite values\n")
+    assert not out.exists()
+
+
 def test_replicate_reads_hedge_csv_once_for_both_sides(tmp_path, monkeypatch):
     import gamehedge.cli as cli
 
-    cfg = replicate_fixture(tmp_path)
+    cfg = write_config(tmp_path, lattice={"N": 2}, party={"side": "both"},
+                       contract={"penalty": 30.0})
     write_node_process(NodeProcess.zeros(2), tmp_path / "z.csv")
     calls = []
 
@@ -284,7 +378,7 @@ def test_replicate_reads_hedge_csv_once_for_both_sides(tmp_path, monkeypatch):
 
     cli_read = cli.read_node_process
     monkeypatch.setattr(cli, "read_node_process", counting_read)
-    main(["replicate", "--config", str(cfg), "--out", str(tmp_path / "o"), "--side", "both",
+    main(["replicate", "--config", str(cfg), "--out", str(tmp_path / "o"),
           "--hedge-csv", str(tmp_path / "z.csv")])
     assert calls == [str(tmp_path / "z.csv")]
     assert (tmp_path / "o" / "counterparty" / "replicate.json").exists()
@@ -370,9 +464,7 @@ def test_sweep_first_value_entry_error_comes_before_later_values(tmp_path, capsy
     code = main(["sweep", "--config", str(cfg), "--out", str(out),
                  "--axis", "generator.r_borrow", "--values", values])
     assert code == 3
-    assert capsys.readouterr().err == (
-        "solver error: TerminalOutOfBand: terminal value at node (1, 0) is np.float64(-5.0), "
-        "outside [np.float64(-2.0), np.float64(2.0)]\n")
+    assert capsys.readouterr().err == TERMINAL_OUT_OF_BAND
     assert not (out / "sweep.csv").exists()
 
 
@@ -381,9 +473,7 @@ def test_sweep_first_value_entry_error_comes_before_later_values(tmp_path, capsy
     (False, "contract.penalty", "5,0",
      "solver error: InvalidPenalty: penalty must be strictly positive, got 0.0\n"),
     # the first value's terminal tie leaves the band before the second value is built
-    (True, "benchmark.r_lend", "0,-1",
-     "solver error: TerminalOutOfBand: terminal value at node (1, 0) is np.float64(-5.0), "
-     "outside [np.float64(-2.0), np.float64(2.0)]\n"),
+    (True, "benchmark.r_lend", "0,-1", TERMINAL_OUT_OF_BAND),
 ])
 def test_sweep_errors_off_the_generator_axis_keep_value_order(tmp_path, capsys, custom, axis,
                                                               values, err):
@@ -442,6 +532,17 @@ def test_sweep_with_a_failing_first_value_keeps_its_errors(tmp_path, capsys, con
                  "--axis", "generator.r_borrow", "--values", values]) == code
     assert capsys.readouterr().err == err
     assert not (out / "sweep.csv").exists()
+
+
+def test_sweep_along_a_tolerance_exits_2(tmp_path, capsys):
+    # no tolerance changes a price, so every row would repeat the first
+    cfg = write_config(tmp_path, party={"side": "both"})
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out),
+                 "--axis", "tolerances.oracle", "--values", "1,2"]) == 2
+    assert capsys.readouterr().err == (
+        "config error: ConfigError: sweep axis 'tolerances.oracle' changes no price\n")
+    assert not out.exists()
 
 
 def test_sweep_unknown_axis_exits_2(tmp_path, capsys):
