@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import copy
 import ctypes
+import json
 import sys
 import time
 from dataclasses import replace
@@ -34,7 +35,7 @@ import numpy as np
 from .config import ModelBundle, build_bundle, build_generator, load_config, set_axis_value
 from .dynkin import game_value_brute, saddle_check
 from .errors import ConfigError, EngineError, TooLarge
-from .lattice import node_coords, read_node_process, write_csv, write_node_process
+from .lattice import _CSV_EOL, _cells, node_coords, read_node_process, write_csv, write_node_process
 from .pricing import SIDES, acceptable_price, sweep_prices
 from .pricing import side_obstacles  # noqa: F401  (a name bench/spans.py traces)
 from .pricing import side_obstacles as game_payoff  # noqa: F401  (a name bench/spans.py traces)
@@ -72,9 +73,7 @@ def _json_text(obj, level: int = 0) -> str:
     if isinstance(obj, float):
         return _fmt(obj)
     if isinstance(obj, str):
-        import json as _json
-
-        return _json.dumps(obj)
+        return json.dumps(obj)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
@@ -180,6 +179,8 @@ def cmd_oracle(bundle: ModelBundle, out: Path) -> int:
 def cmd_replicate(bundle: ModelBundle, out: Path, hedge) -> int:
     """Replicate each side's quote, with the solved hedge or, if given, the ``hedge`` process."""
     out.mkdir(parents=True, exist_ok=True)
+    n = bundle.lat.n_steps
+    labels = _paths_labels(n) if n <= PATHS_CSV_MAX_STEPS else None  # shared by both sides
     failure: str | None = None
     for side, quote in _quotes(bundle):
         if hedge is not None:
@@ -199,8 +200,8 @@ def cmd_replicate(bundle: ModelBundle, out: Path, hedge) -> int:
                 "first_failing_path": rep.first_failing_path,
             },
         )
-        if bundle.lat.n_steps <= 12:
-            _write_paths_csv(target / "paths.csv", quote)
+        if labels is not None:
+            _write_paths_csv(target / "paths.csv", quote, labels)
         del quote
         verdict = "ok" if rep.ok else "FAIL"
         print(f"{side}: replicates={rep.replicates} max_gap={_fmt(rep.max_gap)} "
@@ -216,18 +217,31 @@ def cmd_replicate(bundle: ModelBundle, out: Path, hedge) -> int:
     return 0
 
 
-def _write_paths_csv(path: Path, quote) -> None:
+PATHS_CSV_MAX_STEPS = 12  # replicate writes paths.csv, 2^N paths x (N + 1) steps, up to here
+
+
+def _paths_labels(n: int) -> str:
+    """``paths.csv``'s header, then a ``path_id,step,%s`` line per path and step in file order."""
+    steps = [f"{k},%s{_CSV_EOL}" for k in range(n + 1)]
+    rows = "".join(f"{p}," + f"{p},".join(steps) for p in range(1 << n))
+    return f"path_id,step,V,Y,L_cum,U_cum{_CSV_EOL}" + rows
+
+
+def _write_paths_csv(path: Path, quote, labels: str) -> None:
+    """Every path's wealth, solved value and cumulative pushes at every step.  Row (p, k) depends
+    only on the first k moves of path p, its low k bits, so it repeats path p mod 2^k's values at
+    step k: the file's 2^(N+1) - 1 distinct value rows are each formatted once into ``labels``."""
     inputs = quote.inputs
     n = inputs.lat.n_steps
     moves = path_moves(np.arange(1 << n), n)
     wealth = forward_wealth(quote.y0, quote.solution.Z, inputs.gen,
                             inputs.cashflow_increments, inputs.lat, moves)
-    y, l_cum, u_cum = solution_path(quote, moves)
-    write_csv(
-        path, ("path_id", "step", "V", "Y", "L_cum", "U_cum"),
-        (np.repeat(np.arange(1 << n), n + 1), np.tile(np.arange(n + 1), 1 << n),
-         wealth.ravel(), y.ravel(), l_cum.ravel(), u_cum.ravel()),
-    )
+    cols = [np.concatenate([a[:1 << k, k] for k in range(n + 1)])
+            for a in (wealth, *solution_path(quote, moves))]
+    states = np.array(list(map(",".join, zip(*map(_cells, cols)))), dtype=object)
+    low = (1 << np.arange(n + 1)) - 1  # (1 << k) - 1: where step k's states start, and its mask
+    with open(path, "w", newline="") as fh:
+        fh.write(labels % tuple(states[(low + (np.arange(1 << n)[:, None] & low)).ravel()]))
 
 
 def _parse_sweep_values(text: str):

@@ -147,12 +147,17 @@ GAME_GENERATORS = {
 }
 
 
-def game_instance(rng, n: int, gen, side: str = "hedger"):
-    """A random n-step stopping game for a given generator."""
+def game_lattice(rng, n: int, gen) -> Lattice:
+    """A random n-step lattice inside the generator's contraction bound."""
     while True:
         lat = random_lattice(rng, n, n)
         if lat.dt * gen.lipschitz_z / (lat.u - lat.d) <= 0.9 * min(lat.q, 1.0 - lat.q):
-            break
+            return lat
+
+
+def game_instance(rng, n: int, gen, side: str = "hedger"):
+    """A random n-step stopping game for a given generator."""
+    lat = game_lattice(rng, n, gen)
     contract = random_contract(rng, lat)
     endowment = float(rng.choice([-2.5, 0.0, 2.5]))
     view = PartyView(side=side, endowment=endowment, acct=BenchmarkAccount(0.02, 0.05))

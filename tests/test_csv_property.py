@@ -1,6 +1,7 @@
 """Property tests: the bulk CSV writers match row-at-a-time csv.writer loops byte for byte."""
 
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,8 +10,20 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from gamehedge import NodeProcess, lattice, read_node_process, write_node_process  # noqa: E402
+from gamehedge import (  # noqa: E402
+    BenchmarkAccount,
+    NodeProcess,
+    PartyView,
+    acceptable_price,
+    cli,
+    lattice,
+    read_node_process,
+    write_node_process,
+)
 from gamehedge.lattice import write_csv  # noqa: E402
+
+from conftest import GAME_GENERATORS, game_lattice, random_contract  # noqa: E402
+from test_paths_csv import random_hedge, reference_write as reference_paths_write  # noqa: E402
 
 
 def reference_write(proc, path):
@@ -98,4 +111,31 @@ def test_write_csv_matches_reference_across_blocks(tmp_path, monkeypatch, table,
     monkeypatch.setattr(lattice, "_CSV_BLOCK_ROWS", block)  # repeats straddle block edges
     write_csv(tmp_path / "fast.csv", header, columns)
     reference_table(tmp_path / "ref.csv", header, columns)
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+@st.composite
+def replicated_quotes(draw):
+    """A random game's quote at N 1..8 for either side and any conftest generator, with its
+    solved hedge or (as ``replicate --hedge-csv``) a random overriding one."""
+    n = draw(st.integers(1, 8))
+    gen = GAME_GENERATORS[draw(st.sampled_from(sorted(GAME_GENERATORS)))]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lat = game_lattice(rng, n, gen)
+    view = PartyView(side=draw(st.sampled_from(["hedger", "counterparty"])),
+                     endowment=float(rng.choice([-2.5, 0.0, 2.5])),
+                     acct=BenchmarkAccount(0.02, 0.05))
+    quote = acceptable_price(random_contract(rng, lat), view, gen, lat)
+    if draw(st.booleans()):
+        quote = replace(quote, solution=replace(quote.solution, Z=random_hedge(rng, n)))
+    return quote
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(quote=replicated_quotes())
+def test_paths_csv_matches_reference(tmp_path, quote):
+    n = quote.inputs.lat.n_steps
+    cli._write_paths_csv(tmp_path / "fast.csv", quote, cli._paths_labels(n))
+    reference_paths_write(quote, tmp_path / "ref.csv")
     assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
