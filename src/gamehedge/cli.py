@@ -52,18 +52,11 @@ def _fmt(x: float) -> str:
 def _json_text(obj, level: int = 0) -> str:
     pad = "  " * level
     inner = "  " * (level + 1)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
+    if isinstance(obj, dict):  # never empty: every artifact holds at least one key
         items = ",\n".join(
             f'{inner}"{key}": {_json_text(obj[key], level + 1)}' for key in sorted(obj)
         )
         return "{\n" + items + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = ",\n".join(f"{inner}{_json_text(v, level + 1)}" for v in obj)
-        return "[\n" + items + "\n" + pad + "]"
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if obj is None:

@@ -301,17 +301,22 @@ def read_node_process(path) -> NodeProcess:
                 raise ConfigError(f"{path}: malformed row {line.split(',')!r}") from None
     n = max(int(ks.max()), -1)  # -1: every step negative, no lattice node expected
     on = (0 <= js) & (js <= ks)
-    flat = tri(ks[on], js[on])
-    count = np.bincount(flat, minlength=tri(n + 1))
-    if count.max(initial=0) > 1:
-        order = np.argsort(flat, kind="stable")
-        i = np.flatnonzero(on)[order[1:][np.diff(flat[order]) == 0].min()]  # first repeat
+    k_on, j_on = ks[on], js[on]
+    order = np.lexsort((j_on, k_on))  # node order, and stable: a node's repeats follow it
+    repeats = order[1:][(np.diff(k_on[order]) == 0) & (np.diff(j_on[order]) == 0)]
+    if repeats.size:
+        i = np.flatnonzero(on)[repeats.min()]  # first repeat
         raise ConfigError(f"{path}: duplicate node ({ks[i]}, {js[i]})")
-    if not (on.all() and count.all()):
-        missing = np.stack([c[count == 0][:3] for c in node_coords(n)], axis=1)
+    if not on.all() or k_on.size != tri(n + 1):
+        # the nodes are distinct, so the first three gaps lie among the first k_on.size + 3:
+        # nothing here is sized by the largest step, which may lie far beyond what rows cover
+        first = min(tri(n + 1), k_on.size + 3)
+        near = k_on < first  # tri(k) >= k, so the other nodes lie beyond
+        gaps = np.setdiff1d(np.arange(first), tri(k_on[near], j_on[near]))[:3].tolist()
+        missing = [(_row_of(i), i - tri(_row_of(i))) for i in gaps]
         extra = np.unique(np.stack([ks[~on], js[~on]], axis=1), axis=0)[:3]
-        missing, extra = ([tuple(node) for node in a.tolist()] for a in (missing, extra))
+        extra = [tuple(node) for node in extra.tolist()]
         raise ConfigError(f"{path}: node coverage mismatch (missing {missing}, unexpected {extra})")
     out = np.empty(tri(n + 1))
-    out[flat] = values
+    out[tri(ks, js)] = values
     return NodeProcess(out)

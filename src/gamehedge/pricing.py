@@ -9,23 +9,19 @@ A contract is three hedger-signed payoff processes plus a cumulative flow:
 * ``dA``  hedger-signed flow accrued over each step.
 
 The hedger's acceptable price is the extra initial wealth that lets it stay
-benchmark-safe whatever the counterparty does; the counterparty's is the
-largest premium it can pay and stay benchmark-safe itself.  Both come from
-the same doubly reflected backward solve, with obstacles built from the
-benchmark wealth of the respective endowment:
-
-* hedger:        lower = Vb - Xc, upper = Vb - Xh, tie = Vb - Xbar
-* counterparty:  lower = Xh + Vb, upper = Xc + Vb, tie = Xbar + Vb
-
-and the counterparty pays the flow, so its cashflow is -dA; the tie's last
-row is the terminal data, and the same problem is the side's stopped game.
-The price is y0 - x for the hedger and x - y0 for the counterparty.
+benchmark-safe whatever the counterparty does.  With Vb the benchmark wealth
+of its endowment x, it solves the doubly reflected system with lower =
+Vb - Xc, upper = Vb - Xh, tie = Vb - Xbar and cash flow dA, and quotes
+y0 - x; the tie's last row is the terminal data, and the same problem is
+the side's stopped game.  A counterparty quote is the hedger's solve of the
+mirrored contract (Xh -> -Xc, Xc -> -Xh, Xbar -> -Xbar, dA -> -dA), priced
+x - y0: the largest premium it can pay and stay benchmark-safe.
 
 Stopping regions are reported as raw equality sets of the solved value
 against the obstacles (region_sigma, region_tau) and as strict-positivity
-sets of the reflection pushes (region_bar_sigma, region_bar_tau); for a
-counterparty quote the sigma regions track the hedger's cancellation at the
-lower obstacle and the tau regions the counterparty's exercise at the upper.
+sets of the reflection pushes (region_bar_sigma, region_bar_tau), named in
+the hedger's order on either side: sigma the hedger's cancellation, tau the
+counterparty's exercise.
 Each region is the sorted array of its flat node indices, node (k, j) at
 ``tri(k, j)``; ``node_coords`` maps them back to steps and up-counts.
 """
@@ -134,9 +130,41 @@ class PartyView:
             raise NonFiniteInput("endowment must be finite")
 
 
-def _side_cash(contract: ContractSpec, view: PartyView) -> NodeProcess:
-    """The side's cash flow: dA for the hedger, -dA for the counterparty, who pays it."""
-    return contract.dA if view.side == "hedger" else NodeProcess(-contract.dA.flat)
+class _Side:
+    """The view side's problem as the hedger's problem on the mirrored contract.
+
+    The counterparty's problem is the hedger's on Xh -> -Xc, Xc -> -Xh,
+    Xbar -> -Xbar, dA -> -dA; every side decision is read from here.
+    ``order`` maps between the hedger-named order (sigma, tau; Xh, Xc) and
+    the side's (own, other) order, and is its own inverse.
+    """
+
+    def __init__(self, view: PartyView):
+        self.mirrored, self.endowment = view.side != "hedger", view.endowment
+
+    def order(self, first, second):
+        return (second, first) if self.mirrored else (first, second)
+
+    def settlements(self, contract: ContractSpec):
+        """The side's signed settlement rows on an own, other and joint stop (the mirrored
+        Xh, Xc and Xbar), one at a time: shifting them into obstacles at pricing scale never
+        holds all three negated rows at once."""
+        own, other = self.order(contract.Xh.flat, contract.Xc.flat)
+        for row in (own, other, contract.Xbar.flat):
+            yield -row if self.mirrored else row
+
+    def cash(self, contract: ContractSpec) -> NodeProcess:
+        """The side's cash flow, the mirrored dA."""
+        return NodeProcess(-contract.dA.flat) if self.mirrored else contract.dA
+
+    def price(self, y0):
+        """y0 - x, or x - y0 mirrored (not -(y0 - x), which makes a zero price -0)."""
+        first, second = self.order(y0, self.endowment)
+        return first - second
+
+    def initial_wealth(self, price):
+        """The y0 whose ``price`` is ``price``."""
+        return self.endowment - price if self.mirrored else self.endowment + price
 
 
 def side_obstacles(
@@ -144,22 +172,18 @@ def side_obstacles(
 ) -> DrbsdeInputs:
     """The view side's problem: benchmark-shifted lower, upper and tie rows and its cash flow.
 
-    hedger: Vb - Xc, Vb - Xh, Vb - Xbar; counterparty: Xh + Vb, Xc + Vb, Xbar + Vb.
-    Its reflected solve and its stopped game agree, as interior ties never help
-    the stopping player (the tie row sits inside the band); that is itself a test.
+    Each row is Vb minus the side's settlement row: upper on its own stop,
+    lower on the other's, tie on a joint one.  Its reflected solve and its
+    stopped game agree, as interior ties never help the stopping player (the
+    tie row sits inside the band); that is itself a test.
     """
     if contract.n_steps != lat.n_steps:
         raise InvalidParameters(f"contract has {contract.n_steps} steps, lattice has {lat.n_steps}")
     vb = benchmark_profile(view.acct, view.endowment, lat.grid)[node_coords(lat.n_steps)[0]]
-    xh, xc, xm = contract.Xh.flat, contract.Xc.flat, contract.Xbar.flat
-    if view.side == "hedger":
-        lower, upper, tie = vb - xc, vb - xh, vb - xm
-    else:
-        lower, upper, tie = xh + vb, xc + vb, xm + vb
-    return DrbsdeInputs(
-        lower=NodeProcess(lower), upper=NodeProcess(upper), tie=NodeProcess(tie),
-        cashflow_increments=_side_cash(contract, view), gen=gen, lat=lat,
-    )
+    side = _Side(view)
+    upper, lower, tie = (NodeProcess(vb - row) for row in side.settlements(contract))
+    return DrbsdeInputs(lower=lower, upper=upper, tie=tie, cashflow_increments=side.cash(contract),
+                        gen=gen, lat=lat)
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,7 +193,7 @@ class QuoteResult:
     Regions are node sets, each a read-only, strictly increasing int64 array
     of flat node indices (node (k, j) at ``tri(k, j)``): region_sigma /
     region_tau are obstacle-equality sets, within ``region_tol``, for the
-    quote side's cancel / exercise times, region_bar_sigma / region_bar_tau
+    cancel / exercise times, region_bar_sigma / region_bar_tau
     the strict-push sets behind the corresponding barred times.  The
     contract, the view and ``inputs`` (generator, lattice, lower, upper and
     tie rows and cash flow) are retained so verifiers replay exactly what
@@ -221,18 +245,14 @@ def acceptable_price(
     eq_lower = _nodes(np.abs(y - inputs.lower.flat) <= band)
     pos_du = _nodes(sol.dU.flat > 0.0)
     pos_dl = _nodes(sol.dL.flat > 0.0)
-    if view.side == "hedger":
-        region_sigma, region_tau = eq_upper, eq_lower
-        region_bar_sigma, region_bar_tau = pos_du, pos_dl
-    else:
-        # the hedger's cancel presses the counterparty value at the lower
-        # obstacle, the counterparty's own exercise at the upper
-        region_sigma, region_tau = eq_lower, eq_upper
-        region_bar_sigma, region_bar_tau = pos_dl, pos_du
+    # the side's own stop presses the upper obstacle, the other's the lower
+    side = _Side(view)
+    region_sigma, region_tau = side.order(eq_upper, eq_lower)
+    region_bar_sigma, region_bar_tau = side.order(pos_du, pos_dl)
     return QuoteResult(
         contract=contract,
         view=view,
-        price=_price(view, y0),
+        price=side.price(y0),
         solution=sol,
         inputs=inputs,
         region_tol=region_tol,
@@ -241,16 +261,6 @@ def acceptable_price(
         region_bar_sigma=region_bar_sigma,
         region_bar_tau=region_bar_tau,
     )
-
-
-def _price(view: PartyView, y0):
-    """y0 - x for the hedger, x - y0 for the counterparty."""
-    return y0 - view.endowment if view.side == "hedger" else view.endowment - y0
-
-
-def _initial_wealth(view: PartyView, price: float) -> float:
-    """The y0 whose ``_price`` is ``price``: x + price for the hedger, x - price otherwise."""
-    return view.endowment + price if view.side == "hedger" else view.endowment - price
 
 
 def sweep_prices(
@@ -275,7 +285,7 @@ def sweep_prices(
             require_contraction(gen, lat)
         stack.append(gen)
     y0 = _reflected_roots(sides, _stack_generators(stack), len(stack))
-    return np.array([_price(view, y) for view, y in zip(views, y0)])
+    return np.array([_Side(view).price(y) for view, y in zip(views, y0)])
 
 
 def builtin_israeli_put(lat: Lattice, strike: float, penalty: float) -> ContractSpec:

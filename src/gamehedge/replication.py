@@ -14,11 +14,10 @@ affordable up to the hard cap of 2**24 paths and the battery's memory does
 not grow with the number of paths.  Each verifier runs one fold.  Wealth and
 solved paths are plain arrays, (N + 1,) for one path or (P, N + 1) for P.
 
-Side convention: reports work in solution coordinates, where the quote
-side's own stopping presses the upper obstacle (recording dU) and the
-counterpart's the lower (recording dL); stops and signed settlements are
-read as (own, other).  That makes hedger and counterparty batteries the
-same computation with the region roles swapped.
+Side convention: a quote is the hedger's solve of its side's contract (see
+``pricing``), so stops and signed settlements are read in the side's (own,
+other) order: its own stopping presses the upper obstacle (recording dU),
+the counterpart's the lower (recording dL).
 
 A quote's verifiers take its problem from the quote itself (contract, view,
 and the generator, lattice and cash flow of ``quote.inputs``) and judge every
@@ -42,8 +41,7 @@ from .dynkin import (
 from .errors import InvalidParameters, InvalidStoppingRule, NonFiniteState, OutOfRange, TooLarge
 from .generators import Generator, _check_positive, eval_g
 from .lattice import Lattice, NodeProcess, benchmark_profile, tri
-from .pricing import (ContractSpec, PartyView, QuoteResult, _initial_wealth, _side_cash,
-                      side_obstacles)
+from .pricing import ContractSpec, PartyView, QuoteResult, _Side, side_obstacles
 from .stopping import StoppingRule, path_moves, path_up_counts
 
 __all__ = [
@@ -142,7 +140,9 @@ def _forward_matrix(
         xi = hedge.row(k)[js[:, k]]
         cash = cashflow.row(k)[js[:, k]]
         v = out[..., k]
-        out[..., k + 1] = v - eval_g(gen, k * dt, v, xi, s_now) * dt + xi * (s_nxt - s_now) + cash
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result raises below
+            out[..., k + 1] = (v - eval_g(gen, k * dt, v, xi, s_now) * dt
+                               + xi * (s_nxt - s_now) + cash)
         if not np.isfinite(out[..., k + 1]).all():
             raise NonFiniteState(f"wealth became non-finite advancing to step {k + 1}")
     return out
@@ -200,13 +200,6 @@ def _stop_pay(first, second, idx, first_pays, second_pays, tie_pays):
     pay = np.where(first < second, first_pays[node],
                    np.where(second < first, second_pays[node], tie_pays[node]))
     return k_stop, node, pay
-
-
-def _settlements(contract: ContractSpec, view: PartyView):
-    """The side's signed settlement rows (own stop first, other stop first, joint stop):
-    (Xh, Xc, Xbar) for the hedger, (-Xc, -Xh, -Xbar) for the counterparty, who pays them."""
-    xh, xc, xm = contract.Xh.flat, contract.Xc.flat, contract.Xbar.flat
-    return (xh, xc, xm) if view.side == "hedger" else (-xc, -xh, -xm)
 
 
 def _benchmark_rows(v_full, hits_own, hits_other, idx, settle, vb, eq_tol):
@@ -269,9 +262,9 @@ def classify_quadruplet(
     _check_steps(lat, InvalidStoppingRule, sigma=sigma, tau=tau)
     _check_steps(lat, InvalidParameters, contract=contract)
     vb = benchmark_profile(view.acct, view.endowment, lat.grid)
-    y0, cash = _initial_wealth(view, price), _side_cash(contract, view)
-    own, other = (sigma, tau) if view.side == "hedger" else (tau, sigma)
-    settle = _settlements(contract, view)
+    side = _Side(view)
+    (own, other), settle = side.order(sigma, tau), tuple(side.settlements(contract))
+    y0, cash = side.initial_wealth(price), side.cash(contract)
 
     def block(pids, js, idx):
         v_full = _forward_matrix(y0, hedge, gen, cash, lat, js)
@@ -292,10 +285,10 @@ def classify_quadruplet(
 
 def _own_rules(quote: QuoteResult, n_steps: int):
     """(own, own push, other, other push) stopping rules in solution coordinates."""
-    regions = (quote.region_sigma, quote.region_bar_sigma, quote.region_tau, quote.region_bar_tau)
-    if quote.view.side != "hedger":
-        regions = regions[2:] + regions[:2]
-    return tuple(StoppingRule.from_nodes(n_steps, region) for region in regions)
+    side = _Side(quote.view)
+    own, other = side.order(quote.region_sigma, quote.region_tau)
+    own_bar, other_bar = side.order(quote.region_bar_sigma, quote.region_bar_tau)
+    return tuple(StoppingRule.from_nodes(n_steps, r) for r in (own, own_bar, other, other_bar))
 
 
 def _game(quote: QuoteResult) -> DrbsdeInputs:
@@ -326,21 +319,19 @@ def verify_replication(quote: QuoteResult, gap_tol: float = 1e-10) -> Replicatio
 
     Also classifies the quoted price exactly (break-even) and probes one
     epsilon in each direction so the price is pinned from both sides.  "Plus"
-    is the direction that grows the party's hedging capital: a higher price
-    for the hedger (who collects it), a lower one for the counterparty (who
-    pays it).  There the strict-gain condition must appear; on the opposite
-    side the benchmark-safety condition must fail.
+    is the direction that grows the side's initial wealth; there the
+    strict-gain condition must appear, and on the opposite side the
+    benchmark-safety condition must fail.
     """
     _check_positive("gap_tol", gap_tol)
     lat, gen, cash = quote.inputs.lat, quote.inputs.gen, quote.inputs.cashflow_increments
-    n, view, price = lat.n_steps, quote.view, quote.price
+    n, view, price, side = lat.n_steps, quote.view, quote.price, _Side(quote.view)
     own_rule, _, other_rule, _ = _own_rules(quote, n)
     probe = _PROBE * (1.0 + abs(price))
-    if view.side == "counterparty":
-        probe = -probe  # the counterparty pays the price, so less is more
+    plus, minus = side.order(price + probe, price - probe)
     # row 0 tracks the solved value; rows 1 to 3 are classified at price, plus and minus
-    y0 = [quote.y0] + [_initial_wealth(view, p) for p in (price, price + probe, price - probe)]
-    settle, y_flat = _settlements(quote.contract, view), quote.solution.Y.flat
+    y0 = [quote.y0] + [side.initial_wealth(p) for p in (price, plus, minus)]
+    settle, y_flat = tuple(side.settlements(quote.contract)), quote.solution.Y.flat
     vb = benchmark_profile(view.acct, view.endowment, lat.grid)
 
     def block(pids, js, idx):
@@ -453,7 +444,7 @@ def verify_break_even(tau_rule: StoppingRule, quote: QuoteResult) -> BreakEvenRe
     stopped_val = evaluate_stopped(game, own_rule, tau_rule)
     snell = snell_sup_for_minimizer(game, own_rule)
     vb = benchmark_profile(quote.view.acct, quote.view.endowment, lat.grid)
-    settle, y0 = _settlements(quote.contract, quote.view), quote.y0
+    settle, y0 = tuple(_Side(quote.view).settlements(quote.contract)), quote.y0
     out = _fold(n, 1, lambda pids, js, idx: _counterpart_rows(
         quote, game, settle, vb, _forward_matrix(y0, quote.solution.Z, gen, cash, lat, js),
         _hits(own_rule, idx), _hits(tau_rule, idx), idx))
@@ -517,7 +508,7 @@ def stopping_time_battery(quote: QuoteResult) -> BatteryReport:
     lat, gen, cash = game.lat, game.gen, game.cashflow_increments
     n, eq_tol = lat.n_steps, quote.region_tol
     n_rules = 1 << _require_enumerable(n)
-    y0, settle = quote.y0, _settlements(quote.contract, quote.view)
+    y0, settle = quote.y0, tuple(_Side(quote.view).settlements(quote.contract))
     vb = benchmark_profile(quote.view.acct, quote.view.endowment, lat.grid)
     own_rule, own_bar_rule, other_rule, other_bar_rule = _own_rules(quote, n)
 

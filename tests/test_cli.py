@@ -33,6 +33,12 @@ BASE = {
 }
 
 
+def package_env():
+    """The environment of a fresh Python process that imports this gamehedge package."""
+    path = (str(Path(gamehedge.__file__).parents[1]), os.environ.get("PYTHONPATH", ""))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+
+
 def write_config(tmp_path, name="run.json", **overrides):
     cfg = json.loads(json.dumps(BASE))
     for block, sub in overrides.items():
@@ -364,6 +370,47 @@ def test_replicate_non_finite_hedge_exits_2(tmp_path, capsys, cell):
     assert not out.exists()
 
 
+HUGE_STEP_CSV = "step,up_count,value\r\n0,0,1.0\r\n1000000000,0,1.0\r\n"
+
+
+@pytest.mark.parametrize("command", ["replicate", "price"])
+def test_node_csv_naming_a_huge_step_exits_2(tmp_path, capsys, command):
+    # two rows cannot cover a lattice of step 10^9, which is refused before anything is
+    # sized by that step (a node count of that lattice would need exbibytes)
+    huge = tmp_path / "huge.csv"
+    huge.write_text(HUGE_STEP_CSV, newline="")
+    if command == "replicate":
+        cfg, extra = replicate_fixture(tmp_path), ["--hedge-csv", str(huge)]
+    else:
+        files = {**custom_contract_files(tmp_path, 1, terminal_tie=0.5), "xh": "huge.csv"}
+        raw = json.loads(json.dumps(BASE))
+        raw["contract"] = {"type": "custom", "files": files}
+        cfg, extra = tmp_path / "c.json", []
+        cfg.write_text(json.dumps(raw))
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfg), "--out", str(out), *extra]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: ConfigError: {huge}: node coverage mismatch "
+        "(missing [(1, 0), (1, 1), (2, 0)], unexpected [])\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("warning_flags", [[], ["-W", "error"]])
+def test_replicate_overflowing_hedge_exits_3(tmp_path, warning_flags):
+    # wealth rolled forward with a 1e307 hedge overflows at step 1: the typed error is the
+    # one line on stderr, with no numpy warning before it and no traceback under -W error
+    cfg = write_config(tmp_path)
+    hedge = tmp_path / "z.csv"
+    write_node_process(NodeProcess.constant(1, 1e307), hedge)
+    argv = ["replicate", "--config", str(cfg), "--out", str(tmp_path / "o"),
+            "--hedge-csv", str(hedge)]
+    run = subprocess.run([sys.executable, *warning_flags, "-c",
+                          "import sys; from gamehedge.cli import main; sys.exit(main(sys.argv[1:]))",
+                          *argv], env=package_env(), capture_output=True, text=True)
+    assert run.returncode == 3
+    assert run.stderr == "solver error: NonFiniteState: wealth became non-finite advancing to step 1\n"
+
+
 def test_replicate_reads_hedge_csv_once_for_both_sides(tmp_path, monkeypatch):
     import gamehedge.cli as cli
 
@@ -576,6 +623,14 @@ def test_missing_config_exits_2(tmp_path):
                  "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("value", [[1.0], (1.0,), np.float32(1.0), {"a": [1]}])
+def test_json_writer_refuses_anything_but_dicts_of_scalars(value):
+    import gamehedge.cli as cli
+
+    with pytest.raises(TypeError, match="cannot serialize"):
+        cli._json_text(value)
+
+
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     assert "price" in capsys.readouterr().out
@@ -616,8 +671,6 @@ def test_repeated_quotes_reuse_freed_heap(tmp_path):
     # A fresh process keeps heap left over by earlier tests out of the count
     cfg = write_config(tmp_path, lattice={"N": 200, "u": 1.02, "d": 0.98})
     argv = ["price", "--config", str(cfg), "--out", str(tmp_path / "o")]
-    path = (str(Path(gamehedge.__file__).parents[1]), os.environ.get("PYTHONPATH", ""))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    run = subprocess.run([sys.executable, "-c", REPEATED_QUOTES, *argv], env=env,
+    run = subprocess.run([sys.executable, "-c", REPEATED_QUOTES, *argv], env=package_env(),
                          capture_output=True, text=True, check=True)
     assert int(run.stdout.split()[-1]) < 100

@@ -1,5 +1,7 @@
 """Lattice, node processes, benchmark account, CSV round-trip."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -192,3 +194,21 @@ def test_csv_reader_rejects_bad_files(tmp_path):
     dup.write_text("step,up_count,value\n0,0,1\n0,0,2\n")
     with pytest.raises(ConfigError):
         read_node_process(dup)
+
+
+@pytest.mark.parametrize("rows", [["0,0,1", "2000,0,1"], ["2000,0,1", "2000,0,1"],
+                                  ["2000,7,1", "1,1,1", "3,0,1"]])
+def test_csv_reader_sizes_nothing_by_a_step_its_rows_cannot_cover(tmp_path, rows):
+    # a 2000-step lattice has 2,003,001 nodes: an array of them takes 16 MB, the file ~50 B
+    path = tmp_path / "far.csv"
+    path.write_text("\n".join(["step,up_count,value", *rows]) + "\n")
+    with pytest.raises(ConfigError):  # once untraced, so that lazy imports are not counted
+        read_node_process(path)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError):
+            read_node_process(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

@@ -6,6 +6,7 @@ violation, so a check that reports the wrong node fails.
 """
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +14,9 @@ import pytest
 from gamehedge import (
     BenchmarkAccount,
     ContractInvariantViolated,
+    ContractionViolated,
     ContractSpec,
+    CustomGenerator,
     DifferentialRates,
     DrbsdeInputs,
     InvalidParameters,
@@ -27,15 +30,22 @@ from gamehedge import (
     PartyView,
     TimeGrid,
     acceptable_price,
+    benchmark_wealth,
     build_lattice,
+    builtin_game_bond,
     builtin_israeli_put,
     classify_quadruplet,
+    contraction_ok,
+    eval_g,
     game_value_brute,
+    path_up_counts,
     read_node_process,
     saddle_check,
+    solve_bsde,
     verify_replication,
 )
 from gamehedge.cli import main
+from gamehedge.drbsde import backward_step
 from gamehedge.errors import ConfigError
 
 
@@ -165,6 +175,80 @@ def test_verifier_tolerances_must_be_positive_and_finite(name, tol):
     assert text == f"{name} must be positive and finite, got {tol!r}"
 
 
+def one_step_lattice():
+    return build_lattice(100.0, 1.2, 0.8, TimeGrid(horizon=1.0, n_steps=1))
+
+
+ZERO = DifferentialRates(0.0, 0.0)
+ACCT = BenchmarkAccount(0.0, 0.0)
+MISSING_CSV = Path(__file__).parent / "no_such_node_process.csv"
+INF_GENERATOR = CustomGenerator(fn=lambda t, y, z, s: float("inf"), lipschitz_y=0.0,
+                                lipschitz_z=0.0)
+
+# error, what raises it and its message, for the raise sites no other test reaches
+TYPED_ERRORS = {
+    # q = 1/2 on the one-step lattice, and dt*L_z = 0.3 contracts but tips the branch weights
+    "one_step_monotonicity": (ContractionViolated, lambda: acceptable_price(
+        builtin_israeli_put(one_step_lattice(), 100.0, 5.0), PartyView("hedger", 0.0, ACCT),
+        DifferentialRates(0.3, 0.3), one_step_lattice()),
+        "one-step monotonicity fails: dt*L_z/(u-d) = 0.75 exceeds min(q, 1-q) = 0.5; "
+        "refine the grid"),
+    "backward_step_range": (OutOfRange, lambda: backward_step(
+        one_step_lattice(), ZERO, 1, np.zeros(2), np.zeros(1)), "step 1 outside 0..0"),
+    "bsde_terminal_shape": (OutOfRange, lambda: solve_bsde(
+        one_step_lattice(), ZERO, np.zeros(3), NodeProcess.zeros(1)),
+        "terminal must have 2 entries, got shape (3,)"),
+    "bsde_terminal_finite": (NonFiniteInput, lambda: solve_bsde(
+        one_step_lattice(), ZERO, [0.0, np.nan], NodeProcess.zeros(1)),
+        "terminal data contains non-finite values"),
+    "custom_generator_array": (NonFiniteInput, lambda: eval_g(
+        INF_GENERATOR, 0.0, np.zeros(2), 0.0, 100.0),
+        "custom generator returned a non-finite value"),
+    "generator_type": (OutOfRange, lambda: eval_g(object(), 0.0, 0.0, 0.0, 100.0),
+                       "unknown generator type object"),
+    "contraction_dt": (OutOfRange, lambda: contraction_ok(ZERO, 0.0),
+                       "dt must be positive and finite, got 0.0"),
+    "horizon_finite": (NonFiniteInput, lambda: TimeGrid(horizon=float("inf"), n_steps=1),
+                       "horizon must be finite"),
+    "node_count": (OutOfRange, lambda: NodeProcess(np.zeros(2)),
+                   "need one value per node of a triangular lattice, got shape (2,)"),
+    "up_count_range": (OutOfRange, lambda: NodeProcess.zeros(1).at(1, 2),
+                       "up-count 2 outside 0..1"),
+    "no_rows": (OutOfRange, lambda: NodeProcess.from_rows([]),
+                "NodeProcess needs at least the step-0 row"),
+    "spot_finite": (NonFiniteInput, lambda: build_lattice(
+        float("nan"), 1.2, 0.8, TimeGrid(horizon=1.0, n_steps=1)), "s0 must be finite"),
+    "rates_finite": (NonFiniteInput, lambda: BenchmarkAccount(float("inf"), float("inf")),
+                     "benchmark rates must be finite"),
+    "wealth_endowment": (NonFiniteInput, lambda: benchmark_wealth(ACCT, float("nan"), 0, 1.0),
+                         "endowment must be finite"),
+    "wealth_steps": (OutOfRange, lambda: benchmark_wealth(ACCT, 0.0, -1, 1.0),
+                     "step count must be nonnegative, got -1"),
+    "wealth_dt": (OutOfRange, lambda: benchmark_wealth(ACCT, 0.0, 1, 0.0),
+                  "dt must be positive and finite, got 0.0"),
+    "unreadable_csv": (ConfigError, lambda: read_node_process(MISSING_CSV),
+                       f"cannot read node process file {MISSING_CSV}: [Errno 2] "
+                       f"No such file or directory: '{MISSING_CSV}'"),
+    "contract_steps": (ContractInvariantViolated, lambda: ContractSpec(
+        Xh=NodeProcess.constant(2, -1.0), Xc=NodeProcess.zeros(1), Xbar=NodeProcess.zeros(2),
+        dA=NodeProcess.zeros(2)), "Xc has 1 steps, Xh has 2"),
+    "contract_lattice_steps": (InvalidParameters, lambda: acceptable_price(
+        builtin_israeli_put(two_step_lattice(), 100.0, 5.0), PartyView("hedger", 0.0, ACCT),
+        ZERO, one_step_lattice()), "contract has 2 steps, lattice has 1"),
+    "bond_coupon": (InvalidParameters, lambda: builtin_game_bond(
+        one_step_lattice(), face=100.0, coupon=-1.0, call_penalty=1.0, put_discount=1.0),
+        "coupon must be nonnegative and finite, got -1.0"),
+    "path_moves": (OutOfRange, lambda: path_up_counts([0, 2]),
+                   "moves must be a 0/1 sequence or a matrix of them"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TYPED_ERRORS))
+def test_typed_errors_keep_their_text(case):
+    error, build, expected = TYPED_ERRORS[case]
+    assert message(error, build) == expected
+
+
 NODE_CSV_ERRORS = {
     "header": ("k,j,v\r\n0,0,1\r\n",
                "expected header ['step', 'up_count', 'value'], got ['k', 'j', 'v']"),
@@ -195,6 +279,34 @@ def test_node_csv_errors_keep_their_text(tmp_path, case):
     path = tmp_path / f"{case}.csv"
     path.write_bytes(text.encode())
     assert message(ConfigError, lambda: read_node_process(path)) == f"{path}: {expected}"
+
+
+# command, generator block, extra argv and the exact stderr of a config error (exit 2)
+CLI_CONFIG_ERRORS = {
+    "generator_type": ("price", {"type": "bogus"}, [],
+                       "generator.type must be zero, linear or differential, got 'bogus'"),
+    "empty_sweep_value": ("sweep", {"type": "zero"},
+                          ["--axis", "contract.penalty", "--values", "5,,6"],
+                          "empty value in --values"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLI_CONFIG_ERRORS))
+def test_cli_config_errors_keep_their_text(tmp_path, capsys, case):
+    command, generator, extra, expected = CLI_CONFIG_ERRORS[case]
+    cfg = {
+        "lattice": {"s0": 100.0, "u": 1.2, "d": 0.8, "N": 1, "T": 1.0},
+        "benchmark": {"r_lend": 0.0, "r_borrow": 0.0},
+        "generator": generator,
+        "contract": {"type": "israeli_put", "strike": 100.0, "penalty": 5.0},
+        "party": {"side": "hedger", "endowment": 0.0},
+    }
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out), *extra]) == 2
+    assert capsys.readouterr().err == f"config error: ConfigError: {expected}\n"
+    assert not out.exists()
 
 
 def test_negative_linear_rate_names_the_rate_key(tmp_path, capsys):
