@@ -35,7 +35,8 @@ import numpy as np
 from .config import ModelBundle, build_bundle, build_generator, load_config, set_axis_value
 from .dynkin import game_value_brute, saddle_check
 from .errors import ConfigError, EngineError, TooLarge
-from .lattice import _CSV_EOL, _cells, node_coords, read_node_process, write_csv, write_node_process
+from .lattice import (_CSV_EOL, _cells, read_node_process, write_csv, write_node_process,
+                      write_node_set)
 from .pricing import SIDES, acceptable_price, sweep_prices
 from .pricing import side_obstacles  # noqa: F401  (a name bench/spans.py traces)
 from .pricing import side_obstacles as game_payoff  # noqa: F401  (a name bench/spans.py traces)
@@ -98,10 +99,8 @@ def _write_side_solution(out: Path, quote) -> None:
 
 def _write_side_regions(out: Path, quote) -> None:
     out.mkdir(parents=True, exist_ok=True)
-    ks, js = node_coords(quote.solution.Y.n_steps)
     for name in ("region_sigma", "region_tau", "region_bar_sigma", "region_bar_tau"):
-        region = getattr(quote, name)
-        write_csv(out / f"{name}.csv", ("step", "up_count"), (ks[region], js[region]))
+        write_node_set(out / f"{name}.csv", getattr(quote, name), quote.solution.Y.n_steps)
 
 
 def _quotes(bundle: ModelBundle):

@@ -30,6 +30,7 @@ __all__ = [
     "benchmark_wealth",
     "benchmark_profile",
     "write_node_process",
+    "write_node_set",
     "read_node_process",
     "write_csv",
     "tri",
@@ -267,6 +268,26 @@ def write_node_process(proc: NodeProcess, path) -> None:
             template = "".join(f"{i}," + f"{_CSV_EOL}{i},".join(labels[:i + 1]) + _CSV_EOL
                                for i in range(k, min(k + rows, proc.n_steps + 1)))
             fh.write(template % tuple(_cells(proc.flat[tri(k):tri(k + rows)])))
+
+
+def write_node_set(path, nodes: np.ndarray, n_steps: int) -> None:
+    """Write rows (step, up_count) of the strictly increasing flat node indices ``nodes``.
+
+    ``write_csv``'s bytes for the nodes' coordinates; whole lattice rows per block, the
+    up-count labels made once per call, so nothing but the file grows with the node count.
+    """
+    ups = np.array([str(j) for j in range(n_steps + 1)], dtype=object)
+    heads = np.searchsorted(nodes, tri(np.arange(n_steps + 2)))  # row k: nodes[heads[k]:heads[k+1]]
+    rows = max(1, _CSV_BLOCK_ROWS // (n_steps + 1))  # lattice rows per block
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(_CSV_HEADER[:2]) + _CSV_EOL)
+        for k in range(0, n_steps + 1, rows):
+            bounds = heads[k:k + rows + 1]  # the block's rows, end to end in nodes
+            steps = np.arange(k, k + bounds.size - 1)
+            js = nodes[bounds[0]:bounds[-1]] - np.repeat(tri(steps), np.diff(bounds))
+            cells, at = ups[js].tolist(), (bounds - bounds[0]).tolist()
+            fh.write("".join(f"{i}," + f"{_CSV_EOL}{i},".join(cells[a:b]) + _CSV_EOL
+                             for i, a, b in zip(steps.tolist(), at, at[1:]) if a < b))
 
 
 def _node_columns(rows: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

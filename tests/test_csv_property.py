@@ -1,6 +1,7 @@
 """Property tests: the bulk CSV writers match row-at-a-time csv.writer loops byte for byte."""
 
 import csv
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -20,7 +21,7 @@ from gamehedge import (  # noqa: E402
     read_node_process,
     write_node_process,
 )
-from gamehedge.lattice import write_csv  # noqa: E402
+from gamehedge.lattice import node_coords, tri, write_csv, write_node_set  # noqa: E402
 
 from conftest import GAME_GENERATORS, game_lattice, random_contract  # noqa: E402
 from test_paths_csv import random_hedge, reference_write as reference_paths_write  # noqa: E402
@@ -112,6 +113,45 @@ def test_write_csv_matches_reference_across_blocks(tmp_path, monkeypatch, table,
     write_csv(tmp_path / "fast.csv", header, columns)
     reference_table(tmp_path / "ref.csv", header, columns)
     assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+@st.composite
+def node_sets(draw):
+    """An N in 0..40 and a strictly increasing array of its flat node indices."""
+    n = draw(st.integers(0, 40))
+    nodes = draw(st.sets(st.integers(0, tri(n + 1) - 1), max_size=tri(n + 1)))
+    return n, np.array(sorted(nodes), dtype=np.int64)
+
+
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=node_sets(), block=st.integers(1, 100))
+@example(case=(5, np.zeros(0, np.int64)), block=3)  # empty region: the header alone
+@example(case=(0, np.arange(1)), block=1)  # the root alone
+@example(case=(7, np.arange(tri(8))), block=5)  # the whole lattice
+@example(case=(40, np.arange(tri(40), tri(41))), block=100)  # the last row alone
+def test_node_set_csv_matches_reference_across_blocks(tmp_path, monkeypatch, case, block):
+    n, nodes = case
+    monkeypatch.setattr(lattice, "_CSV_BLOCK_ROWS", block)  # blocks split a region's rows
+    write_node_set(tmp_path / "fast.csv", nodes, n)
+    ks, js = node_coords(n)
+    reference_table(tmp_path / "ref.csv", ("step", "up_count"), (ks[nodes], js[nodes]))
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_node_set_csv_memory_is_bounded_by_one_block(tmp_path):
+    """A full-lattice region at N=1000 (501,501 rows, 4.4 MB of text) leaves a traced peak
+    bounded by one block of rows (about 0.6 MB), not by the region."""
+    n = 1000
+    nodes = np.arange(tri(n + 1))
+    tracemalloc.start()
+    try:
+        write_node_set(tmp_path / "all.csv", nodes, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "all.csv").stat().st_size > 4 << 20
+    assert peak < 2 << 20
 
 
 @st.composite
