@@ -9,9 +9,10 @@ so rule bit i is flat node i (``tri(k, j)``).  The oracle computes
     lower_value = max over maximizer rules of min over minimizer rules
 
 by two independent routes: one per-rule dynamic program per player, where
-the opponent plays optimally node by node, and the pair matrix, the root
-value of every rule pair, run as a cross-check whenever n_rules**2 <=
-DEFAULT_PAIR_LIMIT (N <= 4; at N = 5 the dynamic programs run alone).  Both
+the opponent plays optimally node by node, and the pair route, the row
+maxima and column minima of the pair matrix (the root value of every rule
+pair), run as a cross-check whenever n_rules**2 <= DEFAULT_PAIR_LIMIT
+(N <= 4; at N = 5 the dynamic programs run alone).  Both
 step with the solvers' ``backward_step`` and node rules, so agreement with the
 reflected backward solve is a genuine cross-check, not a tautology.  A game
 is the solve's own problem, a ``DrbsdeInputs`` such as a quote's ``inputs``.
@@ -34,9 +35,11 @@ single boolean, so the node rule picks whole operands from the node's
 payoffs and that continuation instead of masking.  Nothing is sorted.  Per
 node that is 2**(|cone| - 1) continuation entries for a dynamic program
 (2**14 at the root for N=5) and 4**(|cone| - 1) for the pair matrix (4**9
-at the root for N=4).  The root table, n_rules entries along each
-enumerated axis, is the only full-size array; DEFAULT_PAIR_LIMIT bounds the
-pair matrix's.  Packed order is the sorted order of the masked rule ids, so
+at the root for N=4).  The root table has n_rules entries along each
+enumerated axis.  The pair route never assembles its n_rules**2 of them: it
+reduces the root's slots, each a payoff or the root continuation, to the
+extremes it reads, so its largest array is that continuation (4**9 entries
+at N=4).  Packed order is the sorted order of the masked rule ids, so
 every entry goes through the same elementwise arithmetic as broadcasting every
 node over all rule ids, and the fixed-point exit test sees the same set of
 values: the results are identical bit for bit to that broadcast.
@@ -154,7 +157,31 @@ def _gather(values: np.ndarray, mask: int, below: int,
     return values
 
 
-def _cone_values(game: DrbsdeInputs, node_rule, **seats: StoppingRule | None) -> np.ndarray:
+def _assemble(slots: dict, own: list[tuple[bool, ...]], shape: tuple[int, ...]) -> np.ndarray:
+    """A node's table from its slots; each seat's own bit is the fastest sub-axis of its axis."""
+    values = np.empty([w for c, o in zip(shape, own) for w in (c, len(o))])
+    for pos, slot in slots.items():
+        values[tuple(x for i in pos for x in (slice(None), i))] = slot
+    return values.reshape([c * len(o) for c, o in zip(shape, own)])
+
+
+def _pair_extremes_at_root(slots: dict, _own, shape) -> tuple[np.ndarray, np.ndarray]:
+    """The root pair table's row maxima and column minima, reduced slot by slot, never assembled.
+
+    Both seats are enumerated, so slot (s, t) holds the entries with minimizer
+    own bit s and maximizer own bit t: a payoff, which reduces to itself, or
+    the continuation.  Table row 2 * packed + s spans the slots (s, 0) and
+    (s, 1), so its maximum is the larger of theirs; columns likewise.
+    """
+    sup, inf = np.empty((shape[0], 2)), np.empty((shape[1], 2))
+    for b in (0, 1):
+        rows = [v.max(axis=1) if np.ndim(v) else v for v in (slots[b, 0], slots[b, 1])]
+        cols = [v.min(axis=0) if np.ndim(v) else v for v in (slots[0, b], slots[1, b])]
+        sup[:, b], inf[:, b] = np.maximum(*rows), np.minimum(*cols)
+    return sup.reshape(-1), inf.reshape(-1)
+
+
+def _cone_values(game: DrbsdeInputs, node_rule, at_root=None, **seats: StoppingRule | None):
     """Root values over the enumerated players' rule ids, from cone-indexed node tables.
 
     Each seat (``sigma``, ``tau``) holds a fixed rule, an axis of length 1,
@@ -162,7 +189,10 @@ def _cone_values(game: DrbsdeInputs, node_rule, **seats: StoppingRule | None) ->
     is (values, the bit mask of its cone); along an enumerated axis the index
     is the player's cone bits packed lowest-first.  ``node_rule(lo, hi, tie,
     marks, cont)`` gives a node's values from its payoffs, each player's own
-    bit there and the continuation; it runs once per combination of own bits.
+    bit there and the continuation; it runs once per combination of own bits,
+    and each result is a slot of the node's table.  ``at_root(slots, own,
+    shape)``, if given, makes the result from the root's slots in place of
+    the root table, which is otherwise assembled like every other node's.
     """
     lat = game.lat
     _require_enumerable(lat.n_steps)
@@ -186,13 +216,11 @@ def _cone_values(game: DrbsdeInputs, node_rule, **seats: StoppingRule | None) ->
             # fixed rule its one; each combination of own bits fills one slot of the table
             bit = tri(k, j)
             own = [(False, True) if r is None else (r.flat[bit],) for r in rules]
-            values = np.empty([w for c, o in zip(cont.shape, own) for w in (c, len(o))])
             lo, hi, tie = (p.at(k, j) for p in (game.lower, game.upper, game.tie))
-            for pos in np.ndindex(*map(len, own)):
-                slot = tuple(x for i in pos for x in (slice(None), i))
-                values[slot] = node_rule(lo, hi, tie, [o[i] for o, i in zip(own, pos)], cont)
-            shape = [c * len(o) for c, o in zip(cont.shape, own)]
-            new_tables.append((values.reshape(shape), below | 1 << bit))
+            slots = {pos: node_rule(lo, hi, tie, [o[i] for o, i in zip(own, pos)], cont)
+                     for pos in np.ndindex(*map(len, own))}
+            finish = _assemble if k or at_root is None else at_root
+            new_tables.append((finish(slots, own, cont.shape), below | 1 << bit))
         tables = new_tables
     return tables[0][0]
 
@@ -213,6 +241,11 @@ def _pair_matrix(game: DrbsdeInputs, sigma: StoppingRule | None = None,
     return _cone_values(game, _pair_node, sigma=sigma, tau=tau)
 
 
+def _pair_extremes(game: DrbsdeInputs) -> tuple[np.ndarray, np.ndarray]:
+    """The pair matrix's row maxima (sup over tau per sigma id) and column minima (inf over sigma)."""
+    return _cone_values(game, _pair_node, _pair_extremes_at_root, sigma=None, tau=None)
+
+
 def stopped_values_for_maximizer_rules(game: DrbsdeInputs, sigma: StoppingRule) -> np.ndarray:
     """Stopped value against a fixed minimizer rule, for every maximizer rule id."""
     return _pair_matrix(game, sigma)[0]
@@ -225,9 +258,9 @@ def _bit_tuple(rid: int) -> tuple[int, ...]:
 def game_value_brute(game: DrbsdeInputs) -> GameValueReport:
     """Both game values over all enumerated rule pairs.
 
-    Runs the per-rule dynamic programs always, and the pair matrix too when
+    Runs the per-rule dynamic programs always, and the pair route too when
     n_rules**2 <= DEFAULT_PAIR_LIMIT; then the two routes are cross-checked
-    and the pair matrix's values reported.
+    and the pair route's values reported.
     """
     m = _require_enumerable(game.lat.n_steps)
     n_rules = 1 << m
@@ -236,9 +269,7 @@ def game_value_brute(game: DrbsdeInputs) -> GameValueReport:
     inf_vals = inf_values_by_maximizer_rule(game)
 
     if n_rules * n_rules <= DEFAULT_PAIR_LIMIT:
-        pairs = _pair_matrix(game)
-        sup_pairs = pairs.max(axis=1)
-        inf_pairs = pairs.min(axis=0)
+        sup_pairs, inf_pairs = _pair_extremes(game)
         scale = 1.0 + float(np.max(np.abs(sup_pairs)))
         for by_pairs, by_dp in ((sup_pairs, sup_vals), (inf_pairs, inf_vals)):
             if not float(np.max(np.abs(by_pairs - by_dp))) <= 1e-10 * scale:

@@ -224,9 +224,9 @@ def test_oracle_at_five_steps_runs_the_rule_dp_alone(tmp_path, monkeypatch):
     import gamehedge.dynkin as dynkin
 
     def no_pairs(*_args, **_kwargs):
-        raise AssertionError("pair matrix built at N=5")
+        raise AssertionError("pair route run at N=5")
 
-    monkeypatch.setattr(dynkin, "_pair_matrix", no_pairs)
+    monkeypatch.setattr(dynkin, "_pair_extremes", no_pairs)
     cfg = write_config(tmp_path, lattice={"N": 5}, party={"side": "both"})
     out = tmp_path / "out"
     assert main(["oracle", "--config", str(cfg), "--out", str(out)]) == 0

@@ -320,6 +320,26 @@ def test_gather_matches_concatenated_index(n):
                     assert got.tobytes() == want.tobytes()
 
 
+def test_oracle_never_assembles_the_root_pair_table(monkeypatch):
+    # the pair route reduces the root's slots; below the root no table reaches n_rules**2
+    import gamehedge.dynkin as dynkin
+
+    game = game_instance(np.random.default_rng(4), 4, GAME_GENERATORS["differential"])
+    sizes = []
+    honest = dynkin._assemble
+
+    def recorded(*args):
+        table = honest(*args)
+        sizes.append(table.size)
+        return table
+
+    monkeypatch.setattr(dynkin, "_assemble", recorded)
+    game_value_brute(game)
+    assert max(sizes) == 4**6  # the pair tables one step below the root: cones of 6 bits
+    dynkin._pair_matrix(game)
+    assert max(sizes) == rule_count(4) ** 2
+
+
 def test_route_disagreement_raises_without_assert(monkeypatch):
     # an explicit raise, so the cross-check survives python -O
     import gamehedge.dynkin as dynkin

@@ -24,7 +24,12 @@ import pytest
 from gamehedge import NodeProcess, side_obstacles, write_node_process
 from gamehedge.cli import main
 from gamehedge.config import build_bundle
-from gamehedge.dynkin import _pair_matrix, inf_values_by_maximizer_rule, sup_values_by_minimizer_rule
+from gamehedge.dynkin import (
+    _pair_extremes,
+    _pair_matrix,
+    inf_values_by_maximizer_rule,
+    sup_values_by_minimizer_rule,
+)
 
 PUT_SIGMA = {
     "lattice": {"s0": 100.0, "sigma": 0.2, "N": 9, "T": 1.0},
@@ -360,13 +365,16 @@ def test_artifacts_match_golden_digests(name, tmp_path):
 
 
 def test_oracle_routes_agree_bit_for_bit():
-    # the per-rule dynamic programs alone give the pair matrix's game values, so the
-    # route the oracle takes does not change the bytes of oracle_put's oracle.json
+    # the per-rule dynamic programs alone give the pair matrix's game values, and the
+    # oracle's pair route, which reduces the root's slots, gives the assembled matrix's
+    # row maxima and column minima, so the route the oracle takes does not change the
+    # bytes of oracle_put's oracle.json
     bundle = build_bundle(PUT_N4)
     for side in ("hedger", "counterparty"):
         game = side_obstacles(bundle.contract, bundle.views[side], bundle.gen, bundle.lat)
         pairs = _pair_matrix(game)
-        assert (sup_values_by_minimizer_rule(game).min().tobytes()
-                == pairs.max(axis=1).min().tobytes())
-        assert (inf_values_by_maximizer_rule(game).max().tobytes()
-                == pairs.min(axis=0).max().tobytes())
+        sup_pairs, inf_pairs = _pair_extremes(game)
+        assert sup_pairs.tobytes() == pairs.max(axis=1).tobytes()
+        assert inf_pairs.tobytes() == pairs.min(axis=0).tobytes()
+        assert sup_values_by_minimizer_rule(game).min().tobytes() == sup_pairs.min().tobytes()
+        assert inf_values_by_maximizer_rule(game).max().tobytes() == inf_pairs.max().tobytes()
