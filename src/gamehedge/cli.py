@@ -35,8 +35,7 @@ import numpy as np
 from .config import ModelBundle, build_bundle, build_generator, load_config, set_axis_value
 from .dynkin import game_value_brute, saddle_check
 from .errors import ConfigError, EngineError, TooLarge
-from .lattice import (_CSV_EOL, _cells, read_node_process, write_csv, write_node_process,
-                      write_node_set)
+from .lattice import _CSV_EOL, _cells, read_node_process, write_node_process, write_node_set
 from .pricing import SIDES, acceptable_price, sweep_prices
 from .pricing import side_obstacles  # noqa: F401  (a name bench/spans.py traces)
 from .pricing import side_obstacles as game_payoff  # noqa: F401  (a name bench/spans.py traces)
@@ -293,9 +292,11 @@ def cmd_sweep(bundle: ModelBundle, raw_cfg: dict, axis: str, values, out: Path) 
             prices.append(priced(value_bundle, [value_bundle.gen]))
     out.mkdir(parents=True, exist_ok=True)
     ph, pc = np.concatenate(prices, axis=1)
-    labels = np.array([str(v) if isinstance(v, int) else _fmt(v) for v in values])
-    write_csv(out / "sweep.csv", ("value", "price_hedger", "price_counterparty", "spread"),
-              (labels, ph, pc, ph - pc))
+    labels = "".join(f"{str(v) if isinstance(v, int) else _fmt(v)},%s,%s,%s{_CSV_EOL}"
+                     for v in values)
+    with open(out / "sweep.csv", "w", newline="") as fh:
+        fh.write(f"value,price_hedger,price_counterparty,spread{_CSV_EOL}"
+                 + labels % tuple(_cells(np.stack([ph, pc, ph - pc], axis=1).ravel())))
     print(f"wrote {out / 'sweep.csv'} ({len(values)} rows)")
     return 0
 

@@ -403,12 +403,12 @@ def _pair_node(lo, hi, tie, marks, cont):
     return _pick(sig & tau, tie, _pick(sig, hi, _pick(tau, lo, cont)))
 
 
-def _sup_node(lo, hi, tie, marks, cont):  # the opponent may force the tie, never gains by it
-    return _pick(marks[0], np.maximum(tie, hi), np.maximum(lo, cont))
+def _sup_node(lo, hi, tie, marks, cont):  # the opponent may force the tie, but tie <= upper
+    return _pick(marks[0], hi, np.maximum(lo, cont))
 
 
-def _inf_node(lo, hi, tie, marks, cont):
-    return _pick(marks[0], np.minimum(tie, lo), np.minimum(hi, cont))
+def _inf_node(lo, hi, tie, marks, cont):  # likewise lower <= tie
+    return _pick(marks[0], lo, np.minimum(hi, cont))
 
 
 def _game_root(game: DrbsdeInputs, node_rule, **rules: StoppingRule) -> float:

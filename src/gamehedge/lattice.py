@@ -32,7 +32,6 @@ __all__ = [
     "write_node_process",
     "write_node_set",
     "read_node_process",
-    "write_csv",
     "tri",
     "node_coords",
     "FlatNodes",
@@ -224,41 +223,24 @@ def benchmark_profile(acct: BenchmarkAccount, x: float, grid: TimeGrid) -> np.nd
 
 _CSV_HEADER = ["step", "up_count", "value"]
 _CSV_EOL = "\r\n"
-_CSV_FORMATS = {"i": "%d", "u": "%d", "f": "%.17g"}  # by numpy dtype kind; others "%s"
 _CSV_BLOCK_ROWS = 1 << 14  # rows per write: bounds memory and the cell strings made per block
 
 
 def _cells(col: np.ndarray) -> list[str]:
-    """Each entry of a 1-D column as its CSV cell, formatting each distinct bit pattern once."""
-    fmt = _CSV_FORMATS.get(col.dtype.kind, "%s")  # numbers keyed on bits: -0.0 is not 0.0
-    keys, inverse = np.unique(col if fmt == "%s" else col.view(f"u{col.itemsize}"),
-                              return_inverse=True)
-    distinct = ((fmt + "\n") * keys.size % tuple(keys.view(col.dtype).tolist())).split("\n")
-    if len(distinct) != keys.size + 1:  # the dialect has no quoting
-        raise ValueError("a CSV cell holds a line break")
-    return np.array(distinct, dtype=object)[inverse].tolist()
+    """Each float64 of a 1-D column as its CSV cell, formatting each distinct bit pattern once.
 
-
-def write_csv(path, header, columns) -> None:
-    """Write one artifact CSV: comma-separated, CRLF line ends, no quoting.
-
-    ``columns`` are equal-length numpy arrays, formatted by dtype: integers as
-    %d, floats as %.17g (which round-trips every double) and anything else as
-    %s.  Rows go out in blocks, formatting each distinct bit pattern once per block.
+    The artifact CSV dialect: comma-separated, CRLF line ends, no quoting, every value as
+    %.17g (which round-trips every double); each writer fills its own label template.
     """
-    if len({len(c) for c in columns}) != 1:
-        raise ValueError(f"columns differ in length: {[len(c) for c in columns]}")
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + _CSV_EOL)
-        for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
-            cells = [_cells(c[start:start + _CSV_BLOCK_ROWS]) for c in columns]
-            fh.write(_CSV_EOL.join(map(",".join, zip(*cells))) + _CSV_EOL)
+    keys, inverse = np.unique(col.view(np.uint64), return_inverse=True)  # -0.0 is not 0.0
+    distinct = ("%.17g\n" * keys.size % tuple(keys.view(np.float64).tolist())).split("\n")
+    return np.array(distinct, dtype=object)[inverse].tolist()
 
 
 def write_node_process(proc: NodeProcess, path) -> None:
     """Write rows (step, up_count, value) sorted by (step, up_count), 17 significant digits.
 
-    ``write_csv``'s bytes; whole lattice rows per block, each distinct bit pattern formatted once.
+    Whole lattice rows per block, each distinct bit pattern formatted once (``_cells``).
     """
     labels = [f"{j},%s" for j in range(proc.n_steps + 1)]
     rows = max(1, _CSV_BLOCK_ROWS // (proc.n_steps + 1))  # lattice rows per block
@@ -273,7 +255,7 @@ def write_node_process(proc: NodeProcess, path) -> None:
 def write_node_set(path, nodes: np.ndarray, n_steps: int) -> None:
     """Write rows (step, up_count) of the strictly increasing flat node indices ``nodes``.
 
-    ``write_csv``'s bytes for the nodes' coordinates; whole lattice rows per block, the
+    The artifact dialect (``_cells``) without values; whole lattice rows per block, the
     up-count labels made once per call, so nothing but the file grows with the node count.
     """
     ups = np.array([str(j) for j in range(n_steps + 1)], dtype=object)

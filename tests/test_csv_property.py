@@ -1,6 +1,8 @@
 """Property tests: the bulk CSV writers match row-at-a-time csv.writer loops byte for byte."""
 
+import copy
 import csv
+import json
 import tracemalloc
 from dataclasses import replace
 
@@ -21,9 +23,12 @@ from gamehedge import (  # noqa: E402
     read_node_process,
     write_node_process,
 )
-from gamehedge.lattice import node_coords, tri, write_csv, write_node_set  # noqa: E402
+from gamehedge.config import build_bundle, set_axis_value  # noqa: E402
+from gamehedge.lattice import node_coords, tri, write_node_set  # noqa: E402
+from gamehedge.pricing import SIDES, sweep_prices  # noqa: E402
 
 from conftest import GAME_GENERATORS, game_lattice, random_contract  # noqa: E402
+from test_golden_artifacts import PUT_SIGMA_NO_LEND  # noqa: E402
 from test_paths_csv import random_hedge, reference_write as reference_paths_write  # noqa: E402
 
 
@@ -53,9 +58,16 @@ def node_processes(draw):
                                   for k in range(n + 1)])
 
 
+# 0.0 and -0.0 are equal as floats but not in bits, and 5e-324 is the bit pattern next to 0.0:
+# each repeats within a block and across a block edge, one lattice row per block (block=4) or two
+SIGNED_ZEROS = NodeProcess(np.tile([0.0, -0.0, 5e-324], 4)[:10])
+
+
 @settings(max_examples=25, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(proc=node_processes(), block=st.integers(1, 100))
+@example(proc=SIGNED_ZEROS, block=4)
+@example(proc=SIGNED_ZEROS, block=8)
 def test_node_csv_matches_reference_and_round_trips(tmp_path, monkeypatch, proc, block):
     monkeypatch.setattr(lattice, "_CSV_BLOCK_ROWS", block)  # one lattice row or several per block
     write_node_process(proc, tmp_path / "fast.csv")
@@ -75,44 +87,6 @@ def reference_table(path, header, columns):
         writer.writerow(header)
         for row in zip(*(c.tolist() for c in columns)):
             writer.writerow([formats.get(c.dtype.kind, "%s") % v for c, v in zip(columns, row)])
-
-
-INT64 = st.integers(-2**63, 2**63 - 1)
-# cells csv.writer would quote, and NUL, which a numpy str array drops, are outside the dialect
-CELL_TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters=',"\r\n\0'),
-                    min_size=1, max_size=4)
-
-
-@st.composite
-def tables(draw):
-    """Equal-length int64, float64 and str columns whose values repeat, in any column order."""
-    n = draw(st.integers(0, 30))
-
-    def column(values, dtype):  # a few distinct values, so most rows repeat one
-        pool = draw(st.lists(values, min_size=1, max_size=4))
-        return np.array(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)), dtype=dtype)
-
-    floats = st.one_of(FINITE, st.sampled_from((0.0, -0.0)))
-    columns = ([column(INT64, np.int64) for _ in range(draw(st.integers(0, 3)))]
-               + [column(floats, np.float64) for _ in range(draw(st.integers(0, 3)))]
-               + [column(CELL_TEXT, str)])
-    columns = draw(st.permutations(columns))
-    return [f"c{i}" for i in range(len(columns))], columns
-
-
-@settings(max_examples=50, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(table=tables(), block=st.integers(1, 7))
-@example(table=(["z", "s"], [np.array([0.0, -0.0, 5e-324, -0.0, 1.7976931348623157e308, 0.0]),
-                             np.array(["a", "b", "a", "b", "a", "b"])]), block=4)
-@example(table=(["i", "f", "s"], [np.zeros(0, np.int64), np.zeros(0), np.array([], str)]),
-         block=1)
-def test_write_csv_matches_reference_across_blocks(tmp_path, monkeypatch, table, block):
-    header, columns = table
-    monkeypatch.setattr(lattice, "_CSV_BLOCK_ROWS", block)  # repeats straddle block edges
-    write_csv(tmp_path / "fast.csv", header, columns)
-    reference_table(tmp_path / "ref.csv", header, columns)
-    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 @st.composite
@@ -179,3 +153,27 @@ def test_paths_csv_matches_reference(tmp_path, quote):
     cli._write_paths_csv(tmp_path / "fast.csv", quote, cli._paths_labels(n))
     reference_paths_write(quote, tmp_path / "ref.csv")
     assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize("axis, values", [
+    ("generator.r_borrow", [0.1, 0, 0.05, 0.125, 0, 1e-3, 0.1]),  # one pass, stacked rates
+    # one bundle per value; an int past 17 digits is written whole, its float in %.17g
+    ("contract.penalty", [5, 2.5, 123456789012345678, 5.0, 123456789012345678.0]),
+])
+def test_sweep_csv_matches_reference(tmp_path, axis, values):
+    """``sweep.csv`` is the csv.writer table of each value's ``sweep_prices`` numbers, the
+    value written as given: an int as itself, a float in %.17g."""
+    (tmp_path / "run.json").write_text(json.dumps(PUT_SIGMA_NO_LEND))
+    assert cli.main(["sweep", "--config", str(tmp_path / "run.json"), "--out", str(tmp_path),
+                     "--axis", axis, "--values", ",".join(map(str, values))]) == 0
+    prices = []
+    for value in values:
+        cfg = copy.deepcopy(PUT_SIGMA_NO_LEND)
+        set_axis_value(cfg, axis, value)
+        b = build_bundle(cfg)
+        prices.append(sweep_prices(b.contract, [b.views[s] for s in SIDES], [b.gen], b.lat))
+    ph, pc = np.concatenate(prices, axis=1)
+    labels = np.array([str(v) if isinstance(v, int) else "%.17g" % v for v in values])
+    reference_table(tmp_path / "ref.csv", ("value", "price_hedger", "price_counterparty", "spread"),
+                    (labels, ph, pc, ph - pc))
+    assert (tmp_path / "sweep.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()

@@ -1,6 +1,8 @@
 """Property tests: the oracle's cone engine agrees with the solver module's row sweep, and its
 reduced pair route with the assembled pair matrix, on every game."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -18,8 +20,15 @@ from gamehedge import (  # noqa: E402
     rule_from_id,
     snell_sup_for_minimizer,
 )
-from gamehedge.dynkin import _pair_extremes, _pair_matrix, sup_values_by_minimizer_rule  # noqa: E402
-from gamehedge.lattice import tri  # noqa: E402
+from gamehedge import drbsde, dynkin  # noqa: E402
+from gamehedge.drbsde import _pick  # noqa: E402
+from gamehedge.dynkin import (  # noqa: E402
+    _pair_extremes,
+    _pair_matrix,
+    inf_values_by_maximizer_rule,
+    sup_values_by_minimizer_rule,
+)
+from gamehedge.lattice import node_coords, tri  # noqa: E402
 from conftest import GAME_GENERATORS, game_instance  # noqa: E402
 
 
@@ -86,3 +95,43 @@ def test_reduced_pair_extremes_equal_the_pair_matrix_bytes(game):
     sup, inf = _pair_extremes(game)
     assert sup.tobytes() == pairs.max(axis=1).tobytes()
     assert inf.tobytes() == pairs.min(axis=0).tobytes()
+
+
+def tie_on_a_bound_game(n, shift):
+    """Zero generator and cash flow; at each node the tie equals the upper or the lower row
+    as a zero of the other sign, (lower, upper, tie) cycling through four patterns along
+    k + j + shift."""
+    patterns = [(-1.0, 0.0, -0.0), (-1.0, -0.0, 0.0), (-0.0, 1.0, 0.0), (0.0, 1.0, -0.0)]
+    ks, js = node_coords(n)
+    rows = np.array(patterns)[(ks + js + shift) % 4]
+    return DrbsdeInputs(**{name: NodeProcess(rows[:, i])
+                           for i, name in enumerate(("lower", "upper", "tie"))},
+                        cashflow_increments=NodeProcess.zeros(n), gen=GAME_GENERATORS["zero"],
+                        lat=build_lattice(100.0, 1.2, 0.8, TimeGrid(horizon=1.0, n_steps=n)))
+
+
+def maximum_with_tie(lo, hi, tie, marks, cont):
+    return _pick(marks[0], np.maximum(tie, hi), np.maximum(lo, cont))
+
+
+def minimum_with_tie(lo, hi, tie, marks, cont):
+    return _pick(marks[0], np.minimum(tie, lo), np.minimum(hi, cont))
+
+
+def sup_and_inf_bytes(game):
+    n = game.lat.n_steps
+    snell = [snell_sup_for_minimizer(game, rule_from_id(n, i)) for i in range(rule_count(n))]
+    return [sup_values_by_minimizer_rule(game).tobytes(),
+            inf_values_by_maximizer_rule(game).tobytes(), np.array(snell).tobytes()]
+
+
+@pytest.mark.parametrize("n, shift", itertools.product((1, 3), range(4)))
+def test_sup_and_inf_rules_need_no_tie_operand(monkeypatch, n, shift):
+    # where a player stops, the opponent may force the tie, but lower <= tie <= upper, and
+    # numpy's maximum and minimum return the second operand on a tie of signed zeros
+    game = tie_on_a_bound_game(n, shift)
+    got = sup_and_inf_bytes(game)
+    for module in (drbsde, dynkin):
+        monkeypatch.setattr(module, "_sup_node", maximum_with_tie)
+        monkeypatch.setattr(module, "_inf_node", minimum_with_tie)
+    assert got == sup_and_inf_bytes(game)

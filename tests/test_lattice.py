@@ -154,33 +154,6 @@ def test_csv_reader_places_rows_in_any_order(tmp_path, rng):
     assert back.flat.tobytes() == proc.flat.tobytes()
 
 
-def test_csv_writers_agree_and_blocks_join_seamlessly(tmp_path, rng, monkeypatch):
-    proc = NodeProcess.from_rows([rng.standard_normal(k + 1) for k in range(7)])
-    write_node_process(proc, tmp_path / "node.csv")
-    steps = np.repeat(np.arange(7), np.arange(1, 8))
-    up_counts = np.concatenate([np.arange(k + 1) for k in range(7)])
-    columns = (steps, up_counts, proc.flat)
-    lattice.write_csv(tmp_path / "whole.csv", ("step", "up_count", "value"), columns)
-    monkeypatch.setattr(lattice, "_CSV_BLOCK_ROWS", 5)  # 28 rows: five full blocks and a partial
-    lattice.write_csv(tmp_path / "blocks.csv", ("step", "up_count", "value"), columns)
-    node = (tmp_path / "node.csv").read_bytes()
-    assert node.count(b"\r\n") == 29
-    assert (tmp_path / "whole.csv").read_bytes() == node == (tmp_path / "blocks.csv").read_bytes()
-
-
-def test_csv_writer_rejects_columns_of_unequal_length(tmp_path):
-    path = tmp_path / "ragged.csv"
-    with pytest.raises(ValueError, match="differ in length"):
-        lattice.write_csv(path, ("a", "b"), (np.arange(3), np.zeros(2)))
-    assert not path.exists()  # refused before the file is opened
-
-
-def test_csv_writer_rejects_a_cell_with_a_line_break(tmp_path):
-    # the dialect has no quoting, so such a cell would split its row
-    with pytest.raises(ValueError, match="line break"):
-        lattice.write_csv(tmp_path / "nl.csv", ("s",), (np.array(["a", "b\nc"]),))
-
-
 def test_csv_reader_rejects_bad_files(tmp_path):
     bad_header = tmp_path / "h.csv"
     bad_header.write_text("a,b,c\n0,0,1\n")
