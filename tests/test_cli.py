@@ -652,15 +652,18 @@ def test_cli_runs_where_mallopt_is_missing(tmp_path, monkeypatch, failure):
     assert main(["price", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
 
 
-# two warm-up quotes, then the page faults of a third, printed last
+# two warm-up quotes, then the page faults of each of five more, printed last
 REPEATED_QUOTES = """
 import resource, sys
 from gamehedge.cli import main
 for _ in range(2):
     assert main(sys.argv[1:]) == 0
-before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-assert main(sys.argv[1:]) == 0
-print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+faults = []
+for _ in range(5):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    assert main(sys.argv[1:]) == 0
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(*faults)
 """
 
 
@@ -668,9 +671,13 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 def test_repeated_quotes_reuse_freed_heap(tmp_path):
     # N=200 node arrays (162 KB) lie above glibc's initial mmap threshold, so
     # without the CLI's allocator setting each quote faulted them in again.
-    # A fresh process keeps heap left over by earlier tests out of the count
+    # A fresh process keeps heap left over by earlier tests out of the count.  The heap
+    # grows to its steady size once, within the first few quotes, and that quote faults in
+    # about a hundred pages; which quote it is moves with unrelated allocations, so the
+    # median of five is counted.  Without the setting each quote faults several hundred
     cfg = write_config(tmp_path, lattice={"N": 200, "u": 1.02, "d": 0.98})
     argv = ["price", "--config", str(cfg), "--out", str(tmp_path / "o")]
     run = subprocess.run([sys.executable, "-c", REPEATED_QUOTES, *argv], env=package_env(),
                          capture_output=True, text=True, check=True)
-    assert int(run.stdout.split()[-1]) < 100
+    faults = sorted(map(int, run.stdout.splitlines()[-1].split()))
+    assert faults[2] < 100, faults

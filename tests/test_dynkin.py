@@ -28,9 +28,10 @@ from gamehedge import (
 from gamehedge.drbsde import _implicit_row, backward_step
 from gamehedge.dynkin import (
     _bit_tuple,
-    _gather,
+    _grid_index,
     _packed_index,
     _pair_matrix,
+    _widths,
     inf_values_by_maximizer_rule,
     sup_values_by_minimizer_rule,
 )
@@ -300,44 +301,80 @@ def reference_gather(values, mask, below, rules):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_gather_matches_concatenated_index(n):
-    # every child table of every node, with one seat fixed and, where the pair matrix
-    # runs under the default cap (N <= 4), with both seats enumerated
+    # every child table of every node, gathered as the engine gathers it: a table over a
+    # child's bits below its own onto the union of both children's, and (the general case)
+    # over a child's cone onto the node's bits below its own; with one seat fixed and, where
+    # the pair matrix runs under the default cap (N <= 4), with both seats enumerated
     rng = np.random.default_rng(n)
     fixed = rule_from_id(n, int(rng.integers(rule_count(n))))
     seatings = [[None, fixed], [fixed, None]] + ([[None, None]] if n <= 4 else [])
     for k in range(n):
         for j in range(k + 1):
-            children = [cone_mask(n, k + 1, j + c) for c in (0, 1)]
-            below = children[0] | children[1]
+            cones = [cone_mask(n, k + 1, j + c) for c in (0, 1)]
+            belows = [cone & ~(1 << tri(k + 1, j + c)) if k + 1 < n else 0
+                      for c, cone in enumerate(cones)]
+            below = cones[0] | cones[1]
             assert cone_mask(n, k, j) == below | 1 << tri(k, j)
-            for mask in children:
-                assert not _packed_index(mask, below).flags.writeable
+            for mask, target in [(m, belows[0] | belows[1]) for m in belows] + \
+                                [(m, below) for m in cones]:
+                assert not _packed_index(mask, target).flags.writeable
                 for rules in seatings:
-                    shape = [1 << len(_bit_tuple(mask)) if r is None else 1 for r in rules]
-                    values = rng.standard_normal(shape)
-                    got, want = (f(values, mask, below, rules) for f in (_gather, reference_gather))
+                    enum = tuple(r is None for r in rules)
+                    values = rng.standard_normal(_widths(mask, enum))
+                    at = _grid_index([_packed_index(mask, target) if e else [0] for e in enum],
+                                     values.shape)
+                    got = values.take(at)
+                    want = reference_gather(values, mask, target, rules)
                     assert got.shape == want.shape
                     assert got.tobytes() == want.tobytes()
 
 
 def test_oracle_never_assembles_the_root_pair_table(monkeypatch):
-    # the pair route reduces the root's slots; below the root no table reaches n_rules**2
+    # the pair route reduces the root's slots, so no table reaches n_rules**2, and each
+    # implicit step covers one entry per distinct operand pair of its children's slots
     import gamehedge.dynkin as dynkin
 
     game = game_instance(np.random.default_rng(4), 4, GAME_GENERATORS["differential"])
-    sizes = []
-    honest = dynkin._assemble
+    tables, steps = [], []
+    honest_assemble, honest_step = dynkin._assemble, dynkin.backward_step
 
-    def recorded(*args):
-        table = honest(*args)
-        sizes.append(table.size)
+    def assemble(*args):
+        table = honest_assemble(*args)
+        tables.append(table.size)
         return table
 
-    monkeypatch.setattr(dynkin, "_assemble", recorded)
+    def step(lat, gen, k, y_next, *args, **kwargs):
+        steps.append(max(np.size(y) for y in y_next))
+        return honest_step(lat, gen, k, y_next, *args, **kwargs)
+
+    monkeypatch.setattr(dynkin, "_assemble", assemble)
+    monkeypatch.setattr(dynkin, "backward_step", step)
     game_value_brute(game)
-    assert max(sizes) == 4**6  # the pair tables one step below the root: cones of 6 bits
+    # the root's children have 4 slots each on both seats: the two continuations span the 7
+    # bits below either child, a continuation against a payoff its own 5, two payoffs 1 entry
+    assert max(steps) == 4**7 + 6 * 4**5 + 9 == 22_537
+    assert max(tables) == rule_count(4)  # the dynamic programs' root tables
     dynkin._pair_matrix(game)
-    assert max(sizes) == rule_count(4) ** 2
+    assert max(tables) == rule_count(4) ** 2
+
+    # zero extremes are rebuilt in blocks no larger than the step: with upper and tie payoffs
+    # of zero above a lower -1, every row maximum is a zero
+    blocks, honest_block = [], dynkin._root_block
+
+    def block(*args):
+        out = honest_block(*args)
+        blocks.append(out.size)
+        return out
+
+    monkeypatch.setattr(dynkin, "_root_block", block)
+    lat = build_lattice(100.0, 1.2, 0.8, TimeGrid(horizon=1.0, n_steps=4))
+    flat = DrbsdeInputs(lower=NodeProcess.constant(4, -1.0), upper=NodeProcess.zeros(4),
+                        tie=NodeProcess.zeros(4), cashflow_increments=NodeProcess.zeros(4),
+                        gen=GAME_GENERATORS["zero"], lat=lat)
+    steps.clear()
+    sup, inf = dynkin._pair_extremes(flat)
+    assert (sup == 0).all() and (inf == 0).any()
+    assert len(blocks) > 2 and max(blocks) <= max(steps)
 
 
 def test_route_disagreement_raises_without_assert(monkeypatch):

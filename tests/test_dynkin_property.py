@@ -85,8 +85,21 @@ def signed_zero_game(n, **root):
                         lat=build_lattice(100.0, 1.2, 0.8, TimeGrid(horizon=1.0, n_steps=n)))
 
 
+def zero_generator_game(lower, upper, tie):
+    """Zero generator and cash flow on a 4-step lattice, with the given flat payoff rows."""
+    rows = {"lower": lower, "upper": upper, "tie": tie}
+    return DrbsdeInputs(**{name: NodeProcess(np.array(v)) for name, v in rows.items()},
+                        cashflow_increments=NodeProcess.zeros(4), gen=GAME_GENERATORS["zero"],
+                        lat=build_lattice(100.0, 1.2, 0.8, TimeGrid(horizon=1.0, n_steps=4)))
+
+
 @settings(max_examples=30, deadline=None)
 @given(game=pair_games())
+# row 384's maximum is a zero of both signs spread over continuation entries and payoffs
+@example(game=zero_generator_game(
+    lower=[-1, -1, -0., -1, -1, 0., -0., -1, -1, -1, -1, -1, -1, -1, 0.],
+    upper=[1, 1, 1, 1, 0., 1, 1, -0., -0., 1, -0., 1, -0., 1, 1],
+    tie=[1, -1, 1, 1, -1, -0., 0., -1, -0., -1, -1, 1, 0., 0., 0.]))
 @example(game=signed_zero_game(4, upper=0.0, tie=-0.0))
 @example(game=signed_zero_game(4, lower=-0.0, tie=0.0))
 def test_reduced_pair_extremes_equal_the_pair_matrix_bytes(game):
