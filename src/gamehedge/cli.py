@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import copy
-import ctypes
 import json
 import sys
 import time
@@ -327,32 +326,7 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-# glibc mallopt parameters and the ceilings its dynamic thresholds rise to on 64-bit
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
-_MMAP_CEILING = 32 << 20
-
-
-def _keep_freed_heap() -> None:
-    """Reuse freed heap memory across solves instead of faulting it back in.
-
-    glibc serves blocks above its mmap threshold (128 KB at start) by mmap and
-    returns a free heap top larger than twice that to the kernel, raising both
-    only after a large block is freed.  Node arrays from about N=180 up are
-    such blocks, so each quote would fault its fresh arrays in anew.  Starting
-    both at the ceilings glibc would reach keeps arrays up to 32 MB on the
-    heap and its freed top in place.  Without glibc's mallopt this does nothing.
-    """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):
-        return
-    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    mallopt(_M_MMAP_THRESHOLD, _MMAP_CEILING)
-    mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_CEILING)
-
-
 def main(argv=None) -> int:
-    _keep_freed_heap()
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse already printed the message

@@ -46,12 +46,13 @@ and is kept.  A dynamic program assembles its root table of n_rules entries.
 The pair route never assembles its n_rules**2 root entries, nor the root
 continuation: it reduces each combination's rows and columns, so its largest
 array is the root step (22,537 entries at N=4).  A zero extreme takes its
-sign from the order of reduction, so its row or column is rebuilt and reduced
-in the assembled table's order.  Packed order is the sorted order of the
-masked rule ids, so every entry goes through the same elementwise arithmetic
-as broadcasting every node over all rule ids, and the fixed-point exit test
-sees the same set of values: the results are identical bit for bit to that
-broadcast.
+sign from the order of reduction, so where zeros of both signs meet at the
+root its row or column is rebuilt and reduced in the assembled table's order;
+where every zero has one sign, each zero extreme has it too.  Packed order is
+the sorted order of the masked rule ids, so every entry goes through the same
+elementwise arithmetic as broadcasting every node over all rule ids, and the
+fixed-point exit test sees the same set of values: the results are identical
+bit for bit to that broadcast.
 
 Naming follows the hedger orientation (sigma = minimizer, tau = maximizer);
 for counterparty games the same engine applies with the counterparty's
@@ -307,10 +308,10 @@ def _pair_extremes_at_root(slots: dict, lay: _Layout, cont: np.ndarray):
     the continuation, here the step's output, reduced piece by piece.  Table
     row 2 * packed + s spans the slots (s, 0) and (s, 1), so its maximum is
     the larger of theirs; columns likewise.  A zero extreme takes its sign
-    from the order of the reduction, so those rows and columns are rebuilt,
-    in blocks no larger than the step's output, and reduced as the assembled
-    table's: a row by one contiguous maximum, a column by the in-order fold of
-    minima down its rows.
+    from the order of the reduction where the root's slots hold zeros of both
+    signs, so there those rows and columns are rebuilt, in blocks no larger
+    than the step's output, and reduced as the assembled table's: a row by one
+    contiguous maximum, a column by the in-order fold of minima down its rows.
     """
     rows, cols = lay.reduced(cont, np.maximum, 1), lay.reduced(cont, np.minimum, 0)
     sup, inf = np.empty((rows.size, 2)), np.empty((cols.size, 2))
@@ -318,6 +319,10 @@ def _pair_extremes_at_root(slots: dict, lay: _Layout, cont: np.ndarray):
         sup[:, b] = np.maximum(*(rows if np.ndim(v) else v for v in (slots[b, 0], slots[b, 1])))
         inf[:, b] = np.minimum(*(cols if np.ndim(v) else v for v in (slots[0, b], slots[1, b])))
     sup, inf = sup.reshape(-1), inf.reshape(-1)
+    payoffs = [v for v in slots.values() if not np.ndim(v) and v == 0]
+    signs = np.signbit(np.concatenate([cont[cont == 0], payoffs]))
+    if signs.all() or not signs.any():  # zeros of one sign: every zero extreme has it already
+        return sup, inf
     every, step = np.arange(sup.size), max(1, cont.size // sup.size)  # blocks within the step's size
     zero = np.flatnonzero(sup == 0)
     for at in (zero[i:i + step] for i in range(0, zero.size, step)):

@@ -16,6 +16,7 @@ from gamehedge import (
     ContractSpec,
     CustomGenerator,
     DifferentialRates,
+    DrbsdeInputs,
     Lattice,
     NodeProcess,
     PartyView,
@@ -24,6 +25,7 @@ from gamehedge import (
     builtin_israeli_put,
     side_obstacles,
 )
+from gamehedge.lattice import tri
 
 RATE_GRID = (0.0, 0.02, 0.05, 0.1)
 
@@ -162,6 +164,24 @@ def game_instance(rng, n: int, gen, side: str = "hedger"):
     endowment = float(rng.choice([-2.5, 0.0, 2.5]))
     view = PartyView(side=side, endowment=endowment, acct=BenchmarkAccount(0.02, 0.05))
     return side_obstacles(contract, view, gen, lat)
+
+
+def signed_zero_game(n, **root):
+    """Zero generator, cash flow and tie rows between a lower -1 and an upper 1, but for the
+    root's ``root`` payoffs.
+
+    An upper 0.0 over a tie -0.0 makes each row maximum where the minimizer
+    stops at the root a zero of both signs; a lower -0.0 under a tie 0.0 does
+    the same for the column minima where the maximizer stops there.  The sign
+    such a maximum takes depends on the order of the reduction.
+    """
+    rows = {"lower": -1.0, "upper": 1.0, "tie": 0.0}
+    flat = {name: np.full(tri(n + 1), v) for name, v in rows.items()}
+    for name, v in root.items():
+        flat[name][0] = v
+    return DrbsdeInputs(**{name: NodeProcess(f) for name, f in flat.items()},
+                        cashflow_increments=NodeProcess.zeros(n), gen=GAME_GENERATORS["zero"],
+                        lat=build_lattice(100.0, 1.2, 0.8, TimeGrid(horizon=1.0, n_steps=n)))
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -3,7 +3,6 @@
 import inspect
 import json
 import os
-import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -634,50 +633,3 @@ def test_json_writer_refuses_anything_but_dicts_of_scalars(value):
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     assert "price" in capsys.readouterr().out
-
-
-@pytest.mark.parametrize("failure", [OSError("no C library"), None])
-def test_cli_runs_where_mallopt_is_missing(tmp_path, monkeypatch, failure):
-    import gamehedge.cli as cli
-
-    # a C library that cannot be loaded, or one without mallopt, leaves the
-    # allocator alone and the command works as before
-    def cdll(name):
-        if failure is not None:
-            raise failure
-        return object()
-
-    monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
-    cfg = write_config(tmp_path)
-    assert main(["price", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
-
-
-# two warm-up quotes, then the page faults of each of five more, printed last
-REPEATED_QUOTES = """
-import resource, sys
-from gamehedge.cli import main
-for _ in range(2):
-    assert main(sys.argv[1:]) == 0
-faults = []
-for _ in range(5):
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    assert main(sys.argv[1:]) == 0
-    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
-print(*faults)
-"""
-
-
-@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc tuning")
-def test_repeated_quotes_reuse_freed_heap(tmp_path):
-    # N=200 node arrays (162 KB) lie above glibc's initial mmap threshold, so
-    # without the CLI's allocator setting each quote faulted them in again.
-    # A fresh process keeps heap left over by earlier tests out of the count.  The heap
-    # grows to its steady size once, within the first few quotes, and that quote faults in
-    # about a hundred pages; which quote it is moves with unrelated allocations, so the
-    # median of five is counted.  Without the setting each quote faults several hundred
-    cfg = write_config(tmp_path, lattice={"N": 200, "u": 1.02, "d": 0.98})
-    argv = ["price", "--config", str(cfg), "--out", str(tmp_path / "o")]
-    run = subprocess.run([sys.executable, "-c", REPEATED_QUOTES, *argv], env=package_env(),
-                         capture_output=True, text=True, check=True)
-    faults = sorted(map(int, run.stdout.splitlines()[-1].split()))
-    assert faults[2] < 100, faults

@@ -36,7 +36,7 @@ from gamehedge.dynkin import (
     sup_values_by_minimizer_rule,
 )
 from gamehedge.lattice import node_coords, tri
-from conftest import GAME_GENERATORS, game_instance, random_instance
+from conftest import GAME_GENERATORS, game_instance, random_instance, signed_zero_game
 
 
 def test_rule_counts():
@@ -357,8 +357,8 @@ def test_oracle_never_assembles_the_root_pair_table(monkeypatch):
     dynkin._pair_matrix(game)
     assert max(tables) == rule_count(4) ** 2
 
-    # zero extremes are rebuilt in blocks no larger than the step: with upper and tie payoffs
-    # of zero above a lower -1, every row maximum is a zero
+    # zero extremes are rebuilt only where zeros of both signs meet at the root: with upper
+    # and tie payoffs of +0.0 above a lower -1, every row maximum is a zero of one sign
     blocks, honest_block = [], dynkin._root_block
 
     def block(*args):
@@ -371,9 +371,12 @@ def test_oracle_never_assembles_the_root_pair_table(monkeypatch):
     flat = DrbsdeInputs(lower=NodeProcess.constant(4, -1.0), upper=NodeProcess.zeros(4),
                         tie=NodeProcess.zeros(4), cashflow_increments=NodeProcess.zeros(4),
                         gen=GAME_GENERATORS["zero"], lat=lat)
-    steps.clear()
     sup, inf = dynkin._pair_extremes(flat)
     assert (sup == 0).all() and (inf == 0).any()
+    assert not blocks
+    # an upper 0.0 over a tie -0.0 at the root still rebuilds, in blocks no larger than the step
+    steps.clear()
+    dynkin._pair_extremes(signed_zero_game(4, upper=0.0, tie=-0.0))
     assert len(blocks) > 2 and max(blocks) <= max(steps)
 
 

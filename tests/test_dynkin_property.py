@@ -28,8 +28,8 @@ from gamehedge.dynkin import (  # noqa: E402
     inf_values_by_maximizer_rule,
     sup_values_by_minimizer_rule,
 )
-from gamehedge.lattice import node_coords, tri  # noqa: E402
-from conftest import GAME_GENERATORS, game_instance  # noqa: E402
+from gamehedge.lattice import node_coords  # noqa: E402
+from conftest import GAME_GENERATORS, game_instance, signed_zero_game  # noqa: E402
 
 
 @st.composite
@@ -67,24 +67,6 @@ def pair_games(draw):
     return game_instance(rng, n, GAME_GENERATORS[name], side)
 
 
-def signed_zero_game(n, **root):
-    """Zero generator, cash flow and tie rows between a lower -1 and an upper 1, but for the
-    root's ``root`` payoffs.
-
-    An upper 0.0 over a tie -0.0 makes each row maximum where the minimizer
-    stops at the root a zero of both signs; a lower -0.0 under a tie 0.0 does
-    the same for the column minima where the maximizer stops there.  The sign
-    such a maximum takes depends on the order of the reduction.
-    """
-    rows = {"lower": -1.0, "upper": 1.0, "tie": 0.0}
-    flat = {name: np.full(tri(n + 1), v) for name, v in rows.items()}
-    for name, v in root.items():
-        flat[name][0] = v
-    return DrbsdeInputs(**{name: NodeProcess(f) for name, f in flat.items()},
-                        cashflow_increments=NodeProcess.zeros(n), gen=GAME_GENERATORS["zero"],
-                        lat=build_lattice(100.0, 1.2, 0.8, TimeGrid(horizon=1.0, n_steps=n)))
-
-
 def zero_generator_game(lower, upper, tie):
     """Zero generator and cash flow on a 4-step lattice, with the given flat payoff rows."""
     rows = {"lower": lower, "upper": upper, "tie": tie}
@@ -100,6 +82,8 @@ def zero_generator_game(lower, upper, tie):
     lower=[-1, -1, -0., -1, -1, 0., -0., -1, -1, -1, -1, -1, -1, -1, 0.],
     upper=[1, 1, 1, 1, 0., 1, 1, -0., -0., 1, -0., 1, -0., 1, 1],
     tie=[1, -1, 1, 1, -1, -0., 0., -1, -0., -1, -1, 1, 0., 0., 0.]))
+# every zero is +0.0, so every zero extreme is +0.0 whatever the order of reduction
+@example(game=zero_generator_game(lower=[-1.] * 15, upper=[0.] * 15, tie=[0.] * 15))
 @example(game=signed_zero_game(4, upper=0.0, tie=-0.0))
 @example(game=signed_zero_game(4, lower=-0.0, tie=0.0))
 def test_reduced_pair_extremes_equal_the_pair_matrix_bytes(game):
