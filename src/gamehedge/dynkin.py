@@ -8,16 +8,16 @@ so rule bit i is flat node i (``tri(k, j)``).  The oracle computes
     upper_value = min over minimizer rules of max over maximizer rules
     lower_value = max over maximizer rules of min over minimizer rules
 
-by two independent routes: one per-rule dynamic program per player, where
-the opponent plays optimally node by node, and the pair route, the row
-maxima and column minima of the pair matrix (the root value of every rule
-pair), run as a cross-check whenever n_rules**2 <= DEFAULT_PAIR_LIMIT
-(N <= 4; at N = 5 the dynamic programs run alone).  Both
-step with the solvers' ``backward_step`` and node rules, so agreement with the
-reflected backward solve is a genuine cross-check, not a tautology.  A game
-is the solve's own problem, a ``DrbsdeInputs`` such as a quote's ``inputs``.
+by one per-rule dynamic program per player, where the opponent plays
+optimally node by node.  The programs step with the solvers'
+``backward_step`` and node rules, so agreement with the reflected backward
+solve is a genuine cross-check, not a tautology.  A game is the solve's own
+problem, a ``DrbsdeInputs`` such as a quote's ``inputs``.  The pair matrix
+(the root value of every rule pair) and the stopped values against a fixed
+minimizer rule run on the same engine; the tests check that the programs
+equal the matrix's row maxima and column minima.
 
-Both routes run on one cone engine.  A node's stopped value depends only on
+Everything runs on one cone engine.  A node's stopped value depends only on
 the rule bits in its forward cone, so each node keeps a table with one axis
 per player seat.  A seat is either a fixed rule (axis length 1) or every
 rule; an enumerated axis is indexed by the player's cone bits packed
@@ -36,23 +36,17 @@ children's bits below their own (``ndarray.take`` through a packed index
 that depends only on the two masks, built once and kept, read-only); a
 table against a payoff keeps its own bits, and two payoffs are one entry.
 All combinations go through one ``backward_step`` on their concatenated
-operands, so a node steps one entry per distinct operand pair: at the N=4
-pair route's root 4**7 + 6 * 4**5 + 9 = 22,537 entries, against the 4**9
-packed combinations of the children's cone bits, and 2**12 + 2 * 2**9 + 1
-= 5,121 against 2**14 at a dynamic program's root for N=5.  Below the root
-the step's output is gathered into the node's continuation table; the
-layout of both gathers depends only on the children's masks and slot kinds
-and is kept.  A dynamic program assembles its root table of n_rules entries.
-The pair route never assembles its n_rules**2 root entries, nor the root
-continuation: it reduces each combination's rows and columns, so its largest
-array is the root step (22,537 entries at N=4).  A zero extreme takes its
-sign from the order of reduction, so where zeros of both signs meet at the
-root its row or column is rebuilt and reduced in the assembled table's order;
-where every zero has one sign, each zero extreme has it too.  Packed order is
-the sorted order of the masked rule ids, so every entry goes through the same
-elementwise arithmetic as broadcasting every node over all rule ids, and the
-fixed-point exit test sees the same set of values: the results are identical
-bit for bit to that broadcast.
+operands, so a node steps one entry per distinct operand pair: at a dynamic
+program's root 2**7 + 2 * 2**5 + 1 = 193 entries for N=4 and 2**12 + 2 *
+2**9 + 1 = 5,121 for N=5, against the 2**9 and 2**14 packed combinations
+of the children's cone bits.  The step's output is gathered into the node's
+continuation table; the layout of both gathers depends only on the
+children's masks and slot kinds and is kept.  The root assembles its table:
+n_rules entries for a dynamic program, n_rules**2 for the pair matrix.
+Packed order is the sorted order of the masked rule ids, so every entry goes
+through the same elementwise arithmetic as broadcasting every node over all
+rule ids, and the fixed-point exit test sees the same set of values: the
+results are identical bit for bit to that broadcast.
 
 Naming follows the hedger orientation (sigma = minimizer, tau = maximizer);
 for counterparty games the same engine applies with the counterparty's
@@ -75,7 +69,6 @@ from .stopping import StoppingRule
 
 __all__ = [
     "MAX_INTERIOR_NODES",
-    "DEFAULT_PAIR_LIMIT",
     "GameValueReport",
     "SaddleDiagnosis",
     "rule_count",
@@ -89,7 +82,7 @@ __all__ = [
 ]
 
 MAX_INTERIOR_NODES = 15
-DEFAULT_PAIR_LIMIT = 10_000_000
+DEFAULT_PAIR_LIMIT = 10_000_000  # read only by bench/spans.py::_game_counts
 
 
 def rule_count(n_steps: int) -> int:
@@ -138,7 +131,7 @@ class SaddleDiagnosis:
     has_value: bool
 
 
-@functools.lru_cache(maxsize=256)  # N <= 5 reads about 90 (mask, below) pairs in all
+@functools.lru_cache(maxsize=256)  # N <= 5 reads 87 (mask, below) pairs in all
 def _packed_index(mask: int, below: int) -> np.ndarray:
     """Read-only index into a table with cone bits ``mask``, per packed ``below`` combination.
 
@@ -192,9 +185,9 @@ class _Layout:
     slots.  The node's continuation table spans ``below``, the children's
     cones, whose two lowest bits are the children's own bits, down first: so
     along an enumerated seat its packed index is (r * up opts + up own bit) *
-    down opts + down own bit, with r the packed ``union`` bits.  ``term`` maps
-    each seat's packed index to its share of the combination id, and
-    ``spans`` to its packed bits of each kind's span.
+    down opts + down own bit, with r the packed ``union`` bits.  ``assembly``
+    gathers the step's output into that table: each seat's packed index gives
+    its share of the combination id and its packed bits of the piece's span.
     """
 
     def __init__(self, d: _Slots, u: _Slots, enum: tuple[bool, ...]):
@@ -202,7 +195,7 @@ class _Layout:
         self.shape = _widths(self.below, enum)
         starts = [np.cumsum([0] + [np.prod(_widths(c.below, enum)) if t else 1
                                    for t in c.tables[:-1]]) for c in (d, u)]
-        operands, kinds, self.pieces = ([], []), [], []
+        operands, kinds, pieces = ([], []), [], []
         for i_d, t_d in enumerate(d.tables):
             for i_u, t_u in enumerate(u.tables):
                 kind = 0 if t_d and t_u else 1 if t_d else 2 if t_u else 3
@@ -214,69 +207,22 @@ class _Layout:
                                      _widths(c.below, enum)) if table else 0
                     out.append(np.broadcast_to(start + at, shape).ravel())
                 kinds.append(kind)
-                self.pieces.append(shape)
+                pieces.append(shape)
         self.down, self.up = (np.concatenate(o) for o in operands)
-        self.kind = np.array(kinds)
-        self.sizes = [int(np.prod(s)) for s in self.pieces]
-        self.offset = np.cumsum([0] + self.sizes[:-1])
-        self.stride = [np.array([int(np.prod(s[a + 1:])) for s in self.pieces])
-                       for a in range(len(enum))]
-        self.patterns = [d.opts[a] * u.opts[a] for a in range(len(enum))]
-        self.term, self.spans = [], []
-        for a, (e, w) in enumerate(zip(enum, self.shape)):
-            c, nd, nu = np.arange(w), d.opts[a], u.opts[a]
-            self.term.append(c % nd * (int(np.prod(d.opts[a + 1:])) * len(u.tables))
-                             + c // nd % nu * int(np.prod(u.opts[a + 1:])))
-            self.spans.append(np.stack([_packed_index(m, self.below) if e else np.zeros(1, np.intp)
-                                        for m in (union, d.below, u.below, 0)]))
-
-    def index(self, sels, offset=None, stride=None) -> np.ndarray:
-        """Where the step's output holds the continuation table's entries over the grid of
-        per-seat packed indices ``sels``; pieces laid out at ``offset`` with per-seat
-        ``stride`` in place of the step's own layout, if given."""
-        offset = self.offset if offset is None else offset
-        stride = self.stride if stride is None else stride
-        grid = [np.reshape(s, [-1 if b == a else 1 for b in range(len(sels))])
-                for a, s in enumerate(sels)]
-        comb = sum(t[g] for t, g in zip(self.term, grid))
-        kind = self.kind[comb]
-        return offset[comb] + sum(p[kind, g] * st[comb]
-                                  for p, g, st in zip(self.spans, grid, stride))
-
-    @functools.cached_property
-    def assembly(self) -> np.ndarray:
-        """The step's output gathered into the node's continuation table."""
-        return self.index([np.arange(w) for w in self.shape])
-
-    @functools.cached_property
-    def folds(self) -> list[tuple]:
-        """How ``reduced`` folds a two-seat continuation over each seat: the step's output
-        reordered so that each piece's runs along the seat lie end to end (None: they do),
-        where each run starts, and where its result lies per index of the other seat and
-        combination along the seat, whose own bits its first packed indices cover."""
-        folds = []
-        for axis in (0, 1):
-            runs = [np.moveaxis(np.arange(o, o + n).reshape(s), axis, -1)
-                    for o, n, s in zip(self.offset, self.sizes, self.pieces)]
-            count = np.array([r.shape[0] for r in runs])
-            length = np.repeat([r.shape[1] for r in runs], count)
-            sels = [np.arange(w) for w in self.shape]
-            sels[axis] = np.arange(self.patterns[axis])
-            at = self.index(sels, np.cumsum(count) - count,
-                            [np.full(count.size, int(a != axis)) for a in range(2)])
-            folds.append((np.concatenate([r.ravel() for r in runs]) if axis == 0 else None,
-                          np.cumsum(length) - length, at))
-        return folds
-
-    def reduced(self, cont: np.ndarray, ufunc, axis: int) -> np.ndarray:
-        """``ufunc`` reduced over seat ``axis`` of the two-seat continuation table, whose
-        pieces are reduced run by run, never assembled."""
-        order, starts, at = self.folds[axis]
-        runs = cont if order is None else cont.take(order)
-        return ufunc.reduce(ufunc.reduceat(runs, starts)[at], axis=axis)
+        grid = np.ix_(*(np.arange(w) for w in self.shape))
+        comb = sum(c % d.opts[a] * (int(np.prod(d.opts[a + 1:])) * len(u.tables))
+                   + c // d.opts[a] % u.opts[a] * int(np.prod(u.opts[a + 1:]))
+                   for a, c in enumerate(grid))
+        kind = np.array(kinds)[comb]
+        self.assembly = np.cumsum([0] + [int(np.prod(s)) for s in pieces[:-1]])[comb]
+        for a, (e, c) in enumerate(zip(enum, grid)):
+            spans = np.stack([_packed_index(m, self.below) if e else np.zeros(1, np.intp)
+                              for m in (union, d.below, u.below, 0)])
+            stride = np.array([int(np.prod(s[a + 1:])) for s in pieces])
+            self.assembly = self.assembly + spans[kind, c] * stride[comb]
 
 
-@functools.lru_cache(maxsize=512)  # N <= 5: 35 nodes, at most 10 layouts each
+@functools.lru_cache(maxsize=512)  # N <= 5: 21 for the oracle, about 200 over every seating
 def _layout(d: _Slots, u: _Slots, enum: tuple[bool, ...]) -> _Layout:
     return _Layout(d, u, enum)
 
@@ -289,51 +235,7 @@ def _assemble(slots: dict, own: list[tuple[bool, ...]], shape: tuple[int, ...]) 
     return values.reshape([c * len(o) for c, o in zip(shape, own)])
 
 
-def _root_block(slots: dict, lay: _Layout, cont: np.ndarray, rows, cols) -> np.ndarray:
-    """The root pair table's entries at ``rows`` and ``cols``, each index 2 * packed + own bit."""
-    block = np.empty((rows.size, cols.size))
-    for (s, t), slot in slots.items():
-        r, c = rows % 2 == s, cols % 2 == t
-        if np.ndim(slot):
-            slot = cont[lay.index([rows[r] // 2, cols[c] // 2])]
-        block[np.ix_(r, c)] = slot
-    return block
-
-
-def _pair_extremes_at_root(slots: dict, lay: _Layout, cont: np.ndarray):
-    """The root pair table's row maxima and column minima from its slots, never assembled.
-
-    Both seats are enumerated, so slot (s, t) holds the entries with minimizer
-    own bit s and maximizer own bit t: a payoff, which reduces to itself, or
-    the continuation, here the step's output, reduced piece by piece.  Table
-    row 2 * packed + s spans the slots (s, 0) and (s, 1), so its maximum is
-    the larger of theirs; columns likewise.  A zero extreme takes its sign
-    from the order of the reduction where the root's slots hold zeros of both
-    signs, so there those rows and columns are rebuilt, in blocks no larger
-    than the step's output, and reduced as the assembled table's: a row by one
-    contiguous maximum, a column by the in-order fold of minima down its rows.
-    """
-    rows, cols = lay.reduced(cont, np.maximum, 1), lay.reduced(cont, np.minimum, 0)
-    sup, inf = np.empty((rows.size, 2)), np.empty((cols.size, 2))
-    for b in (0, 1):
-        sup[:, b] = np.maximum(*(rows if np.ndim(v) else v for v in (slots[b, 0], slots[b, 1])))
-        inf[:, b] = np.minimum(*(cols if np.ndim(v) else v for v in (slots[0, b], slots[1, b])))
-    sup, inf = sup.reshape(-1), inf.reshape(-1)
-    payoffs = [v for v in slots.values() if not np.ndim(v) and v == 0]
-    signs = np.signbit(np.concatenate([cont[cont == 0], payoffs]))
-    if signs.all() or not signs.any():  # zeros of one sign: every zero extreme has it already
-        return sup, inf
-    every, step = np.arange(sup.size), max(1, cont.size // sup.size)  # blocks within the step's size
-    zero = np.flatnonzero(sup == 0)
-    for at in (zero[i:i + step] for i in range(0, zero.size, step)):
-        sup[at] = _root_block(slots, lay, cont, at, every).max(axis=1)
-    zero = np.flatnonzero(inf == 0)
-    for at in (zero[i:i + step] for i in range(0, zero.size, step)):
-        inf[at] = np.minimum.accumulate(_root_block(slots, lay, cont, every, at), axis=0)[-1]
-    return sup, inf
-
-
-def _cone_values(game: DrbsdeInputs, node_rule, at_root=None, **seats: StoppingRule | None):
+def _cone_values(game: DrbsdeInputs, node_rule, **seats: StoppingRule | None):
     """Root values over the enumerated players' rule ids, from cone-indexed node slots.
 
     Each seat (``sigma``, ``tau``) holds a fixed rule, an axis of length 1,
@@ -345,8 +247,7 @@ def _cone_values(game: DrbsdeInputs, node_rule, at_root=None, **seats: StoppingR
     raveled for its parent, whose one implicit step covers every combination
     of the two children's slots (``_Layout``); the step's output is gathered
     into the node's continuation table.  The root's table is assembled from
-    its slots, unless ``at_root(slots, layout, output)`` makes the result
-    from the root's slots with the continuation left as the step's output.
+    its slots.
     """
     lat = game.lat
     _require_enumerable(lat.n_steps)
@@ -363,9 +264,8 @@ def _cone_values(game: DrbsdeInputs, node_rule, at_root=None, **seats: StoppingR
             (down, d), (up, u) = nodes[j:j + 2]
             lay = _layout(d, u, enum)
             cont = backward_step(lat, game.gen, k, [down.take(lay.down), up.take(lay.up)],
-                                 game.cashflow_increments.at(k, j), j, residual=False)[0]
-            if k or at_root is None:
-                cont = cont.take(lay.assembly)
+                                 game.cashflow_increments.at(k, j), j,
+                                 residual=False)[0].take(lay.assembly)
 
             # the node's own bit tri(k, j) is its cone's lowest: an enumerated seat has both own
             # bits, a fixed rule its one, and each combination of own bits makes one slot
@@ -375,9 +275,7 @@ def _cone_values(game: DrbsdeInputs, node_rule, at_root=None, **seats: StoppingR
             slots = {pos: node_rule(lo, hi, tie, [o[i] for o, i in zip(own, pos)], cont)
                      for pos in np.ndindex(*map(len, own))}
             if not k:
-                if at_root is None:
-                    return _assemble(slots, own, cont.shape)
-                return at_root(slots, lay, cont)
+                return _assemble(slots, own, cont.shape)
             new_nodes.append((np.concatenate([np.ravel(v) for v in slots.values()]),
                               _Slots(lay.below, lay.below | 1 << bit, tuple(map(len, own)),
                                      tuple(np.ndim(v) > 0 for v in slots.values()))))
@@ -400,11 +298,6 @@ def _pair_matrix(game: DrbsdeInputs, sigma: StoppingRule | None = None,
     return _cone_values(game, _pair_node, sigma=sigma, tau=tau)
 
 
-def _pair_extremes(game: DrbsdeInputs) -> tuple[np.ndarray, np.ndarray]:
-    """The pair matrix's row maxima (sup over tau per sigma id) and column minima (inf over sigma)."""
-    return _cone_values(game, _pair_node, _pair_extremes_at_root, sigma=None, tau=None)
-
-
 def stopped_values_for_maximizer_rules(game: DrbsdeInputs, sigma: StoppingRule) -> np.ndarray:
     """Stopped value against a fixed minimizer rule, for every maximizer rule id."""
     return _pair_matrix(game, sigma)[0]
@@ -415,30 +308,15 @@ def _bit_tuple(rid: int) -> tuple[int, ...]:
 
 
 def game_value_brute(game: DrbsdeInputs) -> GameValueReport:
-    """Both game values over all enumerated rule pairs.
+    """Both game values over all enumerated rule pairs, from the per-rule dynamic programs.
 
-    Runs the per-rule dynamic programs always, and the pair route too when
-    n_rules**2 <= DEFAULT_PAIR_LIMIT; then the two routes are cross-checked
-    and the pair route's values reported.
+    The upper value is the least sup over minimizer rules, the lower the
+    greatest inf over maximizer rules; each program runs once, at every N.
     """
-    m = _require_enumerable(game.lat.n_steps)
-    n_rules = 1 << m
-
-    sup_vals = sup_values_by_minimizer_rule(game)
-    inf_vals = inf_values_by_maximizer_rule(game)
-
-    if n_rules * n_rules <= DEFAULT_PAIR_LIMIT:
-        sup_pairs, inf_pairs = _pair_extremes(game)
-        scale = 1.0 + float(np.max(np.abs(sup_pairs)))
-        for by_pairs, by_dp in ((sup_pairs, sup_vals), (inf_pairs, inf_vals)):
-            if not float(np.max(np.abs(by_pairs - by_dp))) <= 1e-10 * scale:
-                raise AssertionError("pair enumeration and per-rule dynamic program disagree")
-        sup_vals, inf_vals = sup_pairs, inf_pairs
-
     return GameValueReport(
-        upper_value=float(sup_vals.min()),
-        lower_value=float(inf_vals.max()),
-        rule_count=n_rules,
+        upper_value=float(sup_values_by_minimizer_rule(game).min()),
+        lower_value=float(inf_values_by_maximizer_rule(game).max()),
+        rule_count=rule_count(game.lat.n_steps),
     )
 
 

@@ -218,14 +218,8 @@ def test_oracle_too_large_exits_4(tmp_path, capsys):
     assert "TooLarge" in capsys.readouterr().err
 
 
-def test_oracle_at_five_steps_runs_the_rule_dp_alone(tmp_path, monkeypatch):
-    # 2**15 rules per player: 2**30 pairs is past the pair route's cap
-    import gamehedge.dynkin as dynkin
-
-    def no_pairs(*_args, **_kwargs):
-        raise AssertionError("pair route run at N=5")
-
-    monkeypatch.setattr(dynkin, "_pair_extremes", no_pairs)
+def test_oracle_at_five_steps_runs_the_rule_dp_alone(tmp_path):
+    # 2**15 rules per player: each dynamic program's root table holds 2**15 entries
     cfg = write_config(tmp_path, lattice={"N": 5}, party={"side": "both"})
     out = tmp_path / "out"
     assert main(["oracle", "--config", str(cfg), "--out", str(out)]) == 0

@@ -36,7 +36,7 @@ from gamehedge.dynkin import (
     sup_values_by_minimizer_rule,
 )
 from gamehedge.lattice import node_coords, tri
-from conftest import GAME_GENERATORS, game_instance, random_instance, signed_zero_game
+from conftest import GAME_GENERATORS, game_instance, random_instance
 
 
 def test_rule_counts():
@@ -330,8 +330,8 @@ def test_gather_matches_concatenated_index(n):
 
 
 def test_oracle_never_assembles_the_root_pair_table(monkeypatch):
-    # the pair route reduces the root's slots, so no table reaches n_rules**2, and each
-    # implicit step covers one entry per distinct operand pair of its children's slots
+    # the oracle runs the per-rule dynamic programs alone, so no table reaches n_rules**2, and
+    # each implicit step covers one entry per distinct operand pair of its children's slots
     import gamehedge.dynkin as dynkin
 
     game = game_instance(np.random.default_rng(4), 4, GAME_GENERATORS["differential"])
@@ -350,45 +350,10 @@ def test_oracle_never_assembles_the_root_pair_table(monkeypatch):
     monkeypatch.setattr(dynkin, "_assemble", assemble)
     monkeypatch.setattr(dynkin, "backward_step", step)
     game_value_brute(game)
-    # the root's children have 4 slots each on both seats: the two continuations span the 7
-    # bits below either child, a continuation against a payoff its own 5, two payoffs 1 entry
-    assert max(steps) == 4**7 + 6 * 4**5 + 9 == 22_537
-    assert max(tables) == rule_count(4)  # the dynamic programs' root tables
+    # the root's children have a continuation and a payoff slot each on the enumerated seat: the
+    # two continuations span the 7 bits below either child, a continuation against a payoff
+    # its own 5, two payoffs 1 entry
+    assert max(steps) == 2**7 + 2 * 2**5 + 1 == 193
+    assert tables == [rule_count(4)] * 2  # one root table per dynamic program, run once each
     dynkin._pair_matrix(game)
     assert max(tables) == rule_count(4) ** 2
-
-    # zero extremes are rebuilt only where zeros of both signs meet at the root: with upper
-    # and tie payoffs of +0.0 above a lower -1, every row maximum is a zero of one sign
-    blocks, honest_block = [], dynkin._root_block
-
-    def block(*args):
-        out = honest_block(*args)
-        blocks.append(out.size)
-        return out
-
-    monkeypatch.setattr(dynkin, "_root_block", block)
-    lat = build_lattice(100.0, 1.2, 0.8, TimeGrid(horizon=1.0, n_steps=4))
-    flat = DrbsdeInputs(lower=NodeProcess.constant(4, -1.0), upper=NodeProcess.zeros(4),
-                        tie=NodeProcess.zeros(4), cashflow_increments=NodeProcess.zeros(4),
-                        gen=GAME_GENERATORS["zero"], lat=lat)
-    sup, inf = dynkin._pair_extremes(flat)
-    assert (sup == 0).all() and (inf == 0).any()
-    assert not blocks
-    # an upper 0.0 over a tie -0.0 at the root still rebuilds, in blocks no larger than the step
-    steps.clear()
-    dynkin._pair_extremes(signed_zero_game(4, upper=0.0, tie=-0.0))
-    assert len(blocks) > 2 and max(blocks) <= max(steps)
-
-
-def test_route_disagreement_raises_without_assert(monkeypatch):
-    # an explicit raise, so the cross-check survives python -O
-    import gamehedge.dynkin as dynkin
-
-    rng = np.random.default_rng(7)
-    gen = GAME_GENERATORS["linear"]
-    game = game_instance(rng, 2, gen)
-    honest = dynkin.sup_values_by_minimizer_rule
-    monkeypatch.setattr(dynkin, "sup_values_by_minimizer_rule",
-                        lambda *args: honest(*args) + 1.0)
-    with pytest.raises(AssertionError, match="pair enumeration and per-rule dynamic program disagree"):
-        game_value_brute(game)

@@ -1,5 +1,5 @@
 """Property tests: the oracle's cone engine agrees with the solver module's row sweep, and its
-reduced pair route with the assembled pair matrix, on every game."""
+per-rule dynamic programs with the assembled pair matrix, on every game."""
 
 import itertools
 
@@ -23,7 +23,6 @@ from gamehedge import (  # noqa: E402
 from gamehedge import drbsde, dynkin  # noqa: E402
 from gamehedge.drbsde import _pick  # noqa: E402
 from gamehedge.dynkin import (  # noqa: E402
-    _pair_extremes,
     _pair_matrix,
     inf_values_by_maximizer_rule,
     sup_values_by_minimizer_rule,
@@ -58,13 +57,29 @@ def test_pair_entry_equals_evaluate_stopped(game):
     assert abs(sup - snell) <= 1e-12 * (1.0 + abs(snell))
 
 
+def same_bytes(got, want):
+    return got.tobytes() == want.tobytes()
+
+
+def same_values(got, want):  # a zero may differ in sign
+    return np.array_equal(got, want)
+
+
+def close(got, want):
+    return float(np.max(np.abs(got - want))) <= 1e-10 * (1.0 + float(np.max(np.abs(want))))
+
+
 @st.composite
 def pair_games(draw):
+    # a node step tests its fixed point jointly over all it covers, and the pair matrix's steps
+    # cover more than a dynamic program's, so a slowly converging custom generator's results
+    # agree only to the solver's tolerance; the builtins' start point is exact
     name = draw(st.sampled_from(sorted(GAME_GENERATORS)))
     n = draw(st.integers(1, 3 if name == "custom" else 4))  # the custom generator is slow at N=4
     side = draw(st.sampled_from(["hedger", "counterparty"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    return game_instance(rng, n, GAME_GENERATORS[name], side)
+    same = close if name == "custom" else same_bytes
+    return game_instance(rng, n, GAME_GENERATORS[name], side), same
 
 
 def zero_generator_game(lower, upper, tie):
@@ -76,22 +91,25 @@ def zero_generator_game(lower, upper, tie):
 
 
 @settings(max_examples=30, deadline=None)
-@given(game=pair_games())
-# row 384's maximum is a zero of both signs spread over continuation entries and payoffs
-@example(game=zero_generator_game(
+@given(case=pair_games())
+# where zeros of both signs meet, a zero extreme takes its sign from the order of reduction,
+# which a dynamic program does not share with the assembled matrix: row 384's maximum is a
+# zero of both signs spread over continuation entries and payoffs, and on the signed-zero
+# games the least row maximum is +0.0 by the dynamic program and -0.0 in the matrix
+@example(case=(zero_generator_game(
     lower=[-1, -1, -0., -1, -1, 0., -0., -1, -1, -1, -1, -1, -1, -1, 0.],
     upper=[1, 1, 1, 1, 0., 1, 1, -0., -0., 1, -0., 1, -0., 1, 1],
-    tie=[1, -1, 1, 1, -1, -0., 0., -1, -0., -1, -1, 1, 0., 0., 0.]))
-# every zero is +0.0, so every zero extreme is +0.0 whatever the order of reduction
-@example(game=zero_generator_game(lower=[-1.] * 15, upper=[0.] * 15, tie=[0.] * 15))
-@example(game=signed_zero_game(4, upper=0.0, tie=-0.0))
-@example(game=signed_zero_game(4, lower=-0.0, tie=0.0))
-def test_reduced_pair_extremes_equal_the_pair_matrix_bytes(game):
-    # the oracle reduces the root's slots instead of the assembled n_rules x n_rules table
+    tie=[1, -1, 1, 1, -1, -0., 0., -1, -0., -1, -1, 1, 0., 0., 0.]), same_values))
+@example(case=(zero_generator_game(lower=[-1.] * 15, upper=[0.] * 15, tie=[0.] * 15), same_values))
+@example(case=(signed_zero_game(4, upper=0.0, tie=-0.0), same_values))
+@example(case=(signed_zero_game(4, lower=-0.0, tie=0.0), same_values))
+def test_rule_dps_equal_the_pair_matrix_extremes(case):
+    # the oracle's per-rule dynamic programs against the row maxima and column minima of the
+    # assembled n_rules x n_rules table
+    game, same = case
     pairs = _pair_matrix(game)
-    sup, inf = _pair_extremes(game)
-    assert sup.tobytes() == pairs.max(axis=1).tobytes()
-    assert inf.tobytes() == pairs.min(axis=0).tobytes()
+    assert same(sup_values_by_minimizer_rule(game), pairs.max(axis=1))
+    assert same(inf_values_by_maximizer_rule(game), pairs.min(axis=0))
 
 
 def tie_on_a_bound_game(n, shift):

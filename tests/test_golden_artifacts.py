@@ -4,9 +4,9 @@ The digests were recorded with the row-at-a-time ``csv.writer`` writers
 that preceded the bulk-formatted ones, so a passing run shows the artifact
 bytes (CSV dialect, ``%.17g`` floats, row order, JSON layout) are unchanged.
 The ``oracle`` case was recorded before the oracle's recursions and rule
-bits moved onto the shared backward step and flat node layout; at its N=4
-the oracle reports the pair matrix's values, and the per-rule dynamic
-programs give the same bits (``test_oracle_routes_agree_bit_for_bit``).
+bits moved onto the shared backward step and flat node layout, while at its
+N=4 the oracle reported the pair matrix's values; the per-rule dynamic
+programs it runs now give the same bits (``test_oracle_routes_agree_bit_for_bit``).
 The two benchmark-scale cases (``price`` at N=200, ``replicate`` at N=10)
 were recorded before the writers formatted each distinct value once; their
 files cross many write blocks.
@@ -25,7 +25,6 @@ from gamehedge import NodeProcess, side_obstacles, write_node_process
 from gamehedge.cli import main
 from gamehedge.config import build_bundle
 from gamehedge.dynkin import (
-    _pair_extremes,
     _pair_matrix,
     inf_values_by_maximizer_rule,
     sup_values_by_minimizer_rule,
@@ -60,7 +59,7 @@ PUT_N2 = {
 # lending at zero lets the sweep include the int value 0
 PUT_SIGMA_NO_LEND = {**PUT_SIGMA, "generator": {**PUT_SIGMA["generator"], "r_lend": 0.0}}
 
-# the largest lattice the oracle's pair route covers (1024 rules per player);
+# the largest lattice whose pair matrix the tests assemble (1024 rules per player);
 # out of the money at the root, so neither side's value is a bare penalty
 PUT_N4 = {**PUT_SIGMA, "lattice": {**PUT_SIGMA["lattice"], "N": 4},
           "contract": {**PUT_SIGMA["contract"], "strike": 110.0}}
@@ -365,16 +364,12 @@ def test_artifacts_match_golden_digests(name, tmp_path):
 
 
 def test_oracle_routes_agree_bit_for_bit():
-    # the per-rule dynamic programs alone give the pair matrix's game values, and the
-    # oracle's pair route, which reduces the root's slots, gives the assembled matrix's
-    # row maxima and column minima, so the route the oracle takes does not change the
-    # bytes of oracle_put's oracle.json
+    # the per-rule dynamic programs, which the oracle runs, give the assembled pair matrix's
+    # row maxima and column minima bit for bit, so oracle_put's oracle.json keeps the bytes
+    # it had while the oracle reported the pair matrix's values
     bundle = build_bundle(PUT_N4)
     for side in ("hedger", "counterparty"):
         game = side_obstacles(bundle.contract, bundle.views[side], bundle.gen, bundle.lat)
         pairs = _pair_matrix(game)
-        sup_pairs, inf_pairs = _pair_extremes(game)
-        assert sup_pairs.tobytes() == pairs.max(axis=1).tobytes()
-        assert inf_pairs.tobytes() == pairs.min(axis=0).tobytes()
-        assert sup_values_by_minimizer_rule(game).min().tobytes() == sup_pairs.min().tobytes()
-        assert inf_values_by_maximizer_rule(game).max().tobytes() == inf_pairs.max().tobytes()
+        assert sup_values_by_minimizer_rule(game).tobytes() == pairs.max(axis=1).tobytes()
+        assert inf_values_by_maximizer_rule(game).tobytes() == pairs.min(axis=0).tobytes()
