@@ -8,29 +8,27 @@ row k+1 to row k it does, per node:
 2. expectation  e = q*y_up + (1-q)*y_dn
 3. implicit solve of  v = e - cashflow_k + g(t_k, v, z, s_k)*dt
 
-A step covers a whole row or one node; either may carry trailing batch
-axes (one value per stopping rule, say), and a row's node data (cash and
-obstacle rows) the leading ones (one row per side), padded to the rest.
+A step covers a whole row, which may carry trailing batch axes (one value
+per stopping rule, say), and its node data (cash and obstacle rows) the
+leading ones (one row per side), padded to the rest.
 
 The implicit solve is a pure fixed-point iteration; for the builtin generator
 the start point already solves the piecewise-linear equation exactly, so one
-confirming sweep suffices.  On arrays (every row step and every oracle node
-step) the builtin's start and confirming sweep run fused in one pass,
-``generators.two_rate_step``, with the loop's arithmetic in the loop's order,
-and its residual from the same z*s.  The general loop runs for custom
-generators, scalar steps and any builtin step whose pass meets a non-finite
-value or fails the exit test; it starts afresh, so values, errors and warnings
-are the loop's own.  The exit test accepts a change of at most FIXED_POINT_TOL
-or 4*eps*max|v|, whichever is larger, so quotes converge in any price units.
+confirming sweep suffices.  The builtin's start and confirming sweep run
+fused in one pass, ``generators.two_rate_step``, with the loop's arithmetic
+in the loop's order, and its residual from the same z*s.  The general loop
+runs for custom generators and any builtin step whose pass meets a
+non-finite value or fails the exit test; it starts afresh, so values, errors
+and warnings are the loop's own.  The exit test accepts a change of at most
+FIXED_POINT_TOL or 4*eps*max|v|, whichever is larger, so quotes converge in
+any price units.
 Only ``solve_drbsde`` reports a residual, so only its steps evaluate the
 generator once more at the exit value; every other recursion gets None for the
 residual and one finiteness check of that value instead, as an iterate that
-overflows to +-inf passes the relative exit test.  A row step tests each
-column (each index of its batch axes) on its own and freezes a column once it
+overflows to +-inf passes the relative exit test.  A step tests each column
+(each index of its batch axes) on its own and freezes a column once it
 passes, so a column's values are bit-identical to a step over that column
-alone, whatever converges beside it.  A node step (the oracle's cone engine)
-tests all its values jointly, so there a slowly converging custom generator's
-results depend on what the step covers.
+alone, whatever converges beside it.
 
 Every row recursion is one backward sweep behind one entry check (each
 part spans the lattice's steps, and the step contracts); only the node rule
@@ -49,10 +47,12 @@ dU = ((v v lower) - upper)^+, with dL * dU = 0 node by node because the
 obstacles never touch.  ``evaluate_stopped`` prices the stream under
 externally imposed stopping rules (first marked node wins, simultaneous
 marks pay the tie row), and ``snell_sup_for_minimizer`` keeps one rule and
-lets the other party stop wherever it pays most.  The game oracle's cone
-engine applies the same pair, sup and inf node rules, so their values are
-directly comparable with the reflected solution.  Solutions are written
-straight into flat node arrays (node (k, j) at ``tri(k, j)``).
+lets the other party stop wherever it pays most.  A seat left open
+enumerates every rule of that player on a batch axis of its own, one column
+per rule id at the root (``_game_root``); the game oracle's per-rule
+programs run that way, so their values are directly comparable with the
+reflected solution.  Solutions are written straight into flat node arrays
+(node (k, j) at ``tri(k, j)``).
 """
 
 from __future__ import annotations
@@ -147,28 +147,26 @@ class DrbsdeSolution:
     iterations_max: int
 
 
-def _implicit_row(gen: Generator, t: float, rhs, z, s, dt: float, axis: int | None = None,
-                  residual: bool = True):
+def _implicit_row(gen: Generator, t: float, rhs, z, s, dt: float, residual: bool = True):
     """Solve v = rhs + g(t, v, z, s)*dt by fixed-point iteration.
 
     Returns (v, residual, iterations), the last two maxima over columns.  The
     exit test bounds the true residual because one extra application
     contracts the gap by dt*L_y < 1; it also accepts 4*eps*max|v|, since above
-    |v| = 8192 one ulp alone exceeds FIXED_POINT_TOL.  With ``axis`` None one
-    test covers every value; with ``axis=0`` each column (index of the axes
-    after 0) is tested alone and keeps the value it passed with.  The residual
-    costs one more generator evaluation; with ``residual`` false it is None,
-    and v is checked finite instead (inf passes the relative exit test).
-    A builtin step on arrays takes its first iteration from ``two_rate_step``,
-    fused into one pass, and ends there if that passes the exit test;
-    otherwise (a non-finite value, or a column that fails both tolerances)
-    the loop runs from the start.
+    |v| = 8192 one ulp alone exceeds FIXED_POINT_TOL.  Each column (index of
+    the axes after 0) is tested alone and keeps the value it passed with.  The
+    residual costs one more generator evaluation; with ``residual`` false it is
+    None, and v is checked finite instead (inf passes the relative exit test).
+    A builtin step takes its first iteration from ``two_rate_step``, fused
+    into one pass, and ends there if that passes the exit test; otherwise (a
+    non-finite value, or a column that fails both tolerances) the loop runs
+    from the start.
     """
-    if isinstance(gen, DifferentialRates) and isinstance(rhs, np.ndarray):
+    if isinstance(gen, DifferentialRates):
         first = two_rate_step(gen, t, rhs, z, s, dt)
         if first is not None:
             v, change, zs, delta = first
-            if delta <= FIXED_POINT_TOL or _moving(change, v, axis) is None:
+            if delta <= FIXED_POINT_TOL or _moving(change, v) is None:
                 return v, two_rate_residual(gen, rhs, v, zs, dt) if residual else None, 1
     v, live = implicit_start(gen, t, rhs, z, s, dt), None
     for it in range(1, MAX_FIXED_POINT_ITER + 1):
@@ -178,11 +176,11 @@ def _implicit_row(gen: Generator, t: float, rhs, z, s, dt: float, axis: int | No
         if live is not None:
             v_new = np.where(live, v_new, v)
         change = v_new - v
-        change = np.abs(change, out=change if isinstance(change, np.ndarray) else None)
+        change = np.abs(change, out=change)
         v, delta = v_new, float(np.max(change))
         if delta <= FIXED_POINT_TOL:  # every column passes
             break
-        live = _moving(change, v, axis)
+        live = _moving(change, v)
         if live is None:
             break
     else:
@@ -197,10 +195,10 @@ def _implicit_row(gen: Generator, t: float, rhs, z, s, dt: float, axis: int | No
     return v, float(np.max(np.abs(v - (rhs + eval_g(gen, t, v, z, s) * dt)))), it
 
 
-def _moving(change, v, axis: int | None):
+def _moving(change, v):
     """The columns whose change exceeds both exit tolerances, or None if there is none."""
-    col = np.max(change, axis=axis)
-    live = ~((col <= FIXED_POINT_TOL) | (col <= _RELATIVE_TOL * np.max(np.abs(v), axis=axis)))
+    col = np.max(change, axis=0)
+    live = ~((col <= FIXED_POINT_TOL) | (col <= _RELATIVE_TOL * np.max(np.abs(v), axis=0)))
     return live if live.any() else None
 
 
@@ -223,42 +221,34 @@ def require_contraction(gen: Generator, lat: Lattice) -> None:
         )
 
 
-def backward_step(lat: Lattice, gen: Generator, k: int, y_next, cash, j: int | None = None,
-                  residual: bool = True):
+def backward_step(lat: Lattice, gen: Generator, k: int, y_next, cash, residual: bool = True):
     """One backward step into row k: hedge slope, expectation and implicit solve.
 
-    With ``j`` None, ``y_next`` is row k+1 along axis 0 and ``cash`` row k's
-    increments; with ``j`` given, ``y_next`` holds node (k, j)'s children
-    (down, up) and ``cash`` that node's increment.  Any trailing axes of
-    ``y_next`` are batch axes; a row's ``cash`` may carry the leading ones
-    (one row per side, say).  Returns (continuation, slope, residual,
-    iterations), shaped (k+1, *batch) for a row and (*batch) for a node.
-    The residual, the largest |v - rhs - g*dt| at the exit value, costs one
-    more generator evaluation; with ``residual`` false it is None and the
-    continuation is checked finite instead (``NonFiniteInput``).  The step
-    builds its arithmetic in place in its own fresh arrays and never writes
-    into ``y_next`` or ``cash``, so read-only tables and broadcast views serve.
+    ``y_next`` is row k+1 along axis 0 and ``cash`` row k's increments.  Any
+    trailing axes of ``y_next`` are batch axes; ``cash`` may carry the
+    leading ones (one row per side, say).  Returns (continuation, slope,
+    residual, iterations), shaped (k+1, *batch).  The residual, the largest
+    |v - rhs - g*dt| at the exit value, costs one more generator evaluation;
+    with ``residual`` false it is None and the continuation is checked
+    finite instead (``NonFiniteInput``).  The step builds its arithmetic in
+    place in its own fresh arrays and never writes into ``y_next`` or
+    ``cash``, so read-only rows and broadcast views serve.
     """
     if not 0 <= k < lat.n_steps:
         raise OutOfRange(f"step {k} outside 0..{lat.n_steps - 1}")
     head = tri(k + 1)  # row k ends where row k+1 starts
     s, s_next = lat.spot.flat[head - k - 1:head], lat.spot.flat[head:head + k + 2]
-    if j is None:  # node data runs along axis 0, ahead of the batch axes
-        up, dn = y_next[1:], y_next[:-1]
-        ds = s_next[1:] - s_next[:-1]
-        rank = np.ndim(y_next)
-        if rank > 1:
-            ds, s, cash = (_pad(a, rank) for a in (ds, s, cash))
-    else:
-        up, dn = y_next[1], y_next[0]
-        ds, s = s_next[j + 1] - s_next[j], s[j]
+    up, dn = y_next[1:], y_next[:-1]  # node data runs along axis 0, ahead of the batch axes
+    ds = s_next[1:] - s_next[:-1]
+    rank = np.ndim(y_next)
+    if rank > 1:
+        ds, s, cash = (_pad(a, rank) for a in (ds, s, cash))
     z = up - dn
     z /= ds
     e = lat.q * up
     e += (1.0 - lat.q) * dn
     e -= cash
-    v, res, iterations = _implicit_row(gen, k * lat.dt, e, z, s, lat.dt,
-                                       0 if j is None else None, residual)
+    v, res, iterations = _implicit_row(gen, k * lat.dt, e, z, s, lat.dt, residual)
     return v, z, res, iterations
 
 
@@ -388,40 +378,58 @@ def _reflected_roots(sides: list[DrbsdeInputs], gen: Generator, columns: int) ->
     return _sweep(sides[0].lat, gen, term, cash, _reflect(lo, hi))[0][0]
 
 
-# Game node rules (payoffs, stop marks, continuation -> values), for rows and cone tables alike.
-# A row's marks are arrays, one per node, and ``_pick`` selects node by node; a cone table
-# fills one slot per combination of the players' own bits, so there each mark is a single
-# boolean and ``_pick`` hands back the chosen operand whole, with no masking pass.
-def _pick(mark, stop, go):
-    if isinstance(mark, np.ndarray):
-        return np.where(mark, stop, go)
-    return stop if mark else go
-
-
+# Game node rules (payoffs, stop marks, continuation -> values).  Every operand is a row padded
+# to one rank, so each mark selects node by node and column by column.
 def _pair_node(lo, hi, tie, marks, cont):
     sig, tau = marks
-    return _pick(sig & tau, tie, _pick(sig, hi, _pick(tau, lo, cont)))
+    return np.where(sig & tau, tie, np.where(sig, hi, np.where(tau, lo, cont)))
 
 
 def _sup_node(lo, hi, tie, marks, cont):  # the opponent may force the tie, but tie <= upper
-    return _pick(marks[0], hi, np.maximum(lo, cont))
+    return np.where(marks[0], hi, np.maximum(lo, cont))
 
 
 def _inf_node(lo, hi, tie, marks, cont):  # likewise lower <= tie
-    return _pick(marks[0], lo, np.minimum(hi, cont))
+    return np.where(marks[0], lo, np.minimum(hi, cont))
 
 
-def _game_root(game: DrbsdeInputs, node_rule, **rules: StoppingRule) -> float:
-    """Root value of the sweep whose rows follow a game node rule under fixed stopping rules."""
-    lat = game.lat
-    _check_steps(lat, InvalidStoppingRule, **rules)
+def _game_root(game: DrbsdeInputs, node_rule, **seats: StoppingRule | None) -> np.ndarray:
+    """Root values of the sweep whose rows follow a game node rule, per enumerated rule id.
+
+    Each seat (``sigma``, ``tau``) holds a fixed stopping rule or None, which
+    enumerates every rule of that player on a batch axis of its own.  Along
+    it, row k's columns are the rule's bits on rows k..N-1, row k's own bits
+    lowest, so at the root the column index is the rule id.  Row k turns
+    each column of its continuation into 2**(k+1) by broadcasting against
+    its marks, the low k+1 bits of the column index, so the implicit step
+    sees each column of the row below once.  Returns the root's values,
+    shaped by the enumerated axes (a scalar when every seat is fixed).
+    """
+    lat, rules = game.lat, list(seats.values())
+    _check_steps(lat, InvalidStoppingRule,
+                 **{name: rule for name, rule in seats.items() if rule is not None})
+    n_open = rules.count(None)
+    rank = 1 + 2 * n_open  # row k's nodes, then (column, own bits) per open seat
 
     def row_rule(k, cont):
-        lo, hi, tie = (p.row(k) for p in (game.lower, game.upper, game.tie))
-        return node_rule(lo, hi, tie, [r.row(k) for r in rules.values()], cont)
+        own = 2 << k
+        marks, axis = [], 0
+        for rule in rules:
+            if rule is None:  # node j marks the columns whose bit j is set
+                axis += 2
+                shape = [k + 1] + [1] * (rank - 1)
+                shape[axis] = own
+                bits = np.arange(own) >> np.arange(k + 1)[:, None] & 1
+                marks.append(bits.astype(bool).reshape(shape))
+            else:
+                marks.append(_pad(rule.row(k), rank))
+        lo, hi, tie = (_pad(p.row(k), rank) for p in (game.lower, game.upper, game.tie))
+        split = cont.reshape([k + 1] + [w for c in cont.shape[1:] for w in (c, 1)])
+        return node_rule(lo, hi, tie, marks, split).reshape(
+            [k + 1] + [c * own for c in cont.shape[1:]])
 
-    return float(_sweep(lat, game.gen, game.tie.row(lat.n_steps), game.cashflow_increments,
-                        row_rule)[0][0])
+    terminal = game.tie.row(lat.n_steps).reshape([-1] + [1] * n_open)
+    return _sweep(lat, game.gen, terminal, game.cashflow_increments, row_rule)[0][0]
 
 
 def evaluate_stopped(game: DrbsdeInputs, sigma: StoppingRule, tau: StoppingRule) -> float:
@@ -431,9 +439,9 @@ def evaluate_stopped(game: DrbsdeInputs, sigma: StoppingRule, tau: StoppingRule)
     tau the maximizer's (lower row); simultaneous stops pay the tie row.
     Unstopped nodes continue by the same implicit step as the solvers.
     """
-    return _game_root(game, _pair_node, sigma=sigma, tau=tau)
+    return float(_game_root(game, _pair_node, sigma=sigma, tau=tau))
 
 
 def snell_sup_for_minimizer(game: DrbsdeInputs, sigma: StoppingRule) -> float:
     """sup over all maximizer stopping behaviour against the fixed minimizer rule."""
-    return _game_root(game, _sup_node, sigma=sigma)
+    return float(_game_root(game, _sup_node, sigma=sigma))

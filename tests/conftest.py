@@ -23,8 +23,10 @@ from gamehedge import (
     TimeGrid,
     build_lattice,
     builtin_israeli_put,
+    rule_count,
     side_obstacles,
 )
+from gamehedge.drbsde import _game_root, _pair_node
 from gamehedge.lattice import tri
 
 RATE_GRID = (0.0, 0.02, 0.05, 0.1)
@@ -182,6 +184,17 @@ def signed_zero_game(n, **root):
     return DrbsdeInputs(**{name: NodeProcess(f) for name, f in flat.items()},
                         cashflow_increments=NodeProcess.zeros(n), gen=GAME_GENERATORS["zero"],
                         lat=build_lattice(100.0, 1.2, 0.8, TimeGrid(horizon=1.0, n_steps=n)))
+
+
+def pair_matrix(game, sigma=None, tau=None):
+    """Root values per (minimizer rule, maximizer rule) pair; a fixed rule's axis has length 1.
+
+    Both seats are enumerated on the oracle's row sweep at once; the package
+    itself never needs the n_rules x n_rules table, so it lives here.
+    """
+    n_rules = rule_count(game.lat.n_steps)
+    shape = tuple(n_rules if rule is None else 1 for rule in (sigma, tau))
+    return np.reshape(_game_root(game, _pair_node, sigma=sigma, tau=tau), shape)
 
 
 def pytest_terminal_summary(terminalreporter):

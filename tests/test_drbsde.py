@@ -220,9 +220,7 @@ def solve_from_row(inputs, next_row, k):
 def test_backward_step_batches_rows_and_nodes(rng):
     # a row step tests and freezes each column on its own, so a column's values
     # do not depend on the columns beside it, even under the custom generator
-    # whose columns converge after different numbers of iterations; node steps
-    # test jointly, and agree with rows for the builtins, which start the
-    # implicit solve at its exact solution
+    # whose columns converge after different numbers of iterations
     from gamehedge.drbsde import backward_step
 
     custom_spreads = []
@@ -240,9 +238,6 @@ def test_backward_step_batches_rows_and_nodes(rng):
                 assert cont[:, b].tobytes() == cont_b.tobytes()
                 assert z[:, b].tobytes() == z_b.tobytes()
                 solo.append((res_b, its_b))
-                for j in range(k + 1 if gen is builtin else 0):
-                    cont_j, z_j, _, _ = backward_step(lat, gen, k, batch[j:j + 2, b], cash[j], j)
-                    assert (cont_j, z_j) == (cont_b[j], z_b[j])
             assert (res, its) == (max(r for r, _ in solo), max(i for _, i in solo))
             if gen is SMOOTH_CUSTOM:
                 custom_spreads.append(len({i for _, i in solo}))
@@ -259,9 +254,9 @@ def test_backward_step_without_residual_keeps_the_step(rng):
         cash = contract.dA.row(k)
         batch = grid_values(rng, (k + 2, 3))
         for gen in (builtin, SMOOTH_CUSTOM):
-            for j, y_next, c in ((None, batch, cash), (0, batch[:2], cash[0])):
-                cont, z, res, its = backward_step(lat, gen, k, y_next, c, j)
-                got = backward_step(lat, gen, k, y_next, c, j, residual=False)
+            for y_next in (batch, batch[:, 0]):
+                cont, z, res, its = backward_step(lat, gen, k, y_next, cash)
+                got = backward_step(lat, gen, k, y_next, cash, residual=False)
                 assert isinstance(res, float) and got[2] is None and got[3] == its
                 assert got[0].tobytes() == cont.tobytes() and got[1].tobytes() == z.tobytes()
 
@@ -318,42 +313,35 @@ def test_step_never_writes_into_its_inputs(rng):
         rates.flags.writeable = False
     gens = (DifferentialRates(0.02, 0.1), SMOOTH_CUSTOM)
 
-    # (generator, rhs or y, z, s, exit-test axis): a row with batch columns, a node with
-    # 2-D cone tables, and scalars beside arrays
+    # (generator, rhs or y, z, s): a row with batch columns, and rows with scalars beside arrays
     point_cases = [(stacked, frozen((k + 1, 3)), np.broadcast_to(frozen((k + 1, 1)), (k + 1, 3)),
-                    s_row[:, None], 0)]
-    point_cases += [(gen, frozen((4, 8)), np.broadcast_to(frozen(8), (4, 8)), s_row[1], None)
-                    for gen in gens]
-    point_cases += [(gen, rhs, z, s, None) for gen in gens for rhs, z, s in (
+                    s_row[:, None])]
+    point_cases += [(gen, rhs, z, s) for gen in gens for rhs, z, s in (
         (frozen(5), 0.25, 100.0), (2.5, frozen(5), 100.0),
         (np.broadcast_to(-1.5, (5,)), -0.25, np.broadcast_to(90.0, (5,))))]
-    for gen, rhs, z, s, axis in point_cases:
+    for gen, rhs, z, s in point_cases:
         inputs = [a for a in (rhs, z, s) if isinstance(a, np.ndarray)]
         before = [a.tobytes() for a in inputs]
         implicit_start(gen, t, rhs, z, s, dt)
         eval_g(gen, t, rhs, z, s)
         for residual in (True, False):
-            _implicit_row(gen, t, rhs, z, s, dt, axis, residual)
+            _implicit_row(gen, t, rhs, z, s, dt, residual)
         assert [a.tobytes() for a in inputs] == before
 
-    # (generator, y_next, cash, node): rows with batch columns (one per stacked generator,
-    # then one per side and column), a node's two cone tables, and a 1-D row and node
-    step_cases = [(stacked, frozen((k + 2, 3)), cash, None),
-                  (stacked, np.broadcast_to(frozen((k + 2, 1)), (k + 2, 3)), cash, None)]
+    # (generator, y_next, cash): rows with batch columns (one per stacked generator, then one
+    # per side and column, then a continuation broadcast over rule columns), and a 1-D row
+    step_cases = [(stacked, frozen((k + 2, 3)), cash),
+                  (stacked, np.broadcast_to(frozen((k + 2, 1)), (k + 2, 3)), cash)]
     sides_cash = np.stack([cash, cash], axis=1)
     sides_cash.flags.writeable = False
-    step_cases += [(gen, frozen((k + 2, 2, 3)), sides_cash, None) for gen in gens]
-    step_cases += [(gen, [frozen((4, 8)), np.broadcast_to(frozen((4, 1)), (4, 8))], cash[1], 1)
-                   for gen in gens]
-    step_cases += [(gen, frozen(k + 2), cash, None) for gen in gens]
-    step_cases += [(gen, frozen(k + 2), cash[2], 2) for gen in gens]
-    for gen, y_next, c, j in step_cases:
-        children = y_next if isinstance(y_next, list) else [y_next]
-        inputs = [a for a in (*children, c) if isinstance(a, np.ndarray)]
-        before = [a.tobytes() for a in inputs]
+    step_cases += [(gen, frozen((k + 2, 2, 3)), sides_cash) for gen in gens]
+    step_cases += [(gen, np.broadcast_to(frozen((k + 2, 1)), (k + 2, 8)), cash) for gen in gens]
+    step_cases += [(gen, frozen(k + 2), cash) for gen in gens]
+    for gen, y_next, c in step_cases:
+        before = [a.tobytes() for a in (y_next, c)]
         for residual in (True, False):
-            backward_step(lat, gen, k, y_next, c, j, residual)
-        assert [a.tobytes() for a in inputs] == before
+            backward_step(lat, gen, k, y_next, c, residual)
+        assert [a.tobytes() for a in (y_next, c)] == before
 
 
 def test_comparison_bump_increases_root(rng):

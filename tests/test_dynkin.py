@@ -25,18 +25,14 @@ from gamehedge import (
     side_obstacles,
     snell_sup_for_minimizer,
 )
-from gamehedge.drbsde import _implicit_row, backward_step
+from gamehedge.drbsde import _game_root, _inf_node, backward_step
 from gamehedge.dynkin import (
-    _bit_tuple,
-    _grid_index,
-    _packed_index,
-    _pair_matrix,
-    _widths,
     inf_values_by_maximizer_rule,
+    stopped_values_for_maximizer_rules,
     sup_values_by_minimizer_rule,
 )
 from gamehedge.lattice import node_coords, tri
-from conftest import GAME_GENERATORS, game_instance, random_instance
+from conftest import GAME_GENERATORS, game_instance, pair_matrix, random_instance
 
 
 def test_rule_counts():
@@ -176,43 +172,26 @@ def test_stopped_value_matches_evaluate(one_step_lattice, one_step_put, hedger_v
     game = instance_a_game(one_step_lattice, one_step_put, hedger_view)
     root = StoppingRule.from_nodes(1, [tri(0, 0)])
     never = StoppingRule.never_early(1)
-    from gamehedge.dynkin import stopped_values_for_maximizer_rules
-
     vals = stopped_values_for_maximizer_rules(game, root)
     # maximizer rule ids: bit for node (0,0); id 0 waits, id 1 stops at root
     assert vals[0] == pytest.approx(evaluate_stopped(game, root, never))
     assert vals[1] == pytest.approx(evaluate_stopped(game, root, root))
 
 
-def reference_pair_matrix(game, sigma_ids, tau_ids):
-    """The full-broadcast pair loop: every node carries every (sigma, tau) pair."""
-    lat, gen, cashflow_increments = game.lat, game.gen, game.cashflow_increments
-    n, dt, q = lat.n_steps, lat.dt, lat.q
-    interior = [(k, j) for k in range(n) for j in range(k + 1)]
-    bit_of = {node: i for i, node in enumerate(interior)}
-    shape = (sigma_ids.shape[0], tau_ids.shape[0])
+def node_marks(ids, k):
+    """Row k's stop marks per rule id: node j's mark is the id's bit tri(k, j)."""
+    return ((ids >> np.arange(tri(k), tri(k + 1))[:, None]) & 1).astype(bool)
 
-    tie_t = game.tie.row(n)
-    vals = [np.full(shape, tie_t[j]) for j in range(n + 1)]
+
+def reference_pair_matrix(game, sigma_ids, tau_ids):
+    """The full-broadcast pair sweep: every row carries every (sigma, tau) pair of ids."""
+    lat, n = game.lat, game.lat.n_steps
+    vals = np.broadcast_to(game.tie.row(n)[:, None, None], (n + 1, sigma_ids.size, tau_ids.size))
     for k in range(n - 1, -1, -1):
-        s_next = lat.spot.row(k + 1)
-        s_row = lat.spot.row(k)
-        new_vals = []
-        for j in range(k + 1):
-            z = (vals[j + 1] - vals[j]) / (s_next[j + 1] - s_next[j])
-            e = q * vals[j + 1] + (1.0 - q) * vals[j]
-            rhs = e - cashflow_increments.at(k, j)
-            cont, _, _ = _implicit_row(gen, k * dt, rhs, z, s_row[j], dt)
-            sig = (((sigma_ids >> bit_of[(k, j)]) & 1) == 1)[:, None]
-            tau = (((tau_ids >> bit_of[(k, j)]) & 1) == 1)[None, :]
-            node_val = np.where(
-                sig & tau,
-                game.tie.at(k, j),
-                np.where(sig, game.upper.at(k, j),
-                         np.where(tau, game.lower.at(k, j), cont)),
-            )
-            new_vals.append(node_val)
-        vals = new_vals
+        cont = backward_step(lat, game.gen, k, vals, game.cashflow_increments.row(k))[0]
+        sig, tau = node_marks(sigma_ids, k)[:, :, None], node_marks(tau_ids, k)[:, None, :]
+        lo, hi, tie = (p.row(k)[:, None, None] for p in (game.lower, game.upper, game.tie))
+        vals = np.where(sig & tau, tie, np.where(sig, hi, np.where(tau, lo, cont)))
     return vals[0]
 
 
@@ -220,8 +199,10 @@ def assert_same_pairs(game, sigma=None, tau=None):
     """The engine's pair matrix, a fixed rule's axis of length 1, against the full broadcast."""
     ids = np.arange(rule_count(game.lat.n_steps), dtype=np.int64)
     sigma_ids, tau_ids = (ids if r is None else np.array([rule_to_id(r)]) for r in (sigma, tau))
-    got = _pair_matrix(game, sigma, tau)
-    want = reference_pair_matrix(game, sigma_ids, tau_ids)
+    got = pair_matrix(game, sigma, tau)
+    # columns step independently, so blocks of 64 minimizer rules keep the reference small
+    want = np.concatenate([reference_pair_matrix(game, ids, tau_ids)
+                           for ids in np.array_split(sigma_ids, -(-sigma_ids.size // 64))])
     assert got.shape == (sigma_ids.shape[0], tau_ids.shape[0])
     assert got.tobytes() == want.tobytes()
 
@@ -244,26 +225,24 @@ def test_pair_matrix_matches_full_broadcast(name, n):
 
 
 def reference_per_rule_dp(game, minimizer):
-    """The unfactored per-rule program: every node carries every rule id of one player.
+    """The full-broadcast per-rule program: every row carries every rule id of one player.
 
     minimizer=True enumerates the minimizer's rules (per-rule sup),
     minimizer=False the maximizer's (per-rule inf).
     """
-    lat, gen, cashflow_increments = game.lat, game.gen, game.cashflow_increments
-    n = lat.n_steps
+    lat, n = game.lat, game.lat.n_steps
     ids = np.arange(rule_count(n), dtype=np.int64)
     vals = np.repeat(game.tie.row(n)[:, None], ids.size, axis=1)
     for k in range(n - 1, -1, -1):
-        new_vals = np.empty((k + 1, ids.size))
-        for j in range(k + 1):
-            cont = backward_step(lat, gen, k, vals[j:j + 2], cashflow_increments.at(k, j), j)[0]
-            lo, hi, tie = (p.at(k, j) for p in (game.lower, game.upper, game.tie))
-            if minimizer:  # the opponent may force the tie, never gains by it
-                stopped, free = max(tie, hi), np.maximum(lo, cont)
-            else:
-                stopped, free = min(tie, lo), np.minimum(hi, cont)
-            new_vals[j] = np.where(((ids >> tri(k, j)) & 1).astype(bool), stopped, free)
-        vals = new_vals
+        cont = backward_step(lat, game.gen, k, vals, game.cashflow_increments.row(k))[0]
+        lo, hi, tie = (p.row(k)[:, None] for p in (game.lower, game.upper, game.tie))
+        # the opponent may force the tie, never gains by it: max(tie, hi) and min(tie, lo),
+        # the tie where they are equal
+        if minimizer:
+            stopped, free = np.where(hi > tie, hi, tie), np.maximum(lo, cont)
+        else:
+            stopped, free = np.where(lo < tie, lo, tie), np.minimum(hi, cont)
+        vals = np.where(node_marks(ids, k), stopped, free)
     return vals[0]
 
 
@@ -285,75 +264,44 @@ def test_per_rule_dp_matches_unfactored_reference(name, n):
             assert got.tobytes() == want.tobytes()
 
 
-def cone_mask(n, k, j):
-    """Rule bits of node (k, j)'s forward cone on an n-step lattice; 0 on the terminal row."""
-    return sum(1 << tri(kk, jj) for kk in range(k, n) for jj in range(j, j + kk - k + 1))
+# the custom generator evaluates per element, too slow for every rule's sweep past N=3
+COLUMN_CASES = [(name, n) for name in ("zero", "linear", "differential") for n in (1, 2, 3, 4)]
+COLUMN_CASES += [("custom", n) for n in (1, 2, 3)]
 
 
-def reference_gather(values, mask, below, rules):
-    """A child's table gathered through np.ix_ on the per-bit concatenation index."""
-    weight = {b: 1 << q for q, b in enumerate(_bit_tuple(mask))}
-    at = np.zeros(1, dtype=np.intp)
-    for b in _bit_tuple(below):  # lowest bit first, so each bit doubles the packed range
-        at = np.concatenate([at, at + weight.get(b, 0)])
-    return values[np.ix_(*(at if r is None else [0] for r in rules))]
+@pytest.mark.parametrize("name,n", COLUMN_CASES)
+def test_each_program_column_is_its_rules_own_sweep(name, n):
+    # row k's step sees each restriction of the rules to rows k..N-1 once and tests its exit
+    # per column, so column r is bit for bit the sweep under rule r alone, also where a custom
+    # generator's columns converge after different numbers of iterations
+    rng = np.random.default_rng(200 + COLUMN_CASES.index((name, n)))
+    rules = [rule_from_id(n, rid) for rid in range(rule_count(n))]
+    for side in ("hedger", "counterparty"):
+        game = game_instance(rng, n, GAME_GENERATORS[name], side)
+        sigma = rules[int(rng.integers(len(rules)))]
+        for got, one in ((sup_values_by_minimizer_rule(game),
+                          lambda r: snell_sup_for_minimizer(game, r)),
+                         (inf_values_by_maximizer_rule(game),
+                          lambda r: float(_game_root(game, _inf_node, tau=r))),
+                         (stopped_values_for_maximizer_rules(game, sigma),
+                          lambda r: evaluate_stopped(game, sigma, r))):
+            assert got.tobytes() == np.array([one(r) for r in rules]).tobytes()
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_gather_matches_concatenated_index(n):
-    # every child table of every node, gathered as the engine gathers it: a table over a
-    # child's bits below its own onto the union of both children's, and (the general case)
-    # over a child's cone onto the node's bits below its own; with one seat fixed and, where
-    # the pair matrix runs under the default cap (N <= 4), with both seats enumerated
-    rng = np.random.default_rng(n)
-    fixed = rule_from_id(n, int(rng.integers(rule_count(n))))
-    seatings = [[None, fixed], [fixed, None]] + ([[None, None]] if n <= 4 else [])
-    for k in range(n):
-        for j in range(k + 1):
-            cones = [cone_mask(n, k + 1, j + c) for c in (0, 1)]
-            belows = [cone & ~(1 << tri(k + 1, j + c)) if k + 1 < n else 0
-                      for c, cone in enumerate(cones)]
-            below = cones[0] | cones[1]
-            assert cone_mask(n, k, j) == below | 1 << tri(k, j)
-            for mask, target in [(m, belows[0] | belows[1]) for m in belows] + \
-                                [(m, below) for m in cones]:
-                assert not _packed_index(mask, target).flags.writeable
-                for rules in seatings:
-                    enum = tuple(r is None for r in rules)
-                    values = rng.standard_normal(_widths(mask, enum))
-                    at = _grid_index([_packed_index(mask, target) if e else [0] for e in enum],
-                                     values.shape)
-                    got = values.take(at)
-                    want = reference_gather(values, mask, target, rules)
-                    assert got.shape == want.shape
-                    assert got.tobytes() == want.tobytes()
-
-
-def test_oracle_never_assembles_the_root_pair_table(monkeypatch):
-    # the oracle runs the per-rule dynamic programs alone, so no table reaches n_rules**2, and
-    # each implicit step covers one entry per distinct operand pair of its children's slots
-    import gamehedge.dynkin as dynkin
+def test_oracle_steps_each_rule_restriction_once(monkeypatch):
+    # row k of a per-rule program carries one column per combination of a rule's bits on rows
+    # k..N-1, so no step operand of the N=4 oracle exceeds rule_count(4) = 1,024 entries (the
+    # root's two children by 2**9 columns); a full broadcast over rule ids steps 5 x 1,024
+    import gamehedge.drbsde as drbsde
 
     game = game_instance(np.random.default_rng(4), 4, GAME_GENERATORS["differential"])
-    tables, steps = [], []
-    honest_assemble, honest_step = dynkin._assemble, dynkin.backward_step
+    sizes, honest_step = [], drbsde.backward_step
 
-    def assemble(*args):
-        table = honest_assemble(*args)
-        tables.append(table.size)
-        return table
+    def step(lat, gen, k, y_next, cash, *args, **kwargs):
+        sizes.append(max(np.size(y_next), np.size(cash)))
+        return honest_step(lat, gen, k, y_next, cash, *args, **kwargs)
 
-    def step(lat, gen, k, y_next, *args, **kwargs):
-        steps.append(max(np.size(y) for y in y_next))
-        return honest_step(lat, gen, k, y_next, *args, **kwargs)
-
-    monkeypatch.setattr(dynkin, "_assemble", assemble)
-    monkeypatch.setattr(dynkin, "backward_step", step)
+    monkeypatch.setattr(drbsde, "backward_step", step)
     game_value_brute(game)
-    # the root's children have a continuation and a payoff slot each on the enumerated seat: the
-    # two continuations span the 7 bits below either child, a continuation against a payoff
-    # its own 5, two payoffs 1 entry
-    assert max(steps) == 2**7 + 2 * 2**5 + 1 == 193
-    assert tables == [rule_count(4)] * 2  # one root table per dynamic program, run once each
-    dynkin._pair_matrix(game)
-    assert max(tables) == rule_count(4) ** 2
+    assert sizes == [5, 4 * 2**4, 3 * 2**7, 2 * 2**9] * 2  # each program steps each row once
+    assert max(sizes) == rule_count(4) == 1024

@@ -1,5 +1,5 @@
-"""Property tests: the oracle's cone engine agrees with the solver module's row sweep, and its
-per-rule dynamic programs with the assembled pair matrix, on every game."""
+"""Property tests: the oracle's enumerated columns equal the solver module's single-rule sweeps,
+and its per-rule dynamic programs the assembled pair matrix's extremes, on every game."""
 
 import itertools
 
@@ -21,14 +21,12 @@ from gamehedge import (  # noqa: E402
     snell_sup_for_minimizer,
 )
 from gamehedge import drbsde, dynkin  # noqa: E402
-from gamehedge.drbsde import _pick  # noqa: E402
 from gamehedge.dynkin import (  # noqa: E402
-    _pair_matrix,
     inf_values_by_maximizer_rule,
     sup_values_by_minimizer_rule,
 )
 from gamehedge.lattice import node_coords  # noqa: E402
-from conftest import GAME_GENERATORS, game_instance, signed_zero_game  # noqa: E402
+from conftest import GAME_GENERATORS, game_instance, pair_matrix, signed_zero_game  # noqa: E402
 
 
 @st.composite
@@ -48,13 +46,14 @@ def stopped_games(draw):
 def test_pair_entry_equals_evaluate_stopped(game):
     game, sigma, tau = game
     n = game.lat.n_steps
-    entry = float(_pair_matrix(game)[sigma, tau])
+    # an enumerated column is the sweep under its one rule pair, bit for bit
+    entry = float(pair_matrix(game)[sigma, tau])
     value = evaluate_stopped(game, rule_from_id(n, sigma), rule_from_id(n, tau))
-    assert abs(entry - value) <= 1e-12 * (1.0 + abs(value))
+    assert entry.hex() == value.hex()
     # the per-rule dynamic program and the row sweep apply the same sup node rule
     sup = float(sup_values_by_minimizer_rule(game)[sigma])
     snell = snell_sup_for_minimizer(game, rule_from_id(n, sigma))
-    assert abs(sup - snell) <= 1e-12 * (1.0 + abs(snell))
+    assert sup.hex() == snell.hex()
 
 
 def same_bytes(got, want):
@@ -71,9 +70,9 @@ def close(got, want):
 
 @st.composite
 def pair_games(draw):
-    # a node step tests its fixed point jointly over all it covers, and the pair matrix's steps
-    # cover more than a dynamic program's, so a slowly converging custom generator's results
-    # agree only to the solver's tolerance; the builtins' start point is exact
+    # a step tests its fixed point per column, over a whole row of nodes, and a dynamic
+    # program's columns hold other values than the pair matrix's, so a slowly converging custom
+    # generator's extremes agree only to the solver's tolerance; the builtins' start is exact
     name = draw(st.sampled_from(sorted(GAME_GENERATORS)))
     n = draw(st.integers(1, 3 if name == "custom" else 4))  # the custom generator is slow at N=4
     side = draw(st.sampled_from(["hedger", "counterparty"]))
@@ -107,7 +106,7 @@ def test_rule_dps_equal_the_pair_matrix_extremes(case):
     # the oracle's per-rule dynamic programs against the row maxima and column minima of the
     # assembled n_rules x n_rules table
     game, same = case
-    pairs = _pair_matrix(game)
+    pairs = pair_matrix(game)
     assert same(sup_values_by_minimizer_rule(game), pairs.max(axis=1))
     assert same(inf_values_by_maximizer_rule(game), pairs.min(axis=0))
 
@@ -126,11 +125,11 @@ def tie_on_a_bound_game(n, shift):
 
 
 def maximum_with_tie(lo, hi, tie, marks, cont):
-    return _pick(marks[0], np.maximum(tie, hi), np.maximum(lo, cont))
+    return np.where(marks[0], np.maximum(tie, hi), np.maximum(lo, cont))
 
 
 def minimum_with_tie(lo, hi, tie, marks, cont):
-    return _pick(marks[0], np.minimum(tie, lo), np.minimum(hi, cont))
+    return np.where(marks[0], np.minimum(tie, lo), np.minimum(hi, cont))
 
 
 def sup_and_inf_bytes(game):

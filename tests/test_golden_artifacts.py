@@ -24,11 +24,8 @@ import pytest
 from gamehedge import NodeProcess, side_obstacles, write_node_process
 from gamehedge.cli import main
 from gamehedge.config import build_bundle
-from gamehedge.dynkin import (
-    _pair_matrix,
-    inf_values_by_maximizer_rule,
-    sup_values_by_minimizer_rule,
-)
+from gamehedge.dynkin import inf_values_by_maximizer_rule, sup_values_by_minimizer_rule
+from conftest import pair_matrix
 
 PUT_SIGMA = {
     "lattice": {"s0": 100.0, "sigma": 0.2, "N": 9, "T": 1.0},
@@ -370,6 +367,6 @@ def test_oracle_routes_agree_bit_for_bit():
     bundle = build_bundle(PUT_N4)
     for side in ("hedger", "counterparty"):
         game = side_obstacles(bundle.contract, bundle.views[side], bundle.gen, bundle.lat)
-        pairs = _pair_matrix(game)
+        pairs = pair_matrix(game)
         assert sup_values_by_minimizer_rule(game).tobytes() == pairs.max(axis=1).tobytes()
         assert inf_values_by_maximizer_rule(game).tobytes() == pairs.min(axis=0).tobytes()

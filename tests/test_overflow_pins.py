@@ -102,6 +102,7 @@ def test_stopped_games_raise_on_an_overflowing_step(gen, view):
 @pytest.mark.parametrize("view", VIEWS, ids=lambda v: v.side)
 @pytest.mark.parametrize("gen", GENERATORS, ids=GEN_IDS)
 def test_cone_engine_raises_on_an_overflowing_step(gen, view):
+    # the oracle's per-rule dynamic programs, every rule of one player a column of the sweep
     game = side_obstacles(CONTRACT, view, gen, LAT)
     with raises_y_not_finite():
         sup_values_by_minimizer_rule(game)
@@ -114,8 +115,6 @@ def test_backward_step_raises_on_an_overflowing_step(gen):
     y_next = np.array([1.75e308, 1.55e308])
     with raises_y_not_finite():
         backward_step(LAT, gen, 0, y_next, np.zeros(1))
-    with raises_y_not_finite():
-        backward_step(LAT, gen, 0, y_next, 0.0, 0)
 
 
 @pytest.mark.parametrize("gen", GENERATORS, ids=GEN_IDS)
@@ -124,5 +123,3 @@ def test_backward_step_without_residual_raises_on_an_overflowing_step(gen):
     y_next = np.array([1.75e308, 1.55e308])
     with raises_y_not_finite():
         backward_step(LAT, gen, 0, y_next, np.zeros(1), residual=False)
-    with raises_y_not_finite():
-        backward_step(LAT, gen, 0, y_next, 0.0, 0, residual=False)

@@ -7,6 +7,10 @@ CLI cannot select a custom generator, so the golden artifacts do not cover
 this.  The digests were recorded before the recursions shared one
 backward step, over three contract draws chosen so that solving each
 entry on its own changes the bits of every recursion on at least one side.
+The per-rule programs' and the pair matrix's digests were re-recorded when
+the oracle moved onto the row sweep: each of their columns is now the sweep
+under its one rule (pair) bit for bit, where the former cone engine tested
+each node's fixed point jointly over every rule it covered.
 """
 
 import hashlib
@@ -26,12 +30,8 @@ from gamehedge import (
     solve_bsde,
     solve_drbsde,
 )
-from gamehedge.dynkin import (
-    _pair_matrix,
-    inf_values_by_maximizer_rule,
-    sup_values_by_minimizer_rule,
-)
-from conftest import SMOOTH_CUSTOM, random_contract
+from gamehedge.dynkin import inf_values_by_maximizer_rule, sup_values_by_minimizer_rule
+from conftest import SMOOTH_CUSTOM, pair_matrix, random_contract
 
 N = 3
 RULE_PAIRS = ((0, 0), (5, 18), (63, 1), (20, 41), (37, 37))
@@ -66,7 +66,7 @@ def recursion_bytes(side, seed):
         "snell_sup_for_minimizer": np.array([
             snell_sup_for_minimizer(game, rules(s)) for s, _ in RULE_PAIRS
         ]).tobytes(),
-        "pair_matrix": _pair_matrix(game).tobytes(),
+        "pair_matrix": pair_matrix(game).tobytes(),
     }
 
 
@@ -82,21 +82,21 @@ PINS = {
         "solve_bsde": "6a387267d68fce021680841af354470245faab3291c5d14e56887113362e885f",
         "solve_drbsde": "ab11b686e2545dc2d2c7230675e4fd4b4ad6c7bdcb09f5f3e25ed2cfb05eeacc",
         "evaluate_stopped": "293fbfa368a857e0758be7e66a992daf760c15242d2f66de09ed58aadf014a77",
-        "sup_by_minimizer_rule": "9cfe1cc391a71f06a09ce65f891ae635269d3778a0b938973824c8ffb7640ede",
-        "inf_by_maximizer_rule": "b265c73ef1eedb3d2713e698e1da74933a91b3bb1d1fae7bc7c5e71f472c96d9",
+        "sup_by_minimizer_rule": "c2ec9d27b74529cd0df71eaaa4abeb0c1b45411a11200962903e7dcaf799e84f",
+        "inf_by_maximizer_rule": "b6ca07644bcd79005c971e6fbd64f831bf9bd9d4c97e1b0db74513ccafb7df77",
         "snell_sup_for_minimizer":
             "cb7eef8c8ed181c84adfe2f3ef78a0bd16e3c1c537569eaa9324eb152284c4bd",
-        "pair_matrix": "2786f12d352930e8fe0c5d4bced7d4e1b7823fb57cf3556cc8c439ffaf6a5a9b",
+        "pair_matrix": "b81bf80d2d1e479eec00c9c0424fc9b485687d6bd30af781213e73c508602f28",
     },
     "counterparty": {
         "solve_bsde": "a20ae0485be1140faa878e4bc42a8ab49cbfd69950ecbccf2d87788bc1c15fed",
         "solve_drbsde": "8b8cc17ca3e5be52b5064f35703fdcffe03dd7dee5091cb754c7321e10c8c9e4",
         "evaluate_stopped": "63c56529da70c5c5b3e65cf66a8e0d1cf365077545f32af13f30fb909ef53822",
-        "sup_by_minimizer_rule": "19a15b90e70e8e0e5416295f2d657f6b860cbb17009e3e73737f26aed906d900",
-        "inf_by_maximizer_rule": "f72d5ecf1e38d325e085c2a717b40d7617c9f4de80335c8d405e5dd526e445da",
+        "sup_by_minimizer_rule": "531d6240a67f25a80697e21799097a2febaf9ef955dea9b5d89acc7f8a500ce2",
+        "inf_by_maximizer_rule": "7b990494ce3a70124505f24d82d8d1732bb6111a0eb0597647b14929aba72b3a",
         "snell_sup_for_minimizer":
             "42e902c94691ce1cc73c07d6b533ac74e4efa42c13ddc1d37700029904cc2b9b",
-        "pair_matrix": "4d3cebf140799ad8266065efd2017b5e7208706e812633bc181ff21d015aa9ac",
+        "pair_matrix": "102b4d3ae0a68a3d6e6216d1f772929ac433f21f2072b410d8f76330cb2ae730",
     },
 }
 

@@ -4,11 +4,12 @@
 loop's first iteration does for ``DifferentialRates``: the exact start and
 one confirming generator application; ``two_rate_residual`` measures the
 residual.  ``reference_implicit_row`` below is that loop as it stood before
-the fusion, ``implicit_start`` and ``eval_g`` included, kept literally.  On
-1-D rows, rows with stacked rates and side x column batch axes, and the
-oracle's node tables, ``drbsde._implicit_row`` must return the reference's
-v, residual and iteration count byte for byte, or raise the same error with
-the same text after the same warnings.  Magnitudes reach 1e6, so both exit
+the fusion, ``implicit_start`` and ``eval_g`` included, kept literally, with
+its exit test per column (``axis=0``).  On 1-D rows, rows with batch columns
+and rows with stacked rates and side x column batch axes,
+``drbsde._implicit_row`` must return the reference's v, residual and
+iteration count byte for byte, or raise the same error with the same text
+after the same warnings.  Magnitudes reach 1e6, so both exit
 tests are exercised (above |v| = 8192 only the relative one passes), and
 non-finite data takes the general loop.
 """
@@ -118,12 +119,11 @@ def reference_first_iteration(gen, rhs, z, s, dt):
     return v1, np.abs(v1 - v0)
 
 
-def assert_step_matches_reference(gen, rhs, z, s, dt, axis):
+def assert_step_matches_reference(gen, rhs, z, s, dt):
     inputs = [a.tobytes() for a in (rhs, z, s) if isinstance(a, np.ndarray)]
     for residual in (True, False):
-        args = (gen, 0.5, rhs, z, s, dt, axis, residual)
-        want = outcome(reference_implicit_row, *args)
-        assert outcome(_implicit_row, *args) == want
+        want = outcome(reference_implicit_row, gen, 0.5, rhs, z, s, dt, 0, residual)
+        assert outcome(_implicit_row, gen, 0.5, rhs, z, s, dt, residual) == want
         assert [a.tobytes() for a in (rhs, z, s) if isinstance(a, np.ndarray)] == inputs
     first = two_rate_step(gen, 0.5, rhs, z, s, dt)
     if first is None:  # only non-finite data leaves the pass to the loop
@@ -151,7 +151,7 @@ def arrays(shape, elements=VALUES):
 def test_fused_step_matches_the_loop_on_rows(data, n, rates, dt):
     rhs, z = data.draw(arrays(n)), data.draw(arrays(n))
     s = data.draw(arrays(n, SPOTS))
-    assert_step_matches_reference(DifferentialRates(*rates), rhs, z, s, dt, 0)
+    assert_step_matches_reference(DifferentialRates(*rates), rhs, z, s, dt)
 
 
 @settings(max_examples=100, deadline=None)
@@ -163,33 +163,24 @@ def test_fused_step_matches_the_loop_on_stacked_side_rows(data, n, sides, pairs,
     shape = (n, sides, len(pairs))
     rhs, z = data.draw(arrays(shape)), data.draw(arrays(shape))
     s = data.draw(arrays((n, 1, 1), SPOTS))
-    assert_step_matches_reference(gen, rhs, z, s, dt, 0)
-
-
-@settings(max_examples=100, deadline=None)
-@given(data=st.data(), shape=st.sampled_from([(1, 1), (2, 1), (1, 4), (4, 4), (8, 2), (16, 8)]),
-       rates=RATE_PAIRS, dt=st.sampled_from(STEPS), spot=SPOTS)
-def test_fused_step_matches_the_loop_on_node_tables(data, shape, rates, dt, spot):
-    # an oracle node: cone tables of continuation values, one spot, one joint exit test
-    rhs, z = data.draw(arrays(shape)), data.draw(arrays(shape))
-    assert_step_matches_reference(DifferentialRates(*rates), rhs, z, spot, dt, None)
+    assert_step_matches_reference(gen, rhs, z, s, dt)
 
 
 @settings(max_examples=100, deadline=None)
 @given(data=st.data(), n=st.integers(1, 8), rates=RATE_PAIRS, dt=st.sampled_from(STEPS),
        bad=st.sampled_from([math.nan, math.inf, -math.inf]), where=st.sampled_from("yzs"),
-       table=st.booleans())
-def test_non_finite_data_raises_the_loops_error(data, n, rates, dt, bad, where, table):
-    shape = (n, 3) if table else (n,)
+       columns=st.booleans())
+def test_non_finite_data_raises_the_loops_error(data, n, rates, dt, bad, where, columns):
+    shape = (n, 3) if columns else (n,)
     rhs, z = data.draw(arrays(shape)), data.draw(arrays(shape))
     s = data.draw(arrays(shape, SPOTS))
     part = {"y": rhs, "z": z, "s": s}[where]
     part[data.draw(st.tuples(*(st.integers(0, d - 1) for d in shape)))] = bad
     gen = DifferentialRates(*rates)
     assert two_rate_step(gen, 0.5, rhs, z, s, dt) is None
-    want = outcome(reference_implicit_row, gen, 0.5, rhs, z, s, dt, None if table else 0, True)
+    want = outcome(reference_implicit_row, gen, 0.5, rhs, z, s, dt, 0, True)
     assert want[0][0] is NonFiniteInput
-    assert_step_matches_reference(gen, rhs, z, s, dt, None if table else 0)
+    assert_step_matches_reference(gen, rhs, z, s, dt)
 
 
 def test_the_exit_test_judges_the_fused_pass():
@@ -200,11 +191,11 @@ def test_the_exit_test_judges_the_fused_pass():
     rhs = np.array([-918052.95, 631707.11, 12345.678])
     z, s = np.array([-0.97, -0.99, 1.1]), np.array([100.0, 100.0, 90.0])
     assert two_rate_step(gen, 0.5, rhs, z, s, dt)[3] > FIXED_POINT_TOL
-    assert_step_matches_reference(gen, rhs, z, s, dt, 0)
-    assert _implicit_row(gen, 0.5, rhs, z, s, dt, 0, True)[2] == 1
+    assert_step_matches_reference(gen, rhs, z, s, dt)
+    assert _implicit_row(gen, 0.5, rhs, z, s, dt, True)[2] == 1
     # z*s near -4.6e10 against rhs near 4.6e6: the start's rounding leaves a change
     # above both tolerances, and the general loop takes a second iteration
     rhs, z, s = np.array([4604264.753]), np.array([-460426572.0]), np.array([100.0])
     assert two_rate_step(gen, 0.5, rhs, z, s, dt)[3] > FIXED_POINT_TOL
-    assert_step_matches_reference(gen, rhs, z, s, dt, 0)
-    assert _implicit_row(gen, 0.5, rhs, z, s, dt, 0, True)[2] == 2
+    assert_step_matches_reference(gen, rhs, z, s, dt)
+    assert _implicit_row(gen, 0.5, rhs, z, s, dt, True)[2] == 2
