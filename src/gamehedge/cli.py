@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import functools
 import json
 import sys
 import time
@@ -300,6 +301,7 @@ def cmd_sweep(bundle: ModelBundle, raw_cfg: dict, axis: str, values, out: Path) 
     return 0
 
 
+@functools.lru_cache(maxsize=None)  # built once per process; parse_args leaves it as it is
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gamehedge",

@@ -11,7 +11,10 @@ little-endian (bit i = move at step i).  Each pathwise check is written once
 over rule rows (one row for a fixed rule, one per rule id in the battery)
 and folded over blocks of rule rows × paths, so full enumeration stays
 affordable up to the hard cap of 2**24 paths and the battery's memory does
-not grow with the number of paths.  Each verifier runs one fold.  Wealth and
+not grow with the number of paths.  Each verifier runs one fold, except
+replication: a path's wealth at step k depends only on its first k moves, so
+it steps each of the 2**(N+1) - 1 path prefixes once, in bounded blocks of
+subtrees, and reads the gap and the stops on the prefixes.  Wealth and
 solved paths are plain arrays, (N + 1,) for one path or (P, N + 1) for P.
 
 Side convention: a quote is the hedger's solve of its side's contract (see
@@ -83,12 +86,16 @@ class ConditionReport:
     witness_paths: dict[str, tuple[int, ...]]
 
 
+def _require_paths(n_steps: int) -> None:
+    if n_steps > MAX_PATH_STEPS:
+        raise TooLarge(f"{1 << n_steps} paths exceed the {1 << MAX_PATH_STEPS} enumeration cap")
+
+
 def _fold(n_steps: int, n_rows: int, block) -> dict:
     """Run ``block(pids, js, idx)`` over every path, at most _BLOCK rule rows × paths × steps
     at a time (path ids, their up-counts and flat node indices), and fold its named results
     across blocks: flags by all, maxima by max, path ids in order up to _MAX_WITNESSES."""
-    if n_steps > MAX_PATH_STEPS:
-        raise TooLarge(f"{1 << n_steps} paths exceed the {1 << MAX_PATH_STEPS} enumeration cap")
+    _require_paths(n_steps)
     n_paths, size = 1 << n_steps, max(1, _BLOCK // (n_rows * (n_steps + 1)))
     out: dict = {}
     for start in range(0, n_paths, size):
@@ -314,6 +321,55 @@ class ReplicationReport:
         return self.replicates and self.be and self.ao_at_plus and self.sh_fails_at_minus
 
 
+def _prefix_states(quote: QuoteResult, y0: np.ndarray, own: StoppingRule, other: StoppingRule):
+    """Wealth rows of every path prefix rolled forward with the solved hedge, in blocks.
+
+    Step k holds states 0..2**k - 1, whose low k bits are the moves so far, so a state's id is
+    the smallest path id through it.  Step k + 1 lists the down children (same id), then the
+    up children (id + 2**k), and each child's wealth is ``_forward_matrix``'s arithmetic in its
+    order: every state equals, bit for bit, every path's entry at that step.  Each block of one
+    step yields (k, ids, node, wealth rows, live, own_hit, other_hit): live marks states no rule
+    stopped before step k, and a hit a live state that rule stops at step k.  A block's subtree
+    is run whole once its deepest step holds at most _BLOCK / 4 wealth entries: with its
+    parents, their ids and node indices and the generator's temporaries, one step then holds
+    about _BLOCK floats.  Above that the states are taken one at a time.
+    """
+    inputs, hedge = quote.inputs, quote.solution.Z
+    lat, gen, cash = inputs.lat, inputs.gen, inputs.cashflow_increments
+    n, dt = lat.n_steps, lat.dt
+    _require_paths(n)
+    _check_steps(lat, OutOfRange, hedge=hedge, cashflow_increments=cash)
+    width = max(1, _BLOCK // (4 * y0.size))
+    root = np.zeros(1, dtype=np.int64)
+    blocks = [(0, root, root, y0[:, None], np.ones(1, dtype=bool))]
+    while blocks:
+        k, ids, js, v, live = blocks.pop()
+        node = tri(k, js)
+        own_hit, other_hit = live & own.flat[node], live & other.flat[node]
+        yield k, ids, node, v, live, own_hit, other_hit
+        if k == n:
+            continue
+        live = live & ~(own_hit | other_hit)
+        xi, s_now, s_next, flow = (hedge.row(k)[js], lat.spot.row(k)[js], lat.spot.row(k + 1),
+                                   cash.row(k)[js])
+        size = ids.size
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result raises below
+            base = v - eval_g(gen, k * dt, v, xi, s_now) * dt
+            child = np.empty((v.shape[0], 2 * size))
+            for half, j_next in ((child[:, :size], js), (child[:, size:], js + 1)):
+                np.add(base, xi * (s_next[j_next] - s_now), out=half)
+                half += flow
+        if not np.isfinite(child).all():
+            raise NonFiniteState(f"wealth became non-finite advancing to step {k + 1}")
+        up_ids = ids + (1 << k)
+        if size << (n - k) <= width:  # the children's whole subtree fits one block
+            blocks.append((k + 1, np.concatenate([ids, up_ids]), np.concatenate([js, js + 1]),
+                           child, np.concatenate([live, live])))
+        else:
+            blocks.append((k + 1, up_ids, js + 1, child[:, size:], live))
+            blocks.append((k + 1, ids, js, child[:, :size], live))
+
+
 def verify_replication(quote: QuoteResult, gap_tol: float = 1e-10) -> ReplicationReport:
     """Wealth from the quoted price must track the solved value until someone stops.
 
@@ -321,38 +377,48 @@ def verify_replication(quote: QuoteResult, gap_tol: float = 1e-10) -> Replicatio
     epsilon in each direction so the price is pinned from both sides.  "Plus"
     is the direction that grows the side's initial wealth; there the
     strict-gain condition must appear, and on the opposite side the
-    benchmark-safety condition must fail.
+    benchmark-safety condition must fail.  A path's wealth at step k depends
+    only on its first k moves, so one pass steps each of the 2**(N+1) - 1
+    path prefixes once.  The gap is read on every live prefix (stop steps
+    included), and the first failing path is the smallest failing prefix id
+    over all steps; the price and the probes are classified at each stop.
     """
     _check_positive("gap_tol", gap_tol)
-    lat, gen, cash = quote.inputs.lat, quote.inputs.gen, quote.inputs.cashflow_increments
-    n, view, price, side = lat.n_steps, quote.view, quote.price, _Side(quote.view)
-    own_rule, _, other_rule, _ = _own_rules(quote, n)
+    lat, view, price, side = quote.inputs.lat, quote.view, quote.price, _Side(quote.view)
+    own_rule, _, other_rule, _ = _own_rules(quote, lat.n_steps)
     probe = _PROBE * (1.0 + abs(price))
     plus, minus = side.order(price + probe, price - probe)
     # row 0 tracks the solved value; rows 1 to 3 are classified at price, plus and minus
-    y0 = [quote.y0] + [side.initial_wealth(p) for p in (price, plus, minus)]
-    settle, y_flat = tuple(side.settlements(quote.contract)), quote.solution.Y.flat
+    y0 = np.array([quote.y0] + [side.initial_wealth(p) for p in (price, plus, minus)])
+    (own_pay, other_pay, tie_pay), y_flat = side.settlements(quote.contract), quote.solution.Y.flat
     vb = benchmark_profile(view.acct, view.endowment, lat.grid)
-
-    def block(pids, js, idx):
-        v_full = _forward_matrix(y0, quote.solution.Z, gen, cash, lat, js)
-        h_own, h_other = _hits(own_rule, idx), _hits(other_rule, idx)
-        live = np.arange(n + 1)[None, :] <= np.minimum(h_own, h_other)[:, None]
-        path_gap = np.where(live, np.abs(v_full[0] - y_flat[idx]), 0.0).max(axis=1)
-        _, _, flags = _benchmark_rows(v_full[1:], h_own, h_other, idx, settle, vb,
-                                      quote.region_tol)
-        return {**flags, "max_gap": path_gap.max(), "failing": pids[path_gap > gap_tol]}
-
-    out = _fold(n, len(y0), block)
-    max_gap = float(out["max_gap"])
+    n_paths = 1 << lat.n_steps
+    max_gap, failing = np.float64(0.0), n_paths  # no path has id n_paths
+    flags = np.ones((3, 3), dtype=bool)  # no shortfall, equality, no strict gain per row 1 to 3
+    for k, ids, node, v, live, own_hit, other_hit in _prefix_states(quote, y0, own_rule,
+                                                                    other_rule):
+        gap = np.abs(v[0, live] - y_flat[node[live]])
+        max_gap = np.maximum(max_gap, gap.max(initial=0.0))
+        bad = ids[live][gap > gap_tol]
+        if bad.size:
+            failing = min(failing, int(bad.min()))
+        stop = own_hit | other_hit
+        if stop.any():
+            at = node[stop]  # a joint stop pays the tie row, the terminal row included
+            pay = np.where(other_hit[stop], np.where(own_hit[stop], tie_pay[at], other_pay[at]),
+                           own_pay[at])
+            diff = v[1:, stop] + pay - vb[k]
+            tol = quote.region_tol * (1.0 + np.abs(vb[k]))
+            flags &= [(diff >= -tol).all(axis=1), (np.abs(diff) <= tol).all(axis=1),
+                      (diff <= tol).all(axis=1)]
     return ReplicationReport(
-        replicates=max_gap <= gap_tol,
-        max_gap=max_gap,
-        n_paths=1 << n,
-        first_failing_path=int(out["failing"][0]) if out["failing"].size else None,
-        be=bool(out["be"][0]),
-        ao_at_plus=bool(out["sh"][1] and not out["no_gain"][1]),
-        sh_fails_at_minus=not out["sh"][2],
+        replicates=bool(max_gap <= gap_tol),
+        max_gap=float(max_gap),
+        n_paths=n_paths,
+        first_failing_path=failing if failing < n_paths else None,
+        be=bool(flags[1, 0]),
+        ao_at_plus=bool(flags[0, 1] and not flags[2, 1]),
+        sh_fails_at_minus=not flags[0, 2],
     )
 
 

@@ -627,3 +627,13 @@ def test_json_writer_refuses_anything_but_dicts_of_scalars(value):
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     assert "price" in capsys.readouterr().out
+
+
+def test_parser_is_built_once_and_parses_each_call_afresh(capsys):
+    import gamehedge.cli as cli
+
+    assert cli._parser() is cli._parser()
+    assert main(["replicate", "--config", "nope.json", "--hedge-csv", "z.csv"]) == 2
+    capsys.readouterr()
+    args = cli._parser().parse_args(["replicate", "--config", "c.json"])
+    assert (args.hedge_csv, args.out) == (None, "out")  # nothing carried over from the last call
