@@ -14,6 +14,7 @@ obstacles, solutions and increments; stopping rules use the same layout.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -223,33 +224,51 @@ def benchmark_profile(acct: BenchmarkAccount, x: float, grid: TimeGrid) -> np.nd
 
 _CSV_HEADER = ["step", "up_count", "value"]
 _CSV_EOL = "\r\n"
-_CSV_BLOCK_ROWS = 1 << 14  # rows per write: bounds memory and the cell strings made per block
+_CSV_BLOCK_ROWS = 1 << 14  # node-set rows per write: bounds memory and the labels made per block
+_CSV_BLOCK_CELLS = 1 << 16  # node-process cells per write: N <= 255 writes one block per file
 
 
 def _cells(col: np.ndarray) -> list[str]:
     """Each float64 of a 1-D column as its CSV cell, formatting each distinct bit pattern once.
 
-    The artifact CSV dialect: comma-separated, CRLF line ends, no quoting, every value as
-    %.17g (which round-trips every double); each writer fills its own label template.
+    Bit patterns, not float values, are deduplicated (one stable sort of the uint64 view), so
+    -0.0 is not 0.0; any exact dedupe gives the same cells.  The artifact CSV dialect:
+    comma-separated, CRLF line ends, no quoting, every value as %.17g (which round-trips
+    every double); each writer fills its own label template.
     """
-    keys, inverse = np.unique(col.view(np.uint64), return_inverse=True)  # -0.0 is not 0.0
-    distinct = ("%.17g\n" * keys.size % tuple(keys.view(np.float64).tolist())).split("\n")
+    bits = col.view(np.uint64)
+    order = np.argsort(bits, kind="stable")
+    ranked = bits[order]
+    first = np.ones(bits.size, dtype=bool)  # first of each run of one bit pattern
+    np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
+    inverse = np.empty(bits.size, dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    keys = ranked[first].view(np.float64)
+    distinct = ("%.17g\n" * keys.size % tuple(keys.tolist())).split("\n")
     return np.array(distinct, dtype=object)[inverse].tolist()
+
+
+@functools.lru_cache(maxsize=1)  # the files of one lattice share their blocks' labels
+def _node_labels(n_steps: int, k: int, rows: int) -> str:
+    """Label template of lattice rows k..k+rows-1 of an n_steps lattice: ``k,j,%s`` lines."""
+    labels = [f"{j},%s" for j in range(n_steps + 1)]
+    return "".join(f"{i}," + f"{_CSV_EOL}{i},".join(labels[:i + 1]) + _CSV_EOL
+                   for i in range(k, min(k + rows, n_steps + 1)))
 
 
 def write_node_process(proc: NodeProcess, path) -> None:
     """Write rows (step, up_count, value) sorted by (step, up_count), 17 significant digits.
 
-    Whole lattice rows per block, each distinct bit pattern formatted once (``_cells``).
+    Whole lattice rows per block of about ``_CSV_BLOCK_CELLS`` cells, each distinct bit
+    pattern formatted once per block (``_cells``).  The last block's label template is kept
+    (``_node_labels``), so the node files of one lattice of N <= 255 steps build it once.
     """
-    labels = [f"{j},%s" for j in range(proc.n_steps + 1)]
-    rows = max(1, _CSV_BLOCK_ROWS // (proc.n_steps + 1))  # lattice rows per block
+    rows = max(1, _CSV_BLOCK_CELLS // (proc.n_steps + 1))  # lattice rows per block
     with open(path, "w", newline="") as fh:
         fh.write(",".join(_CSV_HEADER) + _CSV_EOL)
         for k in range(0, proc.n_steps + 1, rows):
-            template = "".join(f"{i}," + f"{_CSV_EOL}{i},".join(labels[:i + 1]) + _CSV_EOL
-                               for i in range(k, min(k + rows, proc.n_steps + 1)))
-            fh.write(template % tuple(_cells(proc.flat[tri(k):tri(k + rows)])))
+            fh.write(_node_labels(proc.n_steps, k, rows)
+                     % tuple(_cells(proc.flat[tri(k):tri(k + rows)])))
 
 
 def write_node_set(path, nodes: np.ndarray, n_steps: int) -> None:
